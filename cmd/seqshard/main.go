@@ -36,7 +36,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":9101", "netshard listen address")
-		dir         = flag.String("dir", "", "store directory (empty = in-memory, no WAL: remote engines fall back to unbatched writes)")
+		dir         = flag.String("dir", "", "store directory (empty = in-memory: commit groups apply but nothing is durable)")
 		segments    = flag.Bool("segments", false, "enable the immutable-segment tier under <dir>/segments (requires -dir)")
 		cacheMB     = flag.Int("cache-mb", 0, "decoded-postings cache budget in MiB (0 = storage default, negative disables)")
 		salvage     = flag.Bool("salvage", false, "recover a corrupt store by quarantining unreadable regions instead of failing")
@@ -147,8 +147,8 @@ func run(addr, dir string, segments bool, cacheMB int, salvage bool, metricsAddr
 		msrv.Shutdown(mctx)
 		cancel()
 	}
-	// Acked commit groups already hit the WAL; this covers plain writes on
-	// stores whose engines ran without batching.
+	// Acked commit groups already hit the WAL; this covers the plain writes
+	// engines make outside a group.
 	if sy, ok := store.(interface{ Sync() error }); ok {
 		if err := sy.Sync(); err != nil {
 			return fmt.Errorf("final sync: %w", err)

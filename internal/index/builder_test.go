@@ -54,6 +54,22 @@ func collectIndex(t *testing.T, tb *storage.Tables) map[model.PairKey][]storage.
 	return out
 }
 
+// indexRow reads one pair's row of one partition through ScanIndex.
+func indexRow(t *testing.T, tb *storage.Tables, period string, pair model.PairKey) []storage.IndexEntry {
+	t.Helper()
+	var out []storage.IndexEntry
+	err := tb.ScanIndex(context.Background(), period, func(k model.PairKey, es []storage.IndexEntry) error {
+		if k == pair {
+			out = append(out, es...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRejectsSTAM(t *testing.T) {
 	tb := storage.NewTables(kvstore.NewMemStore())
 	if _, err := NewBuilder(tb, Options{Policy: model.STAM}); err == nil {
@@ -242,13 +258,13 @@ func TestPeriodPartitionedUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p1, err := tb.GetIndex(context.Background(), "p1", key('A', 'B'))
-	if err != nil || len(p1) != 1 || p1[0].TsB != 2 {
-		t.Fatalf("p1 = %v %v", p1, err)
+	p1 := indexRow(t, tb, "p1", key('A', 'B'))
+	if len(p1) != 1 || p1[0].TsB != 2 {
+		t.Fatalf("p1 = %v", p1)
 	}
-	p2, err := tb.GetIndex(context.Background(), "p2", key('A', 'B'))
-	if err != nil || len(p2) != 1 {
-		t.Fatalf("p2 = %v %v", p2, err)
+	p2 := indexRow(t, tb, "p2", key('A', 'B'))
+	if len(p2) != 1 {
+		t.Fatalf("p2 = %v", p2)
 	}
 	// Cross-batch dedup holds across partitions: p2 must contain only the
 	// occurrence completing after p1's boundary. (A,B)=(1,2) is in p1;
@@ -256,8 +272,9 @@ func TestPeriodPartitionedUpdate(t *testing.T) {
 	if p2[0].TsA != 3 || p2[0].TsB != 4 {
 		t.Fatalf("p2 entry = %+v", p2[0])
 	}
-	all, err := tb.GetIndexAll(context.Background(), key('A', 'B'))
-	if err != nil || len(all) != 2 {
+	// The join's cross-period read sees both partitions.
+	all, err := tb.GetPostings(context.Background(), key('A', 'B'))
+	if err != nil || all.Total() != 2 {
 		t.Fatalf("all = %v %v", all, err)
 	}
 }
@@ -284,7 +301,7 @@ func TestPruneTraces(t *testing.T) {
 		t.Fatal("wrong LastChecked entry pruned")
 	}
 	// The inverted index keeps historical occurrences.
-	es, _ := tb.GetIndex(context.Background(), "", key('A', 'B'))
+	es := indexRow(t, tb, "", key('A', 'B'))
 	if len(es) != 2 {
 		t.Fatalf("index lost pruned trace history: %v", es)
 	}

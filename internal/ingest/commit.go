@@ -261,7 +261,6 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 			}
 		}
 	}
-	hasBatch := false
 	for i := range p.stores {
 		needs := job.parts[i] != nil && !job.parts[i].empty()
 		if i == 0 && p.opts.BeforeCommit != nil {
@@ -269,7 +268,7 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 			// this cycle; its group must be open to keep that write atomic.
 			needs = true
 		}
-		if !needs || p.stores[i].batch == nil {
+		if !needs {
 			continue
 		}
 		if err := p.stores[i].batch.BeginBatch(); err != nil {
@@ -277,7 +276,7 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 			return err
 		}
 		open[i] = true
-		hasBatch = true
+		job.syncs = 1
 	}
 
 	// Table writes for all touched stores run concurrently: each partition's
@@ -358,25 +357,12 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 			first = err
 		}
 	}
-	if first != nil {
-		return first
-	}
-
-	if hasBatch {
-		job.syncs = 1
-	} else if p.opts.Sync != nil {
-		if err := p.opts.Sync(); err != nil {
-			return err
-		}
-		job.syncs = 1
-	}
-	return nil
+	return first
 }
 
 // writeDelta streams one store partition through the tables in sorted,
 // reproducible order. The caller has already opened the target store's WAL
-// group (when it has one); routing determinism guarantees every write here
-// lands inside it.
+// group; routing determinism guarantees every write here lands inside it.
 func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 	sort.Slice(d.traces, func(i, j int) bool { return d.traces[i] < d.traces[j] })
 	for _, id := range d.traces {

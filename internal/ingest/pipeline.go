@@ -113,10 +113,6 @@ type Options struct {
 	// store's group may seal (the meta-freshness recovery invariant).
 	BeforeCommit func() (bool, error)
 
-	// Sync, when set, is called after a commit on stores that do not
-	// implement kvstore.BatchWriter (group commit subsumes it otherwise).
-	Sync func() error
-
 	// Metrics, when set, receives the pipeline telemetry: the
 	// seqlog_ingest_flush_seconds histogram observing each committed flush
 	// cycle (swap + extract + commit + fsync), the
@@ -136,16 +132,16 @@ type Stats struct {
 	Accepted int64 `json:"accepted"`           // events admitted in total
 	Flushed  int64 `json:"flushed"`            // events committed to tables
 	Batches  int64 `json:"batches"`            // committed flush cycles
-	Syncs    int64 `json:"syncs"`              // durably committed cycles
+	Syncs    int64 `json:"syncs"`              // cycles sealed by a group commit (an fsync on durable stores)
 	Stalls   int64 `json:"stalls"`             // Appends that blocked or were refused
 	Sessions int64 `json:"sessions,omitempty"` // resident trace sessions
 }
 
 // storeWriter is the commit seam of one independent store of the backend:
-// its crash-atomic group writer (nil when the store keeps no WAL) and its
-// per-shard flush telemetry. Rows are written through the top-level Backend
-// — the partitioning guarantees every row of partition i routes to store i,
-// so the ordinary write methods land inside store i's open group.
+// its crash-atomic group writer and its per-shard flush telemetry. Rows are
+// written through the top-level Backend — the partitioning guarantees every
+// row of partition i routes to store i, so the ordinary write methods land
+// inside store i's open group.
 type storeWriter struct {
 	batch   kvstore.BatchWriter
 	commitH *metrics.Histogram // durability wait per flushed group

@@ -209,4 +209,16 @@ func (s *MemStore) Close() error {
 	return nil
 }
 
+// BeginBatch, CommitBatch and AbortBatch implement BatchWriter as no-ops:
+// with nothing to recover after a crash every group is trivially atomic, and
+// an aborted group's writes stay applied exactly as a failed plain write
+// sequence would leave them. The store stays usable after AbortBatch.
+func (s *MemStore) BeginBatch() error { return nil }
+
+// CommitBatch implements BatchWriter (no-op, see BeginBatch).
+func (s *MemStore) CommitBatch() error { return nil }
+
+// AbortBatch implements BatchWriter (no-op, see BeginBatch).
+func (s *MemStore) AbortBatch(error) {}
+
 var _ Store = (*MemStore)(nil)

@@ -55,23 +55,41 @@ type Store interface {
 
 	// Close releases resources; for durable engines it flushes state.
 	Close() error
+
+	// Every store groups mutations the same way, so writers have one code
+	// path: durable engines make the group crash-atomic, MemStore's group
+	// methods are no-ops.
+	BatchWriter
 }
 
-// BatchWriter is implemented by stores that can group mutations into a unit
-// that is atomic with respect to crash recovery: either every record between
-// BeginBatch and CommitBatch survives a reopen, or none does. CommitBatch
-// also makes the group durable (one fsync for the whole group — the group
-// commit of the streaming ingestion pipeline). Callers must serialise: no
-// concurrent writers between BeginBatch and CommitBatch, and groups do not
-// nest. AbortBatch abandons a group after a mid-batch write failure; for
-// durable stores this poisons the store so a reopen rolls back cleanly.
+// BatchWriter groups mutations into a unit that is atomic with respect to
+// crash recovery: either every record between BeginBatch and CommitBatch
+// survives a reopen, or none does. CommitBatch also makes the group durable
+// (one fsync for the whole group — the group commit of the streaming
+// ingestion pipeline). Callers must serialise: no concurrent writers between
+// BeginBatch and CommitBatch, and groups do not nest. AbortBatch abandons a
+// group after a mid-batch write failure; for durable stores this poisons the
+// store so a reopen rolls back cleanly.
 //
-// MemStore does not implement BatchWriter: without durability every batch
-// is trivially atomic, and callers fall back to plain writes.
+// MemStore implements the three methods as no-ops: with nothing to recover
+// every group is trivially atomic.
 type BatchWriter interface {
 	BeginBatch() error
 	CommitBatch() error
 	AbortBatch(cause error)
+}
+
+// Atomically runs apply inside one group of w: the group is committed (and
+// durable) when apply succeeds, and aborted with apply's error otherwise.
+func Atomically(w BatchWriter, apply func() error) error {
+	if err := w.BeginBatch(); err != nil {
+		return err
+	}
+	if err := apply(); err != nil {
+		w.AbortBatch(err)
+		return err
+	}
+	return w.CommitBatch()
 }
 
 // Durability is a sealed group's pending fsync. Wait blocks until the

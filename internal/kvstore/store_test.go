@@ -188,6 +188,41 @@ func TestMemStoreClosed(t *testing.T) {
 	}
 }
 
+// TestMemStoreBatchRoundTrip: the in-memory group methods are the same
+// contract writers drive on disk — a committed group's writes are readable,
+// and an aborted group (AbortBatch directly, or through Atomically) leaves the
+// store usable for the next group rather than poisoned.
+func TestMemStoreBatchRoundTrip(t *testing.T) {
+	s := NewMemStore()
+	defer s.Close()
+	err := Atomically(s, func() error { return s.Put("t", "k", []byte("v1")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err = Atomically(s, func() error {
+		if err := s.Put("t", "k2", []byte("x")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Atomically = %v, want the apply error", err)
+	}
+	if err := s.BeginBatch(); err != nil {
+		t.Fatalf("BeginBatch after abort: %v", err)
+	}
+	if err := s.Append("t", "k", []byte("+v2")); err != nil {
+		t.Fatalf("write after abort: %v", err)
+	}
+	if err := s.CommitBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := s.Get("t", "k"); err != nil || !ok || string(v) != "v1+v2" {
+		t.Fatalf("Get = %q, %v, %v", v, ok, err)
+	}
+}
+
 func TestMemStorePutCopiesValue(t *testing.T) {
 	s := NewMemStore()
 	defer s.Close()

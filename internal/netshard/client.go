@@ -37,7 +37,7 @@ type Options struct {
 }
 
 // Client implements storage.Backend against one remote shard server. Reads
-// are ctx-first and cancellable mid-RPC: a watcher goroutine trips the
+// are ctx-first and cancellable mid-RPC: a context.AfterFunc trips the
 // connection deadline the moment ctx is done, so cancel latency is bounded
 // by a socket wakeup, not a response arrival; the interrupted connection is
 // discarded and the caller sees ctx.Err(). Writes follow the Backend
@@ -45,9 +45,8 @@ type Options struct {
 // locally and ship as one commit group, applied inside the server store's
 // own WAL batch — one group commit per remote store, acked after its fsync.
 type Client struct {
-	addr  string
-	opts  Options
-	flags atomic.Uint32 // server hello flags, refreshed per dial
+	addr string
+	opts Options
 
 	mu     sync.Mutex
 	idle   []*cconn
@@ -134,12 +133,11 @@ func (c *Client) dial(ctx context.Context) (*cconn, error) {
 	if dl, ok := dctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	}
-	if err := writeHello(conn, 0); err != nil {
+	if err := writeHello(conn); err != nil {
 		conn.Close()
 		return nil, &OpError{Addr: c.addr, Op: "hello", Err: err}
 	}
-	flags, err := readHello(conn)
-	if err != nil {
+	if err := readHello(conn); err != nil {
 		conn.Close()
 		return nil, &OpError{Addr: c.addr, Op: "hello", Err: err}
 	}
@@ -147,7 +145,6 @@ func (c *Client) dial(ctx context.Context) (*cconn, error) {
 	if c.dialed.Swap(true) {
 		c.reconnects.Add(1)
 	}
-	c.flags.Store(uint32(flags))
 	return &cconn{c: conn}, nil
 }
 
@@ -272,23 +269,26 @@ func (c *Client) do(ctx context.Context, op byte, req []byte, onBody func([]byte
 // firing — the server never received the request, so the caller may safely
 // retry on another connection.
 func (c *Client) roundTrip(ctx context.Context, cc *cconn, op byte, req []byte, onBody func([]byte) error) (err error, keep, stale bool) {
-	var fired atomic.Bool
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				fired.Store(true)
-				// Trip the in-flight read/write immediately: bounded cancel
-				// latency without waiting for the server's next frame.
-				cc.c.SetDeadline(time.Unix(1, 0))
-			case <-stop:
+	if ctx.Done() != nil {
+		// Trip the in-flight read/write the moment ctx is done: bounded
+		// cancel latency without waiting for the server's next frame.
+		tripped := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			cc.c.SetDeadline(time.Unix(1, 0))
+			close(tripped)
+		})
+		defer func() {
+			if !stop() {
+				// The trip already started, possibly after a successful
+				// exchange: wait it out and drop the connection, or its past
+				// deadline would fail whichever request reuses it.
+				<-tripped
+				keep = false
 			}
 		}()
 	}
 	xerr := func(e error) (error, bool, bool) {
-		if fired.Load() || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return ctx.Err(), false, false
 		}
 		return &OpError{Addr: c.addr, Op: opName(op), Err: e}, false, false
@@ -297,7 +297,7 @@ func (c *Client) roundTrip(ctx context.Context, cc *cconn, op byte, req []byte, 
 	frame = append(frame, op)
 	frame = append(frame, req...)
 	if err := writeFrame(cc.c, frame); err != nil {
-		if fired.Load() || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return ctx.Err(), false, false
 		}
 		return &OpError{Addr: c.addr, Op: opName(op), Err: err}, false, true
@@ -467,55 +467,6 @@ func (c *Client) AppendIndex(period string, pair model.PairKey, entries []storag
 	w.u64(uint64(pair))
 	w.blob(storage.EncodeIndexRow(nil, entries))
 	return c.write(opAppendIndex, w.b)
-}
-
-func (c *Client) getIndex(ctx context.Context, op byte, req []byte) ([]storage.IndexEntry, error) {
-	resp, err := c.call(ctx, op, req)
-	if err != nil {
-		return nil, err
-	}
-	r := &rbuf{b: resp}
-	row := r.blob()
-	if err := r.done(); err != nil {
-		return nil, &OpError{Addr: c.addr, Op: opName(op), Err: err}
-	}
-	entries, err := storage.DecodeIndexRow(row)
-	if err != nil {
-		return nil, err
-	}
-	c.rows.Add(int64(len(entries)))
-	return entries, nil
-}
-
-// GetIndex reads one pair row of one period.
-func (c *Client) GetIndex(ctx context.Context, period string, pair model.PairKey) ([]storage.IndexEntry, error) {
-	var w wbuf
-	w.str(period)
-	w.u64(uint64(pair))
-	return c.getIndex(ctx, opGetIndex, w.b)
-}
-
-// GetIndexAll reads the pair's rows across all periods.
-func (c *Client) GetIndexAll(ctx context.Context, pair model.PairKey) ([]storage.IndexEntry, error) {
-	var w wbuf
-	w.u64(uint64(pair))
-	return c.getIndex(ctx, opGetIndexAll, w.b)
-}
-
-// GetIndexSorted reads one pair row pre-sorted by the server's postings
-// cache.
-func (c *Client) GetIndexSorted(ctx context.Context, period string, pair model.PairKey) ([]storage.IndexEntry, error) {
-	var w wbuf
-	w.str(period)
-	w.u64(uint64(pair))
-	return c.getIndex(ctx, opGetIndexSorted, w.b)
-}
-
-// GetIndexAllSorted reads the pair's cross-period sorted row.
-func (c *Client) GetIndexAllSorted(ctx context.Context, pair model.PairKey) ([]storage.IndexEntry, error) {
-	var w wbuf
-	w.u64(uint64(pair))
-	return c.getIndex(ctx, opGetIndexAllSorted, w.b)
 }
 
 // GetPostings fetches the pair's sorted runs. Segment block runs are
@@ -791,18 +742,11 @@ func (c *Client) GetMeta(key string) ([]byte, bool, error) {
 
 // ---- storage.Backend: batching, observability, lifecycle --------------------
 
-// Batch returns the client's group writer when the remote store keeps a WAL
-// (advertised in the hello), or nil so callers fall back to plain writes —
-// the exact local MemStore contract. Mutations between BeginBatch and
+// Batch returns the client's group writer. Mutations between BeginBatch and
 // CommitBatch buffer locally and ship as one commit group; the server
 // applies them inside its store's own BeginBatch/CommitBatch, so the group
 // is crash-atomic and durable (one fsync) before the ack.
-func (c *Client) Batch() kvstore.BatchWriter {
-	if byte(c.flags.Load())&flagWAL == 0 {
-		return nil
-	}
-	return (*clientBatch)(c)
-}
+func (c *Client) Batch() kvstore.BatchWriter { return (*clientBatch)(c) }
 
 // clientBatch implements kvstore.BatchWriter over the client's buffered
 // commit group. Callers serialize per the BatchWriter contract.

@@ -1,8 +1,10 @@
 package netshard
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -95,32 +97,18 @@ func TestNetShardRoundTrip(t *testing.T) {
 	if err := cl.AppendIndex("p2", pair, entries[:1]); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		via  func() ([]storage.IndexEntry, error)
-		ref  func() ([]storage.IndexEntry, error)
-	}{
-		{"GetIndex", func() ([]storage.IndexEntry, error) { return cl.GetIndex(ctx, "p1", pair) },
-			func() ([]storage.IndexEntry, error) { return tab.GetIndex(ctx, "p1", pair) }},
-		{"GetIndexAll", func() ([]storage.IndexEntry, error) { return cl.GetIndexAll(ctx, pair) },
-			func() ([]storage.IndexEntry, error) { return tab.GetIndexAll(ctx, pair) }},
-		{"GetIndexSorted", func() ([]storage.IndexEntry, error) { return cl.GetIndexSorted(ctx, "p1", pair) },
-			func() ([]storage.IndexEntry, error) { return tab.GetIndexSorted(ctx, "p1", pair) }},
-		{"GetIndexAllSorted", func() ([]storage.IndexEntry, error) { return cl.GetIndexAllSorted(ctx, pair) },
-			func() ([]storage.IndexEntry, error) { return tab.GetIndexAllSorted(ctx, pair) }},
-	} {
-		got, err := tc.via()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want, err := tc.ref()
-		if err != nil {
-			t.Fatalf("%s local: %v", tc.name, err)
-		}
+	// Row content: every partition scans identically through the wire.
+	for _, period := range []string{"", "p1", "p2"} {
+		got, want := scanPartition(t, cl, period), scanPartition(t, tab, period)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s = %v, want %v", tc.name, got, want)
+			t.Fatalf("ScanIndex(%q) = %v, want %v", period, got, want)
 		}
 	}
+	if p1 := scanPartition(t, cl, "p1"); len(p1) != 1 || !reflect.DeepEqual(p1[pair], entries) {
+		t.Fatalf("ScanIndex(p1) = %v, want one row %v", p1, entries)
+	}
+	// The join's read: same sorted runs, in the same order, as the local
+	// store hands out.
 	p, err := cl.GetPostings(ctx, pair)
 	if err != nil {
 		t.Fatal(err)
@@ -129,21 +117,8 @@ func TestNetShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Total() != lp.Total() {
-		t.Fatalf("GetPostings total %d, want %d", p.Total(), lp.Total())
-	}
-	pairsSeen := 0
-	if err := cl.ScanIndex(ctx, "p1", func(pk model.PairKey, es []storage.IndexEntry) error {
-		pairsSeen++
-		if pk != pair || len(es) != 2 {
-			t.Errorf("ScanIndex row %d/%v", pk, es)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if pairsSeen != 1 {
-		t.Fatalf("ScanIndex saw %d pairs", pairsSeen)
+	if p.Total() != 3 || !reflect.DeepEqual(p, lp) {
+		t.Fatalf("GetPostings = %v, want %v", p, lp)
 	}
 	if n, err := cl.NumIndexedPairs(ctx, "p1"); err != nil || n != 1 {
 		t.Fatalf("NumIndexedPairs = %d, %v", n, err)
@@ -233,10 +208,38 @@ func TestNetShardRoundTrip(t *testing.T) {
 	if cl.NumShards() != 1 {
 		t.Fatal("NumShards != 1")
 	}
-	// MemStore-backed server: no WAL, no group writer — the local contract.
-	if cl.Batch() != nil {
-		t.Fatal("Batch() non-nil over a WAL-less store")
+	// A MemStore-backed server groups writes like any other: buffered until
+	// the commit, applied as one group by it.
+	bw := cl.Batch()
+	if err := bw.BeginBatch(); err != nil {
+		t.Fatal(err)
 	}
+	if err := cl.AppendSeq(42, events); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := tab.GetSeq(ctx, 42); ok {
+		t.Fatal("buffered write leaked to the server before the commit")
+	}
+	if err := bw.CommitBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, _ := tab.GetSeq(ctx, 42); !ok || !reflect.DeepEqual(got, events) {
+		t.Fatalf("committed group not applied: %v, %v", got, ok)
+	}
+}
+
+// scanPartition collects one partition's rows through ScanIndex.
+func scanPartition(t *testing.T, b storage.Backend, period string) map[model.PairKey][]storage.IndexEntry {
+	t.Helper()
+	out := make(map[model.PairKey][]storage.IndexEntry)
+	err := b.ScanIndex(context.Background(), period, func(k model.PairKey, es []storage.IndexEntry) error {
+		out[k] = append(out[k], es...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestNetShardBatchDurable ships a commit group to a disk-backed server and
@@ -251,9 +254,6 @@ func TestNetShardBatchDurable(t *testing.T) {
 	cl, srv := startServer(t, tab, store, ServerOptions{})
 
 	bw := cl.Batch()
-	if bw == nil {
-		t.Fatal("Batch() nil over a WAL-backed store")
-	}
 	if err := bw.BeginBatch(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestNetShardCancelBounded(t *testing.T) {
 				defer c.Close()
 				var h [8]byte
 				c.Read(h[:])
-				writeHello(c, flagWAL)
+				writeHello(c)
 				<-done
 			}(c)
 		}
@@ -404,5 +404,89 @@ func TestNetShardTypedTransportError(t *testing.T) {
 	cl.Close()
 	if _, err := cl.NumTraces(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed client err = %v", err)
+	}
+}
+
+// TestNetShardCancelAfterSuccessKeepsPoolClean is the regression test for
+// the cancel-watcher race: a context cancelled right after a successful
+// exchange must never leave a past deadline on the connection that went back
+// to the pool. One pooled connection, so every next RPC reuses the one the
+// previous call returned.
+func TestNetShardCancelAfterSuccessKeepsPoolClean(t *testing.T) {
+	store := kvstore.NewMemStore()
+	tab := storage.NewTables(store)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(tab, store, ServerOptions{})
+	go srv.Serve(ln)
+	defer srv.Close()
+	cl, err := Dial(ln.Addr().String(), Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	for i := 0; i < 2000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := cl.NumTraces(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("rpc %d under a live context: %v", i, err)
+		}
+		if _, err := cl.NumTraces(context.Background()); err != nil {
+			t.Fatalf("rpc after cancel %d: %v", i, err)
+		}
+	}
+}
+
+// TestNetShardV1HelloRefused: a protocol-v1 peer must fail the hello with
+// ErrVersion on both sides — never reach dispatch, where its opcodes would
+// name different operations.
+func TestNetShardV1HelloRefused(t *testing.T) {
+	v1 := []byte{'S', 'Q', 'S', 'H', 1, 0, 0, 0}
+	if err := readHello(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("readHello(v1) = %v, want ErrVersion", err)
+	}
+
+	cl, _ := memBackends(t)
+	raw, err := net.Dial("tcp", cl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	// The server answers with its own hello so the old peer can name the
+	// mismatch, then hangs up without reading a single frame.
+	var h [8]byte
+	if _, err := io.ReadFull(raw, h[:]); err != nil {
+		t.Fatalf("no hello back: %v", err)
+	}
+	if h[4] != protoVersion {
+		t.Fatalf("server hello version = %d, want %d", h[4], protoVersion)
+	}
+	raw.Write(mustFrame(t, []byte{opPing}))
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := readFrame(raw, nil, DefaultMaxFrame); !errors.Is(err, io.EOF) {
+		t.Fatalf("v1 peer's frame answered: %v, want EOF", err)
+	}
+}
+
+// TestOpcodeTable pins the protocol-v2 numbering: the opcodes are the wire
+// format, so a renumbering must come with a protoVersion bump.
+func TestOpcodeTable(t *testing.T) {
+	want := []string{
+		1: "ping", "status", "get_meta", "put_meta", "get_seq", "append_seq",
+		"delete_seq", "scan_seq", "num_traces", "append_index", "scan_index",
+		"num_indexed_pairs", "drop_period", "periods", "get_postings", "freeze",
+		"get_counts", "get_rcounts", "merge_counts", "merge_rcounts",
+		"get_pair_count", "get_last_checked", "merge_last_checked",
+		"prune_last_checked", "set_cache_budget", "sync", "commit_chunk", "commit",
+	}
+	if protoVersion != 2 || !reflect.DeepEqual(opNames[:], want) {
+		t.Fatalf("protocol v%d opcode table = %q, want v2 %q", protoVersion, opNames, want)
 	}
 }

@@ -38,18 +38,11 @@ import (
 	"seqlog/internal/storage"
 )
 
-// Protocol constants. The magic and version are exchanged in an 8-byte
-// hello from each side before any frame: client sends
-// [magic(4)][version][0 0 0], server answers [magic(4)][version][flags][0 0].
-const (
-	protoVersion = 1
-
-	// flagWAL in the server hello advertises that the store keeps a WAL
-	// (implements kvstore.BatchWriter): the client then exposes a Batch()
-	// group writer; without it Batch() returns nil and callers fall back to
-	// plain writes, mirroring the local MemStore contract.
-	flagWAL byte = 1 << 0
-)
+// protoVersion is exchanged, after the magic, in an 8-byte hello
+// [magic(4)][version][0 0 0] from each side before any frame. Version 2
+// dropped the row-returning index reads (and renumbered the opcodes after
+// them) and the v1 server-hello WAL flag: every store now commits groups.
+const protoVersion = 2
 
 var protoMagic = [4]byte{'S', 'Q', 'S', 'H'}
 
@@ -88,7 +81,8 @@ var (
 	ErrClosed = errors.New("netshard: client is closed")
 )
 
-// Request opcodes. The numbering is part of the wire format: append only.
+// Request opcodes. The numbering is part of the wire format: append only
+// within a protocol version (TestOpcodeTable pins it).
 const (
 	opPing byte = iota + 1
 	opStatus
@@ -99,10 +93,6 @@ const (
 	opDeleteSeq
 	opScanSeq
 	opNumTraces
-	opGetIndex
-	opGetIndexAll
-	opGetIndexSorted
-	opGetIndexAllSorted
 	opAppendIndex
 	opScanIndex
 	opNumIndexedPairs
@@ -131,8 +121,6 @@ var opNames = [opMax]string{
 	opGetMeta: "get_meta", opPutMeta: "put_meta",
 	opGetSeq: "get_seq", opAppendSeq: "append_seq", opDeleteSeq: "delete_seq",
 	opScanSeq: "scan_seq", opNumTraces: "num_traces",
-	opGetIndex: "get_index", opGetIndexAll: "get_index_all",
-	opGetIndexSorted: "get_index_sorted", opGetIndexAllSorted: "get_index_all_sorted",
 	opAppendIndex: "append_index", opScanIndex: "scan_index",
 	opNumIndexedPairs: "num_indexed_pairs", opDropPeriod: "drop_period",
 	opPeriods: "periods", opGetPostings: "get_postings", opFreeze: "freeze",
@@ -287,27 +275,26 @@ func readFrame(r io.Reader, buf []byte, max uint32) ([]byte, error) {
 
 // ---- Hello exchange ---------------------------------------------------------
 
-func writeHello(w io.Writer, flags byte) error {
+func writeHello(w io.Writer) error {
 	var h [8]byte
 	copy(h[:4], protoMagic[:])
 	h[4] = protoVersion
-	h[5] = flags
 	_, err := w.Write(h[:])
 	return err
 }
 
-func readHello(r io.Reader) (flags byte, err error) {
+func readHello(r io.Reader) error {
 	var h [8]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if [4]byte(h[:4]) != protoMagic {
-		return 0, ErrBadMagic
+		return ErrBadMagic
 	}
 	if h[4] != protoVersion {
-		return 0, fmt.Errorf("%w (peer %d, ours %d)", ErrVersion, h[4], protoVersion)
+		return fmt.Errorf("%w (peer %d, ours %d)", ErrVersion, h[4], protoVersion)
 	}
-	return h[5], nil
+	return nil
 }
 
 // ---- Body codec helpers -----------------------------------------------------
@@ -315,11 +302,11 @@ func readHello(r io.Reader) (flags byte, err error) {
 // wbuf builds a frame body: varints plus length-prefixed blobs.
 type wbuf struct{ b []byte }
 
-func (w *wbuf) u64(v uint64)   { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wbuf) i64(v int64)    { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) byte1(v byte)   { w.b = append(w.b, v) }
-func (w *wbuf) blob(p []byte)  { w.u64(uint64(len(p))); w.b = append(w.b, p...) }
-func (w *wbuf) str(s string)   { w.u64(uint64(len(s))); w.b = append(w.b, s...) }
+func (w *wbuf) u64(v uint64)  { w.b = binary.AppendUvarint(w.b, v) }
+func (w *wbuf) i64(v int64)   { w.b = binary.AppendVarint(w.b, v) }
+func (w *wbuf) byte1(v byte)  { w.b = append(w.b, v) }
+func (w *wbuf) blob(p []byte) { w.u64(uint64(len(p))); w.b = append(w.b, p...) }
+func (w *wbuf) str(s string)  { w.u64(uint64(len(s))); w.b = append(w.b, s...) }
 func (w *wbuf) bool1(v bool) {
 	if v {
 		w.u64(1)

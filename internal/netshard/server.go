@@ -134,25 +134,20 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// hasWAL reports whether the store can group mutations crash-atomically.
-func (s *Server) hasWAL() bool {
-	_, ok := s.store.(kvstore.BatchWriter)
-	return ok
-}
-
 // handle speaks the protocol on one connection until it errors or closes.
 func (s *Server) handle(c net.Conn) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
-	if _, err := readHello(br); err != nil {
+	if err := readHello(br); err != nil {
+		if errors.Is(err, ErrVersion) {
+			// Answer before hanging up so the peer's own hello check names
+			// the mismatch instead of a bare EOF.
+			writeHello(c)
+		}
 		s.logf("netshard: %s: bad hello: %v", c.RemoteAddr(), err)
 		return
 	}
-	var flags byte
-	if s.hasWAL() {
-		flags |= flagWAL
-	}
-	if err := writeHello(c, flags); err != nil {
+	if err := writeHello(c); err != nil {
 		return
 	}
 	maxFrame := uint32(s.opts.MaxFrame)
@@ -303,37 +298,6 @@ func (s *Server) unary(op byte, body []byte) ([]byte, error) {
 		}
 		out.i64(int64(n))
 
-	case opGetIndex, opGetIndexSorted:
-		period := r.str()
-		pair := model.PairKey(r.u64())
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		get := s.tab.GetIndex
-		if op == opGetIndexSorted {
-			get = s.tab.GetIndexSorted
-		}
-		entries, err := get(s.ctx, period, pair)
-		if err != nil {
-			return nil, err
-		}
-		out.blob(storage.EncodeIndexRow(nil, entries))
-
-	case opGetIndexAll, opGetIndexAllSorted:
-		pair := model.PairKey(r.u64())
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		get := s.tab.GetIndexAll
-		if op == opGetIndexAllSorted {
-			get = s.tab.GetIndexAllSorted
-		}
-		entries, err := get(s.ctx, pair)
-		if err != nil {
-			return nil, err
-		}
-		out.blob(storage.EncodeIndexRow(nil, entries))
-
 	case opGetPostings:
 		pair := model.PairKey(r.u64())
 		if err := r.done(); err != nil {
@@ -468,27 +432,11 @@ func (s *Server) syncStore() error {
 
 // applyCommit applies one shipped commit group inside the store's own
 // crash-atomic batch (one WAL group, one fsync) and returns only once the
-// group is durable — the client's CommitBatch ack. Stores without a WAL
-// (MemStore) apply the ops directly, mirroring the local fallback.
+// group is durable — the client's CommitBatch ack.
 func (s *Server) applyCommit(group []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	bw, _ := s.store.(kvstore.BatchWriter)
-	if bw != nil {
-		if err := bw.BeginBatch(); err != nil {
-			return err
-		}
-	}
-	if err := s.applyOps(group); err != nil {
-		if bw != nil {
-			bw.AbortBatch(err)
-		}
-		return err
-	}
-	if bw != nil {
-		return bw.CommitBatch()
-	}
-	return nil
+	return kvstore.Atomically(s.store, func() error { return s.applyOps(group) })
 }
 
 // applyOps replays a commit group's op stream: [op][uvarint len][body]...

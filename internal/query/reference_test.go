@@ -4,17 +4,42 @@ import (
 	"context"
 
 	"seqlog/internal/model"
+	"seqlog/internal/storage"
 )
+
+// scanIndexAll reads the pair's rows across the default partition and every
+// period through ScanIndex — the raw scan — so the oracle shares no read
+// method with join.go, which reads only through GetPostings.
+func scanIndexAll(b storage.Backend, pair model.PairKey) ([]storage.IndexEntry, error) {
+	ctx := context.Background()
+	periods, err := b.Periods(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out []storage.IndexEntry
+	for _, p := range append([]string{""}, periods...) {
+		err := b.ScanIndex(ctx, p, func(k model.PairKey, entries []storage.IndexEntry) error {
+			if k == pair {
+				out = append(out, entries...)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
 // detectReference is the pre-overhaul Detect, kept verbatim as the oracle
 // the merge join of join.go is asserted against: the paper's Algorithm 2
 // with nested map[trace]map[tsA][]tsB grouping rebuilt on every step, full
-// chain copies per extension, and uncached GetIndexAll row reads.
+// chain copies per extension, and uncached raw row reads (scanIndexAll).
 func detectReference(q *Processor, p model.Pattern) ([]Match, error) {
 	if len(p) < 2 {
 		return nil, ErrShortPattern
 	}
-	first, err := q.tables.GetIndexAll(context.Background(), model.NewPairKey(p[0], p[1]))
+	first, err := scanIndexAll(q.tables, model.NewPairKey(p[0], p[1]))
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +51,7 @@ func detectReference(q *Processor, p model.Pattern) ([]Match, error) {
 		if len(partials) == 0 {
 			return nil, nil
 		}
-		entries, err := q.tables.GetIndexAll(context.Background(), model.NewPairKey(p[i], p[i+1]))
+		entries, err := scanIndexAll(q.tables, model.NewPairKey(p[i], p[i+1]))
 		if err != nil {
 			return nil, err
 		}

@@ -42,8 +42,8 @@ func TestIngestStream(t *testing.T) {
 	if out.Accepted != 6 {
 		t.Fatalf("accepted = %d, want 6", out.Accepted)
 	}
-	if out.Stats == nil || out.Stats.Flushed != 6 || out.Stats.Syncs != 0 {
-		t.Fatalf("stats = %+v (memory engine: 6 flushed, 0 syncs)", out.Stats)
+	if out.Stats == nil || out.Stats.Flushed != 6 || out.Stats.Syncs != out.Stats.Batches {
+		t.Fatalf("stats = %+v (6 flushed, one group commit per batch)", out.Stats)
 	}
 
 	// The streamed events are queryable, equivalently to serial ingestion.

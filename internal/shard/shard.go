@@ -246,34 +246,9 @@ func (t *Tables) AppendIndex(period string, pair model.PairKey, entries []storag
 	return t.pairTab(pair).AppendIndex(period, pair, entries)
 }
 
-// GetIndex reads one pair row from its owning shard.
-func (t *Tables) GetIndex(ctx context.Context, period string, pair model.PairKey) ([]storage.IndexEntry, error) {
-	return t.pairTab(pair).GetIndex(ctx, period, pair)
-}
-
-// GetIndexAll reads the pair's rows across all periods from its owning shard.
-func (t *Tables) GetIndexAll(ctx context.Context, pair model.PairKey) ([]storage.IndexEntry, error) {
-	return t.pairTab(pair).GetIndexAll(ctx, pair)
-}
-
-// GetIndexSorted serves the pair's sorted row from its owning shard's
-// postings cache.
-func (t *Tables) GetIndexSorted(ctx context.Context, period string, pair model.PairKey) ([]storage.IndexEntry, error) {
-	return t.pairTab(pair).GetIndexSorted(ctx, period, pair)
-}
-
-// GetIndexAllSorted serves the pair's cross-period sorted row from its
-// owning shard — the query hot path stays a single-shard point read, the
-// payoff of pair-key routing. (The merge across partitions happens inside
-// the shard with the same comparator every shard uses, so the row is
-// byte-identical to the unsharded one.)
-func (t *Tables) GetIndexAllSorted(ctx context.Context, pair model.PairKey) ([]storage.IndexEntry, error) {
-	return t.pairTab(pair).GetIndexAllSorted(ctx, pair)
-}
-
-// GetPostings serves the pair's sorted runs from its owning shard — like
-// GetIndexAllSorted, a single-shard point read, but with segment blocks left
-// compressed until the join touches them.
+// GetPostings serves the pair's sorted runs from its owning shard — the
+// query hot path stays a single-shard point read, the payoff of pair-key
+// routing — with segment blocks left compressed until the join touches them.
 func (t *Tables) GetPostings(ctx context.Context, pair model.PairKey) (storage.Postings, error) {
 	return t.pairTab(pair).GetPostings(ctx, pair)
 }
@@ -588,27 +563,22 @@ func (t *Tables) GetMeta(key string) ([]byte, bool, error) {
 // ---- Observability / lifecycle ---------------------------------------------
 
 // Batch returns a fan-out group writer opening one crash-atomic batch per
-// shard, or nil when any underlying store has no WAL. Atomicity is
-// per-shard: each shard's portion of a flush survives or rolls back as a
-// unit on that shard; a crash between shard commits can leave some shards a
-// flush ahead of others, which re-ingestion semantics tolerate (the
-// watermark dedup of Algorithm 1 makes replays idempotent).
+// shard. Atomicity is per-shard: each shard's portion of a flush survives or
+// rolls back as a unit on that shard; a crash between shard commits can
+// leave some shards a flush ahead of others, which re-ingestion semantics
+// tolerate (the watermark dedup of Algorithm 1 makes replays idempotent).
 func (t *Tables) Batch() kvstore.BatchWriter {
 	ws := make([]kvstore.BatchWriter, len(t.shards))
 	for i, s := range t.shards {
-		w := s.Batch()
-		if w == nil {
-			return nil
-		}
-		ws[i] = w
+		ws[i] = s.Batch()
 	}
 	return &groupWriter{ws: ws}
 }
 
-// ShardBatch implements storage.ShardedCommits: shard i's own group writer,
-// nil when that shard's store keeps no WAL. The per-shard writers are
-// independent — the ingest pipeline drives them concurrently, one flush
-// group per shard, where Batch()'s groupWriter would seal them one by one.
+// ShardBatch implements storage.ShardedCommits: shard i's own group writer.
+// The per-shard writers are independent — the ingest pipeline drives them
+// concurrently, one flush group per shard, where Batch()'s groupWriter would
+// seal them one by one.
 func (t *Tables) ShardBatch(i int) kvstore.BatchWriter { return t.shards[i].Batch() }
 
 // ShardForTrace implements storage.ShardedCommits with the same routing the

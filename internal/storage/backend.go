@@ -39,12 +39,10 @@ type Backend interface {
 	NumTraces(ctx context.Context) (int, error)
 
 	// Index table: (ev_a, ev_b) -> [(trace, tsA, tsB), ...], optionally
-	// partitioned per period.
+	// partitioned per period. It has exactly two reads: GetPostings (below)
+	// is the point read the join uses, ScanIndex the raw per-partition scan
+	// that audits and the test oracles read rows through.
 	AppendIndex(period string, pair model.PairKey, entries []IndexEntry) error
-	GetIndex(ctx context.Context, period string, pair model.PairKey) ([]IndexEntry, error)
-	GetIndexAll(ctx context.Context, pair model.PairKey) ([]IndexEntry, error)
-	GetIndexSorted(ctx context.Context, period string, pair model.PairKey) ([]IndexEntry, error)
-	GetIndexAllSorted(ctx context.Context, pair model.PairKey) ([]IndexEntry, error)
 	ScanIndex(ctx context.Context, period string, fn func(model.PairKey, []IndexEntry) error) error
 	NumIndexedPairs(ctx context.Context, period string) (int, error)
 	DropPeriod(period string) error
@@ -77,10 +75,11 @@ type Backend interface {
 	PutMeta(key string, value []byte) error
 	GetMeta(key string) ([]byte, bool, error)
 
-	// Batch returns a writer grouping mutations into crash-atomic units, or
-	// nil when the underlying store(s) have no WAL. For a sharded backend
-	// the writer fans out to one group per shard: each shard's portion of a
-	// flush commits (and fsyncs) atomically on that shard.
+	// Batch returns a writer grouping mutations into crash-atomic units;
+	// it is never nil (a memory-backed store's groups are no-ops). For a
+	// sharded backend the writer fans out to one group per shard: each
+	// shard's portion of a flush commits (and fsyncs) atomically on that
+	// shard.
 	Batch() kvstore.BatchWriter
 
 	// NumShards reports how many independent stores back this view (1 for
@@ -96,14 +95,8 @@ type Backend interface {
 	Recovery() kvstore.RecoveryStats
 }
 
-// Batch returns the store's crash-atomic group writer, or nil when the
-// store keeps no WAL (MemStore).
-func (t *Tables) Batch() kvstore.BatchWriter {
-	if bw, ok := t.store.(kvstore.BatchWriter); ok {
-		return bw
-	}
-	return nil
-}
+// Batch returns the store's crash-atomic group writer.
+func (t *Tables) Batch() kvstore.BatchWriter { return t.store }
 
 // NumShards reports the single store backing this view.
 func (t *Tables) NumShards() int { return 1 }
@@ -118,10 +111,9 @@ func (t *Tables) NumShards() int { return 1 }
 // methods, relying on every row of partition i landing inside store i's
 // open group.
 type ShardedCommits interface {
-	// ShardBatch returns store i's crash-atomic group writer, or nil when
-	// that store keeps no WAL. Unlike Batch, the groups of different shards
-	// are begun, written and sealed independently (and possibly
-	// concurrently) by the caller.
+	// ShardBatch returns store i's crash-atomic group writer, never nil.
+	// Unlike Batch, the groups of different shards are begun, written and
+	// sealed independently (and possibly concurrently) by the caller.
 	ShardBatch(i int) kvstore.BatchWriter
 	// ShardForTrace is the shard a trace-keyed row (Seq) routes to.
 	ShardForTrace(id model.TraceID) int
@@ -141,17 +133,3 @@ func (t *Tables) ShardForTrace(id model.TraceID) int { return 0 }
 func (t *Tables) ShardForPair(k model.PairKey) int { return 0 }
 
 var _ ShardedCommits = (*Tables)(nil)
-
-// MergeSortedIndexEntries k-way merges per-partition rows already sorted by
-// (Trace, TsA, TsB) into one sorted slice. Exported for the sharded backend,
-// which merges per-shard rows with the exact comparator GetIndexSorted uses,
-// so merge order is deterministic regardless of which shard served a row.
-func MergeSortedIndexEntries(rows [][]IndexEntry) []IndexEntry {
-	switch len(rows) {
-	case 0:
-		return nil
-	case 1:
-		return rows[0]
-	}
-	return mergeSortedEntries(rows)
-}

@@ -13,7 +13,7 @@ import (
 // re-fetching and varint-decoding every postings row from the kvstore on
 // each query call worked against that for repeated and interactive
 // workloads. This cache keeps decoded (and merge-join-sorted, see
-// GetIndexSorted) []IndexEntry rows keyed by (period, pair) behind a
+// GetPostings) []IndexEntry rows keyed by (period, pair) behind a
 // byte-size budget, invalidated precisely when AppendIndex or DropPeriod
 // touches them:
 //

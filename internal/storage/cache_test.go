@@ -33,7 +33,7 @@ func (c *countingStore) Put(table, key string, value []byte) error {
 	return c.Store.Put(table, key, value)
 }
 
-func TestGetIndexSortedCachesAndInvalidates(t *testing.T) {
+func TestPostingsCacheFillsAndInvalidates(t *testing.T) {
 	tb := NewTables(kvstore.NewMemStore())
 	pair := model.NewPairKey(1, 2)
 	in := []IndexEntry{
@@ -44,7 +44,7 @@ func TestGetIndexSortedCachesAndInvalidates(t *testing.T) {
 	if err := tb.AppendIndex("", pair, in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tb.GetIndexSorted(context.Background(), "", pair)
+	po, err := tb.GetPostings(context.Background(), pair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,14 @@ func TestGetIndexSortedCachesAndInvalidates(t *testing.T) {
 		{Trace: 1, TsA: 3, TsB: 4},
 		{Trace: 9, TsA: 5, TsB: 6},
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sorted row = %v", got)
+	// One partition, no segment: the single run is the sorted row itself.
+	if len(po.Runs) != 1 || !reflect.DeepEqual(po.Runs[0].Entries, want) {
+		t.Fatalf("sorted run = %+v", po.Runs)
 	}
 	if st := tb.CacheStats(); st.Misses != 1 || st.Hits != 0 || st.Entries != 1 {
 		t.Fatalf("after first read: %+v", st)
 	}
-	if _, err := tb.GetIndexSorted(context.Background(), "", pair); err != nil {
+	if _, err := tb.GetPostings(context.Background(), pair); err != nil {
 		t.Fatal(err)
 	}
 	if st := tb.CacheStats(); st.Hits != 1 {
@@ -70,7 +71,7 @@ func TestGetIndexSortedCachesAndInvalidates(t *testing.T) {
 	if err := tb.AppendIndex("", pair, []IndexEntry{{Trace: 2, TsA: 2, TsB: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = tb.GetIndexSorted(context.Background(), "", pair)
+	got, err := postingsMerged(tb, pair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,23 +86,22 @@ func TestGetIndexSortedCachesAndInvalidates(t *testing.T) {
 	}
 }
 
-func TestGetIndexAllSortedMergesPeriods(t *testing.T) {
+func TestPostingsCoverEveryPeriod(t *testing.T) {
 	tb := NewTables(kvstore.NewMemStore())
 	pair := model.NewPairKey(1, 2)
 	tb.AppendIndex("", pair, []IndexEntry{{Trace: 5, TsA: 1, TsB: 2}, {Trace: 1, TsA: 9, TsB: 10}})
 	tb.AppendIndex("2026-01", pair, []IndexEntry{{Trace: 1, TsA: 1, TsB: 3}, {Trace: 7, TsA: 2, TsB: 4}})
 	tb.AppendIndex("2026-02", pair, []IndexEntry{{Trace: 3, TsA: 4, TsB: 5}})
 
-	got, err := tb.GetIndexAllSorted(context.Background(), pair)
+	got, err := postingsMerged(tb, pair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tb.GetIndexAll(context.Background(), pair)
+	want, err := scanIndexRowAllSorted(tb, pair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortIndexEntries(want)
-	if !reflect.DeepEqual(got, want) {
+	if len(want) != 5 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged = %v, want %v", got, want)
 	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return lessIndexEntry(got[i], got[j]) }) {
@@ -112,9 +112,12 @@ func TestGetIndexAllSortedMergesPeriods(t *testing.T) {
 	if err := tb.DropPeriod("2026-01"); err != nil {
 		t.Fatal(err)
 	}
-	got, err = tb.GetIndexAllSorted(context.Background(), pair)
+	got, err = postingsMerged(tb, pair)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("after drop: %v", got)
 	}
 	for _, e := range got {
 		if e.Trace == 7 {
@@ -131,7 +134,7 @@ func TestCacheEvictionUnderBudget(t *testing.T) {
 		if err := tb.AppendIndex("", pair, []IndexEntry{{Trace: 1, TsA: 1, TsB: 2}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tb.GetIndexSorted(context.Background(), "", pair); err != nil {
+		if _, err := tb.GetPostings(context.Background(), pair); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +155,7 @@ func TestCacheDisabled(t *testing.T) {
 	tb.SetCacheBudget(-1)
 	pair := model.NewPairKey(1, 2)
 	tb.AppendIndex("", pair, []IndexEntry{{Trace: 2, TsA: 1, TsB: 2}, {Trace: 1, TsA: 1, TsB: 2}})
-	got, err := tb.GetIndexSorted(context.Background(), "", pair)
+	got, err := postingsMerged(tb, pair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +184,7 @@ func TestPeriodsCachedAndMaintained(t *testing.T) {
 		if _, err := tb.Periods(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tb.GetIndexAllSorted(context.Background(), pair); err != nil {
+		if _, err := tb.GetPostings(context.Background(), pair); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +237,7 @@ func TestCacheConcurrentReadersAndWriters(t *testing.T) {
 				default:
 				}
 				for _, pair := range pairs {
-					if _, err := tb.GetIndexAllSorted(context.Background(), pair); err != nil {
+					if _, err := postingsMerged(tb, pair); err != nil {
 						t.Error(err)
 						return
 					}
@@ -272,11 +275,11 @@ func TestCacheConcurrentReadersAndWriters(t *testing.T) {
 	cold := NewTables(tb.Store())
 	cold.SetCacheBudget(-1)
 	for _, pair := range pairs {
-		warm, err := tb.GetIndexAllSorted(context.Background(), pair)
+		warm, err := postingsMerged(tb, pair)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.GetIndexAllSorted(context.Background(), pair)
+		want, err := scanIndexRowAllSorted(cold, pair)
 		if err != nil {
 			t.Fatal(err)
 		}

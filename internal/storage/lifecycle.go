@@ -269,15 +269,9 @@ func (t *Tables) FreezePostings() error {
 
 // commitSegmentSwitch persists the reference switch: point the store at the
 // new segment, stamp the format, clear tombstones and drop the folded index
-// tables — atomically when the store has a WAL.
+// tables, in one crash-atomic batch.
 func (t *Tables) commitSegmentSwitch(name string, dropTables []string) error {
-	bw := t.Batch()
-	if bw != nil {
-		if err := bw.BeginBatch(); err != nil {
-			return err
-		}
-	}
-	apply := func() error {
+	return kvstore.Atomically(t.store, func() error {
 		if err := t.store.Put(tableMeta, metaSegmentKey, []byte(name)); err != nil {
 			return err
 		}
@@ -293,17 +287,7 @@ func (t *Tables) commitSegmentSwitch(name string, dropTables []string) error {
 			}
 		}
 		return nil
-	}
-	if err := apply(); err != nil {
-		if bw != nil {
-			bw.AbortBatch(err)
-		}
-		return err
-	}
-	if bw != nil {
-		return bw.CommitBatch()
-	}
-	return nil
+	})
 }
 
 // segRowsOfPeriod returns the indices of the segment's rows in one period,

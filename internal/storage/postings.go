@@ -153,7 +153,7 @@ func (r *BlockRun) AppendBlock(dst []IndexEntry, i int) ([]IndexEntry, error) {
 // All materialises the whole run into one sorted slice, sized exactly.
 // Resident cached blocks are reused, but missing blocks decode directly into
 // the result — no per-block intermediate slice, no cache fill. Bulk readers
-// (freeze merges, planner seeds, sorted reads) don't pay the block-granular
+// (freeze merges, planner seeds, index scans) don't pay the block-granular
 // cache churn; the cache fills through Block, the join's block-at-a-time
 // path, where re-decoding the same hot block actually repeats.
 func (r *BlockRun) All() ([]IndexEntry, error) {
@@ -183,8 +183,9 @@ func (r *BlockRun) All() ([]IndexEntry, error) {
 // GetPostings returns every sorted run of the pair across the default
 // partition and all registered periods: per partition, the segment run (when
 // one exists) and the memtable-tier row. Runs are disjoint and individually
-// sorted; their concatenation is NOT globally sorted — use GetIndexAllSorted
-// for a single merged slice.
+// sorted; their concatenation is NOT globally sorted — the join consumes
+// each run on its own and sorts matches at the end. It is the Index table's
+// only point read.
 func (t *Tables) GetPostings(_ context.Context, pair model.PairKey) (Postings, error) {
 	periods, err := t.periodsShared()
 	if err != nil {

@@ -104,16 +104,7 @@ func (t *Tables) ApplyReplicated(recs []kvstore.Record, cursor []byte) error {
 
 	t.segMu.Lock()
 	defer t.segMu.Unlock()
-	bw := t.Batch()
-	if bw != nil {
-		if err := bw.BeginBatch(); err != nil {
-			if newSeg != nil {
-				newSeg.close()
-			}
-			return err
-		}
-	}
-	apply := func() error {
+	err := kvstore.Atomically(t.store, func() error {
 		for _, r := range recs {
 			if r.Table == tableMeta && r.Key == ReplicaCursorKey {
 				continue // another replica's cursor; ours is authoritative
@@ -134,23 +125,12 @@ func (t *Tables) ApplyReplicated(recs []kvstore.Record, cursor []byte) error {
 			}
 		}
 		return t.store.Put(tableMeta, ReplicaCursorKey, cursor)
-	}
-	if err := apply(); err != nil {
-		if bw != nil {
-			bw.AbortBatch(err)
-		}
+	})
+	if err != nil {
 		if newSeg != nil {
 			newSeg.close()
 		}
 		return err
-	}
-	if bw != nil {
-		if err := bw.CommitBatch(); err != nil {
-			if newSeg != nil {
-				newSeg.close()
-			}
-			return err
-		}
 	}
 
 	// The group is durable; swap the derived in-memory state to match, the

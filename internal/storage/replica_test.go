@@ -119,7 +119,7 @@ func sameTables(t *testing.T, want, got *Tables) {
 	partitions := append([]string{""}, wp...)
 	for _, p := range partitions {
 		err := want.ScanIndex(ctx, p, func(pair model.PairKey, entries []IndexEntry) error {
-			other, err := got.GetIndex(ctx, p, pair)
+			other, err := scanIndexRow(got, p, pair)
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"context"
-
 	"fmt"
 	"os"
 	"path/filepath"
@@ -134,7 +132,7 @@ func checkCrashRecovery(t *testing.T, dir string, completed int, label string) {
 		keys[k] = true
 	}
 	for k := range keys {
-		got, err := tb.GetIndexSorted(context.Background(), k.period, k.pair)
+		got, err := scanIndexRowSorted(tb, k.period, k.pair)
 		if err != nil {
 			t.Fatalf("%s: read %v: %v", label, k, err)
 		}

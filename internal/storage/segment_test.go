@@ -56,12 +56,12 @@ func segFixture(t *testing.T, tb *Tables) map[segKey][]IndexEntry {
 func checkSegReads(t *testing.T, tb *Tables, want map[segKey][]IndexEntry) {
 	t.Helper()
 	for k, entries := range want {
-		got, err := tb.GetIndexSorted(context.Background(), k.period, k.pair)
+		got, err := scanIndexRowSorted(tb, k.period, k.pair)
 		if err != nil {
-			t.Fatalf("GetIndexSorted(%q, %v): %v", k.period, k.pair, err)
+			t.Fatalf("sorted row (%q, %v): %v", k.period, k.pair, err)
 		}
 		if !reflect.DeepEqual(got, entries) {
-			t.Fatalf("GetIndexSorted(%q, %v): %d entries, want %d", k.period, k.pair, len(got), len(entries))
+			t.Fatalf("sorted row (%q, %v): %d entries, want %d", k.period, k.pair, len(got), len(entries))
 		}
 	}
 	// GetPostings must expose every entry through its runs.
@@ -255,9 +255,12 @@ func TestDropPeriodTombstonesSegment(t *testing.T) {
 	delete(want, segKey{period: "2026-01", pair: model.NewPairKey(1, 2)})
 
 	// Dropped immediately ...
-	all, err := tb.GetIndexAllSorted(context.Background(), model.NewPairKey(1, 2))
+	all, err := postingsMerged(tb, model.NewPairKey(1, 2))
 	if err != nil || len(all) != 300 {
-		t.Fatalf("after drop: %d entries, %v", len(all), err)
+		t.Fatalf("after drop: %d postings, %v", len(all), err)
+	}
+	if row, err := scanIndexRowAllSorted(tb, model.NewPairKey(1, 2)); err != nil || !reflect.DeepEqual(row, all) {
+		t.Fatalf("after drop: scan sees %d entries, %v", len(row), err)
 	}
 	// ... and still dropped after a reopen (the tombstone is durable even
 	// though the segment file still holds the period).

@@ -54,8 +54,8 @@ type Tables struct {
 	// approximate under concurrency.
 	rows atomic.Int64
 
-	// Registered-period list, cached so GetIndexAllSorted does not re-scan
-	// and re-sort the periods table on every pair fetch. The slice is a
+	// Registered-period list, cached so GetPostings does not re-scan and
+	// re-sort the periods table on every pair fetch. The slice is a
 	// copy-on-write snapshot: readers hold it without locks, writers
 	// replace it wholesale.
 	pmu           sync.RWMutex
@@ -272,35 +272,6 @@ func (t *Tables) AppendIndex(period string, pair model.PairKey, entries []IndexE
 	return nil
 }
 
-// GetIndex returns the entries of pair in one period partition: the segment
-// run (sorted) followed by the memtable-tier row (append order).
-func (t *Tables) GetIndex(_ context.Context, period string, pair model.PairKey) ([]IndexEntry, error) {
-	t.segMu.RLock()
-	defer t.segMu.RUnlock()
-	return t.getIndexLocked(period, pair)
-}
-
-func (t *Tables) getIndexLocked(period string, pair model.PairKey) ([]IndexEntry, error) {
-	var out []IndexEntry
-	if t.seg != nil && !t.segTomb[period] {
-		if i, ok := t.seg.byKey[segKey{period: period, pair: pair}]; ok {
-			seg, err := newBlockRun(t, t.seg, i).All()
-			if err != nil {
-				return nil, err
-			}
-			out = seg
-		}
-	}
-	tail, err := t.getTailLocked(period, pair)
-	if err != nil {
-		return nil, err
-	}
-	if out == nil {
-		return tail, nil
-	}
-	return append(out, tail...), nil
-}
-
 // getTailLocked reads the memtable-tier (kvstore) row of pair; segMu must be
 // held at least shared.
 func (t *Tables) getTailLocked(period string, pair model.PairKey) ([]IndexEntry, error) {
@@ -337,31 +308,7 @@ func decodeIndexEntries(raw []byte) ([]IndexEntry, error) {
 	return entries, nil
 }
 
-// GetIndexAll returns the entries of pair across the default partition and
-// every registered period, in period registration order — the cross-period
-// read the query processor performs when the index is partitioned (§3.1.3).
-func (t *Tables) GetIndexAll(_ context.Context, pair model.PairKey) ([]IndexEntry, error) {
-	periods, err := t.periodsShared()
-	if err != nil {
-		return nil, err
-	}
-	t.segMu.RLock()
-	defer t.segMu.RUnlock()
-	out, err := t.getIndexLocked("", pair)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range periods {
-		more, err := t.getIndexLocked(p, pair)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, more...)
-	}
-	return out, nil
-}
-
-// lessIndexEntry is the (Trace, TsA, TsB) order GetIndexSorted rows obey —
+// lessIndexEntry is the (Trace, TsA, TsB) order every postings run obeys —
 // the order the query processor's merge join binary-searches.
 func lessIndexEntry(a, b IndexEntry) bool {
 	if a.Trace != b.Trace {
@@ -375,40 +322,6 @@ func lessIndexEntry(a, b IndexEntry) bool {
 
 func sortIndexEntries(entries []IndexEntry) {
 	sort.Slice(entries, func(i, j int) bool { return lessIndexEntry(entries[i], entries[j]) })
-}
-
-// GetIndexSorted returns the entries of pair in one partition, sorted by
-// (Trace, TsA, TsB): the segment run merged with the sorted memtable-tier
-// row. The returned slice may be shared with the cache — callers must not
-// modify it. Query code prefers GetPostings, which hands the runs out
-// unmerged so segment blocks decode lazily.
-func (t *Tables) GetIndexSorted(_ context.Context, period string, pair model.PairKey) ([]IndexEntry, error) {
-	t.segMu.RLock()
-	defer t.segMu.RUnlock()
-	return t.getIndexSortedLocked(period, pair)
-}
-
-func (t *Tables) getIndexSortedLocked(period string, pair model.PairKey) ([]IndexEntry, error) {
-	var segRun []IndexEntry
-	if t.seg != nil && !t.segTomb[period] {
-		if i, ok := t.seg.byKey[segKey{period: period, pair: pair}]; ok {
-			var err error
-			if segRun, err = newBlockRun(t, t.seg, i).All(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	tail, err := t.getTailSortedLocked(period, pair)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case segRun == nil:
-		return tail, nil
-	case len(tail) == 0:
-		return segRun, nil
-	}
-	return mergeSortedEntries([][]IndexEntry{segRun, tail}), nil
 }
 
 // getTailSortedLocked returns the sorted memtable-tier row of pair, served
@@ -441,46 +354,9 @@ func (t *Tables) getTailSortedLocked(period string, pair model.PairKey) ([]Index
 	return entries, nil
 }
 
-// GetIndexAllSorted returns the entries of pair across the default partition
-// and every registered period, sorted by (Trace, TsA, TsB). Per-partition
-// rows come from the postings cache; with a single populated partition the
-// cached slice is returned directly, otherwise the sorted rows are merged
-// into a fresh slice. The returned slice is shared — callers must not
-// modify it.
-func (t *Tables) GetIndexAllSorted(_ context.Context, pair model.PairKey) ([]IndexEntry, error) {
-	periods, err := t.periodsShared()
-	if err != nil {
-		return nil, err
-	}
-	t.segMu.RLock()
-	defer t.segMu.RUnlock()
-	rows := make([][]IndexEntry, 0, len(periods)+1)
-	row, err := t.getIndexSortedLocked("", pair)
-	if err != nil {
-		return nil, err
-	}
-	if len(row) > 0 {
-		rows = append(rows, row)
-	}
-	for _, p := range periods {
-		if row, err = t.getIndexSortedLocked(p, pair); err != nil {
-			return nil, err
-		}
-		if len(row) > 0 {
-			rows = append(rows, row)
-		}
-	}
-	switch len(rows) {
-	case 0:
-		return nil, nil
-	case 1:
-		return rows[0], nil
-	}
-	return mergeSortedEntries(rows), nil
-}
-
-// mergeSortedEntries k-way merges sorted rows; k is the partition count, so
-// a linear minimum scan beats a heap.
+// mergeSortedEntries k-way merges sorted rows (the freeze folds a segment
+// run with its memtable-tier row); k is tiny, so a linear minimum scan beats
+// a heap.
 func mergeSortedEntries(rows [][]IndexEntry) []IndexEntry {
 	n := 0
 	for _, r := range rows {
@@ -507,8 +383,7 @@ func mergeSortedEntries(rows [][]IndexEntry) []IndexEntry {
 // DropPeriod retires an entire period partition of the index. When the
 // segment tier holds rows of the period, they are hidden behind a persisted
 // tombstone (the segment file is immutable) and physically discarded by the
-// next freeze; the drop and the tombstone commit in one crash-atomic batch
-// when the store has a WAL.
+// next freeze; the drop and the tombstone commit in one crash-atomic batch.
 func (t *Tables) DropPeriod(period string) error {
 	// Committing below syncs the WAL, which can fire the store's auto-freeze
 	// hook on this goroutine while segMu is held; flag freezing so that call
@@ -520,13 +395,7 @@ func (t *Tables) DropPeriod(period string) error {
 	t.segMu.Lock()
 	defer t.segMu.Unlock()
 	needTomb := t.seg != nil && t.seg.periods[period] > 0 && !t.segTomb[period]
-	bw := t.Batch()
-	if bw != nil {
-		if err := bw.BeginBatch(); err != nil {
-			return err
-		}
-	}
-	apply := func() error {
+	err := kvstore.Atomically(t.store, func() error {
 		if period == "" {
 			if err := t.store.DropTable(tableIndex); err != nil {
 				return err
@@ -543,17 +412,9 @@ func (t *Tables) DropPeriod(period string) error {
 			return t.store.Put(tableMeta, metaSegDroppedKey, t.encodeTombstones(period))
 		}
 		return nil
-	}
-	if err := apply(); err != nil {
-		if bw != nil {
-			bw.AbortBatch(err)
-		}
+	})
+	if err != nil {
 		return err
-	}
-	if bw != nil {
-		if err := bw.CommitBatch(); err != nil {
-			return err
-		}
 	}
 	if needTomb {
 		if t.segTomb == nil {

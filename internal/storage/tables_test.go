@@ -80,20 +80,23 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err := tb.AppendIndex("", pair, in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tb.GetIndex(context.Background(), "", pair)
+	got, err := scanIndexRow(tb, "", pair)
 	if err != nil || !reflect.DeepEqual(got, in) {
-		t.Fatalf("GetIndex = %v %v", got, err)
+		t.Fatalf("index row = %v %v", got, err)
 	}
 	// Appending a second batch extends the row.
 	if err := tb.AppendIndex("", pair, []IndexEntry{{Trace: 7, TsA: 200, TsB: 210}}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = tb.GetIndex(context.Background(), "", pair)
+	got, _ = scanIndexRow(tb, "", pair)
 	if len(got) != 3 || got[2].TsA != 200 {
 		t.Fatalf("after append: %v", got)
 	}
-	if got, err := tb.GetIndex(context.Background(), "", model.NewPairKey(3, 4)); err != nil || got != nil {
+	if got, err := scanIndexRow(tb, "", model.NewPairKey(3, 4)); err != nil || got != nil {
 		t.Fatalf("missing pair: %v %v", got, err)
+	}
+	if po, err := tb.GetPostings(context.Background(), model.NewPairKey(3, 4)); err != nil || !po.Empty() {
+		t.Fatalf("missing pair postings: %v %v", po, err)
 	}
 	if n, _ := tb.NumIndexedPairs(context.Background(), ""); n != 1 {
 		t.Fatalf("NumIndexedPairs = %d", n)
@@ -111,9 +114,9 @@ func TestIndexPeriods(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(periods, []string{"2026-01", "2026-02"}) {
 		t.Fatalf("Periods = %v %v", periods, err)
 	}
-	all, err := tb.GetIndexAll(context.Background(), pair)
+	all, err := scanIndexRowAll(tb, pair)
 	if err != nil || len(all) != 3 {
-		t.Fatalf("GetIndexAll = %v %v", all, err)
+		t.Fatalf("all-period row = %v %v", all, err)
 	}
 	if all[0].Trace != 1 || all[1].Trace != 2 || all[2].Trace != 3 {
 		t.Fatalf("cross-period order: %v", all)
@@ -121,7 +124,7 @@ func TestIndexPeriods(t *testing.T) {
 	if err := tb.DropPeriod("2026-01"); err != nil {
 		t.Fatal(err)
 	}
-	all, _ = tb.GetIndexAll(context.Background(), pair)
+	all, _ = scanIndexRowAll(tb, pair)
 	if len(all) != 2 {
 		t.Fatalf("after DropPeriod: %v", all)
 	}
@@ -330,8 +333,11 @@ func TestCorruptRowsSurfaceErrors(t *testing.T) {
 		t.Fatal("corrupt seq row not detected")
 	}
 	store.Put("index", pairKeyString(model.NewPairKey(1, 2)), []byte{0x80})
-	if _, err := tb.GetIndex(context.Background(), "", model.NewPairKey(1, 2)); err == nil {
-		t.Fatal("corrupt index row not detected")
+	if _, err := tb.GetPostings(context.Background(), model.NewPairKey(1, 2)); err == nil {
+		t.Fatal("corrupt index row not detected by GetPostings")
+	}
+	if _, err := scanIndexRow(tb, "", model.NewPairKey(1, 2)); err == nil {
+		t.Fatal("corrupt index row not detected by ScanIndex")
 	}
 	store.Put("count", activityKeyString(1), []byte{0x80})
 	if _, err := tb.GetCounts(context.Background(), 1); err == nil {
@@ -393,7 +399,7 @@ func TestLargeIndexRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := tb.GetIndex(context.Background(), "", pair)
+	got, err := scanIndexRow(tb, "", pair)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("large row mismatch: %d entries, err=%v", len(got), err)
 	}

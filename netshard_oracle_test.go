@@ -31,8 +31,8 @@ type netFleet struct {
 }
 
 // startNetFleet starts one shard server per entry of dirs; an empty dir
-// means an in-memory store (no WAL: remote engines fall back to plain
-// writes), a path means a durable disk store with group commits.
+// means an in-memory store (commit groups apply, nothing is durable), a
+// path means a durable disk store with group commits.
 func startNetFleet(t *testing.T, dirs []string) *netFleet {
 	t.Helper()
 	f := &netFleet{}
@@ -249,6 +249,28 @@ func TestNetShardReadReplica(t *testing.T) {
 	}
 	if len(want) != 2 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("replica detect = %+v, writer = %+v", got, want)
+	}
+
+	// An activity first ingested after the replica resolved its pattern
+	// names reaches it only as an ID inside query results: the ID→name path
+	// must reload the alphabet too, not render "?".
+	if _, err := writer.Ingest([]Event{
+		{Trace: 3, Activity: "alpha", Time: 50},
+		{Trace: 3, Activity: "beta", Time: 60},
+		{Trace: 3, Activity: "gamma", Time: 70},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantProps, err := writer.Explore([]string{"alpha", "beta"}, Accurate, ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotProps, err := replica.Explore([]string{"alpha", "beta"}, Accurate, ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantProps) != 1 || wantProps[0].Activity != "gamma" || !reflect.DeepEqual(gotProps, wantProps) {
+		t.Fatalf("replica explore = %+v, writer = %+v", gotProps, wantProps)
 	}
 
 	if _, err := replica.Ingest([]Event{{Trace: 9, Activity: "alpha", Time: 1}}); !errors.Is(err, ErrReadOnly) {

@@ -36,6 +36,19 @@ set -x
 # cache, parallel continuation, WAL).
 if want vet; then
 	go vet ./...
+	# Baselines behind a fence: internal/sase, subtree and textsearch exist
+	# to reproduce the paper's Tables 6-8; only internal/bench and tests may
+	# import them, so the serving path stays clean.
+	if grep -rlE '"seqlog/internal/(sase|subtree|textsearch)"' --include='*.go' . |
+		grep -vE '^\./internal/bench/|_test\.go$'; then
+		echo "check: baseline package imported outside internal/bench and tests" >&2
+		exit 1
+	fi
+	# One postings read: the row-returning GetIndex* reads stay deleted.
+	if grep -nE '^[[:space:]]+GetIndex[A-Za-z]*\(' internal/storage/backend.go; then
+		echo "check: storage.Backend grew a GetIndex* read; use GetPostings or ScanIndex" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 

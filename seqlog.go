@@ -892,6 +892,19 @@ func (e *Engine) reloadAlphabet() error {
 	return nil
 }
 
+// activityName is the ID→name twin of pattern's retry: an ID read back from
+// a shared backend that this engine's alphabet does not cover yet (another
+// engine interned the activity after this one opened) reloads the persisted
+// alphabet once instead of rendering as "?".
+func (e *Engine) activityName(id model.ActivityID) (string, error) {
+	if int(id) >= e.alphabet.Len() {
+		if err := e.reloadAlphabet(); err != nil {
+			return "", err
+		}
+	}
+	return e.alphabet.Name(id), nil
+}
+
 // Detect returns every completion of the pattern in the indexed log
 // (Algorithm 2). The pattern needs at least two activities.
 func (e *Engine) Detect(patternNames []string) ([]Match, error) {
@@ -1117,10 +1130,19 @@ func (e *Engine) ExploreCtx(ctx context.Context, patternNames []string, mode Exp
 	if err != nil {
 		return nil, err
 	}
+	return e.proposals(props)
+}
+
+// proposals renders the query layer's proposals with activity names.
+func (e *Engine) proposals(props []query.Proposal) ([]Proposal, error) {
 	out := make([]Proposal, len(props))
 	for i, pr := range props {
+		name, err := e.activityName(pr.Event)
+		if err != nil {
+			return nil, err
+		}
 		out[i] = Proposal{
-			Activity:    e.alphabet.Name(pr.Event),
+			Activity:    name,
 			Completions: pr.Completions,
 			AvgDuration: pr.AvgDuration,
 			Score:       pr.Score,
@@ -1162,17 +1184,7 @@ func (e *Engine) ExploreInsertCtx(ctx context.Context, patternNames []string, po
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Proposal, len(props))
-	for i, pr := range props {
-		out[i] = Proposal{
-			Activity:    e.alphabet.Name(pr.Event),
-			Completions: pr.Completions,
-			AvgDuration: pr.AvgDuration,
-			Score:       pr.Score,
-			Exact:       pr.Exact,
-		}
-	}
-	return out, nil
+	return e.proposals(props)
 }
 
 // PruneTraces forgets the mutable state of completed traces (their Seq rows
@@ -1256,7 +1268,11 @@ func (e *Engine) TraceEvents(id int64) ([]Event, bool, error) {
 	}
 	out := make([]Event, len(events))
 	for i, ev := range events {
-		out[i] = Event{Trace: id, Activity: e.alphabet.Name(ev.Activity), Time: int64(ev.TS)}
+		name, err := e.activityName(ev.Activity)
+		if err != nil {
+			return nil, false, err
+		}
+		out[i] = Event{Trace: id, Activity: name, Time: int64(ev.TS)}
 	}
 	return out, true, nil
 }
