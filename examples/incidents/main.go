@@ -2,11 +2,12 @@
 //
 // The paper's architecture is built around periodic batch updates: "new logs
 // are appended ... the update procedure is called periodically" (§3.1.3),
-// with LastChecked preventing duplicate pairs when a trace spans several
-// batches, completed traces pruned from Seq, and the index partitioned per
-// period. This example drives all of that against a durable on-disk engine:
-// seven daily batches of incident events, one index partition per day,
-// pruning of incidents closed the previous day, and a crash-safe reopen.
+// with the stored Seq boundary preventing duplicate pairs when a trace spans
+// several batches, completed traces pruned from Seq, and the index
+// partitioned per period. This example drives all of that against a durable
+// on-disk engine: seven daily batches of incident events, one index
+// partition per day, pruning of incidents closed the previous day, and a
+// crash-safe reopen.
 //
 //	go run ./examples/incidents
 package main

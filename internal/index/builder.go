@@ -1,9 +1,10 @@
 // Package index implements the pre-processing component of §3.1 of the
 // paper: it turns batches of new log events into updates of the inverted
-// pair index and its auxiliary tables (Seq, Count, Reverse Count,
-// LastChecked), processing traces in parallel exactly as the paper's Spark
-// job does, and deduplicating re-extracted pairs across batches as in
-// Algorithm 1.
+// pair index and its auxiliary tables (Seq, Count, Reverse Count, and the
+// per-pair latest completion kept in LastChecked), processing traces in
+// parallel exactly as the paper's Spark job does, and deduplicating
+// re-extracted pairs across batches on the Seq boundary, which admits the
+// same occurrences as Algorithm 1's per-pair watermark.
 package index
 
 import (
@@ -82,13 +83,6 @@ func shardOf(k model.PairKey) int {
 // Options returns the builder configuration.
 func (b *Builder) Options() Options { return b.opts }
 
-// pairAccum accumulates, for one pair, the new index entries of a batch and
-// the per-trace completion watermarks feeding LastChecked.
-type pairAccum struct {
-	entries []storage.IndexEntry
-	last    map[model.TraceID]model.Timestamp
-}
-
 // countAccum accumulates Count/ReverseCount deltas for one leading (or
 // trailing) activity.
 type countAccum map[model.ActivityID]*storage.CountEntry
@@ -97,9 +91,9 @@ type countAccum map[model.ActivityID]*storage.CountEntry
 // their per-trace results concurrently.
 type shard struct {
 	mu      sync.Mutex
-	pairs   map[model.PairKey]*pairAccum
-	counts  map[model.ActivityID]countAccum // keyed by first activity
-	rcounts map[model.ActivityID]countAccum // keyed by second activity
+	pairs   map[model.PairKey][]storage.IndexEntry // new index entries of the batch
+	counts  map[model.ActivityID]countAccum        // keyed by first activity
+	rcounts map[model.ActivityID]countAccum        // keyed by second activity
 }
 
 const numShards = 16
@@ -115,13 +109,13 @@ func (b *Builder) UpdateLog(log *model.Log) (Stats, error) {
 // are appended to the index — so re-processing a trace across periods never
 // duplicates pairs.
 //
-// Deviation from the paper, documented in DESIGN.md: Algorithm 1 filters on
-// the per-(pair, trace) watermark of the LastChecked table; because pair
-// extraction is prefix-stable, filtering on the trace-level boundary (the
-// timestamp of the last previously indexed event of the trace) admits
-// exactly the same occurrences with one watermark instead of |pairs| of
-// them. LastChecked is still maintained — the statistics queries and the
-// pruning path need it.
+// Deviation from the paper, documented in DESIGN.md §4: Algorithm 1 filters
+// on a per-(pair, trace) watermark kept in the LastChecked table; because
+// pair extraction is prefix-stable, filtering on the trace-level boundary
+// (the timestamp of the last Seq event of the trace) admits exactly the same
+// occurrences with one watermark instead of |pairs| of them. The watermark
+// is therefore the Seq row, and LastChecked keeps only what the statistics
+// queries read: each pair's latest completion timestamp.
 func (b *Builder) Update(events []model.Event) (Stats, error) {
 	if len(events) == 0 {
 		return Stats{}, nil
@@ -141,7 +135,7 @@ func (b *Builder) Update(events []model.Event) (Stats, error) {
 
 	shards := make([]shard, numShards)
 	for i := range shards {
-		shards[i].pairs = make(map[model.PairKey]*pairAccum)
+		shards[i].pairs = make(map[model.PairKey][]storage.IndexEntry)
 		shards[i].counts = make(map[model.ActivityID]countAccum)
 		shards[i].rcounts = make(map[model.ActivityID]countAccum)
 	}
@@ -156,21 +150,21 @@ func (b *Builder) Update(events []model.Event) (Stats, error) {
 	}
 
 	// Write phase, pairs first: every pair key lives in exactly one
-	// accumulator shard, so the index rows and watermarks flush
+	// accumulator shard, so the index and LastChecked rows flush
 	// concurrently without write conflicts.
 	var mu sync.Mutex
 	err = parallel.ForEach(numShards, b.opts.Workers, func(i int) error {
 		s := &shards[i]
 		localPairs, localOcc := 0, 0
-		for k, acc := range s.pairs {
-			if err := b.tables.AppendIndex(b.opts.Period, k, acc.entries); err != nil {
+		for k, entries := range s.pairs {
+			if err := b.tables.AppendIndex(b.opts.Period, k, entries); err != nil {
 				return err
 			}
-			if err := b.tables.MergeLastChecked(k, acc.last); err != nil {
+			if err := b.tables.MergeLastCompletion(k, storage.LastCompletion(entries)); err != nil {
 				return err
 			}
 			localPairs++
-			localOcc += len(acc.entries)
+			localOcc += len(entries)
 		}
 		mu.Lock()
 		stats.Pairs += localPairs
@@ -332,11 +326,6 @@ func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, sh
 		s := &shards[si]
 		s.mu.Lock()
 		for _, c := range contribs {
-			acc := s.pairs[c.key]
-			if acc == nil {
-				acc = &pairAccum{last: make(map[model.TraceID]model.Timestamp)}
-				s.pairs[c.key] = acc
-			}
 			a, bb := c.key.First(), c.key.Second()
 			fw := s.counts[a]
 			if fw == nil {
@@ -358,17 +347,16 @@ func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, sh
 				re = &storage.CountEntry{Other: a}
 				rv[a] = re
 			}
+			entries := s.pairs[c.key]
 			for _, o := range c.occ {
-				acc.entries = append(acc.entries, storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
+				entries = append(entries, storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
 				dur := int64(o.TsB - o.TsA)
 				fe.SumDuration += dur
 				fe.Completions++
 				re.SumDuration += dur
 				re.Completions++
 			}
-			// Occurrences arrive sorted by completion time, so the
-			// final one is this trace's watermark for the pair.
-			acc.last[id] = c.occ[len(c.occ)-1].TsB
+			s.pairs[c.key] = entries
 		}
 		s.mu.Unlock()
 	}
@@ -376,18 +364,16 @@ func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, sh
 	return b.tables.AppendSeq(id, newEvents)
 }
 
-// PruneTraces removes completed traces from the Seq table and their
-// watermarks from LastChecked (§3.1.3). The inverted index keeps their
-// occurrences — pruning only forgets the mutable per-trace state.
+// PruneTraces removes completed traces from the Seq table (§3.1.3), the only
+// per-trace mutable state. The inverted index keeps their occurrences and the
+// statistics tables their history.
 func (b *Builder) PruneTraces(ids []model.TraceID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	set := make(map[model.TraceID]bool, len(ids))
 	for _, id := range ids {
 		if err := b.tables.DeleteSeq(id); err != nil {
 			return err
 		}
-		set[id] = true
 	}
-	return b.tables.PruneLastChecked(set)
+	return nil
 }

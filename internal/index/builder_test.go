@@ -2,7 +2,7 @@ package index
 
 import (
 	"context"
-
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -124,9 +124,9 @@ func TestUpdateTable3Trace(t *testing.T) {
 	if !found {
 		t.Fatalf("reverse counts of B: %v", rev)
 	}
-	// LastChecked watermark is the last completion of the pair.
-	lc, err := tb.GetLastChecked(context.Background(), key('A', 'B'))
-	if err != nil || lc[1] != 5 {
+	// LastChecked holds the last completion of the pair.
+	lc, err := tb.GetLastCompletion(context.Background(), key('A', 'B'))
+	if err != nil || lc != 5 {
 		t.Fatalf("lastchecked(A,B) = %v %v", lc, err)
 	}
 }
@@ -281,7 +281,7 @@ func TestPeriodPartitionedUpdate(t *testing.T) {
 
 func TestPruneTraces(t *testing.T) {
 	b, tb := newBuilder(t, Options{Policy: model.STNM, Method: pairs.Indexing, Workers: 1})
-	if _, err := b.Update([]model.Event{ev(1, 'A', 1), ev(1, 'B', 2), ev(2, 'A', 1), ev(2, 'B', 2)}); err != nil {
+	if _, err := b.Update([]model.Event{ev(1, 'A', 1), ev(1, 'B', 5), ev(2, 'A', 1), ev(2, 'B', 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.PruneTraces([]model.TraceID{1}); err != nil {
@@ -293,17 +293,55 @@ func TestPruneTraces(t *testing.T) {
 	if _, ok, _ := tb.GetSeq(context.Background(), 2); !ok {
 		t.Fatal("wrong trace pruned")
 	}
-	lc, _ := tb.GetLastChecked(context.Background(), key('A', 'B'))
-	if _, ok := lc[1]; ok {
-		t.Fatal("pruned trace still in LastChecked")
-	}
-	if _, ok := lc[2]; !ok {
-		t.Fatal("wrong LastChecked entry pruned")
+	// The statistics keep the pruned trace's history: it held the pair's
+	// latest completion, which must not fall back to trace 2's.
+	if lc, err := tb.GetLastCompletion(context.Background(), key('A', 'B')); err != nil || lc != 5 {
+		t.Fatalf("lastchecked(A,B) after prune = %v %v, want 5", lc, err)
 	}
 	// The inverted index keeps historical occurrences.
 	es := indexRow(t, tb, "", key('A', 'B'))
 	if len(es) != 2 {
 		t.Fatalf("index lost pruned trace history: %v", es)
+	}
+}
+
+// putSizes wraps a store and records the largest value Put to one table.
+type putSizes struct {
+	kvstore.Store
+	table string
+	mu    sync.Mutex
+	puts  int
+	max   int
+}
+
+func (s *putSizes) Put(table, key string, value []byte) error {
+	if table == s.table {
+		s.mu.Lock()
+		s.puts++
+		if len(value) > s.max {
+			s.max = len(value)
+		}
+		s.mu.Unlock()
+	}
+	return s.Store.Put(table, key, value)
+}
+
+// TestLastCheckedRowStaysScalar: the row the builder rewrites per batch must
+// not grow with the number of traces that ever held the pair.
+func TestLastCheckedRowStaysScalar(t *testing.T) {
+	store := &putSizes{Store: kvstore.NewMemStore(), table: "lastchecked"}
+	b, err := NewBuilder(storage.NewTables(store), Options{Policy: model.STNM, Method: pairs.Indexing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := model.TraceID(1); id <= 200; id++ {
+		if _, err := b.Update([]model.Event{ev(id, 'A', int64(id)), ev(id, 'B', int64(id)+1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.puts != 200 || store.max > binary.MaxVarintLen64 {
+		t.Fatalf("lastchecked: %d puts, largest %d bytes; want 200 puts of at most %d bytes",
+			store.puts, store.max, binary.MaxVarintLen64)
 	}
 }
 

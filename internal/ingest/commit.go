@@ -11,15 +11,14 @@ import (
 )
 
 // shardDelta is the table delta one shard contributes to a flush cycle:
-// normalized new events per trace, new index entries and watermarks per
-// pair, and count increments per leading/trailing activity. Shapes mirror
-// the Builder's accumulators so the committed rows are encoded identically.
+// normalized new events per trace, new index entries per pair, and count
+// increments per leading/trailing activity. Shapes mirror the Builder's
+// accumulators so the committed rows are encoded identically.
 // The same shape doubles as the per-STORE partition the reducer produces.
 type shardDelta struct {
 	traces  []model.TraceID // first-appearance order, for determinism
 	seqs    map[model.TraceID][]model.TraceEvent
 	entries map[model.PairKey][]storage.IndexEntry
-	last    map[model.PairKey]map[model.TraceID]model.Timestamp
 	counts  map[model.ActivityID]map[model.ActivityID]*storage.CountEntry
 	rcounts map[model.ActivityID]map[model.ActivityID]*storage.CountEntry
 }
@@ -28,7 +27,6 @@ func newShardDelta() *shardDelta {
 	return &shardDelta{
 		seqs:    make(map[model.TraceID][]model.TraceEvent),
 		entries: make(map[model.PairKey][]storage.IndexEntry),
-		last:    make(map[model.PairKey]map[model.TraceID]model.Timestamp),
 		counts:  make(map[model.ActivityID]map[model.ActivityID]*storage.CountEntry),
 		rcounts: make(map[model.ActivityID]map[model.ActivityID]*storage.CountEntry),
 	}
@@ -64,12 +62,6 @@ func (d *shardDelta) add(id model.TraceID, evs []model.TraceEvent, occs []pairs.
 	for _, po := range occs {
 		k, o := po.Key, po.Occ
 		d.entries[k] = append(d.entries[k], storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
-		lw := d.last[k]
-		if lw == nil {
-			lw = make(map[model.TraceID]model.Timestamp)
-			d.last[k] = lw
-		}
-		lw[id] = o.TsB // occurrences arrive in completion order
 		dur := int64(o.TsB - o.TsA)
 		d.bumpCount(d.counts, k.First(), k.Second(), dur)
 		d.bumpCount(d.rcounts, k.Second(), k.First(), dur)
@@ -125,18 +117,6 @@ func mergeDeltas(deltas []*shardDelta) *shardDelta {
 		}
 		for k, es := range d.entries {
 			out.entries[k] = append(out.entries[k], es...)
-		}
-		for k, lw := range d.last {
-			olw := out.last[k]
-			if olw == nil {
-				out.last[k] = lw
-				continue
-			}
-			for id, ts := range lw {
-				if ts > olw[id] {
-					olw[id] = ts
-				}
-			}
 		}
 		for a, row := range d.counts {
 			for b, e := range row {
@@ -200,19 +180,6 @@ func (p *Pipeline) partitionDeltas(deltas []*shardDelta) []*shardDelta {
 		for k, es := range d.entries {
 			t := part(p.route.ShardForPair(k))
 			t.entries[k] = append(t.entries[k], es...)
-		}
-		for k, lw := range d.last {
-			t := part(p.route.ShardForPair(k))
-			olw := t.last[k]
-			if olw == nil {
-				olw = make(map[model.TraceID]model.Timestamp, len(lw))
-				t.last[k] = olw
-			}
-			for id, ts := range lw {
-				if ts > olw[id] {
-					olw[id] = ts
-				}
-			}
 		}
 		// Count partials route where their underlying pair routes: a counts
 		// row keyed (first=a, other=b) belongs to pair (a,b); an rcounts row
@@ -397,7 +364,7 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 		if err = p.tables.AppendIndex(p.opts.Period, k, es); err != nil {
 			return err
 		}
-		if err = p.tables.MergeLastChecked(k, d.last[k]); err != nil {
+		if err = p.tables.MergeLastCompletion(k, storage.LastCompletion(es)); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,7 @@ package ingest
 
 import (
 	"context"
-
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,7 +22,7 @@ import (
 // dumpTables renders the full semantic content of the index tables into a
 // canonical string: Seq rows verbatim, Index entries sorted per pair (the
 // append order of a posting list is nondeterministic even between two
-// Builder runs), counts and watermarks for every indexed pair. Two stores
+// Builder runs), counts and the last completion for every indexed pair. Two stores
 // are equivalent iff their dumps match. Accepting any Backend lets the
 // sharded oracle tests compare a scatter-gathered view against the serial
 // single-store build.
@@ -51,16 +51,11 @@ func dumpTables(t *testing.T, tb storage.Backend, period string) string {
 			return cp[i].TsB < cp[j].TsB
 		})
 		lines = append(lines, fmt.Sprintf("idx %v %v", k, cp))
-		lc, err := tb.GetLastChecked(context.Background(), k)
+		lc, err := tb.GetLastCompletion(context.Background(), k)
 		if err != nil {
 			return err
 		}
-		var lcs []string
-		for id, ts := range lc {
-			lcs = append(lcs, fmt.Sprintf("%d:%d", id, ts))
-		}
-		sort.Strings(lcs)
-		lines = append(lines, fmt.Sprintf("lc %v %v", k, lcs))
+		lines = append(lines, fmt.Sprintf("lc %v %d", k, lc))
 		acts[k.First()] = true
 		acts[k.Second()] = true
 		return nil
@@ -420,5 +415,49 @@ func TestForgetDropsSessions(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// putSizes wraps a store and records the largest value Put to one table.
+type putSizes struct {
+	kvstore.Store
+	table string
+	mu    sync.Mutex
+	puts  int
+	max   int
+}
+
+func (s *putSizes) Put(table, key string, value []byte) error {
+	if table == s.table {
+		s.mu.Lock()
+		s.puts++
+		if len(value) > s.max {
+			s.max = len(value)
+		}
+		s.mu.Unlock()
+	}
+	return s.Store.Put(table, key, value)
+}
+
+// TestStreamLastCheckedRowStaysScalar: the row a flush rewrites must not grow
+// with the number of traces that ever held the pair.
+func TestStreamLastCheckedRowStaysScalar(t *testing.T) {
+	store := &putSizes{Store: kvstore.NewMemStore(), table: "lastchecked"}
+	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 8, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := model.TraceID(1); id <= 200; id++ {
+		ts := model.Timestamp(id)
+		if err := p.Append([]model.Event{{Trace: id, Activity: 1, TS: ts}, {Trace: id, Activity: 2, TS: ts + 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store.puts < 2 || store.max > binary.MaxVarintLen64 {
+		t.Fatalf("lastchecked: %d puts, largest %d bytes; want several puts of at most %d bytes",
+			store.puts, store.max, binary.MaxVarintLen64)
 	}
 }

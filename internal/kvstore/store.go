@@ -19,7 +19,8 @@ var ErrClosed = errors.New("kvstore: store is closed")
 
 // Store is a table-oriented key-value store. Tables are cheap namespaces
 // (created implicitly on first write), mirroring the Cassandra tables of
-// §3.1.2 (Seq, Index, Count, Reverse Count, LastChecked).
+// §3.1.2 (Seq, Index, Count, Reverse Count, and LastChecked reduced to one
+// timestamp per pair).
 //
 // Implementations must be safe for concurrent use. Values returned by Get
 // and Scan must not be mutated by the caller unless documented otherwise.

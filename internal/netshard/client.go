@@ -660,53 +660,29 @@ func (c *Client) GetPairCount(ctx context.Context, a, b model.ActivityID) (stora
 
 // ---- storage.Backend: LastChecked table -------------------------------------
 
-// GetLastChecked reads the pair's watermark row.
-func (c *Client) GetLastChecked(ctx context.Context, pair model.PairKey) (map[model.TraceID]model.Timestamp, error) {
+// GetLastCompletion reads the pair's latest completion timestamp.
+func (c *Client) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
 	var w wbuf
 	w.u64(uint64(pair))
-	resp, err := c.call(ctx, opGetLastChecked, w.b)
+	resp, err := c.call(ctx, opGetLastCompletion, w.b)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	r := &rbuf{b: resp}
-	row := r.blob()
+	ts := model.Timestamp(r.i64())
 	if err := r.done(); err != nil {
-		return nil, &OpError{Addr: c.addr, Op: opName(opGetLastChecked), Err: err}
+		return 0, &OpError{Addr: c.addr, Op: opName(opGetLastCompletion), Err: err}
 	}
-	m, err := storage.DecodeLastCheckedRow(row)
-	if err != nil {
-		return nil, err
-	}
-	c.rows.Add(int64(len(m)))
-	return m, nil
+	c.rows.Add(1)
+	return ts, nil
 }
 
-// MergeLastChecked folds watermarks into the pair's row.
-func (c *Client) MergeLastChecked(pair model.PairKey, delta map[model.TraceID]model.Timestamp) error {
+// MergeLastCompletion raises the pair's row to ts.
+func (c *Client) MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error {
 	var w wbuf
 	w.u64(uint64(pair))
-	w.blob(storage.EncodeLastCheckedRow(nil, delta))
-	return c.write(opMergeLastChecked, w.b)
-}
-
-// PruneLastChecked removes the traces' watermarks on the remote store.
-func (c *Client) PruneLastChecked(traces map[model.TraceID]bool) error {
-	ids := make([]model.TraceID, 0, len(traces))
-	for id := range traces {
-		ids = append(ids, id)
-	}
-	// Deterministic order keeps shipped commit groups reproducible.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	var w wbuf
-	w.u64(uint64(len(ids)))
-	for _, id := range ids {
-		w.u64(uint64(id))
-	}
-	return c.write(opPruneLastChecked, w.b)
+	w.i64(int64(ts))
+	return c.write(opMergeLastCompletion, w.b)
 }
 
 // ---- storage.Backend: Meta table --------------------------------------------

@@ -69,8 +69,11 @@ func FuzzNetRequest(f *testing.F) {
 	w.str("policy")
 	f.Add(opGetMeta, append([]byte{}, w.b...))
 	w = wbuf{}
-	w.u64(1 << 60) // absurd count prefix: decoders must validate before allocating
-	f.Add(opPruneLastChecked, append([]byte{}, w.b...))
+	w.u64(9)
+	f.Add(opGetLastCompletion, append([]byte{}, w.b...))
+	w.i64(250)
+	w.u64(1 << 60) // trailing bytes after a complete body: rejected, not ignored
+	f.Add(opMergeLastCompletion, append([]byte{}, w.b...))
 	f.Add(opCommit, []byte{opAppendSeq, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 
 	store := kvstore.NewMemStore()
@@ -153,6 +156,19 @@ func TestCraftedFrames(t *testing.T) {
 	defer cl.Close()
 	if n, err := cl.NumTraces(context.Background()); err != nil || n != 1 {
 		t.Fatalf("server unusable after crafted frame: %d, %v", n, err)
+	}
+
+	// Body-level: a complete merge_last_completion body followed by more
+	// bytes is malformed, not a request with ignorable padding.
+	var body wbuf
+	body.u64(9)
+	body.i64(250)
+	body.byte1(0)
+	if _, err := srv.unary(opMergeLastCompletion, body.b); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("merge_last_completion with trailing bytes: %v, want ErrBadFrame", err)
+	}
+	if ts, _ := tab.GetLastCompletion(context.Background(), 9); ts != 0 {
+		t.Fatalf("malformed merge applied: LastCompletion = %d", ts)
 	}
 
 	// Client-level: a response with an oversized declared length fails as a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -165,18 +166,16 @@ func TestNetShardRoundTrip(t *testing.T) {
 	}
 
 	// LastChecked table.
-	if err := cl.MergeLastChecked(pair, map[model.TraceID]model.Timestamp{7: 250, 3: 60}); err != nil {
-		t.Fatal(err)
+	if ts, err := cl.GetLastCompletion(ctx, pair); ts != 0 || err != nil {
+		t.Fatalf("GetLastCompletion before any merge = %d, %v", ts, err)
 	}
-	m, err := cl.GetLastChecked(ctx, pair)
-	if err != nil || !reflect.DeepEqual(m, map[model.TraceID]model.Timestamp{7: 250, 3: 60}) {
-		t.Fatalf("GetLastChecked = %v, %v", m, err)
+	for _, ts := range []model.Timestamp{250, 60, -3} {
+		if err := cl.MergeLastCompletion(pair, ts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := cl.PruneLastChecked(map[model.TraceID]bool{3: true}); err != nil {
-		t.Fatal(err)
-	}
-	if m, _ = cl.GetLastChecked(ctx, pair); len(m) != 1 {
-		t.Fatalf("GetLastChecked after prune = %v", m)
+	if ts, err := cl.GetLastCompletion(ctx, pair); ts != 250 || err != nil {
+		t.Fatalf("GetLastCompletion = %d, %v; want 250", ts, err)
 	}
 
 	// Meta table.
@@ -441,13 +440,19 @@ func TestNetShardCancelAfterSuccessKeepsPoolClean(t *testing.T) {
 	}
 }
 
-// TestNetShardV1HelloRefused: a protocol-v1 peer must fail the hello with
-// ErrVersion on both sides — never reach dispatch, where its opcodes would
-// name different operations.
+// TestNetShardV1HelloRefused: a peer of an older protocol version (v1, v2)
+// must fail the hello with ErrVersion on both sides — never reach dispatch,
+// where its opcodes would name different operations.
 func TestNetShardV1HelloRefused(t *testing.T) {
-	v1 := []byte{'S', 'Q', 'S', 'H', 1, 0, 0, 0}
-	if err := readHello(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("readHello(v1) = %v, want ErrVersion", err)
+	for v := byte(1); v < protoVersion; v++ {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) { helloRefused(t, v) })
+	}
+}
+
+func helloRefused(t *testing.T, version byte) {
+	hello := []byte{'S', 'Q', 'S', 'H', version, 0, 0, 0}
+	if err := readHello(bytes.NewReader(hello)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("readHello(v%d) = %v, want ErrVersion", version, err)
 	}
 
 	cl, _ := memBackends(t)
@@ -456,7 +461,7 @@ func TestNetShardV1HelloRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := raw.Write(v1); err != nil {
+	if _, err := raw.Write(hello); err != nil {
 		t.Fatal(err)
 	}
 	// The server answers with its own hello so the old peer can name the
@@ -471,11 +476,11 @@ func TestNetShardV1HelloRefused(t *testing.T) {
 	raw.Write(mustFrame(t, []byte{opPing}))
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := readFrame(raw, nil, DefaultMaxFrame); !errors.Is(err, io.EOF) {
-		t.Fatalf("v1 peer's frame answered: %v, want EOF", err)
+		t.Fatalf("old peer's frame answered: %v, want EOF", err)
 	}
 }
 
-// TestOpcodeTable pins the protocol-v2 numbering: the opcodes are the wire
+// TestOpcodeTable pins the protocol-v3 numbering: the opcodes are the wire
 // format, so a renumbering must come with a protoVersion bump.
 func TestOpcodeTable(t *testing.T) {
 	want := []string{
@@ -483,10 +488,10 @@ func TestOpcodeTable(t *testing.T) {
 		"delete_seq", "scan_seq", "num_traces", "append_index", "scan_index",
 		"num_indexed_pairs", "drop_period", "periods", "get_postings", "freeze",
 		"get_counts", "get_rcounts", "merge_counts", "merge_rcounts",
-		"get_pair_count", "get_last_checked", "merge_last_checked",
-		"prune_last_checked", "set_cache_budget", "sync", "commit_chunk", "commit",
+		"get_pair_count", "get_last_completion", "merge_last_completion",
+		"set_cache_budget", "sync", "commit_chunk", "commit",
 	}
-	if protoVersion != 2 || !reflect.DeepEqual(opNames[:], want) {
-		t.Fatalf("protocol v%d opcode table = %q, want v2 %q", protoVersion, opNames, want)
+	if protoVersion != 3 || opMax != 28 || !reflect.DeepEqual(opNames[:], want) {
+		t.Fatalf("protocol v%d opcode table = %q, want v3 %q", protoVersion, opNames, want)
 	}
 }

@@ -42,7 +42,9 @@ import (
 // [magic(4)][version][0 0 0] from each side before any frame. Version 2
 // dropped the row-returning index reads (and renumbered the opcodes after
 // them) and the v1 server-hello WAL flag: every store now commits groups.
-const protoVersion = 2
+// Version 3 made the two LastChecked ops carry one scalar, dropped the prune
+// op and renumbered the opcodes after it.
+const protoVersion = 3
 
 var protoMagic = [4]byte{'S', 'Q', 'S', 'H'}
 
@@ -105,9 +107,8 @@ const (
 	opMergeCounts
 	opMergeRCounts
 	opGetPairCount
-	opGetLastChecked
-	opMergeLastChecked
-	opPruneLastChecked
+	opGetLastCompletion
+	opMergeLastCompletion
 	opSetCacheBudget
 	opSync
 	opCommitChunk
@@ -126,10 +127,9 @@ var opNames = [opMax]string{
 	opPeriods: "periods", opGetPostings: "get_postings", opFreeze: "freeze",
 	opGetCounts: "get_counts", opGetRCounts: "get_rcounts",
 	opMergeCounts: "merge_counts", opMergeRCounts: "merge_rcounts",
-	opGetPairCount: "get_pair_count", opGetLastChecked: "get_last_checked",
-	opMergeLastChecked: "merge_last_checked", opPruneLastChecked: "prune_last_checked",
-	opSetCacheBudget: "set_cache_budget", opSync: "sync",
-	opCommitChunk: "commit_chunk", opCommit: "commit",
+	opGetPairCount: "get_pair_count", opGetLastCompletion: "get_last_completion",
+	opMergeLastCompletion: "merge_last_completion", opSetCacheBudget: "set_cache_budget",
+	opSync: "sync", opCommitChunk: "commit_chunk", opCommit: "commit",
 }
 
 func opName(op byte) string {

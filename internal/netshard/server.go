@@ -374,16 +374,16 @@ func (s *Server) unary(op byte, body []byte) ([]byte, error) {
 		out.i64(e.SumDuration)
 		out.i64(e.Completions)
 
-	case opGetLastChecked:
+	case opGetLastCompletion:
 		pair := model.PairKey(r.u64())
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		m, err := s.tab.GetLastChecked(s.ctx, pair)
+		ts, err := s.tab.GetLastCompletion(s.ctx, pair)
 		if err != nil {
 			return nil, err
 		}
-		out.blob(storage.EncodeLastCheckedRow(nil, m))
+		out.i64(int64(ts))
 
 	case opFreeze:
 		s.wmu.Lock()
@@ -409,7 +409,7 @@ func (s *Server) unary(op byte, body []byte) ([]byte, error) {
 		s.tab.SetCacheBudget(budget)
 
 	case opPutMeta, opAppendSeq, opDeleteSeq, opAppendIndex, opDropPeriod,
-		opMergeCounts, opMergeRCounts, opMergeLastChecked, opPruneLastChecked:
+		opMergeCounts, opMergeRCounts, opMergeLastCompletion:
 		s.wmu.Lock()
 		err := s.applyWrite(op, body)
 		s.wmu.Unlock()
@@ -521,31 +521,13 @@ func (s *Server) applyWrite(op byte, body []byte) error {
 		}
 		return s.tab.MergeReverseCounts(act, delta)
 
-	case opMergeLastChecked:
+	case opMergeLastCompletion:
 		pair := model.PairKey(r.u64())
-		row := r.blob()
+		ts := model.Timestamp(r.i64())
 		if err := r.done(); err != nil {
 			return err
 		}
-		delta, err := storage.DecodeLastCheckedRow(row)
-		if err != nil {
-			return err
-		}
-		return s.tab.MergeLastChecked(pair, delta)
-
-	case opPruneLastChecked:
-		n := r.u64()
-		if r.err != nil || n > uint64(len(r.b)) { // >= 1 byte per id
-			return ErrBadFrame
-		}
-		traces := make(map[model.TraceID]bool, n)
-		for i := uint64(0); i < n; i++ {
-			traces[model.TraceID(r.u64())] = true
-		}
-		if err := r.done(); err != nil {
-			return err
-		}
-		return s.tab.PruneLastChecked(traces)
+		return s.tab.MergeLastCompletion(pair, ts)
 	}
 	return fmt.Errorf("%w: opcode %d is not a mutation", ErrBadFrame, op)
 }

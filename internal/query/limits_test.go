@@ -101,6 +101,21 @@ func TestBudgetWithoutPartialErrors(t *testing.T) {
 	}
 }
 
+// TestBudgetStatsChargedPerTableRead: a Stats pair costs its two table reads,
+// however many traces ever held the pair.
+func TestBudgetStatsChargedPerTableRead(t *testing.T) {
+	traces := make([]string, 1000)
+	for i := range traces {
+		traces[i] = "AB"
+	}
+	q, _ := buildLog(t, model.STNM, traces...)
+	ctx := WithLimits(context.Background(), Limits{MaxRows: 16})
+	st, err := q.Stats(ctx, pattern("AB"))
+	if err != nil || st.Pairs[0].Completions != 1000 || st.Pairs[0].LastCompletion != 2 {
+		t.Fatalf("Stats under MaxRows 16 = %+v, %v", st, err)
+	}
+}
+
 // TestAggregatesIgnorePartial: stats and exploration rankings cannot be
 // soundly truncated, so even when the caller opted into partial mode their
 // budget never degrades gracefully — a tripped budget is the strict error.

@@ -1,8 +1,9 @@
 // Package query implements the query processor component of §3.2 of the
-// paper: statistics queries over the Count/LastChecked tables, pattern
-// detection by joining inverted-index rows (Algorithm 2), and the three
-// pattern-continuation strategies — Accurate (Algorithm 3), Fast
-// (Algorithm 4) and Hybrid (Algorithm 5) — ranked by Equation 1.
+// paper: statistics queries over the Count table and the per-pair latest
+// completion kept in LastChecked, pattern detection by joining
+// inverted-index rows (Algorithm 2), and the three pattern-continuation
+// strategies — Accurate (Algorithm 3), Fast (Algorithm 4) and Hybrid
+// (Algorithm 5) — ranked by Equation 1.
 package query
 
 import (
@@ -237,7 +238,7 @@ type PairStats struct {
 	Second         model.ActivityID
 	Completions    int64
 	AvgDuration    float64
-	LastCompletion model.Timestamp // max completion timestamp over all traces
+	LastCompletion model.Timestamp // latest completion over all traces and periods
 }
 
 // PatternStats aggregates pairwise statistics over a pattern: the minimum
@@ -281,19 +282,10 @@ func (q *Processor) pairStats(qs *qstate, a, b model.ActivityID) (PairStats, err
 		ps.Completions = entry.Completions
 		ps.AvgDuration = entry.AvgDuration()
 	}
-	last, err := q.tables.GetLastChecked(qs.context(), model.NewPairKey(a, b))
-	if err != nil {
+	if ps.LastCompletion, err = q.tables.GetLastCompletion(qs.context(), model.NewPairKey(a, b)); err != nil {
 		return ps, err
 	}
-	if err := qs.step(1 + len(last)); err != nil {
-		return ps, err
-	}
-	for _, ts := range last {
-		if ts > ps.LastCompletion {
-			ps.LastCompletion = ts
-		}
-	}
-	return ps, nil
+	return ps, qs.step(2) // one row per table read
 }
 
 // Proposal is one candidate continuation of a pattern, ranked by Equation 1

@@ -58,16 +58,11 @@ func dumpBackend(t *testing.T, tb storage.Backend) string {
 			return cp[i].TsB < cp[j].TsB
 		})
 		lines = append(lines, fmt.Sprintf("idx %v %v", k, cp))
-		lc, err := tb.GetLastChecked(context.Background(), k)
+		lc, err := tb.GetLastCompletion(context.Background(), k)
 		if err != nil {
 			return err
 		}
-		var lcs []string
-		for id, ts := range lc {
-			lcs = append(lcs, fmt.Sprintf("%d:%d", id, ts))
-		}
-		sort.Strings(lcs)
-		lines = append(lines, fmt.Sprintf("lc %v %v", k, lcs))
+		lines = append(lines, fmt.Sprintf("lc %v %d", k, lc))
 		acts[k.First()] = true
 		acts[k.Second()] = true
 		return nil

@@ -8,7 +8,7 @@
 //
 // Routing (see DESIGN.md §9):
 //
-//   - The inverted Index table, the LastChecked watermarks and the
+//   - The inverted Index table, the LastChecked statistic and the
 //     Count/ReverseCount increments are routed by PAIR KEY: everything
 //     derived from one event-type pair lives on one shard, so the point
 //     reads of the query hot path (one posting row per pattern pair) stay
@@ -501,43 +501,17 @@ func mergeCountRows(rows [][]storage.CountEntry) []storage.CountEntry {
 	}
 }
 
-// ---- LastChecked table (pair-routed writes, gathered reads) ---------------
+// ---- LastChecked table (pair-routed: the owning shard holds the row) ------
 
-// MergeLastChecked folds watermarks into the pair's row on its owning shard.
-func (t *Tables) MergeLastChecked(pair model.PairKey, delta map[model.TraceID]model.Timestamp) error {
-	return t.pairTab(pair).MergeLastChecked(pair, delta)
+// MergeLastCompletion raises the pair's row on its owning shard.
+func (t *Tables) MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error {
+	return t.pairTab(pair).MergeLastCompletion(pair, ts)
 }
 
-// GetLastChecked gathers the pair's watermark row, max-merging across shards
-// (one shard owns the row under the current routing; merging stays correct
-// if rows ever split).
-func (t *Tables) GetLastChecked(ctx context.Context, pair model.PairKey) (map[model.TraceID]model.Timestamp, error) {
-	maps := make([]map[model.TraceID]model.Timestamp, len(t.shards))
-	err := t.each(ctx, func(i int, s storage.Backend) error {
-		m, err := s.GetLastChecked(ctx, pair)
-		maps[i] = m
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[model.TraceID]model.Timestamp)
-	for _, m := range maps {
-		for id, ts := range m {
-			if old, ok := out[id]; !ok || ts > old {
-				out[id] = ts
-			}
-		}
-	}
-	return out, nil
-}
-
-// PruneLastChecked removes the traces' watermarks on every shard (a pair
-// row can reference any trace, so every shard participates).
-func (t *Tables) PruneLastChecked(traces map[model.TraceID]bool) error {
-	return t.each(context.Background(), func(_ int, s storage.Backend) error {
-		return s.PruneLastChecked(traces)
-	})
+// GetLastCompletion reads the pair's row from its owning shard: pair-routed
+// rows never split, and the shard count is pinned in meta.
+func (t *Tables) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
+	return t.pairTab(pair).GetLastCompletion(ctx, pair)
 }
 
 // ---- Meta table ------------------------------------------------------------

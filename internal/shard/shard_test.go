@@ -1,10 +1,13 @@
 package shard
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"seqlog/internal/kvstore"
 	"seqlog/internal/model"
+	"seqlog/internal/query"
 	"seqlog/internal/storage"
 )
 
@@ -95,5 +98,51 @@ func TestMergeSortedStrings(t *testing.T) {
 	}
 	if got := mergeSortedStrings(nil); len(got) != 0 {
 		t.Errorf("mergeSortedStrings(nil) = %v, want empty", got)
+	}
+}
+
+// lastCompletionReads counts the LastChecked reads reaching one shard.
+type lastCompletionReads struct {
+	storage.Backend
+	reads int
+}
+
+func (c *lastCompletionReads) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
+	c.reads++
+	return c.Backend.GetLastCompletion(ctx, pair)
+}
+
+// TestStatsReadsLastCompletionFromOwningShard: the pair-routed row never
+// splits, so a Stats pair read costs one GetLastCompletion, on the owner.
+func TestStatsReadsLastCompletionFromOwningShard(t *testing.T) {
+	fakes := make([]*lastCompletionReads, 4)
+	backends := make([]storage.Backend, len(fakes))
+	for i := range fakes {
+		fakes[i] = &lastCompletionReads{Backend: storage.NewTables(kvstore.NewMemStore())}
+		backends[i] = fakes[i]
+	}
+	st, err := NewFromBackends(backends, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := model.NewPairKey(3, 5)
+	if err := st.MergeCounts(3, []storage.CountEntry{{Other: 5, SumDuration: 4, Completions: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.MergeLastCompletion(pair, 42); err != nil {
+		t.Fatal(err)
+	}
+	got, err := query.NewProcessor(st).Stats(context.Background(), model.Pattern{3, 5})
+	if err != nil || got.Pairs[0].Completions != 2 || got.Pairs[0].LastCompletion != 42 {
+		t.Fatalf("Stats = %+v, %v", got, err)
+	}
+	for i, f := range fakes {
+		want := 0
+		if i == PairShard(pair, len(fakes)) {
+			want = 1
+		}
+		if f.reads != want {
+			t.Errorf("shard %d served %d GetLastCompletion reads, want %d", i, f.reads, want)
+		}
 	}
 }

@@ -66,10 +66,10 @@ type Backend interface {
 	GetReverseCounts(ctx context.Context, second model.ActivityID) ([]CountEntry, error)
 	GetPairCount(ctx context.Context, a, b model.ActivityID) (CountEntry, bool, error)
 
-	// LastChecked table.
-	GetLastChecked(ctx context.Context, pair model.PairKey) (map[model.TraceID]model.Timestamp, error)
-	MergeLastChecked(pair model.PairKey, delta map[model.TraceID]model.Timestamp) error
-	PruneLastChecked(traces map[model.TraceID]bool) error
+	// LastChecked table: the pair's latest completion timestamp, a statistic
+	// (Algorithm 1's watermark is the Seq boundary, DESIGN §4).
+	GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error)
+	MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error
 
 	// Meta table.
 	PutMeta(key string, value []byte) error

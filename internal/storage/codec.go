@@ -1,8 +1,9 @@
 // Package storage maps the five index tables of §3.1.2 of the paper — Seq,
 // Index, Count, Reverse Count and LastChecked — onto the kvstore substrate,
 // with compact varint encodings tuned to the access pattern of each table:
-// Seq and Index rows only ever grow (Append), Count/ReverseCount/LastChecked
-// rows are read-modify-write once per ingestion batch.
+// Seq and Index rows only ever grow (Append), Count/ReverseCount rows are
+// read-modify-write once per ingestion batch, and a LastChecked row is one
+// varint — the pair's latest completion timestamp — rewritten when it rises.
 package storage
 
 import (

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -82,29 +82,22 @@ func FuzzCountsCodec(f *testing.F) {
 	})
 }
 
+// FuzzLastCheckedCodec: any row the decoder accepts — scalar or legacy map —
+// re-encodes as exactly one varint that decodes to the same timestamp.
 func FuzzLastCheckedCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(encodeLastChecked(nil, map[model.TraceID]model.Timestamp{
-		7: 100, 3: -1, 1 << 40: 9,
-	}))
+	f.Add(binary.AppendVarint(nil, -1))
+	f.Add(legacyRowA)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := decodeLastChecked(raw)
+		ts, err := decodeLastCompletion(raw)
 		if err != nil {
 			return
 		}
-		enc := encodeLastChecked(nil, m)
-		again, err := decodeLastChecked(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		enc := binary.AppendVarint(nil, int64(ts))
+		if _, n := binary.Varint(enc); n != len(enc) {
+			t.Fatalf("re-encoded row %x is not one varint", enc)
 		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("lastchecked round-trip diverged:\nfirst:  %v\nsecond: %v", m, again)
-		}
-		// The encoder sorts trace ids, so the canonical form must be
-		// deterministic: encoding the same map twice yields the same bytes
-		// (snapshots and the differential oracle rely on this).
-		if enc2 := encodeLastChecked(nil, again); !bytes.Equal(enc, enc2) {
-			t.Fatalf("lastchecked encoding not deterministic:\n%x\n%x", enc, enc2)
+		if again, err := decodeLastCompletion(enc); err != nil || again != ts {
+			t.Fatalf("lastchecked round-trip diverged: %d, then %d (%v)", ts, again, err)
 		}
 	})
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,8 +49,8 @@ type Tables struct {
 	cache *postingsCache // decoded-postings cache; nil when disabled
 
 	// rows counts decoded rows served to readers across every table
-	// (postings entries, seq events, count entries, watermarks) — the
-	// "rows scanned" figure of the slow-query log and the
+	// (postings entries, seq events, count entries, one per LastChecked
+	// read) — the "rows scanned" figure of the slow-query log and the
 	// seqlog_rows_read_total counter. A single process-wide atomic: per-query
 	// attribution is a delta around the call, exact for serial queries and
 	// approximate under concurrency.
@@ -710,111 +712,81 @@ func (t *Tables) GetPairCount(ctx context.Context, a, b model.ActivityID) (Count
 }
 
 // ---- LastChecked table ------------------------------------------------------
+//
+// A row is one zigzag varint: the pair's latest completion timestamp over all
+// traces and periods, the only thing the table is read for (DESIGN §4). Older
+// builds stored a per-trace map, (uvarint trace, varint ts) repeated — two or
+// more varints where a scalar row holds exactly one — so a legacy row decodes
+// as its maximum and the next merge rewrites it as a scalar.
 
-func encodeLastChecked(buf []byte, m map[model.TraceID]model.Timestamp) []byte {
-	// Deterministic order keeps snapshots and tests stable.
-	ids := make([]model.TraceID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendVarint(buf, int64(m[id]))
-	}
-	return buf
-}
-
-func decodeLastChecked(raw []byte) (map[model.TraceID]model.Timestamp, error) {
+func decodeLastCompletion(raw []byte) (model.Timestamp, error) {
 	r := &reader{buf: raw}
-	m := make(map[model.TraceID]model.Timestamp)
+	ts, err := r.varint()
+	if err != nil || r.done() {
+		return model.Timestamp(ts), err
+	}
+	r.off, ts = 0, math.MinInt64
 	for !r.done() {
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		if _, err := r.uvarint(); err != nil {
+			return 0, err
 		}
-		ts, err := r.varint()
+		v, err := r.varint()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		m[model.TraceID(id)] = model.Timestamp(ts)
+		if v > ts {
+			ts = v
+		}
 	}
-	return m, nil
+	return model.Timestamp(ts), nil
 }
 
-// GetLastChecked returns, for one pair, the last completion timestamp per
-// trace — the dedup watermarks of Algorithm 1.
-func (t *Tables) GetLastChecked(_ context.Context, pair model.PairKey) (map[model.TraceID]model.Timestamp, error) {
-	raw, _, err := t.store.Get(tableLast, pairKeyString(pair))
-	if err != nil {
-		return nil, err
+// LastCompletion is the latest completion timestamp among a non-empty chunk
+// of new index entries: what a writer merges into the pair's LastChecked row.
+func LastCompletion(entries []IndexEntry) model.Timestamp {
+	last := entries[0].TsB
+	for _, e := range entries[1:] {
+		if e.TsB > last {
+			last = e.TsB
+		}
 	}
-	m, err := decodeLastChecked(raw)
-	t.rows.Add(int64(len(m)))
-	return m, err
+	return last
 }
 
-// MergeLastChecked folds new watermarks into the row of pair, keeping the
-// maximum timestamp per trace.
-func (t *Tables) MergeLastChecked(pair model.PairKey, delta map[model.TraceID]model.Timestamp) error {
-	if len(delta) == 0 {
-		return nil
+// GetLastCompletion returns the pair's latest completion timestamp, 0 when
+// the pair has never completed.
+func (t *Tables) GetLastCompletion(_ context.Context, pair model.PairKey) (model.Timestamp, error) {
+	raw, ok, err := t.store.Get(tableLast, pairKeyString(pair))
+	t.rows.Add(1)
+	if err != nil || !ok {
+		return 0, err
 	}
-	existing, err := t.GetLastChecked(context.Background(), pair)
-	if err != nil {
-		return err
-	}
-	for id, ts := range delta {
-		if old, ok := existing[id]; !ok || ts > old {
-			existing[id] = ts
-		}
-	}
-	return t.store.Put(tableLast, pairKeyString(pair), encodeLastChecked(nil, existing))
+	return decodeLastCompletion(raw)
 }
 
-// PruneLastChecked removes the given traces from every LastChecked row (the
-// §3.1.3 cleanup when sessions complete). It rewrites only rows that change.
-func (t *Tables) PruneLastChecked(traces map[model.TraceID]bool) error {
-	if len(traces) == 0 {
-		return nil
-	}
-	type upd struct {
-		key string
-		val []byte
-	}
-	var updates []upd
-	err := t.store.Scan(tableLast, func(k string, v []byte) error {
-		m, err := decodeLastChecked(v)
-		if err != nil {
-			return err
-		}
-		changed := false
-		for id := range traces {
-			if _, ok := m[id]; ok {
-				delete(m, id)
-				changed = true
-			}
-		}
-		if changed {
-			updates = append(updates, upd{key: k, val: encodeLastChecked(nil, m)})
-		}
-		return nil
-	})
+// MergeLastCompletion raises the pair's row to ts. The row is written only
+// when its bytes change, so the stored value is independent of batch split
+// and flush order.
+func (t *Tables) MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error {
+	k := pairKeyString(pair)
+	raw, ok, err := t.store.Get(tableLast, k)
 	if err != nil {
 		return err
 	}
-	for _, u := range updates {
-		if len(u.val) == 0 {
-			if err := t.store.Delete(tableLast, u.key); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := t.store.Put(tableLast, u.key, u.val); err != nil {
+	if ok {
+		cur, err := decodeLastCompletion(raw)
+		if err != nil {
 			return err
 		}
+		if cur > ts {
+			ts = cur
+		}
 	}
-	return nil
+	row := binary.AppendVarint(nil, int64(ts))
+	if ok && bytes.Equal(row, raw) {
+		return nil
+	}
+	return t.store.Put(tableLast, k, row)
 }
 
 // ---- Meta table ---------------------------------------------------------

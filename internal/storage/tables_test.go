@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"context"
-
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -210,50 +212,117 @@ func TestCountEntryAvgDuration(t *testing.T) {
 	}
 }
 
-func TestLastChecked(t *testing.T) {
-	tb := newTables(t)
-	pair := model.NewPairKey(1, 2)
-	if err := tb.MergeLastChecked(pair, map[model.TraceID]model.Timestamp{1: 10, 2: 20}); err != nil {
-		t.Fatal(err)
-	}
-	// Max wins; lower timestamps never regress the watermark.
-	if err := tb.MergeLastChecked(pair, map[model.TraceID]model.Timestamp{1: 5, 3: 30}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tb.GetLastChecked(context.Background(), pair)
+// lastCheckedRow is the raw lastchecked row of pair.
+func lastCheckedRow(t *testing.T, tb *Tables, pair model.PairKey) []byte {
+	t.Helper()
+	raw, _, err := tb.store.Get(tableLast, pairKeyString(pair))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[model.TraceID]model.Timestamp{1: 10, 2: 20, 3: 30}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("LastChecked = %v", got)
+	return raw
+}
+
+func TestLastChecked(t *testing.T) {
+	tb := newTables(t)
+	pair := model.NewPairKey(1, 2)
+	if ts, err := tb.GetLastCompletion(context.Background(), pair); ts != 0 || err != nil {
+		t.Fatalf("missing pair = %d, %v; want 0", ts, err)
 	}
-	if err := tb.MergeLastChecked(pair, nil); err != nil {
+	// Max wins; lower timestamps never regress the row.
+	for _, step := range []struct{ merge, want model.Timestamp }{{10, 10}, {5, 10}, {30, 30}, {30, 30}} {
+		if err := tb.MergeLastCompletion(pair, step.merge); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tb.GetLastCompletion(context.Background(), pair); got != step.want || err != nil {
+			t.Fatalf("after merging %d: LastCompletion = %d, %v; want %d", step.merge, got, err, step.want)
+		}
+	}
+	// A first completion before the epoch is stored, not read as "never".
+	neg := model.NewPairKey(2, 3)
+	if err := tb.MergeLastCompletion(neg, -7); err != nil {
 		t.Fatal(err)
+	}
+	if got, _ := tb.GetLastCompletion(context.Background(), neg); got != -7 {
+		t.Fatalf("negative completion = %d, want -7", got)
 	}
 }
 
-func TestPruneLastChecked(t *testing.T) {
-	tb := newTables(t)
-	p1 := model.NewPairKey(1, 2)
-	p2 := model.NewPairKey(2, 3)
-	tb.MergeLastChecked(p1, map[model.TraceID]model.Timestamp{1: 10, 2: 20})
-	tb.MergeLastChecked(p2, map[model.TraceID]model.Timestamp{2: 20})
+// TestLastCheckedMergeOrderIndependent: however a batch is split and in
+// whatever order its pieces flush, the stored bytes are the same one varint.
+func TestLastCheckedMergeOrderIndependent(t *testing.T) {
+	pair := model.NewPairKey(1, 2)
+	want := binary.AppendVarint(nil, 30)
+	var permute func(done, rest []model.Timestamp)
+	permute = func(done, rest []model.Timestamp) {
+		if len(rest) == 0 {
+			tb := newTables(t)
+			for _, ts := range done {
+				if err := tb.MergeLastCompletion(pair, ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := lastCheckedRow(t, tb, pair); !bytes.Equal(got, want) {
+				t.Fatalf("merge order %v stored %x, want %x", done, got, want)
+			}
+			return
+		}
+		for i := range rest {
+			next := append(append([]model.Timestamp{}, rest[:i]...), rest[i+1:]...)
+			permute(append(done, rest[i]), next)
+		}
+	}
+	permute(nil, []model.Timestamp{10, 5, 30, -2})
+}
 
-	if err := tb.PruneLastChecked(map[model.TraceID]bool{2: true}); err != nil {
+// Rows written by builds that kept a per-trace map, byte for byte as their
+// encoder produced them: (uvarint trace, varint ts) in trace order.
+var (
+	legacyRowA = []byte{0x3, 0x1, 0x7, 0xc8, 0x1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0x12} // {3:-1, 7:100, 1<<40:9}
+	legacyRowB = []byte{0x1, 0x14, 0x2, 0x28, 0x3, 0x3c}                                    // {1:10, 2:20, 3:30}
+)
+
+// TestLastCheckedLegacyRow: a legacy map row reads as its max and the next
+// merge rewrites it as a scalar; a damaged row of either shape is an error.
+func TestLastCheckedLegacyRow(t *testing.T) {
+	tb := newTables(t)
+	pa, pb := model.NewPairKey(1, 2), model.NewPairKey(2, 3)
+	tb.store.Put(tableLast, pairKeyString(pa), legacyRowA)
+	tb.store.Put(tableLast, pairKeyString(pb), legacyRowB)
+	if got, err := tb.GetLastCompletion(context.Background(), pa); got != 100 || err != nil {
+		t.Fatalf("legacy row A = %d, %v; want 100", got, err)
+	}
+	if got, err := tb.GetLastCompletion(context.Background(), pb); got != 30 || err != nil {
+		t.Fatalf("legacy row B = %d, %v; want 30", got, err)
+	}
+	// A lower merge keeps the max but still rewrites the row; a higher one wins.
+	if err := tb.MergeLastCompletion(pa, 40); err != nil {
 		t.Fatal(err)
 	}
-	got1, _ := tb.GetLastChecked(context.Background(), p1)
-	if !reflect.DeepEqual(got1, map[model.TraceID]model.Timestamp{1: 10}) {
-		t.Fatalf("p1 after prune: %v", got1)
-	}
-	// p2's row became empty and must be deleted outright.
-	got2, _ := tb.GetLastChecked(context.Background(), p2)
-	if len(got2) != 0 {
-		t.Fatalf("p2 after prune: %v", got2)
-	}
-	if err := tb.PruneLastChecked(nil); err != nil {
+	if err := tb.MergeLastCompletion(pb, 31); err != nil {
 		t.Fatal(err)
+	}
+	if got := lastCheckedRow(t, tb, pa); !bytes.Equal(got, binary.AppendVarint(nil, 100)) {
+		t.Fatalf("row A after merge = %x, want the one varint of 100", got)
+	}
+	if got := lastCheckedRow(t, tb, pb); !bytes.Equal(got, binary.AppendVarint(nil, 31)) {
+		t.Fatalf("row B after merge = %x, want the one varint of 31", got)
+	}
+
+	for name, raw := range map[string][]byte{
+		"empty":                    {},
+		"truncated scalar":         {0x80},
+		"truncated legacy":         legacyRowA[:len(legacyRowA)-2],
+		"legacy missing timestamp": legacyRowB[:len(legacyRowB)-1],
+		"scalar then garbage":      {0x14, 0xff},
+		"legacy then garbage":      append(append([]byte{}, legacyRowB...), 0x80),
+	} {
+		if ts, err := decodeLastCompletion(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s row %x decoded to %d, %v; want ErrCorrupt", name, raw, ts, err)
+		}
+		tb.store.Put(tableLast, pairKeyString(pa), raw)
+		if err := tb.MergeLastCompletion(pa, 1); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("merge over %s row: %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
@@ -344,7 +413,7 @@ func TestCorruptRowsSurfaceErrors(t *testing.T) {
 		t.Fatal("corrupt count row not detected")
 	}
 	store.Put("lastchecked", pairKeyString(model.NewPairKey(1, 2)), []byte{0x80})
-	if _, err := tb.GetLastChecked(context.Background(), model.NewPairKey(1, 2)); err == nil {
+	if _, err := tb.GetLastCompletion(context.Background(), model.NewPairKey(1, 2)); err == nil {
 		t.Fatal("corrupt lastchecked row not detected")
 	}
 	// Malformed keys are detected on scans.

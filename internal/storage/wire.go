@@ -36,13 +36,3 @@ func EncodeCountRow(buf []byte, entries []CountEntry) []byte {
 
 // DecodeCountRow decodes a Count-table row.
 func DecodeCountRow(raw []byte) ([]CountEntry, error) { return decodeCounts(raw) }
-
-// EncodeLastCheckedRow appends the LastChecked-table encoding of m to buf.
-func EncodeLastCheckedRow(buf []byte, m map[model.TraceID]model.Timestamp) []byte {
-	return encodeLastChecked(buf, m)
-}
-
-// DecodeLastCheckedRow decodes a LastChecked-table row.
-func DecodeLastCheckedRow(raw []byte) (map[model.TraceID]model.Timestamp, error) {
-	return decodeLastChecked(raw)
-}

@@ -49,6 +49,11 @@ if want vet; then
 		echo "check: storage.Backend grew a GetIndex* read; use GetPostings or ScanIndex" >&2
 		exit 1
 	fi
+	# LastChecked stays one scalar per pair: no per-trace map, no prune.
+	if grep -nE 'PruneLastChecked|map\[model\.TraceID\]model\.Timestamp' internal/storage/backend.go; then
+		echo "check: storage.Backend grew a per-trace LastChecked map; the row is one timestamp per pair" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 
@@ -156,4 +161,13 @@ if want netshard; then
 	go test ./internal/netshard/ -fuzz FuzzNetFrame -fuzztime 5s
 	go test ./internal/netshard/ -fuzz FuzzNetRequest -fuzztime 5s
 	sh scripts/ctxguard.sh
+fi
+
+# Bench tier: the end-to-end benchmark's own vet and smoke test (every
+# topology on a small log, real binaries, exact-answer oracle), so a product
+# change that breaks its build, a flag it passes or its oracle is caught here
+# and not by the pipeline that runs it. benchmark/ is its own module.
+if want bench; then
+	go vet -C benchmark ./...
+	go test -C benchmark ./...
 fi

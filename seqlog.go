@@ -1187,8 +1187,8 @@ func (e *Engine) ExploreInsertCtx(ctx context.Context, patternNames []string, po
 	return e.proposals(props)
 }
 
-// PruneTraces forgets the mutable state of completed traces (their Seq rows
-// and LastChecked watermarks); their history stays queryable in the index.
+// PruneTraces forgets the mutable state of completed traces (their Seq
+// rows); their history stays queryable in the index and the statistics.
 func (e *Engine) PruneTraces(ids []int64) error {
 	if err := e.readOnlyErr(); err != nil {
 		return err

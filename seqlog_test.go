@@ -1,7 +1,7 @@
 package seqlog
 
 import (
-
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -265,8 +265,18 @@ func TestPruneTracesFacade(t *testing.T) {
 	if _, err := e.Ingest(shopEvents()); err != nil {
 		t.Fatal(err)
 	}
+	funnel := []string{"search", "view", "cart", "pay"}
+	before, err := e.Stats(funnel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := e.PruneTraces([]int64{1, 2}); err != nil {
 		t.Fatal(err)
+	}
+	// Statistics are history too: pruning must not move them (trace 1 held
+	// the only cart→pay completion).
+	if after, err := e.Stats(funnel); err != nil || !reflect.DeepEqual(after, before) {
+		t.Fatalf("Stats moved across prune:\nbefore %+v\nafter  %+v (%v)", before, after, err)
 	}
 	n, _ := e.NumTraces()
 	if n != 1 {
@@ -276,6 +286,87 @@ func TestPruneTracesFacade(t *testing.T) {
 	ids, _ := e.DetectTraces([]string{"search", "pay"})
 	if !reflect.DeepEqual(ids, []int64{1}) {
 		t.Fatalf("history lost: %v", ids)
+	}
+}
+
+// TestLegacyLastCheckedStoreOpens: a store whose lastchecked rows were written
+// by a build that kept a per-trace map opens as is, answers Stats with the
+// same LastCompletion, and holds only scalar rows once the pairs are
+// ingested again.
+func TestLegacyLastCheckedStoreOpens(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []Event
+	for tr := int64(1); tr <= 3; tr++ {
+		evs = append(evs, Event{Trace: tr, Activity: "a", Time: tr}, Event{Trace: tr, Activity: "b", Time: 10 * tr})
+	}
+	if _, err := e.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Stats([]string{"a", "b"})
+	if err != nil || want.Pairs[0].LastCompletion != 30 {
+		t.Fatalf("Stats = %+v, %v", want, err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The (a,b) row exactly as the map encoder wrote it for this log:
+	// (uvarint trace, varint ts) for {1:10, 2:20, 3:30}.
+	legacy := []byte{0x1, 0x14, 0x2, 0x28, 0x3, 0x3c}
+	// rows returns the raw lastchecked table, after overwriting every row
+	// with replace when it is non-nil.
+	rows := func(replace []byte) map[string][]byte {
+		t.Helper()
+		st, err := kvstore.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		out := map[string][]byte{}
+		if err := st.Scan("lastchecked", func(k string, v []byte) error {
+			out[k] = append([]byte(nil), v...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for k := range out {
+			if replace != nil {
+				if err := st.Put("lastchecked", k, replace); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return out
+	}
+	if got := rows(legacy); len(got) != 1 {
+		t.Fatalf("lastchecked rows = %x, want the one (a,b) row", got)
+	}
+
+	e, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.Stats([]string{"a", "b"}); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stats over the legacy row = %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := e.Ingest([]Event{{Trace: 4, Activity: "a", Time: 4}, {Trace: 4, Activity: "b", Time: 25}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Stats([]string{"a", "b"})
+	if err != nil || got.Pairs[0].Completions != 4 || got.Pairs[0].LastCompletion != 30 {
+		t.Fatalf("Stats after one more ingest = %+v, %v", got, err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range rows(nil) {
+		if _, n := binary.Varint(v); n != len(v) {
+			t.Fatalf("lastchecked row %x = %x, want one varint", k, v)
+		}
 	}
 }
 

@@ -246,6 +246,9 @@ func runOracleBattery(t *testing.T, engines []oracleEngine, w oracleWorkload) {
 	assertAgree(t, engines, "detect-after-prune", func(e *Engine) (any, error) {
 		return e.Detect(w.patterns[0])
 	})
+	assertAgree(t, engines, "stats-after-prune", func(e *Engine) (any, error) {
+		return e.Stats(w.patterns[0])
+	})
 }
 
 func TestShardCountInvariance(t *testing.T) {
