@@ -1,6 +1,6 @@
 // Command seqshard serves one shard of a seqlog index over the netshard wire
 // protocol (DESIGN.md §13). It owns a single kvstore plus its segment tier
-// and exposes the raw five-table read/commit surface to remote engines — it
+// and exposes the raw table read/commit surface to remote engines — it
 // runs no query processor of its own. Point an engine (or seqrouter
 // -shard-map) at a fleet of these and the engine's shard router treats each
 // process exactly like a local store directory.

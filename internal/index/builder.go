@@ -1,7 +1,7 @@
 // Package index implements the pre-processing component of §3.1 of the
 // paper: it turns batches of new log events into updates of the inverted
-// pair index and its auxiliary tables (Seq, Count, Reverse Count, and the
-// per-pair latest completion kept in LastChecked), processing traces in
+// pair index and its auxiliary tables (Seq, Count, and the per-pair latest
+// completion kept in LastChecked), processing traces in
 // parallel exactly as the paper's Spark job does, and deduplicating
 // re-extracted pairs across batches on the Seq boundary, which admits the
 // same occurrences as Algorithm 1's per-pair watermark.
@@ -83,17 +83,15 @@ func shardOf(k model.PairKey) int {
 // Options returns the builder configuration.
 func (b *Builder) Options() Options { return b.opts }
 
-// countAccum accumulates Count/ReverseCount deltas for one leading (or
-// trailing) activity.
+// countAccum accumulates Count deltas for one leading activity.
 type countAccum map[model.ActivityID]*storage.CountEntry
 
 // shard groups accumulators under one lock so extraction workers can merge
 // their per-trace results concurrently.
 type shard struct {
-	mu      sync.Mutex
-	pairs   map[model.PairKey][]storage.IndexEntry // new index entries of the batch
-	counts  map[model.ActivityID]countAccum        // keyed by first activity
-	rcounts map[model.ActivityID]countAccum        // keyed by second activity
+	mu     sync.Mutex
+	pairs  map[model.PairKey][]storage.IndexEntry // new index entries of the batch
+	counts map[model.ActivityID]countAccum        // keyed by first activity
 }
 
 const numShards = 16
@@ -137,7 +135,6 @@ func (b *Builder) Update(events []model.Event) (Stats, error) {
 	for i := range shards {
 		shards[i].pairs = make(map[model.PairKey][]storage.IndexEntry)
 		shards[i].counts = make(map[model.ActivityID]countAccum)
-		shards[i].rcounts = make(map[model.ActivityID]countAccum)
 	}
 
 	stats := Stats{Traces: len(ids), Events: len(events)}
@@ -179,57 +176,26 @@ func (b *Builder) Update(events []model.Event) (Stats, error) {
 	// Count rows are keyed by activity, and one activity's pairs hash into
 	// several accumulator shards, so flushing counts shard-by-shard would
 	// issue concurrent read-modify-writes on the same row — a lost-update
-	// race. Regroup the deltas per (table, activity) and flush with one
-	// writer per row: keys are disjoint, so this fan-out is conflict-free.
-	jobs := gatherCountJobs(shards)
-	err = parallel.ForEach(len(jobs), b.opts.Workers, func(i int) error {
-		j := jobs[i]
-		if j.reverse {
-			return b.tables.MergeReverseCounts(j.key, countDelta(j.accs))
+	// race. Regroup the deltas per activity and flush with one writer per
+	// row: keys are disjoint, so this fan-out is conflict-free.
+	rows := make(map[model.ActivityID][]countAccum)
+	for i := range shards {
+		for a, acc := range shards[i].counts {
+			rows[a] = append(rows[a], acc)
 		}
-		return b.tables.MergeCounts(j.key, countDelta(j.accs))
+	}
+	acts := make([]model.ActivityID, 0, len(rows))
+	for a := range rows {
+		acts = append(acts, a)
+	}
+	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
+	err = parallel.ForEach(len(acts), b.opts.Workers, func(i int) error {
+		return b.tables.MergeCounts(acts[i], countDelta(rows[acts[i]]))
 	})
 	if err != nil {
 		return Stats{}, err
 	}
 	return stats, nil
-}
-
-// countJob is one Count or Reverse Count row flush: every accumulator
-// shard's delta for the row, merged at write time.
-type countJob struct {
-	key     model.ActivityID
-	reverse bool
-	accs    []countAccum
-}
-
-// gatherCountJobs regroups the per-shard count accumulators by destination
-// row, in deterministic (table, activity) order.
-func gatherCountJobs(shards []shard) []countJob {
-	fw := make(map[model.ActivityID][]countAccum)
-	rv := make(map[model.ActivityID][]countAccum)
-	for i := range shards {
-		for a, acc := range shards[i].counts {
-			fw[a] = append(fw[a], acc)
-		}
-		for a, acc := range shards[i].rcounts {
-			rv[a] = append(rv[a], acc)
-		}
-	}
-	jobs := make([]countJob, 0, len(fw)+len(rv))
-	for a, accs := range fw {
-		jobs = append(jobs, countJob{key: a, accs: accs})
-	}
-	for a, accs := range rv {
-		jobs = append(jobs, countJob{key: a, reverse: true, accs: accs})
-	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].reverse != jobs[j].reverse {
-			return !jobs[i].reverse
-		}
-		return jobs[i].key < jobs[j].key
-	})
-	return jobs
 }
 
 // countDelta flattens one row's accumulators into a delta, summing entries
@@ -332,29 +298,16 @@ func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, sh
 				fw = make(countAccum)
 				s.counts[a] = fw
 			}
-			rv := s.rcounts[bb]
-			if rv == nil {
-				rv = make(countAccum)
-				s.rcounts[bb] = rv
-			}
 			fe := fw[bb]
 			if fe == nil {
 				fe = &storage.CountEntry{Other: bb}
 				fw[bb] = fe
 			}
-			re := rv[a]
-			if re == nil {
-				re = &storage.CountEntry{Other: a}
-				rv[a] = re
-			}
 			entries := s.pairs[c.key]
 			for _, o := range c.occ {
 				entries = append(entries, storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
-				dur := int64(o.TsB - o.TsA)
-				fe.SumDuration += dur
+				fe.SumDuration += int64(o.TsB - o.TsA)
 				fe.Completions++
-				re.SumDuration += dur
-				re.Completions++
 			}
 			s.pairs[c.key] = entries
 		}

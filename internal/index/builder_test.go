@@ -110,19 +110,22 @@ func TestUpdateTable3Trace(t *testing.T) {
 	if err != nil || !ok || cnt.Completions != 2 || cnt.SumDuration != 3 {
 		t.Fatalf("count(A,B) = %+v %v %v", cnt, ok, err)
 	}
-	// Reverse counts mirror by second event.
-	rev, err := tb.GetReverseCounts(context.Background(), model.ActivityID('B'))
+	// The Count row of A lists its successors with their totals.
+	row, err := tb.GetCounts(context.Background(), model.ActivityID('A'))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var found bool
-	for _, e := range rev {
-		if e.Other == model.ActivityID('A') && e.Completions == 2 {
-			found = true
-		}
+	wantRow := []storage.CountEntry{
+		{Other: model.ActivityID('A'), SumDuration: 3, Completions: 2},
+		{Other: model.ActivityID('B'), SumDuration: 3, Completions: 2},
 	}
-	if !found {
-		t.Fatalf("reverse counts of B: %v", rev)
+	if !reflect.DeepEqual(row, wantRow) {
+		t.Fatalf("count row of A = %v, want %v", row, wantRow)
+	}
+	// Predecessors of B are Count pair reads: (B,B) completed once in 2.
+	cnt, ok, err = tb.GetPairCount(context.Background(), model.ActivityID('B'), model.ActivityID('B'))
+	if err != nil || !ok || cnt.Completions != 1 || cnt.SumDuration != 2 {
+		t.Fatalf("count(B,B) = %+v %v %v", cnt, ok, err)
 	}
 	// LastChecked holds the last completion of the pair.
 	lc, err := tb.GetLastCompletion(context.Background(), key('A', 'B'))
@@ -305,31 +308,38 @@ func TestPruneTraces(t *testing.T) {
 	}
 }
 
-// putSizes wraps a store and records the largest value Put to one table.
-type putSizes struct {
+// writeLog wraps a store and records, per table, the Put and Append calls
+// and the largest value Put.
+type writeLog struct {
 	kvstore.Store
-	table string
-	mu    sync.Mutex
-	puts  int
-	max   int
+	mu     sync.Mutex
+	writes map[string]int
+	maxPut map[string]int
 }
 
-func (s *putSizes) Put(table, key string, value []byte) error {
-	if table == s.table {
-		s.mu.Lock()
-		s.puts++
-		if len(value) > s.max {
-			s.max = len(value)
-		}
-		s.mu.Unlock()
-	}
+func newWriteLog() *writeLog {
+	return &writeLog{Store: kvstore.NewMemStore(), writes: map[string]int{}, maxPut: map[string]int{}}
+}
+
+func (s *writeLog) Put(table, key string, value []byte) error {
+	s.mu.Lock()
+	s.writes[table]++
+	s.maxPut[table] = max(s.maxPut[table], len(value))
+	s.mu.Unlock()
 	return s.Store.Put(table, key, value)
+}
+
+func (s *writeLog) Append(table, key string, value []byte) error {
+	s.mu.Lock()
+	s.writes[table]++
+	s.mu.Unlock()
+	return s.Store.Append(table, key, value)
 }
 
 // TestLastCheckedRowStaysScalar: the row the builder rewrites per batch must
 // not grow with the number of traces that ever held the pair.
 func TestLastCheckedRowStaysScalar(t *testing.T) {
-	store := &putSizes{Store: kvstore.NewMemStore(), table: "lastchecked"}
+	store := newWriteLog()
 	b, err := NewBuilder(storage.NewTables(store), Options{Policy: model.STNM, Method: pairs.Indexing})
 	if err != nil {
 		t.Fatal(err)
@@ -339,9 +349,33 @@ func TestLastCheckedRowStaysScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if store.puts != 200 || store.max > binary.MaxVarintLen64 {
+	if puts, largest := store.writes["lastchecked"], store.maxPut["lastchecked"]; puts != 200 || largest > binary.MaxVarintLen64 {
 		t.Fatalf("lastchecked: %d puts, largest %d bytes; want 200 puts of at most %d bytes",
-			store.puts, store.max, binary.MaxVarintLen64)
+			puts, largest, binary.MaxVarintLen64)
+	}
+}
+
+// TestNoReverseCountWrites: the builder keeps no Reverse Count table — a
+// batch writes Seq, Index, Count and LastChecked rows, and nothing to the
+// "rcount" table older builds kept.
+func TestNoReverseCountWrites(t *testing.T) {
+	store := newWriteLog()
+	b, err := NewBuilder(storage.NewTables(store), Options{Policy: model.STNM, Method: pairs.Indexing, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(26))
+	for batch := 0; batch < 3; batch++ {
+		var events []model.Event
+		for i := 0; i < 300; i++ {
+			events = append(events, ev(model.TraceID(1+rng.Intn(20)), byte('A'+rng.Intn(6)), int64(batch*1000+i)))
+		}
+		if _, err := b.Update(events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.writes["rcount"] != 0 || store.writes["count"] == 0 {
+		t.Fatalf("writes per table = %v; want count rows and no rcount rows", store.writes)
 	}
 }
 

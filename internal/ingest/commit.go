@@ -12,15 +12,14 @@ import (
 
 // shardDelta is the table delta one shard contributes to a flush cycle:
 // normalized new events per trace, new index entries per pair, and count
-// increments per leading/trailing activity. Shapes mirror the Builder's
-// accumulators so the committed rows are encoded identically.
+// increments per leading activity. Shapes mirror the Builder's accumulators
+// so the committed rows are encoded identically.
 // The same shape doubles as the per-STORE partition the reducer produces.
 type shardDelta struct {
 	traces  []model.TraceID // first-appearance order, for determinism
 	seqs    map[model.TraceID][]model.TraceEvent
 	entries map[model.PairKey][]storage.IndexEntry
 	counts  map[model.ActivityID]map[model.ActivityID]*storage.CountEntry
-	rcounts map[model.ActivityID]map[model.ActivityID]*storage.CountEntry
 }
 
 func newShardDelta() *shardDelta {
@@ -28,29 +27,27 @@ func newShardDelta() *shardDelta {
 		seqs:    make(map[model.TraceID][]model.TraceEvent),
 		entries: make(map[model.PairKey][]storage.IndexEntry),
 		counts:  make(map[model.ActivityID]map[model.ActivityID]*storage.CountEntry),
-		rcounts: make(map[model.ActivityID]map[model.ActivityID]*storage.CountEntry),
 	}
 }
 
 func (d *shardDelta) empty() bool {
-	return len(d.seqs) == 0 && len(d.entries) == 0 &&
-		len(d.counts) == 0 && len(d.rcounts) == 0
+	return len(d.seqs) == 0 && len(d.entries) == 0 && len(d.counts) == 0
 }
 
-func (d *shardDelta) bumpCount(m map[model.ActivityID]map[model.ActivityID]*storage.CountEntry,
-	key, other model.ActivityID, dur int64) {
-	row := m[key]
+// bumpCount adds by's duration and completions to the (a, b) count entry.
+func (d *shardDelta) bumpCount(a, b model.ActivityID, by storage.CountEntry) {
+	row := d.counts[a]
 	if row == nil {
 		row = make(map[model.ActivityID]*storage.CountEntry)
-		m[key] = row
+		d.counts[a] = row
 	}
-	e := row[other]
+	e := row[b]
 	if e == nil {
-		e = &storage.CountEntry{Other: other}
-		row[other] = e
+		e = &storage.CountEntry{Other: b}
+		row[b] = e
 	}
-	e.SumDuration += dur
-	e.Completions++
+	e.SumDuration += by.SumDuration
+	e.Completions += by.Completions
 }
 
 // add folds one trace's flush result into the delta.
@@ -62,9 +59,7 @@ func (d *shardDelta) add(id model.TraceID, evs []model.TraceEvent, occs []pairs.
 	for _, po := range occs {
 		k, o := po.Key, po.Occ
 		d.entries[k] = append(d.entries[k], storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
-		dur := int64(o.TsB - o.TsA)
-		d.bumpCount(d.counts, k.First(), k.Second(), dur)
-		d.bumpCount(d.rcounts, k.Second(), k.First(), dur)
+		d.bumpCount(k.First(), k.Second(), storage.CountEntry{SumDuration: int64(o.TsB - o.TsA), Completions: 1})
 	}
 }
 
@@ -95,6 +90,7 @@ func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDel
 			sh.sessions[id] = sess
 		}
 		evs, occs := sess.addBatch(byTrace[id])
+		sess.cycle = p.cycles
 		d.add(id, evs, occs)
 	}
 	return d, nil
@@ -120,32 +116,11 @@ func mergeDeltas(deltas []*shardDelta) *shardDelta {
 		}
 		for a, row := range d.counts {
 			for b, e := range row {
-				out.bumpCountBy(out.counts, a, b, e)
-			}
-		}
-		for a, row := range d.rcounts {
-			for b, e := range row {
-				out.bumpCountBy(out.rcounts, a, b, e)
+				out.bumpCount(a, b, *e)
 			}
 		}
 	}
 	return out
-}
-
-func (d *shardDelta) bumpCountBy(m map[model.ActivityID]map[model.ActivityID]*storage.CountEntry,
-	key model.ActivityID, other model.ActivityID, by *storage.CountEntry) {
-	row := m[key]
-	if row == nil {
-		row = make(map[model.ActivityID]*storage.CountEntry)
-		m[key] = row
-	}
-	e := row[other]
-	if e == nil {
-		e = &storage.CountEntry{Other: other}
-		row[other] = e
-	}
-	e.SumDuration += by.SumDuration
-	e.Completions += by.Completions
 }
 
 // partitionDeltas is the cross-shard reducer: it re-keys the per-AFFINITY
@@ -181,21 +156,14 @@ func (p *Pipeline) partitionDeltas(deltas []*shardDelta) []*shardDelta {
 			t := part(p.route.ShardForPair(k))
 			t.entries[k] = append(t.entries[k], es...)
 		}
-		// Count partials route where their underlying pair routes: a counts
-		// row keyed (first=a, other=b) belongs to pair (a,b); an rcounts row
-		// keyed (second=a, other=b) belongs to pair (b,a). This mirrors the
-		// sharded backend's own MergeCounts / MergeReverseCounts splitting,
-		// so the partition is exactly the rows store i would keep.
+		// Count partials route where their underlying pair routes: the
+		// (a, b) entry of a's row belongs to pair (a,b). This mirrors the
+		// sharded backend's own MergeCounts splitting, so the partition is
+		// exactly the rows store i would keep.
 		for a, row := range d.counts {
 			for b, e := range row {
 				t := part(p.route.ShardForPair(model.NewPairKey(a, b)))
-				t.bumpCountBy(t.counts, a, b, e)
-			}
-		}
-		for a, row := range d.rcounts {
-			for b, e := range row {
-				t := part(p.route.ShardForPair(model.NewPairKey(b, a)))
-				t.bumpCountBy(t.rcounts, a, b, e)
+				t.bumpCount(a, b, *e)
 			}
 		}
 	}
@@ -369,33 +337,22 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 		}
 	}
 
-	if err = p.mergeCountTable(d.counts, p.tables.MergeCounts); err != nil {
-		return err
-	}
-	if err = p.mergeCountTable(d.rcounts, p.tables.MergeReverseCounts); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (p *Pipeline) mergeCountTable(m map[model.ActivityID]map[model.ActivityID]*storage.CountEntry,
-	merge func(model.ActivityID, []storage.CountEntry) error) error {
-	acts := make([]model.ActivityID, 0, len(m))
-	for a := range m {
+	acts := make([]model.ActivityID, 0, len(d.counts))
+	for a := range d.counts {
 		acts = append(acts, a)
 	}
 	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
 	for _, a := range acts {
-		if err := p.abortedErr(); err != nil {
+		if err = p.abortedErr(); err != nil {
 			return err
 		}
-		row := m[a]
+		row := d.counts[a]
 		delta := make([]storage.CountEntry, 0, len(row))
 		for _, e := range row {
 			delta = append(delta, *e)
 		}
 		sort.Slice(delta, func(i, j int) bool { return delta[i].Other < delta[j].Other })
-		if err := merge(a, delta); err != nil {
+		if err = p.tables.MergeCounts(a, delta); err != nil {
 			return err
 		}
 	}

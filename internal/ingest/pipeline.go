@@ -32,8 +32,8 @@
 // Equivalence contract, enforced by the oracle tests: when each trace's
 // events are appended in timestamp order (any interleaving across traces,
 // any chunking), the resulting tables are equivalent to a single serial
-// index.Builder.Update of the whole log — identical Seq, Count,
-// ReverseCount and LastChecked rows, and an Index holding exactly the same
+// index.Builder.Update of the whole log — identical Seq, Count and
+// LastChecked rows, and an Index holding exactly the same
 // entries (append order within a posting list may differ, as it already
 // does between two Builder runs).
 package ingest
@@ -154,6 +154,7 @@ type flushJob struct {
 	total    int           // events in the cycle
 	sessions int64         // resident sessions after extraction
 	start    time.Time     // cycle start (inbox swap)
+	cycle    uint64        // extraction cycle number
 	waits    []kvstore.Durability
 	waited   bool
 	syncs    int64
@@ -211,7 +212,9 @@ type Pipeline struct {
 	aborted    atomic.Bool
 	abortCause atomic.Value // error
 
-	cycleMu sync.Mutex // serializes extraction cycles with Forget
+	cycleMu sync.Mutex    // serializes extraction cycles with Forget
+	cycles  uint64        // extraction cycles so far; guarded by cycleMu
+	written atomic.Uint64 // last cycle whose rows the committer has written
 }
 
 // ingestShard owns the inbox and the resident sessions of the traces
@@ -547,12 +550,18 @@ func (p *Pipeline) Stats() Stats {
 
 // Forget drops the resident sessions of pruned traces so their memory is
 // reclaimed. The caller must have flushed (or not care about) pending
-// events of those traces.
+// events of those traces. A session fed by a cycle the committer has not
+// written yet is kept: reloading it from the Seq table now would miss that
+// cycle's events and extract their pairs twice.
 func (p *Pipeline) Forget(ids []model.TraceID) {
 	p.cycleMu.Lock()
 	defer p.cycleMu.Unlock()
+	written := p.written.Load()
 	for _, id := range ids {
-		delete(p.shards[p.shardFor(id)].sessions, id)
+		sessions := p.shards[p.shardFor(id)].sessions
+		if s := sessions[id]; s != nil && s.cycle <= written {
+			delete(sessions, id)
+		}
 	}
 }
 
@@ -660,6 +669,7 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 		return nil, nil
 	}
 	start := time.Now()
+	p.cycles++
 
 	deltas := make([]*shardDelta, len(p.shards))
 	err := parallel.ForEach(len(p.shards), p.opts.Workers, func(i int) error {
@@ -678,6 +688,7 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 		parts: p.partitionDeltas(deltas),
 		total: total,
 		start: start,
+		cycle: p.cycles,
 	}
 	for i := range p.shards {
 		job.sessions += int64(len(p.shards[i].sessions))
@@ -703,6 +714,7 @@ func (p *Pipeline) committer() {
 		} else {
 			job.err = p.commitJob(job)
 		}
+		p.written.Store(job.cycle)
 		if job.err == nil && p.opts.MaxInflight <= 1 {
 			job.err = p.waitJob(job)
 		}

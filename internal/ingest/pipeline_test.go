@@ -69,11 +69,14 @@ func dumpTables(t *testing.T, tb storage.Backend, period string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := tb.GetReverseCounts(context.Background(), a)
-		if err != nil {
-			t.Fatal(err)
+		lines = append(lines, fmt.Sprintf("cnt %d %v", a, c))
+		for x := range acts {
+			e, ok, err := tb.GetPairCount(context.Background(), x, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("pair %d %d %v %v", x, a, ok, e))
 		}
-		lines = append(lines, fmt.Sprintf("cnt %d %v", a, c), fmt.Sprintf("rcnt %d %v", a, rc))
 	}
 
 	sort.Strings(lines)
@@ -418,31 +421,101 @@ func TestForgetDropsSessions(t *testing.T) {
 	}
 }
 
-// putSizes wraps a store and records the largest value Put to one table.
-type putSizes struct {
-	kvstore.Store
-	table string
-	mu    sync.Mutex
-	puts  int
-	max   int
+// commitGate is a CommitLock that holds the committer at its first commit
+// until released, and reports when the committer got there.
+type commitGate struct {
+	arrived, release chan struct{}
+	once             sync.Once
 }
 
-func (s *putSizes) Put(table, key string, value []byte) error {
-	if table == s.table {
-		s.mu.Lock()
-		s.puts++
-		if len(value) > s.max {
-			s.max = len(value)
-		}
-		s.mu.Unlock()
+func (g *commitGate) Lock()   { g.once.Do(func() { close(g.arrived); <-g.release }) }
+func (g *commitGate) Unlock() {}
+
+// TestForgetKeepsSessionOfUnwrittenCycle: Forget racing a cycle whose rows
+// are not written yet must not drop the trace's session — a reload from
+// the Seq table would miss that cycle's events and their pairs.
+func TestForgetKeepsSessionOfUnwrittenCycle(t *testing.T) {
+	events := []model.Event{{Trace: 1, Activity: 1, TS: 1}, {Trace: 1, Activity: 2, TS: 2}}
+	gate := &commitGate{arrived: make(chan struct{}), release: make(chan struct{})}
+	tb := storage.NewTables(kvstore.NewMemStore())
+	p, err := New(tb, Options{Policy: model.STNM, Workers: 1, FlushEvents: 1, Block: true, CommitLock: gate})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := p.Append(events[:1]); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.arrived // cycle 1 is extracted; its rows are not written
+	p.Forget([]model.TraceID{1})
+	if err := p.Append(events[1:]); err != nil {
+		t.Fatal(err)
+	}
+	for extracted := false; !extracted; {
+		p.mu.Lock()
+		extracted = p.buffered == 0
+		p.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dumpTables(t, tb, ""), serialDump(t, events, model.STNM, ""); got != want {
+		t.Fatalf("stream with a racing Forget diverges from serial build\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// writeLog wraps a store and records, per table, the Put and Append calls
+// and the largest value Put.
+type writeLog struct {
+	kvstore.Store
+	mu     sync.Mutex
+	writes map[string]int
+	maxPut map[string]int
+}
+
+func newWriteLog() *writeLog {
+	return &writeLog{Store: kvstore.NewMemStore(), writes: map[string]int{}, maxPut: map[string]int{}}
+}
+
+func (s *writeLog) Put(table, key string, value []byte) error {
+	s.mu.Lock()
+	s.writes[table]++
+	s.maxPut[table] = max(s.maxPut[table], len(value))
+	s.mu.Unlock()
 	return s.Store.Put(table, key, value)
+}
+
+func (s *writeLog) Append(table, key string, value []byte) error {
+	s.mu.Lock()
+	s.writes[table]++
+	s.mu.Unlock()
+	return s.Store.Append(table, key, value)
+}
+
+// TestStreamNoReverseCountWrites: a flush writes Seq, Index, Count and
+// LastChecked rows, and nothing to the "rcount" table older builds kept.
+func TestStreamNoReverseCountWrites(t *testing.T) {
+	store := newWriteLog()
+	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 16, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Append(randomLog(rand.New(rand.NewSource(26)), 12, 400, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store.writes["rcount"] != 0 || store.writes["count"] == 0 {
+		t.Fatalf("writes per table = %v; want count rows and no rcount rows", store.writes)
+	}
 }
 
 // TestStreamLastCheckedRowStaysScalar: the row a flush rewrites must not grow
 // with the number of traces that ever held the pair.
 func TestStreamLastCheckedRowStaysScalar(t *testing.T) {
-	store := &putSizes{Store: kvstore.NewMemStore(), table: "lastchecked"}
+	store := newWriteLog()
 	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 8, Block: true})
 	if err != nil {
 		t.Fatal(err)
@@ -456,8 +529,8 @@ func TestStreamLastCheckedRowStaysScalar(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if store.puts < 2 || store.max > binary.MaxVarintLen64 {
+	if puts, largest := store.writes["lastchecked"], store.maxPut["lastchecked"]; puts < 2 || largest > binary.MaxVarintLen64 {
 		t.Fatalf("lastchecked: %d puts, largest %d bytes; want several puts of at most %d bytes",
-			store.puts, store.max, binary.MaxVarintLen64)
+			puts, largest, binary.MaxVarintLen64)
 	}
 }

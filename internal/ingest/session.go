@@ -26,6 +26,7 @@ type session struct {
 	lastTS  model.Timestamp
 	hasLast bool
 	prev    model.Timestamp // last normalized timestamp (boundary)
+	cycle   uint64          // extraction cycle that last fed the session
 }
 
 // loadSession builds the session of a trace from its stored prefix. For

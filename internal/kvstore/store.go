@@ -1,5 +1,5 @@
 // Package kvstore is the key-value database substrate of the reproduction.
-// The paper stores its five index tables in Cassandra but notes that "any
+// The paper stores its index tables in Cassandra but notes that "any
 // key-value store can be used in replacement" (§3); this package provides
 // that replacement as an embedded store with two engines:
 //
@@ -19,8 +19,8 @@ var ErrClosed = errors.New("kvstore: store is closed")
 
 // Store is a table-oriented key-value store. Tables are cheap namespaces
 // (created implicitly on first write), mirroring the Cassandra tables of
-// §3.1.2 (Seq, Index, Count, Reverse Count, and LastChecked reduced to one
-// timestamp per pair).
+// §3.1.2 (Seq, Index, Count, and LastChecked reduced to one timestamp per
+// pair; Reverse Count is not kept, being Count transposed).
 //
 // Implementations must be safe for concurrent use. Values returned by Get
 // and Scan must not be mutated by the caller unless documented otherwise.

@@ -584,7 +584,7 @@ func (c *Client) FreezePostings() error {
 	return err
 }
 
-// ---- storage.Backend: Count tables ------------------------------------------
+// ---- storage.Backend: Count table -------------------------------------------
 
 // MergeCounts folds a Count delta into the remote store.
 func (c *Client) MergeCounts(first model.ActivityID, delta []storage.CountEntry) error {
@@ -594,25 +594,18 @@ func (c *Client) MergeCounts(first model.ActivityID, delta []storage.CountEntry)
 	return c.write(opMergeCounts, w.b)
 }
 
-// MergeReverseCounts folds a Reverse Count delta into the remote store.
-func (c *Client) MergeReverseCounts(second model.ActivityID, delta []storage.CountEntry) error {
+// GetCounts reads the activity's (partial) Count row.
+func (c *Client) GetCounts(ctx context.Context, first model.ActivityID) ([]storage.CountEntry, error) {
 	var w wbuf
-	w.i64(int64(second))
-	w.blob(storage.EncodeCountRow(nil, delta))
-	return c.write(opMergeRCounts, w.b)
-}
-
-func (c *Client) getCounts(ctx context.Context, op byte, act model.ActivityID) ([]storage.CountEntry, error) {
-	var w wbuf
-	w.i64(int64(act))
-	resp, err := c.call(ctx, op, w.b)
+	w.i64(int64(first))
+	resp, err := c.call(ctx, opGetCounts, w.b)
 	if err != nil {
 		return nil, err
 	}
 	r := &rbuf{b: resp}
 	row := r.blob()
 	if err := r.done(); err != nil {
-		return nil, &OpError{Addr: c.addr, Op: opName(op), Err: err}
+		return nil, &OpError{Addr: c.addr, Op: opName(opGetCounts), Err: err}
 	}
 	entries, err := storage.DecodeCountRow(row)
 	if err != nil {
@@ -620,16 +613,6 @@ func (c *Client) getCounts(ctx context.Context, op byte, act model.ActivityID) (
 	}
 	c.rows.Add(int64(len(entries)))
 	return entries, nil
-}
-
-// GetCounts reads the activity's (partial) Count row.
-func (c *Client) GetCounts(ctx context.Context, first model.ActivityID) ([]storage.CountEntry, error) {
-	return c.getCounts(ctx, opGetCounts, first)
-}
-
-// GetReverseCounts reads the activity's (partial) Reverse Count row.
-func (c *Client) GetReverseCounts(ctx context.Context, second model.ActivityID) ([]storage.CountEntry, error) {
-	return c.getCounts(ctx, opGetRCounts, second)
 }
 
 // GetPairCount reads one (a, b) Count entry.

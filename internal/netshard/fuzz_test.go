@@ -74,6 +74,15 @@ func FuzzNetRequest(f *testing.F) {
 	w.i64(250)
 	w.u64(1 << 60) // trailing bytes after a complete body: rejected, not ignored
 	f.Add(opMergeLastCompletion, append([]byte{}, w.b...))
+	w = wbuf{}
+	w.i64(3)
+	f.Add(opGetCounts, append([]byte{}, w.b...))
+	w.i64(4)
+	f.Add(opGetPairCount, append([]byte{}, w.b...))
+	w = wbuf{}
+	w.i64(3)
+	w.blob(storage.EncodeCountRow(nil, []storage.CountEntry{{Other: 4, SumDuration: 9, Completions: 2}}))
+	f.Add(opMergeCounts, append([]byte{}, w.b...))
 	f.Add(opCommit, []byte{opAppendSeq, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 
 	store := kvstore.NewMemStore()
@@ -156,6 +165,40 @@ func TestCraftedFrames(t *testing.T) {
 	defer cl.Close()
 	if n, err := cl.NumTraces(context.Background()); err != nil || n != 1 {
 		t.Fatalf("server unusable after crafted frame: %d, %v", n, err)
+	}
+
+	// Opcode-level: an opcode past the table (a retired number, or one from
+	// a newer peer) is answered with the unknown-op error, and the
+	// connection keeps serving.
+	oc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oc.Close()
+	if err := writeHello(oc); err != nil {
+		t.Fatal(err)
+	}
+	if err := readHello(oc); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []byte{opMax, opMax + 1, 0xFF} {
+		if _, err := oc.Write(mustFrame(t, []byte{op, 0})); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := readFrame(oc, nil, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("opcode %d: no answer: %v", op, err)
+		}
+		if len(payload) < 2 || payload[0] != stErr || payload[1] != ecBadFrame ||
+			!bytes.Contains(payload[2:], []byte("unknown opcode")) {
+			t.Fatalf("opcode %d answer = %q, want stErr/ecBadFrame unknown opcode", op, payload)
+		}
+	}
+	if _, err := oc.Write(mustFrame(t, []byte{opPing})); err != nil {
+		t.Fatal(err)
+	}
+	if payload, err := readFrame(oc, nil, DefaultMaxFrame); err != nil || payload[0] != stOK {
+		t.Fatalf("ping after unknown opcodes = %x, %v", payload, err)
 	}
 
 	// Body-level: a complete merge_last_completion body followed by more

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
@@ -135,14 +136,11 @@ func TestNetShardRoundTrip(t *testing.T) {
 		t.Fatalf("Periods after drop = %v", periods)
 	}
 
-	// Count tables.
+	// Count table.
 	if err := cl.MergeCounts(1, []storage.CountEntry{{Other: 2, SumDuration: 150, Completions: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.MergeCounts(1, []storage.CountEntry{{Other: 2, SumDuration: 10, Completions: 1}, {Other: 3, SumDuration: 5, Completions: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.MergeReverseCounts(2, []storage.CountEntry{{Other: 1, SumDuration: 160, Completions: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	counts, err := cl.GetCounts(ctx, 1)
@@ -153,13 +151,16 @@ func TestNetShardRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("GetCounts = %v, want %v", counts, want)
 	}
-	rcounts, err := cl.GetReverseCounts(ctx, 2)
-	if err != nil || len(rcounts) != 1 || rcounts[0].Completions != 2 {
-		t.Fatalf("GetReverseCounts = %v, %v", rcounts, err)
+	if local, _ := tab.GetCounts(ctx, 1); !reflect.DeepEqual(local, want) {
+		t.Fatalf("server-side GetCounts = %v, want %v", local, want)
 	}
 	e, ok, err := cl.GetPairCount(ctx, 1, 2)
 	if err != nil || !ok || e.SumDuration != 160 || e.Completions != 2 {
 		t.Fatalf("GetPairCount = %v, %v, %v", e, ok, err)
+	}
+	// A predecessor read is a pair read: 1 precedes 3.
+	if e, ok, err := cl.GetPairCount(ctx, 1, 3); err != nil || !ok || e != want[1] {
+		t.Fatalf("GetPairCount(1,3) = %v, %v, %v", e, ok, err)
 	}
 	if _, ok, _ := cl.GetPairCount(ctx, 5, 6); ok {
 		t.Fatal("GetPairCount(5,6) found")
@@ -440,7 +441,7 @@ func TestNetShardCancelAfterSuccessKeepsPoolClean(t *testing.T) {
 	}
 }
 
-// TestNetShardV1HelloRefused: a peer of an older protocol version (v1, v2)
+// TestNetShardV1HelloRefused: a peer of an older protocol version (v1–v3)
 // must fail the hello with ErrVersion on both sides — never reach dispatch,
 // where its opcodes would name different operations.
 func TestNetShardV1HelloRefused(t *testing.T) {
@@ -475,23 +476,25 @@ func helloRefused(t *testing.T, version byte) {
 	}
 	raw.Write(mustFrame(t, []byte{opPing}))
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readFrame(raw, nil, DefaultMaxFrame); !errors.Is(err, io.EOF) {
-		t.Fatalf("old peer's frame answered: %v, want EOF", err)
+	// No frame may come back. The server can hang up while the ping is
+	// still unread, in which case the kernel resets the connection instead
+	// of closing it: both mean "not answered".
+	if _, err := readFrame(raw, nil, DefaultMaxFrame); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("old peer's frame answered: %v, want EOF or connection reset", err)
 	}
 }
 
-// TestOpcodeTable pins the protocol-v3 numbering: the opcodes are the wire
+// TestOpcodeTable pins the protocol-v4 numbering: the opcodes are the wire
 // format, so a renumbering must come with a protoVersion bump.
 func TestOpcodeTable(t *testing.T) {
 	want := []string{
 		1: "ping", "status", "get_meta", "put_meta", "get_seq", "append_seq",
 		"delete_seq", "scan_seq", "num_traces", "append_index", "scan_index",
 		"num_indexed_pairs", "drop_period", "periods", "get_postings", "freeze",
-		"get_counts", "get_rcounts", "merge_counts", "merge_rcounts",
-		"get_pair_count", "get_last_completion", "merge_last_completion",
-		"set_cache_budget", "sync", "commit_chunk", "commit",
+		"get_counts", "merge_counts", "get_pair_count", "get_last_completion",
+		"merge_last_completion", "set_cache_budget", "sync", "commit_chunk", "commit",
 	}
-	if protoVersion != 3 || opMax != 28 || !reflect.DeepEqual(opNames[:], want) {
-		t.Fatalf("protocol v%d opcode table = %q, want v3 %q", protoVersion, opNames, want)
+	if protoVersion != 4 || opMax != 26 || !reflect.DeepEqual(opNames[:], want) {
+		t.Fatalf("protocol v%d opcode table = %q, want v4 %q", protoVersion, opNames, want)
 	}
 }

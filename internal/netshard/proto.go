@@ -1,5 +1,5 @@
 // Package netshard is the network implementation of the storage.Backend
-// seam: a shard server (cmd/seqshard) exposes one store's five-table
+// seam: a shard server (cmd/seqshard) exposes one store's four-table
 // read/commit surface over length-prefixed TCP, and
 // Client implements storage.Backend against it, so the engine, the ingest
 // pipeline and the query layer run unchanged over remote shards. The
@@ -43,8 +43,9 @@ import (
 // dropped the row-returning index reads (and renumbered the opcodes after
 // them) and the v1 server-hello WAL flag: every store now commits groups.
 // Version 3 made the two LastChecked ops carry one scalar, dropped the prune
-// op and renumbered the opcodes after it.
-const protoVersion = 3
+// op and renumbered the opcodes after it. Version 4 dropped the two Reverse
+// Count ops and renumbered the opcodes after them.
+const protoVersion = 4
 
 var protoMagic = [4]byte{'S', 'Q', 'S', 'H'}
 
@@ -103,9 +104,7 @@ const (
 	opGetPostings
 	opFreeze
 	opGetCounts
-	opGetRCounts
 	opMergeCounts
-	opMergeRCounts
 	opGetPairCount
 	opGetLastCompletion
 	opMergeLastCompletion
@@ -125,8 +124,7 @@ var opNames = [opMax]string{
 	opAppendIndex: "append_index", opScanIndex: "scan_index",
 	opNumIndexedPairs: "num_indexed_pairs", opDropPeriod: "drop_period",
 	opPeriods: "periods", opGetPostings: "get_postings", opFreeze: "freeze",
-	opGetCounts: "get_counts", opGetRCounts: "get_rcounts",
-	opMergeCounts: "merge_counts", opMergeRCounts: "merge_rcounts",
+	opGetCounts: "get_counts", opMergeCounts: "merge_counts",
 	opGetPairCount: "get_pair_count", opGetLastCompletion: "get_last_completion",
 	opMergeLastCompletion: "merge_last_completion", opSetCacheBudget: "set_cache_budget",
 	opSync: "sync", opCommitChunk: "commit_chunk", opCommit: "commit",

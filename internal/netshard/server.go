@@ -344,16 +344,12 @@ func (s *Server) unary(op byte, body []byte) ([]byte, error) {
 			out.str(p)
 		}
 
-	case opGetCounts, opGetRCounts:
+	case opGetCounts:
 		act := model.ActivityID(r.i64())
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		get := s.tab.GetCounts
-		if op == opGetRCounts {
-			get = s.tab.GetReverseCounts
-		}
-		entries, err := get(s.ctx, act)
+		entries, err := s.tab.GetCounts(s.ctx, act)
 		if err != nil {
 			return nil, err
 		}
@@ -409,7 +405,7 @@ func (s *Server) unary(op byte, body []byte) ([]byte, error) {
 		s.tab.SetCacheBudget(budget)
 
 	case opPutMeta, opAppendSeq, opDeleteSeq, opAppendIndex, opDropPeriod,
-		opMergeCounts, opMergeRCounts, opMergeLastCompletion:
+		opMergeCounts, opMergeLastCompletion:
 		s.wmu.Lock()
 		err := s.applyWrite(op, body)
 		s.wmu.Unlock()
@@ -506,7 +502,7 @@ func (s *Server) applyWrite(op byte, body []byte) error {
 		}
 		return s.tab.DropPeriod(period)
 
-	case opMergeCounts, opMergeRCounts:
+	case opMergeCounts:
 		act := model.ActivityID(r.i64())
 		row := r.blob()
 		if err := r.done(); err != nil {
@@ -516,10 +512,7 @@ func (s *Server) applyWrite(op byte, body []byte) error {
 		if err != nil {
 			return err
 		}
-		if op == opMergeCounts {
-			return s.tab.MergeCounts(act, delta)
-		}
-		return s.tab.MergeReverseCounts(act, delta)
+		return s.tab.MergeCounts(act, delta)
 
 	case opMergeLastCompletion:
 		pair := model.PairKey(r.u64())

@@ -94,7 +94,7 @@ func TestExploreHybridTopKEdgeCases(t *testing.T) {
 		if !reflect.DeepEqual(got, fast) {
 			t.Fatalf("TopK=%d: hybrid = %v, want the fast ranking %v", topK, got, fast)
 		}
-		ins, err := q.ExploreInsertHybrid(context.Background(), pattern("AB"), len(pattern("AB")), ExploreOptions{TopK: topK})
+		ins, err := q.ExploreInsertHybrid(context.Background(), pattern("AB"), len(pattern("AB")), nil, ExploreOptions{TopK: topK})
 		if err != nil {
 			t.Fatalf("insert TopK=%d: %v", topK, err)
 		}

@@ -3,9 +3,11 @@ package query
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"seqlog/internal/model"
 	"seqlog/internal/parallel"
+	"seqlog/internal/storage"
 )
 
 // This file implements the §7 extension of the paper: "the pattern
@@ -16,9 +18,12 @@ import (
 //
 // For an insertion position i (0 ≤ i ≤ p), candidates are events that are
 // known successors of the pattern event before the gap AND known
-// predecessors of the pattern event after the gap, read from the Count and
-// Reverse Count tables; the accurate flavor verifies each candidate with a
-// full detection of the extended pattern.
+// predecessors of the pattern event after the gap. Both come from the Count
+// table: the successors are the Count row of the event before the gap, and
+// a predecessor x of the event after it is a pair read of (x, p[i]). With
+// no event before the gap (i = 0), every activity of the caller's alphabet
+// is tried. The accurate flavor verifies each candidate with a full
+// detection of the extended pattern.
 
 // ErrBadPosition reports an insertion position outside [0, len(pattern)].
 var ErrBadPosition = fmt.Errorf("query: insertion position out of range")
@@ -26,15 +31,16 @@ var ErrBadPosition = fmt.Errorf("query: insertion position out of range")
 // ExploreInsertAccurate proposes events to insert into the pattern at the
 // given position (0 = before the first event, len(p) = append at the end,
 // which degenerates to ExploreAccurate). Every candidate is verified with a
-// full detection, so completions are exact.
-func (q *Processor) ExploreInsertAccurate(ctx context.Context, p model.Pattern, pos int, opts ExploreOptions) ([]Proposal, error) {
+// full detection, so completions are exact. alphabet lists the activities
+// a leading insert (pos 0) may propose; other positions ignore it.
+func (q *Processor) ExploreInsertAccurate(ctx context.Context, p model.Pattern, pos int, alphabet []model.ActivityID, opts ExploreOptions) ([]Proposal, error) {
 	ctx = noPartial(ctx)
-	candidates, err := q.insertCandidates(ctx, p, pos)
+	candidates, err := q.insertCandidates(ctx, p, pos, alphabet)
 	if err != nil {
 		return nil, err
 	}
-	props, err := parallel.MapCtx(ctx, candidates, q.workers, func(cand model.ActivityID) (*Proposal, error) {
-		return q.verifyInsert(ctx, p, pos, cand, opts)
+	props, err := parallel.MapCtx(ctx, candidates, q.workers, func(c gapCandidate) (*Proposal, error) {
+		return q.verifyInsert(ctx, p, pos, c.event, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -75,10 +81,10 @@ func (q *Processor) verifyInsert(ctx context.Context, p model.Pattern, pos int, 
 // ExploreInsertFast ranks insertion candidates from precomputed statistics
 // only: a candidate's completions are bounded by the minimum of the
 // neighbouring pair counts and the pattern's own pair-count bound.
-func (q *Processor) ExploreInsertFast(ctx context.Context, p model.Pattern, pos int, opts ExploreOptions) ([]Proposal, error) {
+func (q *Processor) ExploreInsertFast(ctx context.Context, p model.Pattern, pos int, alphabet []model.ActivityID, opts ExploreOptions) ([]Proposal, error) {
 	ctx = noPartial(ctx)
 	qs := q.begin(ctx)
-	candidates, err := q.insertCandidates(ctx, p, pos)
+	candidates, err := q.insertCandidates(ctx, p, pos, alphabet)
 	if err != nil {
 		return nil, err
 	}
@@ -87,43 +93,25 @@ func (q *Processor) ExploreInsertFast(ctx context.Context, p model.Pattern, pos 
 		return nil, err
 	}
 	var out []Proposal
-	for _, cand := range candidates {
+	for _, c := range candidates {
 		if err := qs.step(1); err != nil {
 			return nil, err
 		}
 		bound := patternBound
 		var dur float64
 		if pos > 0 {
-			entry, ok, err := q.tables.GetPairCount(ctx, p[pos-1], cand)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if entry.Completions < bound {
-				bound = entry.Completions
-			}
-			dur += entry.AvgDuration()
+			bound = min(bound, c.before.Completions)
+			dur += c.before.AvgDuration()
 		}
 		if pos < len(p) {
-			entry, ok, err := q.tables.GetPairCount(ctx, cand, p[pos])
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if entry.Completions < bound {
-				bound = entry.Completions
-			}
-			dur += entry.AvgDuration()
+			bound = min(bound, c.after.Completions)
+			dur += c.after.AvgDuration()
 		}
 		if opts.MaxAvgGap > 0 && dur > opts.MaxAvgGap {
 			continue
 		}
 		out = append(out, Proposal{
-			Event:       cand,
+			Event:       c.event,
 			Completions: bound,
 			AvgDuration: dur,
 			Score:       score(bound, dur),
@@ -136,9 +124,9 @@ func (q *Processor) ExploreInsertFast(ctx context.Context, p model.Pattern, pos 
 // ExploreInsertHybrid mirrors Algorithm 5 for insertions: rank with the
 // fast flavor, re-check the topK candidates accurately, return the
 // re-ranked union.
-func (q *Processor) ExploreInsertHybrid(ctx context.Context, p model.Pattern, pos int, opts ExploreOptions) ([]Proposal, error) {
+func (q *Processor) ExploreInsertHybrid(ctx context.Context, p model.Pattern, pos int, alphabet []model.ActivityID, opts ExploreOptions) ([]Proposal, error) {
 	ctx = noPartial(ctx)
-	fast, err := q.ExploreInsertFast(ctx, p, pos, opts)
+	fast, err := q.ExploreInsertFast(ctx, p, pos, alphabet, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -147,59 +135,55 @@ func (q *Processor) ExploreInsertHybrid(ctx context.Context, p model.Pattern, po
 	})
 }
 
+// gapCandidate is one event that can fill an insertion gap, with the Count
+// entries of the pairs it forms with the pattern events before and after
+// the gap (zero at a pattern edge).
+type gapCandidate struct {
+	event         model.ActivityID
+	before, after storage.CountEntry
+}
+
 // insertCandidates intersects the successor set of the event before the gap
-// with the predecessor set of the event after the gap.
-func (q *Processor) insertCandidates(ctx context.Context, p model.Pattern, pos int) ([]model.ActivityID, error) {
+// (its Count row; the alphabet at pos 0) with the predecessor set of the
+// event after the gap (one Count pair read per successor), in ascending
+// event order.
+func (q *Processor) insertCandidates(ctx context.Context, p model.Pattern, pos int, alphabet []model.ActivityID) ([]gapCandidate, error) {
 	if len(p) == 0 {
 		return nil, ErrShortPattern
 	}
 	if pos < 0 || pos > len(p) {
 		return nil, ErrBadPosition
 	}
-	var succ, pred map[model.ActivityID]bool
+	var succ []gapCandidate
 	if pos > 0 {
 		entries, err := q.tables.GetCounts(ctx, p[pos-1])
 		if err != nil {
 			return nil, err
 		}
-		succ = make(map[model.ActivityID]bool, len(entries))
 		for _, e := range entries {
-			succ[e.Other] = true
+			succ = append(succ, gapCandidate{event: e.Other, before: e})
+		}
+	} else {
+		for _, a := range alphabet {
+			succ = append(succ, gapCandidate{event: a})
 		}
 	}
+	out := succ
 	if pos < len(p) {
-		entries, err := q.tables.GetReverseCounts(ctx, p[pos])
-		if err != nil {
-			return nil, err
-		}
-		pred = make(map[model.ActivityID]bool, len(entries))
-		for _, e := range entries {
-			pred[e.Other] = true
-		}
-	}
-	var out []model.ActivityID
-	switch {
-	case succ != nil && pred != nil:
-		for a := range succ {
-			if pred[a] {
-				out = append(out, a)
+		out = nil
+		for _, c := range succ {
+			e, ok, err := q.tables.GetPairCount(ctx, c.event, p[pos])
+			if err != nil {
+				return nil, err
 			}
-		}
-	case succ != nil:
-		for a := range succ {
-			out = append(out, a)
-		}
-	default:
-		for a := range pred {
-			out = append(out, a)
+			if ok {
+				c.after = e
+				out = append(out, c)
+			}
 		}
 	}
 	// Deterministic candidate order (score ties break by event id later).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].event < out[j].event })
 	return out, nil
 }
 

@@ -259,10 +259,14 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	opts := ExploreOptions{TopK: 3}
 	type explore func(*Processor) ([]Proposal, error)
 	for name, fn := range map[string]explore{
-		"accurate":        func(q *Processor) ([]Proposal, error) { return q.ExploreAccurate(context.Background(), p, opts) },
-		"hybrid":          func(q *Processor) ([]Proposal, error) { return q.ExploreHybrid(context.Background(), p, opts) },
-		"insert-accurate": func(q *Processor) ([]Proposal, error) { return q.ExploreInsertAccurate(context.Background(), p, 1, opts) },
-		"insert-hybrid":   func(q *Processor) ([]Proposal, error) { return q.ExploreInsertHybrid(context.Background(), p, 1, opts) },
+		"accurate": func(q *Processor) ([]Proposal, error) { return q.ExploreAccurate(context.Background(), p, opts) },
+		"hybrid":   func(q *Processor) ([]Proposal, error) { return q.ExploreHybrid(context.Background(), p, opts) },
+		"insert-accurate": func(q *Processor) ([]Proposal, error) {
+			return q.ExploreInsertAccurate(context.Background(), p, 1, nil, opts)
+		},
+		"insert-hybrid": func(q *Processor) ([]Proposal, error) {
+			return q.ExploreInsertHybrid(context.Background(), p, 1, nil, opts)
+		},
 	} {
 		want, err := fn(serial)
 		if err != nil {

@@ -75,11 +75,14 @@ func dumpBackend(t *testing.T, tb storage.Backend) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := tb.GetReverseCounts(context.Background(), a)
-		if err != nil {
-			t.Fatal(err)
+		lines = append(lines, fmt.Sprintf("cnt %d %v", a, c))
+		for x := range acts {
+			e, ok, err := tb.GetPairCount(context.Background(), x, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("pair %d %d %v %v", x, a, ok, e))
 		}
-		lines = append(lines, fmt.Sprintf("cnt %d %v", a, c), fmt.Sprintf("rcnt %d %v", a, rc))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")

@@ -1,4 +1,4 @@
-// Package shard partitions the five index tables of the paper across N
+// Package shard partitions the index tables of the paper across N
 // independent kvstore instances — each with its own WAL, snapshots and
 // compaction — behind the same storage.Backend interface the single-store
 // Tables implements. The paper notes its design "is agnostic to the backing
@@ -8,15 +8,15 @@
 //
 // Routing (see DESIGN.md §9):
 //
-//   - The inverted Index table, the LastChecked statistic and the
-//     Count/ReverseCount increments are routed by PAIR KEY: everything
-//     derived from one event-type pair lives on one shard, so the point
-//     reads of the query hot path (one posting row per pattern pair) stay
-//     single-shard.
+//   - The inverted Index table, the LastChecked statistic and the Count
+//     increments are routed by PAIR KEY: everything derived from one
+//     event-type pair lives on one shard, so the point reads of the query
+//     hot path (one posting row per pattern pair, one Count entry per
+//     statistics pair) stay single-shard.
 //   - The Seq table is routed by TRACE with the same Fibonacci-mix hash the
 //     ingest pipeline uses for trace affinity.
 //   - Count rows are therefore PARTIAL per shard — the row of activity a is
-//     split across the shards owning the pairs (a, *) — and reads of them
+//     split across the shards owning the pairs (a, *) — and whole-row reads
 //     scatter-gather across all shards with a deterministic merge (summing
 //     per successor, ordered by successor id), so aggregated statistics are
 //     byte-identical to the single-store answer.
@@ -353,18 +353,20 @@ func (t *Tables) Periods(ctx context.Context) ([]string, error) {
 	return mergeSortedStrings(per), nil
 }
 
-// ---- Count / Reverse Count tables (pair-routed writes, gathered reads) ----
+// ---- Count table (pair-routed writes, gathered row reads) ------------------
 
 // MergeCounts folds a Count delta in, splitting it so each (first, other)
 // increment lands on the shard owning the pair (first, other). The row of
-// `first` becomes partial per shard; reads re-aggregate.
+// `first` becomes partial per shard; GetCounts re-aggregates.
 func (t *Tables) MergeCounts(first model.ActivityID, delta []storage.CountEntry) error {
 	if len(t.shards) == 1 {
 		return t.shards[0].MergeCounts(first, delta)
 	}
-	split := t.splitCounts(delta, func(e storage.CountEntry) model.PairKey {
-		return model.NewPairKey(first, e.Other)
-	})
+	split := make([][]storage.CountEntry, len(t.shards))
+	for _, e := range delta {
+		si := PairShard(model.NewPairKey(first, e.Other), len(t.shards))
+		split[si] = append(split[si], e)
+	}
 	for si, d := range split {
 		if len(d) == 0 {
 			continue
@@ -376,56 +378,13 @@ func (t *Tables) MergeCounts(first model.ActivityID, delta []storage.CountEntry)
 	return nil
 }
 
-// MergeReverseCounts is MergeCounts for the Reverse Count table: the
-// increment for predecessor `other` of `second` belongs to pair
-// (other, second).
-func (t *Tables) MergeReverseCounts(second model.ActivityID, delta []storage.CountEntry) error {
-	if len(t.shards) == 1 {
-		return t.shards[0].MergeReverseCounts(second, delta)
-	}
-	split := t.splitCounts(delta, func(e storage.CountEntry) model.PairKey {
-		return model.NewPairKey(e.Other, second)
-	})
-	for si, d := range split {
-		if len(d) == 0 {
-			continue
-		}
-		if err := t.shards[si].MergeReverseCounts(second, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *Tables) splitCounts(delta []storage.CountEntry, key func(storage.CountEntry) model.PairKey) [][]storage.CountEntry {
-	split := make([][]storage.CountEntry, len(t.shards))
-	for _, e := range delta {
-		si := PairShard(key(e), len(t.shards))
-		split[si] = append(split[si], e)
-	}
-	return split
-}
-
 // GetCounts scatter-gathers the partial Count rows of `first` from every
 // shard and merges them — summing per successor, ordered by successor id —
 // into the exact row a single store would hold.
 func (t *Tables) GetCounts(ctx context.Context, first model.ActivityID) ([]storage.CountEntry, error) {
-	return t.gatherCounts(ctx, func(s storage.Backend) ([]storage.CountEntry, error) {
-		return s.GetCounts(ctx, first)
-	})
-}
-
-// GetReverseCounts is GetCounts over the Reverse Count table.
-func (t *Tables) GetReverseCounts(ctx context.Context, second model.ActivityID) ([]storage.CountEntry, error) {
-	return t.gatherCounts(ctx, func(s storage.Backend) ([]storage.CountEntry, error) {
-		return s.GetReverseCounts(ctx, second)
-	})
-}
-
-func (t *Tables) gatherCounts(ctx context.Context, get func(storage.Backend) ([]storage.CountEntry, error)) ([]storage.CountEntry, error) {
 	rows := make([][]storage.CountEntry, len(t.shards))
 	err := t.each(ctx, func(i int, s storage.Backend) error {
-		es, err := get(s)
+		es, err := s.GetCounts(ctx, first)
 		rows[i] = es
 		return err
 	})
@@ -435,32 +394,11 @@ func (t *Tables) gatherCounts(ctx context.Context, get func(storage.Backend) ([]
 	return mergeCountRows(rows), nil
 }
 
-// GetPairCount aggregates the (a, b) Count entry across shards. Pair
-// routing puts all of it on one shard, but summing over all partial rows is
-// correct regardless and keeps the statistics path honest about partial
-// counts ("aggregate, don't assume").
+// GetPairCount reads the (a, b) Count entry from the pair's owning shard:
+// MergeCounts and the ingest partitioner put every increment of a pair
+// there, and the shard count is pinned in meta.
 func (t *Tables) GetPairCount(ctx context.Context, a, b model.ActivityID) (storage.CountEntry, bool, error) {
-	found := make([]bool, len(t.shards))
-	parts := make([]storage.CountEntry, len(t.shards))
-	err := t.each(ctx, func(i int, s storage.Backend) error {
-		e, ok, err := s.GetPairCount(ctx, a, b)
-		parts[i], found[i] = e, ok
-		return err
-	})
-	if err != nil {
-		return storage.CountEntry{}, false, err
-	}
-	out := storage.CountEntry{Other: b}
-	any := false
-	for i, ok := range found {
-		if !ok {
-			continue
-		}
-		any = true
-		out.SumDuration += parts[i].SumDuration
-		out.Completions += parts[i].Completions
-	}
-	return out, any, nil
+	return t.pairTab(model.NewPairKey(a, b)).GetPairCount(ctx, a, b)
 }
 
 // mergeCountRows k-way merges per-shard Count rows (each sorted by Other,

@@ -101,24 +101,30 @@ func TestMergeSortedStrings(t *testing.T) {
 	}
 }
 
-// lastCompletionReads counts the LastChecked reads reaching one shard.
-type lastCompletionReads struct {
+// statsReads counts the pair-keyed statistics reads reaching one shard.
+type statsReads struct {
 	storage.Backend
-	reads int
+	pairCounts, lastCompletions int
 }
 
-func (c *lastCompletionReads) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
-	c.reads++
+func (c *statsReads) GetPairCount(ctx context.Context, a, b model.ActivityID) (storage.CountEntry, bool, error) {
+	c.pairCounts++
+	return c.Backend.GetPairCount(ctx, a, b)
+}
+
+func (c *statsReads) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
+	c.lastCompletions++
 	return c.Backend.GetLastCompletion(ctx, pair)
 }
 
-// TestStatsReadsLastCompletionFromOwningShard: the pair-routed row never
-// splits, so a Stats pair read costs one GetLastCompletion, on the owner.
-func TestStatsReadsLastCompletionFromOwningShard(t *testing.T) {
-	fakes := make([]*lastCompletionReads, 4)
+// statsOverFakes answers one Stats pair over four counting shards and
+// returns the fakes and the pair.
+func statsOverFakes(t *testing.T) ([]*statsReads, model.PairKey) {
+	t.Helper()
+	fakes := make([]*statsReads, 4)
 	backends := make([]storage.Backend, len(fakes))
 	for i := range fakes {
-		fakes[i] = &lastCompletionReads{Backend: storage.NewTables(kvstore.NewMemStore())}
+		fakes[i] = &statsReads{Backend: storage.NewTables(kvstore.NewMemStore())}
 		backends[i] = fakes[i]
 	}
 	st, err := NewFromBackends(backends, Options{})
@@ -133,16 +139,39 @@ func TestStatsReadsLastCompletionFromOwningShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := query.NewProcessor(st).Stats(context.Background(), model.Pattern{3, 5})
-	if err != nil || got.Pairs[0].Completions != 2 || got.Pairs[0].LastCompletion != 42 {
+	if err != nil || got.Pairs[0].Completions != 2 || got.Pairs[0].AvgDuration != 2 || got.Pairs[0].LastCompletion != 42 {
 		t.Fatalf("Stats = %+v, %v", got, err)
 	}
+	return fakes, pair
+}
+
+// TestStatsReadsLastCompletionFromOwningShard: the pair-routed row never
+// splits, so a Stats pair read costs one GetLastCompletion, on the owner.
+func TestStatsReadsLastCompletionFromOwningShard(t *testing.T) {
+	fakes, pair := statsOverFakes(t)
 	for i, f := range fakes {
 		want := 0
 		if i == PairShard(pair, len(fakes)) {
 			want = 1
 		}
-		if f.reads != want {
-			t.Errorf("shard %d served %d GetLastCompletion reads, want %d", i, f.reads, want)
+		if f.lastCompletions != want {
+			t.Errorf("shard %d served %d GetLastCompletion reads, want %d", i, f.lastCompletions, want)
+		}
+	}
+}
+
+// TestStatsReadsPairCountFromOwningShard: MergeCounts puts a pair's whole
+// Count entry on the pair's shard, so a Stats pair read costs one
+// GetPairCount, on the owner.
+func TestStatsReadsPairCountFromOwningShard(t *testing.T) {
+	fakes, pair := statsOverFakes(t)
+	for i, f := range fakes {
+		want := 0
+		if i == PairShard(pair, len(fakes)) {
+			want = 1
+		}
+		if f.pairCounts != want {
+			t.Errorf("shard %d served %d GetPairCount reads, want %d", i, f.pairCounts, want)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // consumer — index.Builder, query.Processor, the ingest pipeline and the
 // engine — writes and reads through. Two implementations exist:
 //
-//   - *Tables (this package): all five tables in one kvstore.
+//   - *Tables (this package): every table in one kvstore.
 //   - *shard.Tables (internal/shard): the tables partitioned across N
 //     independent kvstore instances, with writes routed by shard key and
 //     reads scatter-gathered with a deterministic merge, so a sharded
@@ -59,11 +59,10 @@ type Backend interface {
 	SegmentStats() SegmentStats
 	Close() error
 
-	// Count / Reverse Count tables.
+	// Count table: a row per leading activity, one entry per successor.
+	// Predecessors are found by pair reads (GetPairCount) over the alphabet.
 	MergeCounts(first model.ActivityID, delta []CountEntry) error
-	MergeReverseCounts(second model.ActivityID, delta []CountEntry) error
 	GetCounts(ctx context.Context, first model.ActivityID) ([]CountEntry, error)
-	GetReverseCounts(ctx context.Context, second model.ActivityID) ([]CountEntry, error)
 	GetPairCount(ctx context.Context, a, b model.ActivityID) (CountEntry, bool, error)
 
 	// LastChecked table: the pair's latest completion timestamp, a statistic

@@ -1,9 +1,12 @@
-// Package storage maps the five index tables of §3.1.2 of the paper — Seq,
-// Index, Count, Reverse Count and LastChecked — onto the kvstore substrate,
-// with compact varint encodings tuned to the access pattern of each table:
-// Seq and Index rows only ever grow (Append), Count/ReverseCount rows are
-// read-modify-write once per ingestion batch, and a LastChecked row is one
-// varint — the pair's latest completion timestamp — rewritten when it rises.
+// Package storage maps the index tables of §3.1.2 of the paper — Seq,
+// Index, Count and LastChecked — onto the kvstore substrate, with compact
+// varint encodings tuned to the access pattern of each table: Seq and Index
+// rows only ever grow (Append), a Count row is read-modify-write once per
+// ingestion batch, and a LastChecked row is one varint — the pair's latest
+// completion timestamp — rewritten when it rises. The paper's fifth table,
+// Reverse Count, is Count transposed and is not kept: predecessors come from
+// pair reads of Count. A store written by an older build keeps its "rcount"
+// rows; nothing reads or writes them.
 package storage
 
 import (
@@ -24,7 +27,6 @@ const (
 	tableSeq     = "seq"
 	tableIndex   = "index"
 	tableCount   = "count"
-	tableRCount  = "rcount"
 	tableLast    = "lastchecked"
 	tablePeriods = "periods"
 	tableMeta    = "meta"

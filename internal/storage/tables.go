@@ -23,7 +23,7 @@ type IndexEntry struct {
 	TsB   model.Timestamp
 }
 
-// CountEntry is one element of a Count (or Reverse Count) row: for the row's
+// CountEntry is one element of a Count row: for the row's
 // key event a, the pair (a, Other) completed Completions times with a total
 // duration SumDuration (§3.1.2).
 type CountEntry struct {
@@ -594,7 +594,7 @@ func (t *Tables) ScanIndex(ctx context.Context, period string, fn func(model.Pai
 	return nil
 }
 
-// ---- Count / Reverse Count tables ------------------------------------------
+// ---- Count table ------------------------------------------------------------
 
 func encodeCounts(buf []byte, entries []CountEntry) []byte {
 	for _, e := range entries {
@@ -643,12 +643,14 @@ func mergeCounts(existing, delta []CountEntry) []CountEntry {
 	return existing
 }
 
-func (t *Tables) mergeCountTable(table string, key model.ActivityID, delta []CountEntry) error {
+// MergeCounts folds a batch delta into the Count row of first (pairs where
+// first is the leading event).
+func (t *Tables) MergeCounts(first model.ActivityID, delta []CountEntry) error {
 	if len(delta) == 0 {
 		return nil
 	}
-	k := activityKeyString(key)
-	raw, _, err := t.store.Get(table, k)
+	k := activityKeyString(first)
+	raw, _, err := t.store.Get(tableCount, k)
 	if err != nil {
 		return err
 	}
@@ -659,36 +661,12 @@ func (t *Tables) mergeCountTable(table string, key model.ActivityID, delta []Cou
 	merged := mergeCounts(existing, delta)
 	// Canonical order keeps rows byte-identical regardless of batch split.
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Other < merged[j].Other })
-	return t.store.Put(table, k, encodeCounts(nil, merged))
-}
-
-// MergeCounts folds a batch delta into the Count row of first (pairs where
-// first is the leading event).
-func (t *Tables) MergeCounts(first model.ActivityID, delta []CountEntry) error {
-	return t.mergeCountTable(tableCount, first, delta)
-}
-
-// MergeReverseCounts folds a batch delta into the Reverse Count row of
-// second (pairs where second is the trailing event).
-func (t *Tables) MergeReverseCounts(second model.ActivityID, delta []CountEntry) error {
-	return t.mergeCountTable(tableRCount, second, delta)
+	return t.store.Put(tableCount, k, encodeCounts(nil, merged))
 }
 
 // GetCounts returns the Count row of first: one entry per successor event.
 func (t *Tables) GetCounts(_ context.Context, first model.ActivityID) ([]CountEntry, error) {
 	raw, _, err := t.store.Get(tableCount, activityKeyString(first))
-	if err != nil {
-		return nil, err
-	}
-	entries, err := decodeCounts(raw)
-	t.rows.Add(int64(len(entries)))
-	return entries, err
-}
-
-// GetReverseCounts returns the Reverse Count row of second: one entry per
-// predecessor event.
-func (t *Tables) GetReverseCounts(_ context.Context, second model.ActivityID) ([]CountEntry, error) {
-	raw, _, err := t.store.Get(tableRCount, activityKeyString(second))
 	if err != nil {
 		return nil, err
 	}

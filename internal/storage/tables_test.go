@@ -187,21 +187,6 @@ func TestCountsMerge(t *testing.T) {
 	}
 }
 
-func TestReverseCountsIndependent(t *testing.T) {
-	tb := newTables(t)
-	tb.MergeCounts(1, []CountEntry{{Other: 2, SumDuration: 1, Completions: 1}})
-	tb.MergeReverseCounts(2, []CountEntry{{Other: 1, SumDuration: 1, Completions: 1}})
-	fw, _ := tb.GetCounts(context.Background(), 1)
-	rv, _ := tb.GetReverseCounts(context.Background(), 2)
-	if len(fw) != 1 || len(rv) != 1 || fw[0].Other != 2 || rv[0].Other != 1 {
-		t.Fatalf("fw=%v rv=%v", fw, rv)
-	}
-	// The two tables must not alias.
-	if got, _ := tb.GetReverseCounts(context.Background(), 1); got != nil {
-		t.Fatalf("reverse row leaked from forward write: %v", got)
-	}
-}
-
 func TestCountEntryAvgDuration(t *testing.T) {
 	if (CountEntry{}).AvgDuration() != 0 {
 		t.Fatal("zero completions should yield 0 average")

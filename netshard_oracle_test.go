@@ -273,6 +273,30 @@ func TestNetShardReadReplica(t *testing.T) {
 		t.Fatalf("replica explore = %+v, writer = %+v", gotProps, wantProps)
 	}
 
+	// A leading insert tries every activity of the alphabet, so the replica
+	// must reload it even though the pattern's own names resolve: delta is
+	// first ingested after the replica last looked.
+	if _, err := writer.Ingest([]Event{
+		{Trace: 4, Activity: "delta", Time: 80},
+		{Trace: 4, Activity: "alpha", Time: 90},
+		{Trace: 4, Activity: "beta", Time: 95},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
+		wantProps, err := writer.ExploreInsert([]string{"alpha", "beta"}, 0, mode, ExploreOptions{TopK: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotProps, err := replica.ExploreInsert([]string{"alpha", "beta"}, 0, mode, ExploreOptions{TopK: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantProps) != 1 || wantProps[0].Activity != "delta" || !reflect.DeepEqual(gotProps, wantProps) {
+			t.Fatalf("%s: replica leading insert = %+v, writer = %+v", mode, gotProps, wantProps)
+		}
+	}
+
 	if _, err := replica.Ingest([]Event{{Trace: 9, Activity: "alpha", Time: 1}}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("replica ingest err = %v, want ErrReadOnly", err)
 	}

@@ -54,6 +54,11 @@ if want vet; then
 		echo "check: storage.Backend grew a per-trace LastChecked map; the row is one timestamp per pair" >&2
 		exit 1
 	fi
+	# Count is the only count table: predecessors are Count pair reads.
+	if grep -n 'ReverseCount' internal/storage/backend.go; then
+		echo "check: storage.Backend mentions ReverseCount; take predecessors from Count rows" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 

@@ -769,13 +769,18 @@ func (e *Engine) IngestCtx(ctx context.Context, events []Event) (UpdateStats, er
 	p := e.pipeline
 	e.pipeMu.Unlock()
 	if p != nil {
-		if err := p.AppendCtx(ctx, e.intern(events)); err != nil {
+		err := p.AppendCtx(ctx, e.intern(events))
+		if err == nil {
+			if err := p.FlushCtx(ctx); err != nil {
+				return UpdateStats{}, err
+			}
+			return UpdateStats{Events: len(events)}, nil
+		}
+		// ErrClosed means the last stream closed the pipeline after the
+		// lookup and nothing was admitted: the batch path takes the events.
+		if !errors.Is(err, ingest.ErrClosed) {
 			return UpdateStats{}, err
 		}
-		if err := p.FlushCtx(ctx); err != nil {
-			return UpdateStats{}, err
-		}
-		return UpdateStats{Events: len(events)}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
@@ -1169,15 +1174,27 @@ func (e *Engine) ExploreInsertCtx(ctx context.Context, patternNames []string, po
 	if !ok {
 		return nil, nil
 	}
+	var alphabet []model.ActivityID
+	if pos == 0 {
+		// A leading insert tries every known activity; reload first so a
+		// read replica proposes activities first ingested after it opened.
+		if err := e.reloadAlphabet(); err != nil {
+			return nil, err
+		}
+		alphabet = make([]model.ActivityID, e.alphabet.Len())
+		for i := range alphabet {
+			alphabet[i] = model.ActivityID(i)
+		}
+	}
 	qopts := query.ExploreOptions{TopK: opts.TopK, MaxAvgGap: opts.MaxAvgGap}
 	var props []query.Proposal
 	switch mode {
 	case Accurate:
-		props, err = e.proc.ExploreInsertAccurate(ctx, p, pos, qopts)
+		props, err = e.proc.ExploreInsertAccurate(ctx, p, pos, alphabet, qopts)
 	case Fast:
-		props, err = e.proc.ExploreInsertFast(ctx, p, pos, qopts)
+		props, err = e.proc.ExploreInsertFast(ctx, p, pos, alphabet, qopts)
 	case Hybrid:
-		props, err = e.proc.ExploreInsertHybrid(ctx, p, pos, qopts)
+		props, err = e.proc.ExploreInsertHybrid(ctx, p, pos, alphabet, qopts)
 	default:
 		return nil, fmt.Errorf("seqlog: unknown explore mode %q", mode)
 	}

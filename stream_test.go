@@ -135,6 +135,41 @@ func TestSerialIngestRoutesThroughOpenStream(t *testing.T) {
 	}
 }
 
+// TestIngestWhenStreamClosesUnderIt: Ingest that found the stream open but
+// reaches it after its last appender closed it takes the batch path instead
+// of failing with ErrClosed.
+func TestIngestWhenStreamClosesUnderIt(t *testing.T) {
+	e := openMem(t, Config{})
+	a, err := e.OpenStream(StreamOptions{Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := streamEvents()
+	if err := a.Append(evs[:4]); err != nil {
+		t.Fatal(err)
+	}
+	// The lookup in Ingest still sees this pipeline; its close raced ahead.
+	if err := e.pipeline.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := e.Ingest(evs[4:]); err != nil || st.Events != len(evs)-4 {
+		t.Fatalf("Ingest after the stream closed = %+v, %v", st, err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	serial := openMem(t, Config{})
+	if _, err := serial.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := serial.Detect([]string{"search", "pay"})
+	got, err := e.Detect([]string{"search", "pay"})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("index diverges: %v vs %v (%v)", got, want, err)
+	}
+}
+
 // TestStreamInfoAndSharedPipeline: Info surfaces pipeline counters, second
 // OpenStream joins the same pipeline, and the snapshot survives the drain.
 func TestStreamInfoAndSharedPipeline(t *testing.T) {
