@@ -28,7 +28,6 @@ func main() {
 		qrepeats = flag.Int("qrepeats", 5, "repetitions per query measurement (paper: 5)")
 		datasets = flag.String("datasets", "", "comma-separated catalog subset (default: all)")
 		exps     = flag.String("exp", "", "comma-separated experiments (default: all of "+strings.Join(bench.Experiments(), ",")+")")
-		jsonDir  = flag.String("json-dir", ".", "directory for BENCH_*.json machine-readable results (empty disables)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -46,7 +45,6 @@ func main() {
 		BuildRepeats: *repeats,
 		QueryRepeats: *qrepeats,
 		Out:          os.Stdout,
-		JSONDir:      *jsonDir,
 	}
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")

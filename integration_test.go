@@ -1,7 +1,6 @@
 package seqlog
 
 import (
-
 	"bytes"
 	"reflect"
 	"testing"

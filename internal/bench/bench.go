@@ -45,9 +45,6 @@ type Config struct {
 	// Datasets, when non-empty, restricts table experiments to the named
 	// catalog entries.
 	Datasets []string
-	// JSONDir, when non-empty, is where experiments with machine-readable
-	// output (ingest) write their BENCH_*.json files.
-	JSONDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -86,8 +83,6 @@ func Experiments() []string {
 		"table4", "figure2", "table5", "figure3", "table6", "table7",
 		"figure4", "table8", "figure5", "figure6", "figure7",
 		"recall", "incremental", "partitions", "baseline19", "joinorder",
-		"ingest", "metrics-overhead", "shards", "postings", "cancel",
-		"replica", "netshard",
 	}
 }
 
@@ -126,20 +121,6 @@ func (r *Runner) Run(name string) error {
 		return r.Baseline19()
 	case "joinorder":
 		return r.JoinOrder()
-	case "ingest":
-		return r.Ingest()
-	case "metrics-overhead":
-		return r.MetricsOverhead()
-	case "shards":
-		return r.Shards()
-	case "postings":
-		return r.Postings()
-	case "cancel":
-		return r.Cancel()
-	case "replica":
-		return r.Replica()
-	case "netshard":
-		return r.Netshard()
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (known: %v)", name, Experiments())
 	}

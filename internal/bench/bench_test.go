@@ -62,8 +62,15 @@ func TestExperimentsListMatchesDispatch(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if len(Experiments()) != 23 {
+	if len(Experiments()) != 16 {
 		t.Fatalf("experiment count = %d", len(Experiments()))
+	}
+	// The system experiments moved to the benchmark module or were dropped;
+	// asking for one must fail loudly, not run nothing.
+	for _, name := range []string{"cancel", "ingest", "metrics-overhead", "netshard", "postings", "replica", "shards"} {
+		if err := r.Run(name); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("Run(%q) = %v, want the unknown-experiment error", name, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package eventlog
 
 import (
-
 	"bytes"
 	"strings"
 	"testing"

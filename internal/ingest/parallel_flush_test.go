@@ -22,7 +22,7 @@ import (
 // TestTimerHygieneNoSpuriousWakes is the regression test of the flusher's
 // timer misuse: a kick-driven wake that raced a timer expiry used to Reset
 // the timer without draining it, so the stale tick fired an immediate bogus
-// wake (and a premature tiny flush). With stop-and-drain hygiene a tick can
+// wake (and a premature tiny flush). With a fresh timer per arming a tick can
 // only ever arrive a full interval after the re-arm, which the pipeline
 // counts — the workload below forces the kick/expiry race every round and
 // the counter must stay exactly zero.
@@ -56,7 +56,7 @@ func TestTimerHygieneNoSpuriousWakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := p.spuriousWakes.Load(); n != 0 {
-		t.Fatalf("%d spurious timer wakes leaked past the stop-and-drain (want 0)", n)
+		t.Fatalf("%d spurious timer wakes leaked past the re-arm (want 0)", n)
 	}
 	if st := p.Stats(); st.Flushed != int64(rounds) {
 		t.Fatalf("flushed %d of %d", st.Flushed, rounds)

@@ -196,12 +196,12 @@ type Pipeline struct {
 	done    chan struct{}
 
 	// spuriousWakes counts timer ticks that arrive sooner after the last
-	// re-arm than the flush interval allows. With correct stop-and-drain
-	// timer hygiene this is impossible — a tick always follows a full
-	// interval — so the regression test asserts it stays exactly zero under
-	// kick-heavy load. (A mishandled timer.Reset used to leave the expiry
-	// of a raced kick in the channel: the coordinator woke again
-	// immediately and flushed a premature, often empty, tiny cycle.)
+	// re-arm than the flush interval allows. With a fresh timer per arming
+	// this is impossible — a tick always follows a full interval — so the
+	// regression test asserts it stays exactly zero under kick-heavy load.
+	// (A mishandled timer.Reset used to leave the expiry of a raced kick in
+	// the channel: the coordinator woke again immediately and flushed a
+	// premature, often empty, tiny cycle.)
 	spuriousWakes atomic.Int64
 
 	// Abort state (CloseCtx): once set, the extraction and commit loops stop
@@ -573,17 +573,20 @@ func (p *Pipeline) Forget(ids []model.TraceID) {
 // blocked time is what seqlog_ingest_commit_wait_seconds measures.
 func (p *Pipeline) run() {
 	defer close(p.done)
-	timer := time.NewTimer(p.opts.FlushInterval)
-	defer timer.Stop()
+	// armed is taken before the timer is armed: taken after, a deschedule
+	// between the two statements would make a correctly timed tick look
+	// early and count it as spurious.
 	armed := time.Now()
+	timer := time.NewTimer(p.opts.FlushInterval)
+	defer func() { timer.Stop() }()
 	for {
 		select {
 		case <-p.kick:
 		case <-timer.C:
 			if time.Since(armed) < p.opts.FlushInterval {
-				// A drained timer can only deliver a tick a full interval
-				// after its re-arm; an early one is a stale expiry that
-				// leaked past a Reset (the premature-tiny-flush bug).
+				// A fresh timer can only deliver a tick a full interval after
+				// it was armed; an early one is a stale expiry of an earlier
+				// arming (the premature-tiny-flush bug).
 				p.spuriousWakes.Add(1)
 			}
 		}
@@ -611,18 +614,15 @@ func (p *Pipeline) run() {
 			p.commitWaitH.Observe(time.Since(wait))
 		}
 
-		// Re-arm the age timer. Stop and drain first: after a kick-driven
-		// wake the timer may have expired concurrently, and a bare Reset
-		// would leave that stale expiry in the channel — the next loop
-		// iteration would wake immediately and flush a premature tiny cycle.
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(p.opts.FlushInterval)
+		// Re-arm the age timer with a fresh one. After a kick-driven wake
+		// the old timer may have expired concurrently, and under the
+		// module's pre-1.23 timer semantics Stop can report "already fired"
+		// while that send is still in flight, so no drain catches it: Reset
+		// would let the stale expiry wake the next iteration at once and
+		// flush a premature tiny cycle. A new timer has a new channel.
+		timer.Stop()
 		armed = time.Now()
+		timer = time.NewTimer(p.opts.FlushInterval)
 
 		p.mu.Lock()
 		closed := p.closed

@@ -1,7 +1,6 @@
 package model
 
 import (
-
 	"testing"
 	"testing/quick"
 )

@@ -92,8 +92,7 @@ const checkEvery = 4096
 // qstate is the per-query cooperative-check state: a countdown to the next
 // ctx/budget poll plus the running row count. A nil *qstate is the legacy
 // fast path — every method no-ops — so queries with a Background context
-// and no limits pay a nil check and nothing else (BENCH_cancel.json pins
-// the cancellable path within 1% of that).
+// and no limits pay a nil check and nothing else.
 type qstate struct {
 	ctx       context.Context
 	done      <-chan struct{}

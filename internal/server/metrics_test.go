@@ -112,19 +112,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: an engine opened with DisableMetrics serves no
-// /metrics route and still answers queries.
-func TestMetricsDisabled(t *testing.T) {
-	eng, err := seqlog.Open(seqlog.Config{DisableMetrics: true})
+// TestMetricsEndpointDisabled is seqserver -metrics=false: no /metrics
+// route, queries still answer, and the engine registry still records the
+// per-request HTTP series.
+func TestMetricsEndpointDisabled(t *testing.T) {
+	eng, err := seqlog.Open(seqlog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(eng))
+	srv := httptest.NewServer(NewWith(eng, Options{DisableMetricsEndpoint: true}))
 	t.Cleanup(func() { srv.Close(); eng.Close() })
 	ingestSample(t, srv.URL)
 	resp, _ := post(t, srv.URL+"/detect", DetectRequest{Pattern: []string{"a", "b"}})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("detect with metrics off: status %d", resp.StatusCode)
+		t.Fatalf("detect with the endpoint off: status %d", resp.StatusCode)
 	}
 	mr, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -132,7 +133,14 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 	mr.Body.Close()
 	if mr.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics with metrics off: status %d, want 404", mr.StatusCode)
+		t.Fatalf("GET /metrics with the endpoint off: status %d, want 404", mr.StatusCode)
+	}
+	var text strings.Builder
+	if err := eng.Metrics().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := `seqlog_http_requests_total{code="200",route="detect"} 1`; !strings.Contains(text.String(), want) {
+		t.Fatalf("engine registry lacks %q:\n%s", want, text.String())
 	}
 }
 

@@ -50,8 +50,7 @@ type Options struct {
 	// seconds and expose internals, so enabling is an operator decision.
 	Pprof bool
 	// DisableMetricsEndpoint hides GET /metrics. Per-request metrics are
-	// still recorded into the engine registry (unless the engine itself has
-	// metrics disabled).
+	// still recorded into the engine registry.
 	DisableMetricsEndpoint bool
 	// ReadyMaxLagBytes is the replication lag beyond which a follower's
 	// GET /health/ready answers 503 (drain me). 0 uses the default
@@ -73,7 +72,7 @@ type Handler struct {
 	// 30s CPU profile must not be cut off by the request deadline. Nil when
 	// neither is enabled.
 	ops  *http.ServeMux
-	reg  *metrics.Registry // engine registry; nil disables HTTP telemetry
+	reg  *metrics.Registry // engine registry
 	opts Options
 }
 
@@ -99,7 +98,7 @@ func NewWith(engine *seqlog.Engine, opts Options) *Handler {
 	h.route("GET /health/ready", "health_ready", h.healthReady)
 	h.replicateRoutes()
 	h.inner = h.mux
-	if h.reg != nil && !opts.DisableMetricsEndpoint {
+	if !opts.DisableMetricsEndpoint {
 		h.opsMux().HandleFunc("GET /metrics", h.metricsText)
 	}
 	if opts.Pprof {
@@ -120,13 +119,9 @@ func (h *Handler) opsMux() *http.ServeMux {
 	return h.ops
 }
 
-// route registers one API endpoint, wrapped — when the engine records
-// metrics — to observe its latency and count its responses by status code.
+// route registers one API endpoint, wrapped to observe its latency and count
+// its responses by status code.
 func (h *Handler) route(pattern, name string, fn http.HandlerFunc) {
-	if h.reg == nil {
-		h.mux.HandleFunc(pattern, fn)
-		return
-	}
 	dur := h.reg.Histogram("seqlog_http_request_duration_seconds",
 		metrics.Label{Key: "route", Value: name})
 	h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {

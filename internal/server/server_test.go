@@ -1,7 +1,6 @@
 package server
 
 import (
-
 	"bytes"
 	"encoding/json"
 	"net/http"

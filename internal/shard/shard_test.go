@@ -18,7 +18,7 @@ import (
 // format break, not a refactor.
 func TestShardRoutingGolden(t *testing.T) {
 	cases := []struct {
-		key        uint64
+		key         uint64
 		n4, n7, n16 int
 	}{
 		{0x0, 0, 0, 0},

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"seqlog/internal/model"
@@ -115,6 +116,71 @@ func TestBlockMetasMatchBruteForce(t *testing.T) {
 			t.Fatalf("block %d decode: %v", bi, err)
 		}
 		start += m.Count
+	}
+}
+
+// TestMinDurSkipMatchesRowFilter is the windowed scan DetectWithin issues:
+// skipping every block whose MinDur header exceeds the window must count
+// exactly the entries a filter over every row counts. Durations drift in
+// regimes across traces, so whole blocks outlast the tighter windows and the
+// skip is really exercised.
+func TestMinDurSkipMatchesRowFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var in []IndexEntry
+	trace, ts, scale := model.TraceID(0), model.Timestamp(1_700_000_000_000), int64(1)
+	for len(in) < 20*postingsBlockSize+37 {
+		if rng.Intn(40) == 0 {
+			scale = int64(1) << rng.Intn(16)
+		}
+		for k := rng.Intn(4) + 1; k > 0; k-- {
+			ts += model.Timestamp(rng.Int63n(1000))
+			in = append(in, IndexEntry{Trace: trace, TsA: ts, TsB: ts + model.Timestamp(scale+rng.Int63n(scale))})
+		}
+		trace += model.TraceID(rng.Int63n(5) + 1)
+	}
+	blob := encodePostingsBlocks(nil, in)
+	metas, err := decodeBlockMetas(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	durs := make([]int64, len(in))
+	for i, e := range in {
+		durs[i] = int64(e.TsB - e.TsA)
+	}
+	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+
+	skipped := 0
+	var blk []IndexEntry
+	for _, q := range []float64{0.01, 0.05, 0.10, 0.50} {
+		within := durs[int(q*float64(len(durs)-1))]
+		rows := 0
+		for _, e := range in {
+			if int64(e.TsB-e.TsA) <= within {
+				rows++
+			}
+		}
+		blocks := 0
+		for _, m := range metas {
+			if m.MinDur > within {
+				skipped++
+				continue
+			}
+			if blk, err = decodePostingsBlock(blob, m, blk[:0]); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range blk {
+				if int64(e.TsB-e.TsA) <= within {
+					blocks++
+				}
+			}
+		}
+		if blocks != rows {
+			t.Fatalf("p%.0f within=%d: block skip counted %d matches, row filter %d", q*100, within, blocks, rows)
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no block was skipped: the MinDur skip went unexercised")
 	}
 }
 

@@ -1,7 +1,6 @@
 package subtree
 
 import (
-
 	"math/rand"
 	"reflect"
 	"testing"

@@ -36,6 +36,23 @@ set -x
 # cache, parallel continuation, WAL).
 if want vet; then
 	go vet ./...
+	if [ -n "$(gofmt -l .)" ]; then
+		gofmt -l . >&2
+		echo "check: files above are not gofmt-formatted" >&2
+		exit 1
+	fi
+	# One performance instrument: the fleet is measured only by the
+	# benchmark module, so no BENCH_*.json results live at the root and the
+	# paper reproduction in internal/bench stays single-store.
+	if ls BENCH_*.json 2>/dev/null; then
+		echo "check: BENCH_*.json at the root; measure the fleet in benchmark/" >&2
+		exit 1
+	fi
+	if grep -lE '"seqlog(/internal/(server|replica|netshard|shard|ingest))?"' internal/bench/*.go |
+		grep -v '_test\.go$'; then
+		echo "check: internal/bench imports the engine or a fleet package; measure it in benchmark/" >&2
+		exit 1
+	fi
 	# Baselines behind a fence: internal/sase, subtree and textsearch exist
 	# to reproduce the paper's Tables 6-8; only internal/bench and tests may
 	# import them, so the serving path stays clean.

@@ -153,12 +153,6 @@ type Config struct {
 	// then the store's only writer, so replicated and local writes can
 	// never interleave. Queries are unaffected.
 	ReadOnly bool
-	// DisableMetrics turns the metrics registry off entirely: Metrics
-	// returns nil and no layer records telemetry. It exists for the
-	// metrics-overhead benchmark's uninstrumented baseline; production
-	// deployments keep it false (the instrumented hot path is within noise
-	// of the uninstrumented one — see BENCH_metrics_overhead.json).
-	DisableMetrics bool
 }
 
 // Event is one public log record: an activity executed inside a trace at a
@@ -265,8 +259,8 @@ func Truncated(err error) bool {
 // Engine is the top-level handle combining the pre-processing component and
 // the query processor over one indexing database.
 type Engine struct {
-	mu       sync.Mutex      // serialises ingestion and alphabet persistence
-	stores   []kvstore.Store // one per shard (length 1 unsharded)
+	mu       sync.Mutex           // serialises ingestion and alphabet persistence
+	stores   []kvstore.Store      // one per shard (length 1 unsharded)
 	disks    []*kvstore.DiskStore // empty for in-memory engines
 	tables   storage.Backend
 	builder  *index.Builder
@@ -284,14 +278,12 @@ type Engine struct {
 	ingestTotal   ingest.Stats // counters accumulated over drained pipelines
 	persistedActs int
 
-	// Observability (metrics.go wiring lives in this file): the registry is
-	// nil when Config.DisableMetrics is set; qdur/qerr hold the per-family
-	// query histograms and error counters so the hot path never takes the
-	// registry lock.
 	// follower is non-nil once StartFollower wired this engine to a
 	// primary; Close stops it before the stores shut down.
 	follower *replica.Follower
 
+	// Observability: qdur/qerr/qout hold the per-family query series so the
+	// hot path never takes the registry lock.
 	metrics    *metrics.Registry
 	qdur       map[string]*metrics.Histogram
 	qerr       map[string]*metrics.Counter
@@ -373,11 +365,7 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
-	var reg *metrics.Registry
-	if !cfg.DisableMetrics {
-		reg = metrics.New()
-	}
-
+	reg := metrics.New()
 	stores, disks, tables, err := openStores(cfg, reg)
 	if err != nil {
 		return nil, err
@@ -559,17 +547,14 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 const segmentsDirName = "segments"
 
 // Metrics returns the engine's telemetry registry — per-family query latency
-// histograms, WAL/cache/ingest counters — or nil when Config.DisableMetrics
-// is set. The HTTP server exposes it as GET /metrics.
+// histograms, WAL/cache/ingest counters. It is never nil. The HTTP server
+// exposes it as GET /metrics.
 func (e *Engine) Metrics() *metrics.Registry { return e.metrics }
 
 // initMetrics builds the per-family query series and registers the
 // function-backed metrics that delegate to the subsystems' own counters, so
 // the registry never becomes a second (driftable) source of truth.
 func (e *Engine) initMetrics() {
-	if e.metrics == nil {
-		return
-	}
 	e.qdur = make(map[string]*metrics.Histogram, 4)
 	e.qerr = make(map[string]*metrics.Counter, 4)
 	e.qout = make(map[string]map[string]*metrics.Counter, 4)
@@ -618,8 +603,6 @@ func (e *Engine) initMetrics() {
 	e.metrics.GaugeFunc("seqlog_ingest_sessions", func() int64 { return e.liveIngest().Sessions })
 }
 
-var noopTrack = func(*error) {}
-
 // track begins one query observation; defer the returned func with the
 // method's named error:
 //
@@ -631,18 +614,13 @@ var noopTrack = func(*error) {}
 // of the process-wide row counter: exact for serial queries, an approximation
 // when queries overlap.
 func (e *Engine) track(family string, arity int) func(*error) {
-	if e.metrics == nil && e.slowThresh <= 0 {
-		return noopTrack
-	}
 	start := time.Now()
 	rows0 := e.tables.ReadRows()
 	return func(errp *error) {
 		d := time.Since(start)
-		e.qdur[family].Observe(d) // nil when metrics are off: a safe no-op
+		e.qdur[family].Observe(d)
 		out := classifyOutcome(*errp)
-		if c := e.qout[family][out]; c != nil {
-			c.Add(1)
-		}
+		e.qout[family][out].Add(1)
 		// Graceful truncation returned valid results; only real failures
 		// count as errors.
 		if *errp != nil && out != outTruncated {
@@ -1382,12 +1360,12 @@ type IndexInfo struct {
 // Info reports the current index shape.
 func (e *Engine) Info() (IndexInfo, error) {
 	info := IndexInfo{
-		Activities: e.alphabet.Len(),
-		Policy:     e.builder.Options().Policy.String(),
-		Shards:     e.tables.NumShards(),
-		Partitions: make(map[string]int),
-		Cache:      e.CacheStats(),
-		Segments:   SegmentStats(e.tables.SegmentStats()),
+		Activities:  e.alphabet.Len(),
+		Policy:      e.builder.Options().Policy.String(),
+		Shards:      e.tables.NumShards(),
+		Partitions:  make(map[string]int),
+		Cache:       e.CacheStats(),
+		Segments:    SegmentStats(e.tables.SegmentStats()),
 		Recovery:    e.Recovery(),
 		Ingest:      e.ingestStats(),
 		Role:        e.Role(),

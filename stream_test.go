@@ -1,7 +1,6 @@
 package seqlog
 
 import (
-
 	"errors"
 	"path/filepath"
 	"reflect"
