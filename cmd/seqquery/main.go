@@ -4,13 +4,18 @@
 //
 // Usage:
 //
-//	seqquery -dir ./idx detect  [-scan] [-limit 20] search view cart
-//	seqquery -dir ./idx traces  search view cart
-//	seqquery -dir ./idx stats   search view
-//	seqquery -dir ./idx explore [-mode hybrid] [-topk 5] [-maxgap 0] search view
+//	seqquery -dir ./idx detect  [-scan | -within MS] [-limit 20] search view cart
+//	seqquery -dir ./idx traces  [-scan | -within MS] [-limit 20] search view cart
+//	seqquery -dir ./idx stats   [-all-pairs] search view
+//	seqquery -dir ./idx explore [-mode hybrid] [-topk 5] [-maxgap 0] [-pos N] search view
 //	seqquery -dir ./idx info
 //	seqquery -dir ./idx metrics
 //	seqquery -server http://host:8080 [-retries 3] detect search view cart
+//
+// The query verbs parse their flags into the request bodies of POST
+// /detect, /stats and /explore, which carry the engine's option structs:
+// server mode posts the body, local mode passes its options to the engine.
+// traces is detect answering with the distinct trace ids.
 //
 // Every query accepts the shared bounds -timeout-ms (cooperative deadline),
 // -budget-rows (row budget) and -partial-results (detect family: return the
@@ -69,64 +74,63 @@ func main() {
 	verb, rest := flag.Arg(0), flag.Args()[1:]
 	lim := limits{timeoutMS: *timeoutMS, budgetRows: *budgetRows, partial: *partialRes}
 
+	// Exactly one of eng (local mode) and c (server mode) is set.
+	var (
+		eng  *seqlog.Engine
+		c    *httpclient.Client
+		base = strings.TrimRight(*srvURL, "/")
+	)
 	if *srvURL != "" {
-		runRemote(strings.TrimRight(*srvURL, "/"), *retries, lim, verb, rest)
-		return
+		c = &httpclient.Client{Retries: *retries}
+	} else {
+		var err error
+		eng, err = seqlog.Open(seqlog.Config{
+			Dir: *dir, Policy: *policy, PartialOrder: *partial, Planner: *planner,
+			CacheBytes: cacheBytes(*cacheMB), QueryWorkers: *workers,
+			Shards: *shards, ShardDir: *shardDir,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		defer eng.Close()
 	}
-
-	eng, err := seqlog.Open(seqlog.Config{
-		Dir: *dir, Policy: *policy, PartialOrder: *partial, Planner: *planner,
-		CacheBytes: cacheBytes(*cacheMB), QueryWorkers: *workers,
-		Shards: *shards, ShardDir: *shardDir,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer eng.Close()
-
 	ctx, cancel := lim.context()
 	defer cancel()
 
 	switch verb {
-	case "detect":
-		scan, within, limit, pattern := detectFlags(rest)
-		var ms []seqlog.Match
-		switch {
-		case scan:
-			ms, err = eng.DetectScanCtx(ctx, pattern)
-		case within > 0:
-			ms, err = eng.DetectWithinCtx(ctx, pattern, within)
-		default:
-			ms, err = eng.DetectCtx(ctx, pattern)
+	case "detect", "traces":
+		req, limit := detectFlags(verb, rest)
+		var resp server.DetectResponse
+		if c != nil {
+			req.QueryOverrides = lim.overrides()
+			if err := c.PostJSON(base+"/detect", req, &resp); err != nil {
+				fatal(err)
+			}
+		} else {
+			ms, err := eng.Detect(ctx, req.Pattern, req.DetectOptions)
+			if err != nil && !seqlog.Truncated(err) {
+				fatal(err)
+			}
+			resp = server.DetectResponse{Matches: ms, Traces: seqlog.Traces(ms), Truncated: err != nil}
 		}
-		if err != nil && !seqlog.Truncated(err) {
-			fatal(err)
-		}
-		if seqlog.Truncated(err) {
+		if resp.Truncated {
 			fmt.Println("row budget exceeded; results are truncated")
 		}
-		printMatches(ms, limit)
-
-	case "traces":
-		fs := flag.NewFlagSet("traces", flag.ExitOnError)
-		limit := fs.Int("limit", 20, "max rows to print")
-		fs.Parse(rest)
-		ids, err := eng.DetectTracesCtx(ctx, need(fs.Args(), 2))
-		if err != nil && !seqlog.Truncated(err) {
-			fatal(err)
+		if req.TracesOnly {
+			printTraces(resp.Traces, limit)
+		} else {
+			printMatches(resp.Matches, limit)
 		}
-		if seqlog.Truncated(err) {
-			fmt.Println("row budget exceeded; results are truncated")
-		}
-		printTraces(ids, *limit)
 
 	case "stats":
-		allPairs, pattern := statsFlags(rest)
+		req := statsFlags(rest)
 		var st seqlog.PatternStats
-		if allPairs {
-			st, err = eng.StatsAllPairsCtx(ctx, pattern)
+		var err error
+		if c != nil {
+			req.QueryOverrides = lim.overrides()
+			err = c.PostJSON(base+"/stats", req, &st)
 		} else {
-			st, err = eng.StatsCtx(ctx, pattern)
+			st, err = eng.Stats(ctx, req.Pattern, req.StatsOptions)
 		}
 		if err != nil {
 			fatal(err)
@@ -134,29 +138,54 @@ func main() {
 		printStats(st)
 
 	case "explore":
-		mode, opts, pos, limit, pattern := exploreFlags(rest)
-		var props []seqlog.Proposal
-		if pos >= 0 {
-			props, err = eng.ExploreInsertCtx(ctx, pattern, pos, mode, opts)
+		req, limit := exploreFlags(rest)
+		var resp struct {
+			Proposals []seqlog.Proposal `json:"proposals"`
+		}
+		var err error
+		if c != nil {
+			req.QueryOverrides = lim.overrides()
+			err = c.PostJSON(base+"/explore", req, &resp)
 		} else {
-			props, err = eng.ExploreCtx(ctx, pattern, mode, opts)
+			resp.Proposals, err = eng.Explore(ctx, req.Pattern, req.ExploreOptions)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		printProposals(props, limit)
+		printProposals(resp.Proposals, limit)
 
 	case "info":
-		info, err := eng.Info()
+		var info seqlog.IndexInfo
+		var err error
+		if c != nil {
+			err = c.GetJSON(base+"/info", &info)
+		} else {
+			info, err = eng.Info()
+		}
 		if err != nil {
 			fatal(err)
 		}
 		printInfo(info)
 
 	case "metrics":
-		// Run the queries first (in a script: earlier in the process), then
-		// dump the engine registry — the local-mode twin of GET /metrics.
-		if err := eng.Metrics().WritePrometheus(os.Stdout); err != nil {
+		if c == nil {
+			// Run the queries first (in a script: earlier in the process),
+			// then dump the engine registry — the local-mode twin of GET
+			// /metrics.
+			if err := eng.Metrics().WritePrometheus(os.Stdout); err != nil {
+				fatal(err)
+			}
+			return
+		}
+		resp, err := c.Get(base + "/metrics")
+		if err != nil {
+			fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			fatal(fmt.Errorf("GET /metrics: %s (is the server running with -metrics?)", resp.Status))
+		}
+		if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
 			fatal(err)
 		}
 
@@ -196,111 +225,39 @@ func (l limits) overrides() server.QueryOverrides {
 	return o
 }
 
-// runRemote answers the same verbs against a seqserver HTTP API.
-func runRemote(base string, retries int, lim limits, verb string, rest []string) {
-	c := &httpclient.Client{Retries: retries}
-	switch verb {
-	case "detect":
-		scan, within, limit, pattern := detectFlags(rest)
-		var resp server.DetectResponse
-		req := server.DetectRequest{Pattern: pattern, Scan: scan, Within: within, QueryOverrides: lim.overrides()}
-		if err := c.PostJSON(base+"/detect", req, &resp); err != nil {
-			fatal(err)
-		}
-		if resp.Truncated {
-			fmt.Println("row budget exceeded; results are truncated")
-		}
-		printMatches(resp.Matches, limit)
+// ---- verb flags, parsed into the request bodies both modes use -------------
 
-	case "traces":
-		fs := flag.NewFlagSet("traces", flag.ExitOnError)
-		limit := fs.Int("limit", 20, "max rows to print")
-		fs.Parse(rest)
-		var resp server.DetectResponse
-		req := server.DetectRequest{Pattern: need(fs.Args(), 2), TracesOnly: true, QueryOverrides: lim.overrides()}
-		if err := c.PostJSON(base+"/detect", req, &resp); err != nil {
-			fatal(err)
-		}
-		if resp.Truncated {
-			fmt.Println("row budget exceeded; results are truncated")
-		}
-		printTraces(resp.Traces, *limit)
-
-	case "stats":
-		allPairs, pattern := statsFlags(rest)
-		var st seqlog.PatternStats
-		if err := c.PostJSON(base+"/stats", server.StatsRequest{Pattern: pattern, AllPairs: allPairs, QueryOverrides: lim.overrides()}, &st); err != nil {
-			fatal(err)
-		}
-		printStats(st)
-
-	case "explore":
-		mode, opts, pos, limit, pattern := exploreFlags(rest)
-		req := server.ExploreRequest{Pattern: pattern, Mode: string(mode), TopK: opts.TopK, MaxAvgGap: opts.MaxAvgGap, QueryOverrides: lim.overrides()}
-		if pos >= 0 {
-			req.Position = &pos
-		}
-		var resp struct {
-			Proposals []seqlog.Proposal `json:"proposals"`
-		}
-		if err := c.PostJSON(base+"/explore", req, &resp); err != nil {
-			fatal(err)
-		}
-		printProposals(resp.Proposals, limit)
-
-	case "info":
-		var info seqlog.IndexInfo
-		if err := c.GetJSON(base+"/info", &info); err != nil {
-			fatal(err)
-		}
-		printInfo(info)
-
-	case "metrics":
-		resp, err := c.Get(base + "/metrics")
-		if err != nil {
-			fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			fatal(fmt.Errorf("GET /metrics: %s (is the server running with -metrics?)", resp.Status))
-		}
-		if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
-			fatal(err)
-		}
-
-	default:
-		fatal(fmt.Errorf("unknown verb %q", verb))
-	}
-}
-
-// ---- verb flag parsing, shared between local and server mode --------------
-
-func detectFlags(rest []string) (scan bool, within int64, limit int, pattern []string) {
-	fs := flag.NewFlagSet("detect", flag.ExitOnError)
-	scanF := fs.Bool("scan", false, "use the exact per-trace scan instead of the index join")
-	withinF := fs.Int64("within", 0, "keep only completions spanning at most this many ms (0 = off)")
-	limitF := fs.Int("limit", 20, "max rows to print")
+func detectFlags(verb string, rest []string) (req server.DetectRequest, limit int) {
+	fs := flag.NewFlagSet(verb, flag.ExitOnError)
+	fs.BoolVar(&req.Scan, "scan", false, "use the exact per-trace scan instead of the index join")
+	fs.Int64Var(&req.Within, "within", 0, "keep only completions spanning at most this many ms (0 = off)")
+	fs.IntVar(&limit, "limit", 20, "max rows to print")
 	fs.Parse(rest)
-	return *scanF, *withinF, *limitF, need(fs.Args(), 2)
+	req.Pattern, req.TracesOnly = need(fs.Args(), 2), verb == "traces"
+	return req, limit
 }
 
-func statsFlags(rest []string) (allPairs bool, pattern []string) {
+func statsFlags(rest []string) (req server.StatsRequest) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	allPairsF := fs.Bool("all-pairs", false, "bound with every ordered pattern pair (tighter, O(p²) reads)")
+	fs.BoolVar(&req.AllPairs, "all-pairs", false, "bound with every ordered pattern pair (tighter, O(p²) reads)")
 	fs.Parse(rest)
-	return *allPairsF, need(fs.Args(), 2)
+	req.Pattern = need(fs.Args(), 2)
+	return req
 }
 
-func exploreFlags(rest []string) (mode seqlog.ExploreMode, opts seqlog.ExploreOptions, pos, limit int, pattern []string) {
+func exploreFlags(rest []string) (req server.ExploreRequest, limit int) {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
-	modeF := fs.String("mode", "hybrid", "accurate, fast or hybrid")
-	topK := fs.Int("topk", 5, "hybrid: candidates to re-check accurately")
-	maxGap := fs.Float64("maxgap", 0, "drop candidates with mean gap above this (0 = off)")
-	posF := fs.Int("pos", -1, "insert the candidate at this position instead of appending (-1 = append)")
-	limitF := fs.Int("limit", 20, "max rows to print")
+	fs.StringVar((*string)(&req.Mode), "mode", string(seqlog.Hybrid), "accurate, fast or hybrid")
+	fs.IntVar(&req.TopK, "topk", 5, "hybrid: candidates to re-check accurately")
+	fs.Float64Var(&req.MaxAvgGap, "maxgap", 0, "drop candidates with mean gap above this (0 = off)")
+	pos := fs.Int("pos", -1, "insert the candidate at this position instead of appending (-1 = append)")
+	fs.IntVar(&limit, "limit", 20, "max rows to print")
 	fs.Parse(rest)
-	return seqlog.ExploreMode(*modeF), seqlog.ExploreOptions{TopK: *topK, MaxAvgGap: *maxGap},
-		*posF, *limitF, need(fs.Args(), 1)
+	if *pos >= 0 {
+		req.Position = pos
+	}
+	req.Pattern = need(fs.Args(), 1)
+	return req, limit
 }
 
 // ---- output, shared between local and server mode -------------------------

@@ -1,6 +1,7 @@
 package seqlog_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func ExampleEngine_Detect() {
 	eng := openWithSessions()
 	defer eng.Close()
 
-	matches, err := eng.Detect([]string{"search", "buy"})
+	matches, err := eng.Detect(context.Background(), []string{"search", "buy"}, seqlog.DetectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func ExampleEngine_Stats() {
 	eng := openWithSessions()
 	defer eng.Close()
 
-	st, err := eng.Stats([]string{"search", "view", "buy"})
+	st, err := eng.Stats(context.Background(), []string{"search", "view", "buy"}, seqlog.StatsOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func ExampleEngine_Explore() {
 	eng := openWithSessions()
 	defer eng.Close()
 
-	props, err := eng.Explore([]string{"search"}, seqlog.Accurate, seqlog.ExploreOptions{})
+	props, err := eng.Explore(context.Background(), []string{"search"}, seqlog.ExploreOptions{Mode: seqlog.Accurate})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,13 +82,15 @@ func ExampleEngine_Explore() {
 	// buy (2 completions)
 }
 
-// ExploreInsert completes a pattern at an arbitrary position — here: what
-// typically happens between a search and a purchase?
-func ExampleEngine_ExploreInsert() {
+// Explore with a Position completes a pattern at an arbitrary place — here:
+// what typically happens between a search and a purchase?
+func ExampleEngine_Explore_insert() {
 	eng := openWithSessions()
 	defer eng.Close()
 
-	props, err := eng.ExploreInsert([]string{"search", "buy"}, 1, seqlog.Accurate, seqlog.ExploreOptions{})
+	between := 1
+	props, err := eng.Explore(context.Background(), []string{"search", "buy"},
+		seqlog.ExploreOptions{Mode: seqlog.Accurate, Position: &between})
 	if err != nil {
 		log.Fatal(err)
 	}

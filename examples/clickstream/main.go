@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -67,34 +68,35 @@ func main() {
 		st.Events, st.Traces, time.Since(start).Round(time.Millisecond), st.Occurrences)
 
 	// How often does a search eventually lead to payment in one session?
-	paying, err := eng.DetectTraces([]string{"search", "pay"})
+	ctx := context.Background()
+	paying, err := eng.Detect(ctx, []string{"search", "pay"}, seqlog.DetectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	searching, err := eng.DetectTraces([]string{"landing", "search"})
+	searching, err := eng.Detect(ctx, []string{"landing", "search"}, seqlog.DetectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	nPaying, nSearching := len(seqlog.Traces(paying)), len(seqlog.Traces(searching))
 	fmt.Printf("sessions searching: %d; of those reaching payment: %d (%.1f%%)\n\n",
-		len(searching), len(paying), 100*float64(len(paying))/float64(len(searching)))
+		nSearching, nPaying, 100*float64(nPaying)/float64(nSearching))
 
 	// Predict the next action after search -> view -> add-to-cart with
 	// all three strategies and compare cost vs agreement.
 	pattern := []string{"search", "view", "add-to-cart"}
 	type run struct {
-		mode  seqlog.ExploreMode
 		opts  seqlog.ExploreOptions
 		props []seqlog.Proposal
 		took  time.Duration
 	}
 	runs := []run{
-		{mode: seqlog.Accurate},
-		{mode: seqlog.Fast},
-		{mode: seqlog.Hybrid, opts: seqlog.ExploreOptions{TopK: 2}},
+		{opts: seqlog.ExploreOptions{Mode: seqlog.Accurate}},
+		{opts: seqlog.ExploreOptions{Mode: seqlog.Fast}},
+		{opts: seqlog.ExploreOptions{Mode: seqlog.Hybrid, TopK: 2}},
 	}
 	for i := range runs {
 		t0 := time.Now()
-		runs[i].props, err = eng.Explore(pattern, runs[i].mode, runs[i].opts)
+		runs[i].props, err = eng.Explore(ctx, pattern, runs[i].opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,7 +105,7 @@ func main() {
 
 	fmt.Printf("next-action prediction after %v:\n", pattern)
 	for _, r := range runs {
-		fmt.Printf("  %-8s (%8v):", r.mode, r.took.Round(time.Microsecond))
+		fmt.Printf("  %-8s (%8v):", r.opts.Mode, r.took.Round(time.Microsecond))
 		for i, p := range r.props {
 			if i >= 3 {
 				break

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -110,15 +111,16 @@ func main() {
 	fmt.Printf("index partitions: %v\n\n", periods)
 
 	// How many incidents ever escalated and were still resolved?
-	ids, err := eng.DetectTraces([]string{"escalate", "resolve", "close"})
+	ctx := context.Background()
+	ms, err := eng.Detect(ctx, []string{"escalate", "resolve", "close"}, seqlog.DetectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("incidents that escalated but still closed: %d\n", len(ids))
+	fmt.Printf("incidents that escalated but still closed: %d\n", len(seqlog.Traces(ms)))
 
 	// Mean time from open to close, estimated from pairwise statistics
 	// without touching a single trace.
-	stats, err := eng.Stats([]string{"open", "assign", "investigate", "resolve", "close"})
+	stats, err := eng.Stats(ctx, []string{"open", "assign", "investigate", "resolve", "close"}, seqlog.StatsOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func main() {
 		stats.MaxCompletions, stats.EstimatedDuration/3600000)
 
 	// What usually follows an escalation?
-	props, err := eng.Explore([]string{"escalate"}, seqlog.Accurate, seqlog.ExploreOptions{})
+	props, err := eng.Explore(ctx, []string{"escalate"}, seqlog.ExploreOptions{Mode: seqlog.Accurate})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,10 +43,13 @@ func main() {
 	fmt.Printf("indexed %d events in %d traces (%d pair occurrences)\n\n",
 		st.Events, st.Traces, st.Occurrences)
 
+	// Each query family is one call: a pattern plus its options struct.
+	ctx := context.Background()
+
 	// Pattern detection (STNM): which sessions searched, then viewed,
 	// then eventually checked out — regardless of what happened between?
 	pattern := []string{"search", "view", "checkout"}
-	matches, err := eng.Detect(pattern)
+	matches, err := eng.Detect(ctx, pattern, seqlog.DetectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +60,7 @@ func main() {
 	}
 
 	// Statistics: cheap pairwise figures with pattern-level bounds.
-	stats, err := eng.Stats(pattern)
+	stats, err := eng.Stats(ctx, pattern, seqlog.StatsOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func main() {
 		stats.MaxCompletions, stats.EstimatedDuration)
 
 	// Continuation: what typically happens after search -> view?
-	props, err := eng.Explore([]string{"search", "view"}, seqlog.Hybrid, seqlog.ExploreOptions{TopK: 2})
+	props, err := eng.Explore(ctx, []string{"search", "view"}, seqlog.ExploreOptions{Mode: seqlog.Hybrid, TopK: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,7 +101,8 @@ func main() {
 	var explore struct {
 		Proposals []seqlog.Proposal `json:"proposals"`
 	}
-	if err := post(base, "/explore", server.ExploreRequest{Pattern: []string{"test"}, Mode: "accurate"}, &explore); err != nil {
+	if err := post(base, "/explore", server.ExploreRequest{Pattern: []string{"test"},
+		ExploreOptions: seqlog.ExploreOptions{Mode: seqlog.Accurate}}, &explore); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nwhat follows a test stage:")

@@ -1,6 +1,7 @@
 package seqlog
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -23,10 +24,11 @@ var insertGoldens = map[string]uint32{
 	"min_10000": 0x9d140a11,
 }
 
-// insertAnswersCRC ingests the dataset at scale 0.05 into a memory engine
-// and checksums ExploreInsert over the first 8×8 activity pairs, at
-// positions 0–2, in every mode with TopK 3.
-func insertAnswersCRC(t *testing.T, dataset string) uint32 {
+var goldenDatasets = []string{"bpi_2013", "bpi_2020", "min_10000"}
+
+// goldenEngine ingests the dataset at scale 0.05 into a memory engine and
+// returns it with the first (up to) 8 activity names.
+func goldenEngine(t *testing.T, dataset string) (*Engine, []string) {
 	t.Helper()
 	spec, err := loggen.Lookup(dataset)
 	if err != nil {
@@ -40,23 +42,28 @@ func insertAnswersCRC(t *testing.T, dataset string) uint32 {
 			events = append(events, Event{Trace: int64(tr.ID), Activity: names[ev.Activity], Time: int64(ev.TS)})
 		}
 	}
-	eng, err := Open(Config{Policy: "STNM"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := openMem(t, Config{Policy: "STNM"})
 	if _, err := eng.Ingest(events); err != nil {
 		t.Fatal(err)
 	}
 	if len(names) > 8 {
 		names = names[:8]
 	}
+	return eng, names
+}
+
+// insertAnswersCRC checksums the insert-position Explore answers over the
+// golden engine's 8×8 activity pairs, at positions 0–2, in every mode with
+// TopK 3.
+func insertAnswersCRC(t *testing.T, dataset string) uint32 {
+	t.Helper()
+	eng, names := goldenEngine(t, dataset)
 	h := crc32.NewIEEE()
 	for _, a := range names {
 		for _, b := range names {
 			for pos := 0; pos <= 2; pos++ {
 				for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
-					props, err := eng.ExploreInsert([]string{a, b}, pos, mode, ExploreOptions{TopK: 3})
+					props, err := eng.Explore(context.Background(), []string{a, b}, ExploreOptions{Mode: mode, Position: at(pos), TopK: 3})
 					if err != nil {
 						t.Fatalf("%s %s,%s@%d: %v", mode, a, b, pos, err)
 					}
@@ -73,7 +80,7 @@ func insertAnswersCRC(t *testing.T, dataset string) uint32 {
 }
 
 func TestExploreInsertGoldens(t *testing.T) {
-	for _, dataset := range []string{"bpi_2013", "bpi_2020", "min_10000"} {
+	for _, dataset := range goldenDatasets {
 		t.Run(dataset, func(t *testing.T) {
 			if got, want := insertAnswersCRC(t, dataset), insertGoldens[dataset]; got != want {
 				t.Errorf("ExploreInsert answers CRC-32 = %08x, want %08x", got, want)
@@ -168,8 +175,12 @@ func TestLegacyReverseCountStoreOpens(t *testing.T) {
 	for _, p := range [][]string{{"b"}, {"a", "b"}, {"e", "b"}} {
 		for pos := 0; pos <= len(p); pos++ {
 			for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
-				want := jrun(t, func() (any, error) { return fresh.ExploreInsert(p, pos, mode, ExploreOptions{TopK: 1}) })
-				got := jrun(t, func() (any, error) { return e.ExploreInsert(p, pos, mode, ExploreOptions{TopK: 1}) })
+				want := jrun(t, func() (any, error) {
+					return fresh.Explore(context.Background(), p, ExploreOptions{Mode: mode, Position: at(pos), TopK: 1})
+				})
+				got := jrun(t, func() (any, error) {
+					return e.Explore(context.Background(), p, ExploreOptions{Mode: mode, Position: at(pos), TopK: 1})
+				})
 				if got != want {
 					t.Errorf("%s %v@%d over a legacy store = %s, want %s", mode, p, pos, got, want)
 				}
@@ -178,7 +189,7 @@ func TestLegacyReverseCountStoreOpens(t *testing.T) {
 	}
 	// The predecessors of b include d and e, which the legacy row does not
 	// list.
-	props, err := e.ExploreInsert([]string{"b"}, 0, Fast, ExploreOptions{})
+	props, err := e.Explore(context.Background(), []string{"b"}, ExploreOptions{Mode: Fast, Position: at(0)})
 	if err != nil || len(props) != 4 {
 		t.Fatalf("predecessors of b = %+v, %v; want a, c, d and e", props, err)
 	}

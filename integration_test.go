@@ -2,6 +2,7 @@ package seqlog
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		pNames := toNames(p)
 
 		// The exact per-trace scan agrees with SASE's STNM semantics.
-		scan, err := eng.DetectScan(pNames)
+		scan, err := eng.Detect(context.Background(), pNames, DetectOptions{Scan: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 
 		// The pair-index join returns a subset of the scan's traces.
-		joined, err := eng.DetectTraces(pNames)
+		joined, err := detectTraces(eng, pNames)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +115,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 
 		// The statistics upper bound really bounds the exact count.
-		stats, err := eng.Stats(pNames)
+		stats, err := eng.Stats(context.Background(), pNames, StatsOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := eng.Detect(pNames)
+		exact, err := eng.Detect(context.Background(), pNames, DetectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range patterns {
-		got, err := scEng.Detect(toNames(p))
+		got, err := scEng.Detect(context.Background(), toNames(p), DetectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestContinuationConsistency(t *testing.T) {
 			continue
 		}
 		p := model.Pattern{tr.Events[0].Activity, tr.Events[1].Activity}
-		props, err := eng.Explore([]string{names[p[0]], names[p[1]]}, Accurate, ExploreOptions{})
+		props, err := eng.Explore(context.Background(), []string{names[p[0]], names[p[1]]}, ExploreOptions{Mode: Accurate})
 		if err != nil {
 			t.Fatal(err)
 		}

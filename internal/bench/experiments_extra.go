@@ -39,13 +39,13 @@ func (r *Runner) Recall() error {
 				for _, m := range scan {
 					scanTraces[m.Trace] = true
 				}
-				joined, err := q.DetectTraces(context.Background(), p)
+				joined, err := q.Detect(context.Background(), p)
 				if err != nil {
 					return err
 				}
 				joinSet := make(map[model.TraceID]bool, len(joined))
-				for _, id := range joined {
-					joinSet[id] = true
+				for _, m := range joined {
+					joinSet[m.Trace] = true
 				}
 				for id := range scanTraces {
 					total++

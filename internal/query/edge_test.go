@@ -71,10 +71,6 @@ func TestDetectEmptyTable(t *testing.T) {
 	if err != nil || len(ms) != 0 {
 		t.Fatalf("Detect on empty index = %v, %v", ms, err)
 	}
-	ids, err := q.DetectTraces(context.Background(), pattern("AB"))
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("DetectTraces on empty index = %v, %v", ids, err)
-	}
 }
 
 // TestExploreHybridTopKEdgeCases: TopK <= 0 means "no exact re-check" — the

@@ -189,13 +189,3 @@ func (s *qstate) truncErr() error {
 	}
 	return &BudgetError{Rows: s.rows, Elapsed: time.Since(s.start), Partial: true}
 }
-
-// partialOK reports whether err still carries valid (possibly partial)
-// results: nil, or a BudgetError with Partial set.
-func partialOK(err error) bool {
-	if err == nil {
-		return true
-	}
-	var be *BudgetError
-	return errors.As(err, &be) && be.Partial
-}

@@ -91,26 +91,6 @@ func (q *Processor) detect(qs *qstate, p model.Pattern) ([]Match, error) {
 	return ms, qs.truncErr()
 }
 
-// DetectTraces returns the distinct traces containing the pattern — the
-// headline answer of the Pattern Detection query ("return all traces that
-// contain the given pattern", §3.2.1).
-func (q *Processor) DetectTraces(ctx context.Context, p model.Pattern) ([]model.TraceID, error) {
-	matches, err := q.Detect(ctx, p)
-	if !partialOK(err) {
-		return nil, err
-	}
-	seen := make(map[model.TraceID]bool)
-	var out []model.TraceID
-	for _, m := range matches {
-		if !seen[m.Trace] {
-			seen[m.Trace] = true
-			out = append(out, m.Trace)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, err
-}
-
 // DetectScan answers the same query without the index by scanning the Seq
 // table and matching each trace directly (greedy skip-till-next-match or
 // sliding-window strict contiguity). It is the exact reference the recall

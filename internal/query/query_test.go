@@ -74,10 +74,6 @@ func TestDetectPairPattern(t *testing.T) {
 	if !reflect.DeepEqual(ms, want) {
 		t.Fatalf("matches = %v", ms)
 	}
-	traces, err := q.DetectTraces(context.Background(), pattern("AB"))
-	if err != nil || !reflect.DeepEqual(traces, []model.TraceID{1}) {
-		t.Fatalf("traces = %v %v", traces, err)
-	}
 }
 
 func TestDetectPaperIntroExample(t *testing.T) {
@@ -179,7 +175,7 @@ func TestDetectSTNMSubsetProperty(t *testing.T) {
 			for j := range p {
 				p[j] = act(byte('A' + rng.Intn(3)))
 			}
-			joinTraces, err := q.DetectTraces(context.Background(), p)
+			ms, err := q.Detect(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,11 +189,11 @@ func TestDetectSTNMSubsetProperty(t *testing.T) {
 			}
 			total += len(scanSet)
 			joinSet := map[model.TraceID]bool{}
-			for _, id := range joinTraces {
-				if !scanSet[id] {
-					t.Fatalf("join found trace %d the scan did not (pattern %v)", id, p)
+			for _, m := range ms {
+				if !scanSet[m.Trace] {
+					t.Fatalf("join found trace %d the scan did not (pattern %v)", m.Trace, p)
 				}
-				joinSet[id] = true
+				joinSet[m.Trace] = true
 			}
 			for id := range scanSet {
 				if !joinSet[id] {
@@ -205,7 +201,6 @@ func TestDetectSTNMSubsetProperty(t *testing.T) {
 				}
 			}
 			// Every chain must be strictly increasing in time.
-			ms, _ := q.Detect(context.Background(), p)
 			for _, m := range ms {
 				for i := 1; i < len(m.Timestamps); i++ {
 					if m.Timestamps[i] <= m.Timestamps[i-1] {

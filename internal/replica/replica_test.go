@@ -8,6 +8,7 @@ package replica_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -126,9 +127,10 @@ func mustState(t *testing.T, src *replica.Source) replica.State {
 
 // oracle asserts byte-identical answers from both engines across the query
 // families: the planner-backed Detect, the default Detect, DetectWithin and
-// Stats (plus DetectTraces and Info partitions for good measure).
+// Stats (plus Traces and Info partitions for good measure).
 func oracle(t *testing.T, primary, follower *seqlog.Engine, pattern []string) {
 	t.Helper()
+	ctx := context.Background()
 	check := func(name string, q func(*seqlog.Engine) (any, error)) {
 		t.Helper()
 		pv, perr := q(primary)
@@ -145,10 +147,15 @@ func oracle(t *testing.T, primary, follower *seqlog.Engine, pattern []string) {
 			t.Fatalf("%s diverged:\nprimary:  %s\nfollower: %s", name, pj, fj)
 		}
 	}
-	check("Detect", func(e *seqlog.Engine) (any, error) { return e.Detect(pattern) })
-	check("DetectTraces", func(e *seqlog.Engine) (any, error) { return e.DetectTraces(pattern) })
-	check("DetectWithin", func(e *seqlog.Engine) (any, error) { return e.DetectWithin(pattern, 100) })
-	check("Stats", func(e *seqlog.Engine) (any, error) { return e.Stats(pattern) })
+	check("Detect", func(e *seqlog.Engine) (any, error) { return e.Detect(ctx, pattern, seqlog.DetectOptions{}) })
+	check("Traces", func(e *seqlog.Engine) (any, error) {
+		ms, err := e.Detect(ctx, pattern, seqlog.DetectOptions{})
+		return seqlog.Traces(ms), err
+	})
+	check("DetectWithin", func(e *seqlog.Engine) (any, error) {
+		return e.Detect(ctx, pattern, seqlog.DetectOptions{Within: 100})
+	})
+	check("Stats", func(e *seqlog.Engine) (any, error) { return e.Stats(ctx, pattern, seqlog.StatsOptions{}) })
 	check("NumTraces", func(e *seqlog.Engine) (any, error) { return e.NumTraces() })
 	check("Activities", func(e *seqlog.Engine) (any, error) { return e.Activities(), nil })
 }

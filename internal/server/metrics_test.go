@@ -57,9 +57,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	ingestSample(t, srv.URL)
 	post(t, srv.URL+"/detect", DetectRequest{Pattern: []string{"a", "b"}})
 	post(t, srv.URL+"/stats", StatsRequest{Pattern: []string{"a", "b"}})
-	post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, Mode: "hybrid"})
+	post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, ExploreOptions: seqlog.ExploreOptions{Mode: "hybrid"}})
 	pos := 0
-	post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, Mode: "hybrid", Position: &pos})
+	post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, ExploreOptions: seqlog.ExploreOptions{Mode: "hybrid", Position: &pos}})
 
 	text := scrape(t, srv.URL)
 	for _, want := range []string{
@@ -164,7 +164,7 @@ func TestMetricsConcurrentScrapeUnderLoad(t *testing.T) {
 				case 1:
 					post(t, srv.URL+"/stats", StatsRequest{Pattern: []string{"a", "b", "c"}})
 				case 2:
-					post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, Mode: "fast"})
+					post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, ExploreOptions: seqlog.ExploreOptions{Mode: "fast"}})
 				}
 			}
 		}(w)

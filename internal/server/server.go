@@ -393,16 +393,14 @@ func (h *Handler) ingest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// DetectRequest is the body of POST /detect.
+// DetectRequest is the body of POST /detect: the engine's DetectOptions
+// (scan, within; both together are a 400) plus the response shape.
 type DetectRequest struct {
 	Pattern []string `json:"pattern"`
-	// Scan switches to the exact per-trace scan instead of the index join.
-	Scan bool `json:"scan,omitempty"`
-	// TracesOnly omits match timestamps from the response.
+	seqlog.DetectOptions
+	// TracesOnly answers with the distinct trace ids of whichever detection
+	// ran instead of its matches.
 	TracesOnly bool `json:"tracesOnly,omitempty"`
-	// Within, when positive, keeps only completions spanning at most this
-	// many milliseconds.
-	Within int64 `json:"within,omitempty"`
 	QueryOverrides
 }
 
@@ -423,31 +421,22 @@ func (h *Handler) detect(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.queryCtx(r, req.QueryOverrides)
 	defer cancel()
-	var resp DetectResponse
-	var err error
-	switch {
-	case req.TracesOnly:
-		resp.Traces, err = h.engine.DetectTracesCtx(ctx, req.Pattern)
-	case req.Scan:
-		resp.Matches, err = h.engine.DetectScanCtx(ctx, req.Pattern)
-	case req.Within > 0:
-		resp.Matches, err = h.engine.DetectWithinCtx(ctx, req.Pattern, req.Within)
-	default:
-		resp.Matches, err = h.engine.DetectCtx(ctx, req.Pattern)
-	}
+	ms, err := h.engine.Detect(ctx, req.Pattern, req.DetectOptions)
 	if err != nil && !seqlog.Truncated(err) {
 		writeQueryErr(w, err)
 		return
 	}
-	resp.Truncated = err != nil
+	resp := DetectResponse{Matches: ms, Truncated: err != nil}
+	if req.TracesOnly {
+		resp.Matches, resp.Traces = nil, seqlog.Traces(ms)
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // StatsRequest is the body of POST /stats.
 type StatsRequest struct {
 	Pattern []string `json:"pattern"`
-	// AllPairs switches to the tighter all-ordered-pairs bound.
-	AllPairs bool `json:"allPairs,omitempty"`
+	seqlog.StatsOptions
 	QueryOverrides
 }
 
@@ -459,13 +448,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.queryCtx(r, req.QueryOverrides)
 	defer cancel()
-	var st seqlog.PatternStats
-	var err error
-	if req.AllPairs {
-		st, err = h.engine.StatsAllPairsCtx(ctx, req.Pattern)
-	} else {
-		st, err = h.engine.StatsCtx(ctx, req.Pattern)
-	}
+	st, err := h.engine.Stats(ctx, req.Pattern, req.StatsOptions)
 	if err != nil {
 		writeQueryErr(w, err)
 		return
@@ -476,11 +459,8 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 // ExploreRequest is the body of POST /explore. When Position is set the
 // candidate event is inserted there instead of appended (the §7 extension).
 type ExploreRequest struct {
-	Pattern   []string `json:"pattern"`
-	Mode      string   `json:"mode"` // accurate | fast | hybrid
-	TopK      int      `json:"topK,omitempty"`
-	MaxAvgGap float64  `json:"maxAvgGap,omitempty"`
-	Position  *int     `json:"position,omitempty"`
+	Pattern []string `json:"pattern"`
+	seqlog.ExploreOptions
 	QueryOverrides
 }
 
@@ -490,19 +470,9 @@ func (h *Handler) explore(w http.ResponseWriter, r *http.Request) {
 		writeDecodeErr(w, err)
 		return
 	}
-	if req.Mode == "" {
-		req.Mode = string(seqlog.Hybrid)
-	}
 	ctx, cancel := h.queryCtx(r, req.QueryOverrides)
 	defer cancel()
-	opts := seqlog.ExploreOptions{TopK: req.TopK, MaxAvgGap: req.MaxAvgGap}
-	var props []seqlog.Proposal
-	var err error
-	if req.Position != nil {
-		props, err = h.engine.ExploreInsertCtx(ctx, req.Pattern, *req.Position, seqlog.ExploreMode(req.Mode), opts)
-	} else {
-		props, err = h.engine.ExploreCtx(ctx, req.Pattern, seqlog.ExploreMode(req.Mode), opts)
-	}
+	props, err := h.engine.Explore(ctx, req.Pattern, req.ExploreOptions)
 	if err != nil {
 		writeQueryErr(w, err)
 		return

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"seqlog"
@@ -104,7 +106,7 @@ func TestDetectEndpoint(t *testing.T) {
 	}
 
 	// Scan mode agrees on this log.
-	resp, out = post(t, srv.URL+"/detect", DetectRequest{Pattern: []string{"a", "b"}, Scan: true})
+	resp, out = post(t, srv.URL+"/detect", DetectRequest{Pattern: []string{"a", "b"}, DetectOptions: seqlog.DetectOptions{Scan: true}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("scan status %d", resp.StatusCode)
 	}
@@ -117,6 +119,54 @@ func TestDetectEndpoint(t *testing.T) {
 	resp, _ = post(t, srv.URL+"/detect", DetectRequest{Pattern: nil})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty pattern status %d", resp.StatusCode)
+	}
+}
+
+// TestDetectOptionsCompose pins how the /detect body fields combine: the
+// engine's DetectOptions pick one detection (scan, within or the join),
+// tracesOnly only shapes whichever answer it gave, and scan with within has
+// no sound answer. Trace 1 (Y A Y Z) holds A Y Z only for the scan, the
+// EXPERIMENTS finding-1 shape; trace 2's only A→B completion spans 1,000 ms.
+func TestDetectOptionsCompose(t *testing.T) {
+	srv, _ := newServer(t)
+	resp, _ := post(t, srv.URL+"/ingest", IngestRequest{Events: []seqlog.Event{
+		{Trace: 1, Activity: "Y", Time: 1}, {Trace: 1, Activity: "A", Time: 2},
+		{Trace: 1, Activity: "Y", Time: 3}, {Trace: 1, Activity: "Z", Time: 4},
+		{Trace: 2, Activity: "A", Time: 0}, {Trace: 2, Activity: "B", Time: 1000},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	for _, tc := range []struct {
+		body   string
+		status int
+		want   string // the exact response body, or a substring of a 400's error
+	}{
+		{`{"pattern":["A","B"],"tracesOnly":true}`, http.StatusOK, `{"traces":[2]}`},
+		{`{"pattern":["A","B"],"within":1000}`, http.StatusOK, `{"matches":[{"Trace":2,"Times":[0,1000]}]}`},
+		{`{"pattern":["A","B"],"within":10,"tracesOnly":true}`, http.StatusOK, `{}`},
+		{`{"pattern":["A","B"],"within":10,"scan":true}`, http.StatusBadRequest, "scan detection does not support within"},
+		{`{"pattern":["A","Y","Z"]}`, http.StatusOK, `{}`},
+		{`{"pattern":["A","Y","Z"],"scan":true}`, http.StatusOK, `{"matches":[{"Trace":1,"Times":[2,3,4]}]}`},
+		{`{"pattern":["A","Y","Z"],"scan":true,"tracesOnly":true}`, http.StatusOK, `{"traces":[1]}`},
+	} {
+		resp, err := http.Post(srv.URL+"/detect", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := strings.TrimSpace(string(raw))
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d (%s), want %d", tc.body, resp.StatusCode, got, tc.status)
+			continue
+		}
+		if tc.status == http.StatusOK && got != tc.want || tc.status != http.StatusOK && !strings.Contains(got, tc.want) {
+			t.Errorf("%s: answered %s, want %s", tc.body, got, tc.want)
+		}
 	}
 }
 
@@ -138,7 +188,8 @@ func TestExploreEndpoint(t *testing.T) {
 	srv, _ := newServer(t)
 	ingestSample(t, srv.URL)
 	for _, mode := range []string{"accurate", "fast", "hybrid", ""} {
-		resp, out := post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a", "b"}, Mode: mode, TopK: 3})
+		resp, out := post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a", "b"},
+			ExploreOptions: seqlog.ExploreOptions{Mode: seqlog.ExploreMode(mode), TopK: 3}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("mode %q status %d: %v", mode, resp.StatusCode, out)
 		}
@@ -148,7 +199,7 @@ func TestExploreEndpoint(t *testing.T) {
 			t.Fatalf("mode %q proposals = %v", mode, props)
 		}
 	}
-	resp, _ := post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, Mode: "bogus"})
+	resp, _ := post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a"}, ExploreOptions: seqlog.ExploreOptions{Mode: "bogus"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus mode status %d", resp.StatusCode)
 	}
@@ -217,7 +268,7 @@ func TestExploreInsertEndpoint(t *testing.T) {
 	ingestSample(t, srv.URL)
 	pos := 1
 	resp, out := post(t, srv.URL+"/explore", ExploreRequest{
-		Pattern: []string{"a", "c"}, Mode: "accurate", Position: &pos,
+		Pattern: []string{"a", "c"}, ExploreOptions: seqlog.ExploreOptions{Mode: "accurate", Position: &pos},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %v", resp.StatusCode, out)
@@ -228,7 +279,7 @@ func TestExploreInsertEndpoint(t *testing.T) {
 		t.Fatalf("insert proposals = %v", props)
 	}
 	bad := 7
-	resp, _ = post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a", "c"}, Position: &bad})
+	resp, _ = post(t, srv.URL+"/explore", ExploreRequest{Pattern: []string{"a", "c"}, ExploreOptions: seqlog.ExploreOptions{Position: &bad}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad position status %d", resp.StatusCode)
 	}
@@ -243,7 +294,7 @@ func TestDetectWithinEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
-	resp, out := post(t, srv.URL+"/detect", DetectRequest{Pattern: []string{"a", "b"}, Within: 100})
+	resp, out := post(t, srv.URL+"/detect", DetectRequest{Pattern: []string{"a", "b"}, DetectOptions: seqlog.DetectOptions{Within: 100}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -257,7 +308,7 @@ func TestDetectWithinEndpoint(t *testing.T) {
 func TestStatsAllPairsEndpoint(t *testing.T) {
 	srv, _ := newServer(t)
 	ingestSample(t, srv.URL)
-	resp, out := post(t, srv.URL+"/stats", StatsRequest{Pattern: []string{"a", "b", "c"}, AllPairs: true})
+	resp, out := post(t, srv.URL+"/stats", StatsRequest{Pattern: []string{"a", "b", "c"}, StatsOptions: seqlog.StatsOptions{AllPairs: true}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -46,7 +47,8 @@ func TestIngestStream(t *testing.T) {
 	}
 
 	// The streamed events are queryable, equivalently to serial ingestion.
-	ids, err := eng.DetectTraces([]string{"search", "view", "cart"})
+	ms, err := eng.Detect(context.Background(), []string{"search", "view", "cart"}, seqlog.DetectOptions{})
+	ids := seqlog.Traces(ms)
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("traces = %v %v", ids, err)
 	}
@@ -192,11 +194,11 @@ func TestIngestStreamSequentialRequests(t *testing.T) {
 	}
 	// Exactly the (1,2) and (3,4) completions of (a,b) — a re-emitted
 	// prefix occurrence in the second request would inflate the count.
-	st, err := eng.Stats([]string{"a", "b"})
+	st, err := eng.Stats(context.Background(), []string{"a", "b"}, seqlog.StatsOptions{})
 	if err != nil || st.MaxCompletions != 2 {
 		t.Fatalf("cross-request continuation: stats = %+v %v, want 2 completions", st, err)
 	}
-	ms, err := eng.Detect([]string{"a", "b"})
+	ms, err := eng.Detect(context.Background(), []string{"a", "b"}, seqlog.DetectOptions{})
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("cross-request continuation: matches = %v %v", ms, err)
 	}

@@ -1,6 +1,7 @@
 package seqlog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -152,14 +153,14 @@ func TestNetShardStreamMatchesBatch(t *testing.T) {
 	}
 
 	for pi, p := range w.patterns {
-		want := jrun(t, func() (any, error) { return serial.Detect(p) })
-		got := jrun(t, func() (any, error) { return remote.Detect(p) })
+		want := jrun(t, func() (any, error) { return serial.Detect(context.Background(), p, DetectOptions{}) })
+		got := jrun(t, func() (any, error) { return remote.Detect(context.Background(), p, DetectOptions{}) })
 		if got != want {
 			t.Errorf("pattern %d: streamed netshard engine diverges from serial local\nwant %s\ngot  %s", pi, want, got)
 		}
 	}
-	stats := jrun(t, func() (any, error) { return serial.Stats(w.patterns[0]) })
-	if got := jrun(t, func() (any, error) { return remote.Stats(w.patterns[0]) }); got != stats {
+	stats := jrun(t, func() (any, error) { return serial.Stats(context.Background(), w.patterns[0], StatsOptions{}) })
+	if got := jrun(t, func() (any, error) { return remote.Stats(context.Background(), w.patterns[0], StatsOptions{}) }); got != stats {
 		t.Errorf("stats diverge:\nwant %s\ngot  %s", stats, got)
 	}
 }
@@ -175,8 +176,8 @@ func TestNetShardDurableReopen(t *testing.T) {
 	f := startNetFleet(t, dirs)
 	eng := openNetEngine(t, f)
 	oracleIngest(t, "net", eng, w)
-	want := jrun(t, func() (any, error) { return eng.Detect(w.patterns[0]) })
-	wantStats := jrun(t, func() (any, error) { return eng.Stats(w.patterns[0]) })
+	want := jrun(t, func() (any, error) { return eng.Detect(context.Background(), w.patterns[0], DetectOptions{}) })
+	wantStats := jrun(t, func() (any, error) { return eng.Stats(context.Background(), w.patterns[0], StatsOptions{}) })
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +199,10 @@ func TestNetShardDurableReopen(t *testing.T) {
 
 	reopened := openNetEngine(t, f2)
 	defer reopened.Close()
-	if got := jrun(t, func() (any, error) { return reopened.Detect(w.patterns[0]) }); got != want {
+	if got := jrun(t, func() (any, error) { return reopened.Detect(context.Background(), w.patterns[0], DetectOptions{}) }); got != want {
 		t.Fatalf("reopened netshard engine diverges:\nbefore: %s\nafter:  %s", want, got)
 	}
-	if got := jrun(t, func() (any, error) { return reopened.Stats(w.patterns[0]) }); got != wantStats {
+	if got := jrun(t, func() (any, error) { return reopened.Stats(context.Background(), w.patterns[0], StatsOptions{}) }); got != wantStats {
 		t.Fatalf("reopened stats diverge:\nbefore: %s\nafter:  %s", wantStats, got)
 	}
 }
@@ -224,7 +225,7 @@ func TestNetShardReadReplica(t *testing.T) {
 	defer replica.Close()
 
 	// Nothing ingested anywhere yet: unknown activities, empty answer.
-	if ms, err := replica.Detect([]string{"alpha", "beta"}); err != nil || len(ms) != 0 {
+	if ms, err := replica.Detect(context.Background(), []string{"alpha", "beta"}, DetectOptions{}); err != nil || len(ms) != 0 {
 		t.Fatalf("pre-ingest detect = %v, %v", ms, err)
 	}
 
@@ -239,11 +240,11 @@ func TestNetShardReadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := writer.Detect([]string{"alpha", "beta"})
+	want, err := writer.Detect(context.Background(), []string{"alpha", "beta"}, DetectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := replica.Detect([]string{"alpha", "beta"})
+	got, err := replica.Detect(context.Background(), []string{"alpha", "beta"}, DetectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +262,11 @@ func TestNetShardReadReplica(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	wantProps, err := writer.Explore([]string{"alpha", "beta"}, Accurate, ExploreOptions{})
+	wantProps, err := writer.Explore(context.Background(), []string{"alpha", "beta"}, ExploreOptions{Mode: Accurate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotProps, err := replica.Explore([]string{"alpha", "beta"}, Accurate, ExploreOptions{})
+	gotProps, err := replica.Explore(context.Background(), []string{"alpha", "beta"}, ExploreOptions{Mode: Accurate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +285,11 @@ func TestNetShardReadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
-		wantProps, err := writer.ExploreInsert([]string{"alpha", "beta"}, 0, mode, ExploreOptions{TopK: 1})
+		wantProps, err := writer.Explore(context.Background(), []string{"alpha", "beta"}, ExploreOptions{Mode: mode, Position: at(0), TopK: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotProps, err := replica.ExploreInsert([]string{"alpha", "beta"}, 0, mode, ExploreOptions{TopK: 1})
+		gotProps, err := replica.Explore(context.Background(), []string{"alpha", "beta"}, ExploreOptions{Mode: mode, Position: at(0), TopK: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,4 +55,28 @@ if [ -n "$bad" ]; then
 	status=1
 fi
 
+# Rule 4: the engine has one entry point per query family (Detect, Stats,
+# Explore), ctx first. compat.go keeps exactly the four legacy names the
+# benchmark module's oracle calls; nothing in this module may call them.
+bad=$(grep -nE 'func \([a-zA-Z]+ \*Engine\) (Detect|Stats|Explore)[A-Za-z0-9]*\(' ./*.go \
+	| grep -v '_test.go' \
+	| grep -vE '\) [A-Za-z0-9]+\((ctx|_) context\.Context' || true)
+if [ -n "$bad" ]; then
+	echo "ctxguard: engine query methods without a leading ctx context.Context:" >&2
+	echo "$bad" >&2
+	status=1
+fi
+compat=$(sed -nE 's/^func (\([^)]*\) )?([A-Za-z0-9_]+).*/\2/p' compat.go | sort | tr '\n' ' ')
+if [ "$compat" != "DetectCtx DetectWithinCtx ExploreCtx StatsCtx " ]; then
+	echo "ctxguard: compat.go must declare exactly DetectCtx, DetectWithinCtx, ExploreCtx and StatsCtx; it declares: $compat" >&2
+	status=1
+fi
+bad=$(grep -rnE '\.(DetectCtx|DetectWithinCtx|StatsCtx|ExploreCtx)\(' --include='*.go' \
+	--exclude='*_test.go' --exclude-dir=benchmark . || true)
+if [ -n "$bad" ]; then
+	echo "ctxguard: calls of the compat.go entry points (use Detect, Stats or Explore):" >&2
+	echo "$bad" >&2
+	status=1
+fi
+
 exit $status

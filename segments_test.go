@@ -124,10 +124,10 @@ func TestSegmentEngineInvariance(t *testing.T) {
 			for pi, p := range w.patterns {
 				p := p
 				assertSegAgree(t, engines, fmt.Sprintf("detect[%d]", pi), func(e *Engine) (any, error) {
-					return e.Detect(p)
+					return e.Detect(context.Background(), p, DetectOptions{})
 				})
 				assertSegAgree(t, engines, fmt.Sprintf("detectTraces[%d]", pi), func(e *Engine) (any, error) {
-					return e.DetectTraces(p)
+					return detectTraces(e, p)
 				})
 				assertSegAgree(t, engines, fmt.Sprintf("detectPlanned[%d]", pi), func(e *Engine) (any, error) {
 					mp, ok, err := e.pattern(p)
@@ -137,19 +137,19 @@ func TestSegmentEngineInvariance(t *testing.T) {
 					return e.proc.DetectPlanned(context.Background(), mp)
 				})
 				assertSegAgree(t, engines, fmt.Sprintf("detectScan[%d]", pi), func(e *Engine) (any, error) {
-					return e.DetectScan(p)
+					return e.Detect(context.Background(), p, DetectOptions{Scan: true})
 				})
 				for _, within := range []int64{15, 40, 1 << 40} {
 					within := within
 					assertSegAgree(t, engines, fmt.Sprintf("detectWithin[%d,%d]", pi, within), func(e *Engine) (any, error) {
-						return e.DetectWithin(p, within)
+						return e.Detect(context.Background(), p, DetectOptions{Within: within})
 					})
 				}
 				assertSegAgree(t, engines, fmt.Sprintf("stats[%d]", pi), func(e *Engine) (any, error) {
-					return e.Stats(p)
+					return e.Stats(context.Background(), p, StatsOptions{})
 				})
 				assertSegAgree(t, engines, fmt.Sprintf("statsAll[%d]", pi), func(e *Engine) (any, error) {
-					return e.StatsAllPairs(p)
+					return e.Stats(context.Background(), p, StatsOptions{AllPairs: true})
 				})
 			}
 			for pi, p := range w.prefixes {
@@ -157,7 +157,7 @@ func TestSegmentEngineInvariance(t *testing.T) {
 				for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
 					mode := mode
 					assertSegAgree(t, engines, fmt.Sprintf("explore-%s[%d]", mode, pi), func(e *Engine) (any, error) {
-						return e.Explore(p, mode, ExploreOptions{TopK: 3})
+						return e.Explore(context.Background(), p, ExploreOptions{Mode: mode, TopK: 3})
 					})
 				}
 			}
@@ -175,7 +175,7 @@ func TestSegmentEngineInvariance(t *testing.T) {
 			for pi, p := range w.patterns[:4] {
 				p := p
 				assertSegAgree(t, engines, fmt.Sprintf("detect-after-drop[%d]", pi), func(e *Engine) (any, error) {
-					return e.Detect(p)
+					return e.Detect(context.Background(), p, DetectOptions{})
 				})
 			}
 			// And a freeze after the drop must compact the tombstone without
@@ -188,7 +188,7 @@ func TestSegmentEngineInvariance(t *testing.T) {
 			for pi, p := range w.patterns[:4] {
 				p := p
 				assertSegAgree(t, engines, fmt.Sprintf("detect-after-drop-freeze[%d]", pi), func(e *Engine) (any, error) {
-					return e.Detect(p)
+					return e.Detect(context.Background(), p, DetectOptions{})
 				})
 			}
 		})
@@ -213,7 +213,7 @@ func TestSegmentReopenWithSegmentsOff(t *testing.T) {
 	if err := eng.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	want := jrun(t, func() (any, error) { return eng.Detect(w.patterns[0]) })
+	want := jrun(t, func() (any, error) { return eng.Detect(context.Background(), w.patterns[0], DetectOptions{}) })
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSegmentReopenWithSegmentsOff(t *testing.T) {
 	if st := plain.SegmentStats(); st.Segments != 1 {
 		t.Fatalf("segment not loaded on plain reopen: %+v", st)
 	}
-	if got := jrun(t, func() (any, error) { return plain.Detect(w.patterns[0]) }); got != want {
+	if got := jrun(t, func() (any, error) { return plain.Detect(context.Background(), w.patterns[0], DetectOptions{}) }); got != want {
 		t.Fatalf("answers diverge after Segments-off reopen:\n on:  %s\n off: %s", want, got)
 	}
 	// Freezing explicitly still works — only the automatic trigger is off.

@@ -19,7 +19,10 @@
 //	eng, err := seqlog.Open(seqlog.Config{Policy: "STNM"})
 //	...
 //	eng.Ingest([]seqlog.Event{{Trace: 1, Activity: "login", Time: 1000}, ...})
-//	matches, err := eng.Detect([]string{"login", "checkout"})
+//	matches, err := eng.Detect(ctx, []string{"login", "checkout"}, seqlog.DetectOptions{})
+//
+// Each query family has one method — Detect, Stats and Explore — taking an
+// options struct that is also the body of the matching HTTP route.
 //
 // Indices live in an embedded key-value store: in memory by default, or on
 // disk (write-ahead logged, crash-recoverable) when Config.Dir is set.
@@ -33,6 +36,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -216,13 +220,44 @@ const (
 	Hybrid ExploreMode = "hybrid"
 )
 
-// ExploreOptions tune continuation queries.
+// DetectOptions select how Detect answers; the zero value is the index join
+// of Algorithm 2. The JSON names are the POST /detect body fields.
+type DetectOptions struct {
+	// Within, when positive, keeps only completions spanning at most this
+	// many milliseconds (the WITHIN clause of CEP languages); over-window
+	// chains are pruned during the join.
+	Within int64 `json:"within,omitempty"`
+	// Scan scans the stored traces instead of joining index rows: exact for
+	// both policies (partial-order aware under Config.PartialOrder), slower
+	// on large logs. It cannot be combined with Within.
+	Scan bool `json:"scan,omitempty"`
+}
+
+// StatsOptions select the bound Stats computes. The JSON name is the
+// POST /stats body field.
+type StatsOptions struct {
+	// AllPairs bounds with every ordered pair of the pattern instead of the
+	// consecutive ones only: a tighter (never looser) bound on the number of
+	// non-overlapping completions, at quadratically more row reads (§3.2.1's
+	// accuracy/running-time trade-off).
+	AllPairs bool `json:"allPairs,omitempty"`
+}
+
+// ExploreOptions select and tune the continuation strategy. The JSON names
+// are the POST /explore body fields.
 type ExploreOptions struct {
+	// Mode is the strategy: accurate, fast or hybrid (empty means Hybrid).
+	Mode ExploreMode `json:"mode"`
 	// TopK is the number of Fast candidates Hybrid re-checks.
-	TopK int
+	TopK int `json:"topK,omitempty"`
 	// MaxAvgGap drops candidates whose mean gap after the pattern
 	// exceeds it (0 disables the constraint).
-	MaxAvgGap float64
+	MaxAvgGap float64 `json:"maxAvgGap,omitempty"`
+	// Position, when set, proposes events to insert at that position of
+	// the pattern (0 = before the first event, len(pattern) = append)
+	// instead of after it — the §7 extension for completing patterns at
+	// arbitrary places.
+	Position *int `json:"position,omitempty"`
 }
 
 // Limits bounds the work of one query: MaxRows caps the rows it may examine,
@@ -232,8 +267,8 @@ type ExploreOptions struct {
 // internal/query's limits, so servers and library callers share one type.
 type Limits = query.Limits
 
-// WithLimits attaches per-query work limits to ctx; pass the result to any
-// ...Ctx query method.
+// WithLimits attaches per-query work limits to ctx; pass the result to
+// Detect, Stats or Explore.
 func WithLimits(ctx context.Context, l Limits) context.Context {
 	return query.WithLimits(ctx, l)
 }
@@ -249,8 +284,8 @@ type BudgetError = query.BudgetError
 
 // Truncated reports whether err marks a gracefully truncated query — the
 // accompanying results are valid partial results (a subset of the full
-// answer), not garbage. It is the one error a ...Ctx method can return
-// together with non-nil results.
+// answer), not garbage. It is the one error Detect can return together with
+// non-nil results.
 func Truncated(err error) bool {
 	var be *BudgetError
 	return errors.As(err, &be) && be.Partial
@@ -888,30 +923,37 @@ func (e *Engine) activityName(id model.ActivityID) (string, error) {
 	return e.alphabet.Name(id), nil
 }
 
-// Detect returns every completion of the pattern in the indexed log
-// (Algorithm 2). The pattern needs at least two activities.
-func (e *Engine) Detect(patternNames []string) ([]Match, error) {
-	return e.DetectCtx(context.Background(), patternNames)
-}
-
-// DetectCtx is Detect with a caller context: cancellation and deadlines
-// abort the join at its next cooperative check, and limits attached with
-// WithLimits bound its work. Under Limits.Partial a tripped budget returns
-// the matches found so far together with a *BudgetError for which
-// Truncated(err) is true.
-func (e *Engine) DetectCtx(ctx context.Context, patternNames []string) (_ []Match, err error) {
+// Detect returns every completion of the pattern in the indexed log. The
+// index join (Algorithm 2) needs at least two activities; opts picks the
+// scan, a time window or, with Config.Planner, the planned join instead.
+//
+// Cancellation and deadlines on ctx abort the query at its next cooperative
+// check, and limits attached with WithLimits bound its work. Under
+// Limits.Partial a tripped budget returns the matches found so far (for the
+// scan: those of a prefix of the traces) together with a *BudgetError for
+// which Truncated(err) is true.
+func (e *Engine) Detect(ctx context.Context, patternNames []string, opts DetectOptions) (_ []Match, err error) {
 	defer e.track(famDetect, len(patternNames))(&err)
+	if opts.Scan && opts.Within > 0 {
+		// Filtering greedy scan matches by span afterwards is not a
+		// windowed STNM match: the combination has no sound answer.
+		return nil, errors.New("seqlog: scan detection does not support within")
+	}
 	p, ok, err := e.pattern(patternNames)
-	if err != nil {
+	if err != nil || !ok {
 		return nil, err
 	}
-	if !ok {
-		return nil, nil
-	}
 	var ms []query.Match
-	if e.cfg.Planner {
+	switch {
+	case opts.Scan && e.cfg.PartialOrder:
+		ms, err = e.proc.DetectScanPartial(ctx, p)
+	case opts.Scan:
+		ms, err = e.proc.DetectScan(ctx, p, e.builder.Options().Policy)
+	case opts.Within > 0:
+		ms, err = e.proc.DetectWithin(ctx, p, opts.Within)
+	case e.cfg.Planner:
 		ms, err = e.proc.DetectPlanned(ctx, p)
-	} else {
+	default:
 		ms, err = e.proc.Detect(ctx, p)
 	}
 	if err != nil && !Truncated(err) {
@@ -920,85 +962,16 @@ func (e *Engine) DetectCtx(ctx context.Context, patternNames []string) (_ []Matc
 	return convertMatches(ms), err
 }
 
-// DetectTraces returns the distinct trace ids containing the pattern.
-func (e *Engine) DetectTraces(patternNames []string) ([]int64, error) {
-	return e.DetectTracesCtx(context.Background(), patternNames)
-}
-
-// DetectTracesCtx is DetectTraces with a caller context (see DetectCtx).
-func (e *Engine) DetectTracesCtx(ctx context.Context, patternNames []string) (_ []int64, err error) {
-	defer e.track(famDetect, len(patternNames))(&err)
-	p, ok, err := e.pattern(patternNames)
-	if err != nil {
-		return nil, err
+// Traces returns the distinct trace ids of ms in ascending order — the
+// headline answer of the detection query ("return all traces that contain
+// the given pattern", §3.2.1).
+func Traces(ms []Match) []int64 {
+	var ids []int64
+	for _, m := range ms {
+		ids = append(ids, m.Trace)
 	}
-	if !ok {
-		return nil, nil
-	}
-	ids, err := e.proc.DetectTraces(ctx, p)
-	if err != nil && !Truncated(err) {
-		return nil, err
-	}
-	out := make([]int64, len(ids))
-	for i, id := range ids {
-		out[i] = int64(id)
-	}
-	return out, err
-}
-
-// DetectWithin is Detect constrained to completions whose total span does
-// not exceed withinMS milliseconds (the WITHIN clause of CEP languages);
-// over-window chains are pruned during the join.
-func (e *Engine) DetectWithin(patternNames []string, withinMS int64) ([]Match, error) {
-	return e.DetectWithinCtx(context.Background(), patternNames, withinMS)
-}
-
-// DetectWithinCtx is DetectWithin with a caller context (see DetectCtx).
-func (e *Engine) DetectWithinCtx(ctx context.Context, patternNames []string, withinMS int64) (_ []Match, err error) {
-	defer e.track(famDetect, len(patternNames))(&err)
-	p, ok, err := e.pattern(patternNames)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	ms, err := e.proc.DetectWithin(ctx, p, withinMS)
-	if err != nil && !Truncated(err) {
-		return nil, err
-	}
-	return convertMatches(ms), err
-}
-
-// DetectScan answers the detection query by scanning stored traces instead
-// of joining index rows: exact for both policies, slower on large logs. The
-// policy is the engine's configured one.
-func (e *Engine) DetectScan(patternNames []string) ([]Match, error) {
-	return e.DetectScanCtx(context.Background(), patternNames)
-}
-
-// DetectScanCtx is DetectScan with a caller context (see DetectCtx). Under
-// Limits.Partial a tripped budget returns the matches of a prefix of the
-// trace scan plus a Truncated error.
-func (e *Engine) DetectScanCtx(ctx context.Context, patternNames []string) (_ []Match, err error) {
-	defer e.track(famDetect, len(patternNames))(&err)
-	p, ok, err := e.pattern(patternNames)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	var ms []query.Match
-	if e.cfg.PartialOrder {
-		ms, err = e.proc.DetectScanPartial(ctx, p)
-	} else {
-		ms, err = e.proc.DetectScan(ctx, p, e.builder.Options().Policy)
-	}
-	if err != nil && !Truncated(err) {
-		return nil, err
-	}
-	return convertMatches(ms), err
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 func convertMatches(ms []query.Match) []Match {
@@ -1013,25 +986,22 @@ func convertMatches(ms []query.Match) []Match {
 	return out
 }
 
-// Stats answers the Statistics query for the pattern.
-func (e *Engine) Stats(patternNames []string) (PatternStats, error) {
-	return e.StatsCtx(context.Background(), patternNames)
-}
-
-// StatsCtx is Stats with a caller context. Aggregates cannot be soundly
-// truncated, so under a budget this family always errors — Limits.Partial
-// is ignored here.
-func (e *Engine) StatsCtx(ctx context.Context, patternNames []string) (_ PatternStats, err error) {
+// Stats answers the Statistics query for the pattern. Aggregates cannot be
+// soundly truncated, so under a budget this family always errors —
+// Limits.Partial is ignored here.
+func (e *Engine) Stats(ctx context.Context, patternNames []string, opts StatsOptions) (_ PatternStats, err error) {
 	defer e.track(famStats, len(patternNames))(&err)
+	// Unknown activities (ok=false): the pattern provably has zero
+	// completions.
 	p, ok, err := e.pattern(patternNames)
-	if err != nil {
+	if err != nil || !ok {
 		return PatternStats{}, err
 	}
-	if !ok {
-		// Unknown activities: the pattern provably has zero completions.
-		return PatternStats{}, nil
+	stats := e.proc.Stats
+	if opts.AllPairs {
+		stats = e.proc.StatsAllPairs
 	}
-	st, err := e.proc.Stats(ctx, p)
+	st, err := stats(ctx, p)
 	if err != nil {
 		return PatternStats{}, err
 	}
@@ -1055,60 +1025,41 @@ func (e *Engine) convertStats(st query.PatternStats) PatternStats {
 	return out
 }
 
-// StatsAllPairs is Stats over every ordered pair of the pattern instead of
-// the consecutive ones only: a tighter (never looser) bound on the number
-// of non-overlapping pattern completions, at quadratically more row reads
-// (§3.2.1's accuracy/running-time trade-off).
-func (e *Engine) StatsAllPairs(patternNames []string) (PatternStats, error) {
-	return e.StatsAllPairsCtx(context.Background(), patternNames)
-}
-
-// StatsAllPairsCtx is StatsAllPairs with a caller context (see StatsCtx).
-func (e *Engine) StatsAllPairsCtx(ctx context.Context, patternNames []string) (_ PatternStats, err error) {
-	defer e.track(famStats, len(patternNames))(&err)
+// Explore answers the pattern-continuation query with the strategy opts
+// selects, proposing events after the pattern or, with opts.Position, at
+// that position (the insert case is its own metric family,
+// explore_insert). Rankings cannot be soundly truncated, so under a budget
+// this family always errors — the budget applies to each candidate
+// verification (see Stats for the aggregate rationale).
+func (e *Engine) Explore(ctx context.Context, patternNames []string, opts ExploreOptions) (_ []Proposal, err error) {
+	family := famExplore
+	if opts.Position != nil {
+		family = famInsert
+	}
+	defer e.track(family, len(patternNames))(&err)
+	mode := opts.Mode
+	if mode == "" {
+		mode = Hybrid
+	}
 	p, ok, err := e.pattern(patternNames)
-	if err != nil {
-		return PatternStats{}, err
-	}
-	if !ok {
-		return PatternStats{}, nil
-	}
-	st, err := e.proc.StatsAllPairs(ctx, p)
-	if err != nil {
-		return PatternStats{}, err
-	}
-	return e.convertStats(st), nil
-}
-
-// Explore answers the pattern-continuation query with the chosen strategy.
-func (e *Engine) Explore(patternNames []string, mode ExploreMode, opts ExploreOptions) ([]Proposal, error) {
-	return e.ExploreCtx(context.Background(), patternNames, mode, opts)
-}
-
-// ExploreCtx is Explore with a caller context. Rankings cannot be soundly
-// truncated, so under a budget this family always errors — the budget
-// applies to each candidate verification (see StatsCtx for the aggregate
-// rationale).
-func (e *Engine) ExploreCtx(ctx context.Context, patternNames []string, mode ExploreMode, opts ExploreOptions) (_ []Proposal, err error) {
-	defer e.track(famExplore, len(patternNames))(&err)
-	p, ok, err := e.pattern(patternNames)
-	if err != nil {
+	if err != nil || !ok {
 		return nil, err
-	}
-	if !ok {
-		return nil, nil
 	}
 	qopts := query.ExploreOptions{TopK: opts.TopK, MaxAvgGap: opts.MaxAvgGap}
 	var props []query.Proposal
-	switch mode {
-	case Accurate:
-		props, err = e.proc.ExploreAccurate(ctx, p, qopts)
-	case Fast:
-		props, err = e.proc.ExploreFast(ctx, p, qopts)
-	case Hybrid:
-		props, err = e.proc.ExploreHybrid(ctx, p, qopts)
-	default:
-		return nil, fmt.Errorf("seqlog: unknown explore mode %q", mode)
+	if opts.Position != nil {
+		props, err = e.exploreInsert(ctx, p, *opts.Position, mode, qopts)
+	} else {
+		switch mode {
+		case Accurate:
+			props, err = e.proc.ExploreAccurate(ctx, p, qopts)
+		case Fast:
+			props, err = e.proc.ExploreFast(ctx, p, qopts)
+		case Hybrid:
+			props, err = e.proc.ExploreHybrid(ctx, p, qopts)
+		default:
+			err = fmt.Errorf("seqlog: unknown explore mode %q", mode)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -1135,23 +1086,9 @@ func (e *Engine) proposals(props []query.Proposal) ([]Proposal, error) {
 	return out, nil
 }
 
-// ExploreInsert proposes events to insert into the pattern at the given
-// position (0 = before the first event, len(pattern) = append) — the §7
-// extension of the paper for completing patterns at arbitrary places.
-func (e *Engine) ExploreInsert(patternNames []string, pos int, mode ExploreMode, opts ExploreOptions) ([]Proposal, error) {
-	return e.ExploreInsertCtx(context.Background(), patternNames, pos, mode, opts)
-}
-
-// ExploreInsertCtx is ExploreInsert with a caller context (see ExploreCtx).
-func (e *Engine) ExploreInsertCtx(ctx context.Context, patternNames []string, pos int, mode ExploreMode, opts ExploreOptions) (_ []Proposal, err error) {
-	defer e.track(famInsert, len(patternNames))(&err)
-	p, ok, err := e.pattern(patternNames)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
+// exploreInsert is Explore's §7 insert path: proposals for an event at
+// position pos of the pattern.
+func (e *Engine) exploreInsert(ctx context.Context, p model.Pattern, pos int, mode ExploreMode, opts query.ExploreOptions) ([]query.Proposal, error) {
 	var alphabet []model.ActivityID
 	if pos == 0 {
 		// A leading insert tries every known activity; reload first so a
@@ -1164,22 +1101,15 @@ func (e *Engine) ExploreInsertCtx(ctx context.Context, patternNames []string, po
 			alphabet[i] = model.ActivityID(i)
 		}
 	}
-	qopts := query.ExploreOptions{TopK: opts.TopK, MaxAvgGap: opts.MaxAvgGap}
-	var props []query.Proposal
 	switch mode {
 	case Accurate:
-		props, err = e.proc.ExploreInsertAccurate(ctx, p, pos, alphabet, qopts)
+		return e.proc.ExploreInsertAccurate(ctx, p, pos, alphabet, opts)
 	case Fast:
-		props, err = e.proc.ExploreInsertFast(ctx, p, pos, alphabet, qopts)
+		return e.proc.ExploreInsertFast(ctx, p, pos, alphabet, opts)
 	case Hybrid:
-		props, err = e.proc.ExploreInsertHybrid(ctx, p, pos, alphabet, qopts)
-	default:
-		return nil, fmt.Errorf("seqlog: unknown explore mode %q", mode)
+		return e.proc.ExploreInsertHybrid(ctx, p, pos, alphabet, opts)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return e.proposals(props)
+	return nil, fmt.Errorf("seqlog: unknown explore mode %q", mode)
 }
 
 // PruneTraces forgets the mutable state of completed traces (their Seq

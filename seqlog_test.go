@@ -1,6 +1,7 @@
 package seqlog
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -22,6 +23,15 @@ func openMem(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// detectTraces is the traces-only detection answer: Traces over the join.
+func detectTraces(e *Engine, pattern []string) ([]int64, error) {
+	ms, err := e.Detect(context.Background(), pattern, DetectOptions{})
+	return Traces(ms), err
+}
+
+// at returns pos as an ExploreOptions.Position.
+func at(pos int) *int { return &pos }
+
 // shopEvents is a tiny clickstream: three sessions.
 func shopEvents() []Event {
 	return []Event{
@@ -36,6 +46,46 @@ func shopEvents() []Event {
 		{Trace: 3, Activity: "search", Time: 2},
 		{Trace: 3, Activity: "view", Time: 3},
 		{Trace: 3, Activity: "cart", Time: 4},
+	}
+}
+
+// TestTraces: the traces-only answer is the distinct trace ids of the
+// matches, ascending, and inherits Detect's options — the scan finds the
+// trace the join misses (EXPERIMENTS finding 1: AYZ in YAYZ).
+func TestTraces(t *testing.T) {
+	ms := []Match{{Trace: 3}, {Trace: 1}, {Trace: 3}, {Trace: 2}, {Trace: 1}}
+	if got := Traces(ms); !reflect.DeepEqual(got, []int64{1, 2, 3}) {
+		t.Fatalf("Traces = %v, want [1 2 3]", got)
+	}
+	if got := Traces(nil); len(got) != 0 {
+		t.Fatalf("Traces(nil) = %v", got)
+	}
+
+	e := openMem(t, Config{})
+	if _, err := e.Ingest([]Event{
+		{Trace: 1, Activity: "A", Time: 1}, {Trace: 1, Activity: "A", Time: 2},
+		{Trace: 1, Activity: "B", Time: 3}, {Trace: 1, Activity: "A", Time: 4},
+		{Trace: 1, Activity: "B", Time: 5},
+		{Trace: 2, Activity: "B", Time: 1}, {Trace: 2, Activity: "B", Time: 2},
+		{Trace: 2, Activity: "A", Time: 3},
+		{Trace: 3, Activity: "Y", Time: 1}, {Trace: 3, Activity: "A", Time: 2},
+		{Trace: 3, Activity: "Y", Time: 3}, {Trace: 3, Activity: "Z", Time: 4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Trace 1 completes A→B twice, trace 2 never: one id.
+	if ids, err := detectTraces(e, []string{"A", "B"}); err != nil || !reflect.DeepEqual(ids, []int64{1}) {
+		t.Fatalf("traces of AB = %v %v, want [1]", ids, err)
+	}
+	if ids, err := detectTraces(e, []string{"B", "A", "Q"}); err != nil || len(ids) != 0 {
+		t.Fatalf("traces of an unknown pattern = %v %v", ids, err)
+	}
+	ms, err := e.Detect(context.Background(), []string{"A", "Y", "Z"}, DetectOptions{Scan: true})
+	if got := Traces(ms); err != nil || !reflect.DeepEqual(got, []int64{3}) {
+		t.Fatalf("scan traces of AYZ = %v %v, want [3]", got, err)
+	}
+	if ids, err := detectTraces(e, []string{"A", "Y", "Z"}); err != nil || len(ids) != 0 {
+		t.Fatalf("join traces of AYZ = %v %v, want none", ids, err)
 	}
 }
 
@@ -61,11 +111,11 @@ func TestIngestAndDetect(t *testing.T) {
 	if st.Traces != 3 || st.Events != 11 {
 		t.Fatalf("stats = %+v", st)
 	}
-	ids, err := e.DetectTraces([]string{"search", "view", "cart"})
+	ids, err := detectTraces(e, []string{"search", "view", "cart"})
 	if err != nil || !reflect.DeepEqual(ids, []int64{1, 3}) {
 		t.Fatalf("traces = %v %v", ids, err)
 	}
-	ms, err := e.Detect([]string{"search", "pay"})
+	ms, err := e.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{})
 	if err != nil || len(ms) != 1 || ms[0].Trace != 1 {
 		t.Fatalf("matches = %v %v", ms, err)
 	}
@@ -73,11 +123,11 @@ func TestIngestAndDetect(t *testing.T) {
 		t.Fatalf("times = %v", ms[0].Times)
 	}
 	// Unknown activity: provably empty, no error.
-	ms, err = e.Detect([]string{"search", "refund"})
+	ms, err = e.Detect(context.Background(), []string{"search", "refund"}, DetectOptions{})
 	if err != nil || ms != nil {
 		t.Fatalf("unknown activity: %v %v", ms, err)
 	}
-	if _, err := e.Detect(nil); err == nil {
+	if _, err := e.Detect(context.Background(), nil, DetectOptions{}); err == nil {
 		t.Fatal("empty pattern accepted")
 	}
 	n, err := e.NumTraces()
@@ -95,18 +145,18 @@ func TestDetectScanAgrees(t *testing.T) {
 	if _, err := e.Ingest(shopEvents()); err != nil {
 		t.Fatal(err)
 	}
-	a, err := e.Detect([]string{"search", "cart"})
+	a, err := e.Detect(context.Background(), []string{"search", "cart"}, DetectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.DetectScan([]string{"search", "cart"})
+	b, err := e.Detect(context.Background(), []string{"search", "cart"}, DetectOptions{Scan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("join %v != scan %v", a, b)
 	}
-	if ms, err := e.DetectScan([]string{"nope", "cart"}); err != nil || ms != nil {
+	if ms, err := e.Detect(context.Background(), []string{"nope", "cart"}, DetectOptions{Scan: true}); err != nil || ms != nil {
 		t.Fatalf("unknown activity scan: %v %v", ms, err)
 	}
 }
@@ -116,7 +166,7 @@ func TestStatsFacade(t *testing.T) {
 	if _, err := e.Ingest(shopEvents()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.Stats([]string{"search", "view", "cart"})
+	st, err := e.Stats(context.Background(), []string{"search", "view", "cart"}, StatsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +184,7 @@ func TestStatsFacade(t *testing.T) {
 		t.Fatalf("bound = %d", st.MaxCompletions)
 	}
 	// Unknown activity yields the zero bound.
-	st, err = e.Stats([]string{"search", "refund"})
+	st, err = e.Stats(context.Background(), []string{"search", "refund"}, StatsOptions{})
 	if err != nil || st.MaxCompletions != 0 || st.Pairs != nil {
 		t.Fatalf("unknown stats: %+v %v", st, err)
 	}
@@ -146,7 +196,7 @@ func TestExploreFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
-		props, err := e.Explore([]string{"search", "view"}, mode, ExploreOptions{TopK: 2})
+		props, err := e.Explore(context.Background(), []string{"search", "view"}, ExploreOptions{Mode: mode, TopK: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -158,16 +208,23 @@ func TestExploreFacade(t *testing.T) {
 			t.Fatalf("%s ranking: %v", mode, props)
 		}
 	}
-	acc, _ := e.Explore([]string{"search", "view"}, Accurate, ExploreOptions{})
+	acc, _ := e.Explore(context.Background(), []string{"search", "view"}, ExploreOptions{Mode: Accurate})
 	for _, p := range acc {
 		if !p.Exact {
 			t.Fatalf("accurate proposal not exact: %+v", p)
 		}
 	}
-	if _, err := e.Explore([]string{"search"}, "bogus", ExploreOptions{}); err == nil {
+	if _, err := e.Explore(context.Background(), []string{"search"}, ExploreOptions{Mode: "bogus"}); err == nil {
 		t.Fatal("bogus mode accepted")
 	}
-	if props, err := e.Explore([]string{"refund"}, Fast, ExploreOptions{}); err != nil || props != nil {
+	// An empty mode is Hybrid.
+	hybrid := ExploreOptions{Mode: Hybrid, TopK: 1}
+	want := jrun(t, func() (any, error) { return e.Explore(context.Background(), []string{"search"}, hybrid) })
+	hybrid.Mode = ""
+	if got := jrun(t, func() (any, error) { return e.Explore(context.Background(), []string{"search"}, hybrid) }); got != want {
+		t.Fatalf("empty mode = %s, want the hybrid answer %s", got, want)
+	}
+	if props, err := e.Explore(context.Background(), []string{"refund"}, ExploreOptions{Mode: Fast}); err != nil || props != nil {
 		t.Fatalf("unknown activity explore: %v %v", props, err)
 	}
 }
@@ -186,8 +243,8 @@ func TestIncrementalIngestAcrossBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := []string{"search", "view", "cart"}
-	a, _ := e.Detect(p)
-	b, _ := whole.Detect(p)
+	a, _ := e.Detect(context.Background(), p, DetectOptions{})
+	b, _ := whole.Detect(context.Background(), p, DetectOptions{})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("incremental %v != batch %v", a, b)
 	}
@@ -202,7 +259,7 @@ func TestDurableReopen(t *testing.T) {
 	if _, err := e.Ingest(shopEvents()); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := e.Detect([]string{"search", "pay"})
+	want, _ := e.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{})
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +272,7 @@ func TestDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	got, err := e2.Detect([]string{"search", "pay"})
+	got, err := e2.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after reopen: %v %v (want %v)", got, err, want)
 	}
@@ -247,14 +304,14 @@ func TestPeriodsFacade(t *testing.T) {
 		t.Fatalf("periods = %v %v", periods, err)
 	}
 	// Queries span partitions.
-	ids, err := e.DetectTraces([]string{"search", "view", "cart"})
+	ids, err := detectTraces(e, []string{"search", "view", "cart"})
 	if err != nil || !reflect.DeepEqual(ids, []int64{1, 3}) {
 		t.Fatalf("cross-period detect = %v %v", ids, err)
 	}
 	if err := e.DropPeriod("2026-07"); err != nil {
 		t.Fatal(err)
 	}
-	ids, _ = e.DetectTraces([]string{"search", "view", "cart"})
+	ids, _ = detectTraces(e, []string{"search", "view", "cart"})
 	if !reflect.DeepEqual(ids, []int64{1}) {
 		t.Fatalf("after drop = %v", ids)
 	}
@@ -266,7 +323,7 @@ func TestPruneTracesFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	funnel := []string{"search", "view", "cart", "pay"}
-	before, err := e.Stats(funnel)
+	before, err := e.Stats(context.Background(), funnel, StatsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +332,7 @@ func TestPruneTracesFacade(t *testing.T) {
 	}
 	// Statistics are history too: pruning must not move them (trace 1 held
 	// the only cart→pay completion).
-	if after, err := e.Stats(funnel); err != nil || !reflect.DeepEqual(after, before) {
+	if after, err := e.Stats(context.Background(), funnel, StatsOptions{}); err != nil || !reflect.DeepEqual(after, before) {
 		t.Fatalf("Stats moved across prune:\nbefore %+v\nafter  %+v (%v)", before, after, err)
 	}
 	n, _ := e.NumTraces()
@@ -283,7 +340,7 @@ func TestPruneTracesFacade(t *testing.T) {
 		t.Fatalf("NumTraces after prune = %d", n)
 	}
 	// History remains queryable.
-	ids, _ := e.DetectTraces([]string{"search", "pay"})
+	ids, _ := detectTraces(e, []string{"search", "pay"})
 	if !reflect.DeepEqual(ids, []int64{1}) {
 		t.Fatalf("history lost: %v", ids)
 	}
@@ -306,7 +363,7 @@ func TestLegacyLastCheckedStoreOpens(t *testing.T) {
 	if _, err := e.Ingest(evs); err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Stats([]string{"a", "b"})
+	want, err := e.Stats(context.Background(), []string{"a", "b"}, StatsOptions{})
 	if err != nil || want.Pairs[0].LastCompletion != 30 {
 		t.Fatalf("Stats = %+v, %v", want, err)
 	}
@@ -350,13 +407,13 @@ func TestLegacyLastCheckedStoreOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Stats([]string{"a", "b"}); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err := e.Stats(context.Background(), []string{"a", "b"}, StatsOptions{}); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Stats over the legacy row = %+v, %v; want %+v", got, err, want)
 	}
 	if _, err := e.Ingest([]Event{{Trace: 4, Activity: "a", Time: 4}, {Trace: 4, Activity: "b", Time: 25}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Stats([]string{"a", "b"})
+	got, err := e.Stats(context.Background(), []string{"a", "b"}, StatsOptions{})
 	if err != nil || got.Pairs[0].Completions != 4 || got.Pairs[0].LastCompletion != 30 {
 		t.Fatalf("Stats after one more ingest = %+v, %v", got, err)
 	}
@@ -377,7 +434,7 @@ func TestIngestCSVAndXES(t *testing.T) {
 	if err != nil || st.Events != 4 {
 		t.Fatalf("csv ingest: %+v %v", st, err)
 	}
-	ids, _ := e.DetectTraces([]string{"a", "b"})
+	ids, _ := detectTraces(e, []string{"a", "b"})
 	if !reflect.DeepEqual(ids, []int64{1, 2}) {
 		t.Fatalf("csv traces = %v", ids)
 	}
@@ -390,7 +447,7 @@ func TestIngestCSVAndXES(t *testing.T) {
 	if err != nil || st.Events != 2 {
 		t.Fatalf("xes ingest: %+v %v", st, err)
 	}
-	ids, _ = e2.DetectTraces([]string{"a", "b"})
+	ids, _ = detectTraces(e2, []string{"a", "b"})
 	if !reflect.DeepEqual(ids, []int64{7}) {
 		t.Fatalf("xes traces = %v", ids)
 	}
@@ -408,11 +465,11 @@ func TestSCConfigEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Under SC, search→cart is never contiguous.
-	ids, err := e.DetectTraces([]string{"search", "cart"})
+	ids, err := detectTraces(e, []string{"search", "cart"})
 	if err != nil || len(ids) != 0 {
 		t.Fatalf("SC found non-contiguous pattern: %v %v", ids, err)
 	}
-	ids, err = e.DetectTraces([]string{"view", "cart"})
+	ids, err = detectTraces(e, []string{"view", "cart"})
 	if err != nil || !reflect.DeepEqual(ids, []int64{1, 3}) {
 		t.Fatalf("SC contiguous pattern: %v %v", ids, err)
 	}
@@ -424,7 +481,7 @@ func TestExploreInsertFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
-		props, err := e.ExploreInsert([]string{"search", "cart"}, 1, mode, ExploreOptions{TopK: 2})
+		props, err := e.Explore(context.Background(), []string{"search", "cart"}, ExploreOptions{Mode: mode, Position: at(1), TopK: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -432,13 +489,13 @@ func TestExploreInsertFacade(t *testing.T) {
 			t.Fatalf("%s: %v", mode, props)
 		}
 	}
-	if _, err := e.ExploreInsert([]string{"search"}, 9, Fast, ExploreOptions{}); err == nil {
+	if _, err := e.Explore(context.Background(), []string{"search"}, ExploreOptions{Mode: Fast, Position: at(9)}); err == nil {
 		t.Fatal("bad position accepted")
 	}
-	if _, err := e.ExploreInsert([]string{"search"}, 0, "bogus", ExploreOptions{}); err == nil {
+	if _, err := e.Explore(context.Background(), []string{"search"}, ExploreOptions{Mode: "bogus", Position: at(0)}); err == nil {
 		t.Fatal("bogus mode accepted")
 	}
-	if props, err := e.ExploreInsert([]string{"refund"}, 0, Fast, ExploreOptions{}); err != nil || props != nil {
+	if props, err := e.Explore(context.Background(), []string{"refund"}, ExploreOptions{Mode: Fast, Position: at(0)}); err != nil || props != nil {
 		t.Fatalf("unknown activity: %v %v", props, err)
 	}
 }
@@ -451,16 +508,20 @@ func TestDetectWithinFacade(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := e.DetectWithin([]string{"a", "b"}, 100)
+	ms, err := e.Detect(context.Background(), []string{"a", "b"}, DetectOptions{Within: 100})
 	if err != nil || len(ms) != 1 || ms[0].Trace != 1 {
 		t.Fatalf("windowed = %v %v", ms, err)
 	}
-	ms, err = e.DetectWithin([]string{"a", "b"}, 0)
+	ms, err = e.Detect(context.Background(), []string{"a", "b"}, DetectOptions{Within: 0})
 	if err != nil || len(ms) != 2 {
 		t.Fatalf("unconstrained = %v %v", ms, err)
 	}
-	if ms, err := e.DetectWithin([]string{"a", "zzz"}, 100); err != nil || ms != nil {
+	if ms, err := e.Detect(context.Background(), []string{"a", "zzz"}, DetectOptions{Within: 100}); err != nil || ms != nil {
 		t.Fatalf("unknown activity: %v %v", ms, err)
+	}
+	// Filtering greedy scan matches by span is not a windowed match.
+	if ms, err := e.Detect(context.Background(), []string{"a", "b"}, DetectOptions{Within: 100, Scan: true}); err == nil {
+		t.Fatalf("scan with within answered %v", ms)
 	}
 }
 
@@ -469,11 +530,11 @@ func TestStatsAllPairsFacade(t *testing.T) {
 	if _, err := e.Ingest(shopEvents()); err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.StatsAllPairs([]string{"search", "view", "cart"})
+	full, err := e.Stats(context.Background(), []string{"search", "view", "cart"}, StatsOptions{AllPairs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	consec, err := e.Stats([]string{"search", "view", "cart"})
+	consec, err := e.Stats(context.Background(), []string{"search", "view", "cart"}, StatsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +544,7 @@ func TestStatsAllPairsFacade(t *testing.T) {
 	if full.MaxCompletions > consec.MaxCompletions {
 		t.Fatalf("all-pairs bound looser: %d > %d", full.MaxCompletions, consec.MaxCompletions)
 	}
-	if st, err := e.StatsAllPairs([]string{"search", "zzz"}); err != nil || st.Pairs != nil {
+	if st, err := e.Stats(context.Background(), []string{"search", "zzz"}, StatsOptions{AllPairs: true}); err != nil || st.Pairs != nil {
 		t.Fatalf("unknown activity: %+v %v", st, err)
 	}
 }
@@ -551,18 +612,18 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if _, err := e.Detect([]string{"search", "view"}); err != nil {
+		if _, err := e.Detect(context.Background(), []string{"search", "view"}, DetectOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Explore([]string{"search"}, Fast, ExploreOptions{}); err != nil {
+		if _, err := e.Explore(context.Background(), []string{"search"}, ExploreOptions{Mode: Fast}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Stats([]string{"search", "view"}); err != nil {
+		if _, err := e.Stats(context.Background(), []string{"search", "view"}, StatsOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-done
-	ids, err := e.DetectTraces([]string{"search", "view", "cart"})
+	ids, err := detectTraces(e, []string{"search", "view", "cart"})
 	if err != nil || len(ids) != 22 { // traces 1, 3 and the 20 new ones
 		t.Fatalf("after concurrent ingest: %d traces (%v)", len(ids), err)
 	}
@@ -579,11 +640,11 @@ func TestPlannerConfigAgrees(t *testing.T) {
 	for _, p := range [][]string{
 		{"search", "view"}, {"search", "view", "cart"}, {"search", "pay"},
 	} {
-		a, err := plain.Detect(p)
+		a, err := plain.Detect(context.Background(), p, DetectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := planned.Detect(p)
+		b, err := planned.Detect(context.Background(), p, DetectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -608,17 +669,17 @@ func TestPartialOrderFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	// login->sync only exists where they are strictly ordered.
-	ids, err := e.DetectTraces([]string{"login", "sync"})
+	ids, err := detectTraces(e, []string{"login", "sync"})
 	if err != nil || !reflect.DeepEqual(ids, []int64{2}) {
 		t.Fatalf("ordered pair = %v %v", ids, err)
 	}
 	// login->work holds in both sessions.
-	ids, err = e.DetectTraces([]string{"login", "work"})
+	ids, err = detectTraces(e, []string{"login", "work"})
 	if err != nil || !reflect.DeepEqual(ids, []int64{1, 2}) {
 		t.Fatalf("cross-group pair = %v %v", ids, err)
 	}
 	// The exact scan agrees.
-	ms, err := e.DetectScan([]string{"login", "sync"})
+	ms, err := e.Detect(context.Background(), []string{"login", "sync"}, DetectOptions{Scan: true})
 	if err != nil || len(ms) != 1 || ms[0].Trace != 2 {
 		t.Fatalf("partial scan = %v %v", ms, err)
 	}
@@ -662,7 +723,7 @@ func TestRotatePeriodKeepsPartialOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := e.DetectTraces([]string{"a", "b"})
+	ids, err := detectTraces(e, []string{"a", "b"})
 	if err != nil || len(ids) != 0 {
 		t.Fatalf("concurrent events paired after rotation: %v %v", ids, err)
 	}
@@ -716,7 +777,7 @@ func TestSalvageRecoveryFacade(t *testing.T) {
 		t.Fatalf("Info does not surface degraded state: %+v", info)
 	}
 	// The salvaged engine still answers queries over the surviving records.
-	if _, err := e2.Detect([]string{"search", "pay"}); err != nil {
+	if _, err := e2.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{}); err != nil {
 		t.Fatalf("salvaged engine cannot query: %v", err)
 	}
 	if err := e2.Close(); err != nil {

@@ -192,10 +192,10 @@ func runOracleBattery(t *testing.T, engines []oracleEngine, w oracleWorkload) {
 	for pi, p := range w.patterns {
 		p := p
 		assertAgree(t, engines, fmt.Sprintf("detect[%d]", pi), func(e *Engine) (any, error) {
-			return e.Detect(p)
+			return e.Detect(context.Background(), p, DetectOptions{})
 		})
 		assertAgree(t, engines, fmt.Sprintf("detectTraces[%d]", pi), func(e *Engine) (any, error) {
-			return e.DetectTraces(p)
+			return detectTraces(e, p)
 		})
 		assertAgree(t, engines, fmt.Sprintf("detectPlanned[%d]", pi), func(e *Engine) (any, error) {
 			mp, ok, err := e.pattern(p)
@@ -205,13 +205,13 @@ func runOracleBattery(t *testing.T, engines []oracleEngine, w oracleWorkload) {
 			return e.proc.DetectPlanned(context.Background(), mp)
 		})
 		assertAgree(t, engines, fmt.Sprintf("detectWithin[%d]", pi), func(e *Engine) (any, error) {
-			return e.DetectWithin(p, 40)
+			return e.Detect(context.Background(), p, DetectOptions{Within: 40})
 		})
 		assertAgree(t, engines, fmt.Sprintf("stats[%d]", pi), func(e *Engine) (any, error) {
-			return e.Stats(p)
+			return e.Stats(context.Background(), p, StatsOptions{})
 		})
 		assertAgree(t, engines, fmt.Sprintf("statsAll[%d]", pi), func(e *Engine) (any, error) {
-			return e.StatsAllPairs(p)
+			return e.Stats(context.Background(), p, StatsOptions{AllPairs: true})
 		})
 	}
 
@@ -220,14 +220,14 @@ func runOracleBattery(t *testing.T, engines []oracleEngine, w oracleWorkload) {
 		for _, mode := range []ExploreMode{Accurate, Fast, Hybrid} {
 			mode := mode
 			assertAgree(t, engines, fmt.Sprintf("explore-%s[%d]", mode, pi), func(e *Engine) (any, error) {
-				return e.Explore(p, mode, ExploreOptions{TopK: 3})
+				return e.Explore(context.Background(), p, ExploreOptions{Mode: mode, TopK: 3})
 			})
 		}
 		assertAgree(t, engines, fmt.Sprintf("exploreGap[%d]", pi), func(e *Engine) (any, error) {
-			return e.Explore(p, Hybrid, ExploreOptions{TopK: 2, MaxAvgGap: 25})
+			return e.Explore(context.Background(), p, ExploreOptions{Mode: Hybrid, TopK: 2, MaxAvgGap: 25})
 		})
 		assertAgree(t, engines, fmt.Sprintf("exploreInsert[%d]", pi), func(e *Engine) (any, error) {
-			return e.ExploreInsert(p, 0, Hybrid, ExploreOptions{TopK: 2})
+			return e.Explore(context.Background(), p, ExploreOptions{Mode: Hybrid, Position: at(0), TopK: 2})
 		})
 	}
 
@@ -244,10 +244,10 @@ func runOracleBattery(t *testing.T, engines []oracleEngine, w oracleWorkload) {
 		return n, err
 	})
 	assertAgree(t, engines, "detect-after-prune", func(e *Engine) (any, error) {
-		return e.Detect(w.patterns[0])
+		return e.Detect(context.Background(), w.patterns[0], DetectOptions{})
 	})
 	assertAgree(t, engines, "stats-after-prune", func(e *Engine) (any, error) {
-		return e.Stats(w.patterns[0])
+		return e.Stats(context.Background(), w.patterns[0], StatsOptions{})
 	})
 }
 
@@ -277,7 +277,7 @@ func TestShardedDurableReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := jrun(t, func() (any, error) { return eng.Detect(w.patterns[0]) })
+	want := jrun(t, func() (any, error) { return eng.Detect(context.Background(), w.patterns[0], DetectOptions{}) })
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestShardedDurableReopen(t *testing.T) {
 	if info, err := reopened.Info(); err != nil || info.Shards != 4 {
 		t.Fatalf("reopened info: %+v, %v (want 4 shards)", info, err)
 	}
-	if got := jrun(t, func() (any, error) { return reopened.Detect(w.patterns[0]) }); got != want {
+	if got := jrun(t, func() (any, error) { return reopened.Detect(context.Background(), w.patterns[0], DetectOptions{}) }); got != want {
 		t.Fatalf("reopened sharded engine diverges:\nbefore: %s\nafter:  %s", want, got)
 	}
 }
@@ -343,14 +343,14 @@ func TestShardedStreamMatchesBatch(t *testing.T) {
 	}
 
 	for pi, p := range w.patterns {
-		want := jrun(t, func() (any, error) { return serial.Detect(p) })
-		got := jrun(t, func() (any, error) { return sharded.Detect(p) })
+		want := jrun(t, func() (any, error) { return serial.Detect(context.Background(), p, DetectOptions{}) })
+		got := jrun(t, func() (any, error) { return sharded.Detect(context.Background(), p, DetectOptions{}) })
 		if got != want {
 			t.Errorf("pattern %d: streamed 4-shard engine diverges from serial 1-shard\nwant %s\ngot  %s", pi, want, got)
 		}
 	}
-	stats := jrun(t, func() (any, error) { return serial.Stats(w.patterns[0]) })
-	if got := jrun(t, func() (any, error) { return sharded.Stats(w.patterns[0]) }); got != stats {
+	stats := jrun(t, func() (any, error) { return serial.Stats(context.Background(), w.patterns[0], StatsOptions{}) })
+	if got := jrun(t, func() (any, error) { return sharded.Stats(context.Background(), w.patterns[0], StatsOptions{}) }); got != stats {
 		t.Errorf("stats diverge:\nwant %s\ngot  %s", stats, got)
 	}
 }

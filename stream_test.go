@@ -1,6 +1,7 @@
 package seqlog
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -44,14 +45,14 @@ func TestStreamEqualsIngest(t *testing.T) {
 	}
 
 	for _, pat := range [][]string{{"search", "view", "cart"}, {"search", "pay"}, {"view", "view"}} {
-		want, err1 := serial.Detect(pat)
-		got, err2 := streamed.Detect(pat)
+		want, err1 := serial.Detect(context.Background(), pat, DetectOptions{})
+		got, err2 := streamed.Detect(context.Background(), pat, DetectOptions{})
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("pattern %v: streamed %v (%v) vs serial %v (%v)", pat, got, err2, want, err1)
 		}
 	}
-	ws, err1 := serial.Stats([]string{"search", "view"})
-	gs, err2 := streamed.Stats([]string{"search", "view"})
+	ws, err1 := serial.Stats(context.Background(), []string{"search", "view"}, StatsOptions{})
+	gs, err2 := streamed.Stats(context.Background(), []string{"search", "view"}, StatsOptions{})
 	if err1 != nil || err2 != nil || !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("stats diverge: %+v vs %+v", gs, ws)
 	}
@@ -91,7 +92,7 @@ func TestStreamDurableAckAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	ids, err := re.DetectTraces([]string{"search", "view", "cart"})
+	ids, err := detectTraces(re, []string{"search", "view", "cart"})
 	if err != nil || !reflect.DeepEqual(ids, []int64{1, 3}) {
 		t.Fatalf("after reopen: traces = %v %v", ids, err)
 	}
@@ -127,8 +128,8 @@ func TestSerialIngestRoutesThroughOpenStream(t *testing.T) {
 	if _, err := serial.Ingest(evs); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := serial.Detect([]string{"search", "pay"})
-	got, err := e.Detect([]string{"search", "pay"})
+	want, _ := serial.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{})
+	got, err := e.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed-path index diverges: %v vs %v (%v)", got, want, err)
 	}
@@ -162,8 +163,8 @@ func TestIngestWhenStreamClosesUnderIt(t *testing.T) {
 	if _, err := serial.Ingest(evs); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := serial.Detect([]string{"search", "pay"})
-	got, err := e.Detect([]string{"search", "pay"})
+	want, _ := serial.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{})
+	got, err := e.Detect(context.Background(), []string{"search", "pay"}, DetectOptions{})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("index diverges: %v vs %v (%v)", got, want, err)
 	}
