@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	seqindex -dir ./idx -policy STNM [-method indexing] [-period 2026-07] log.xes [more.csv ...]
+//	seqindex -dir ./idx -policy STNM [-period 2026-07] log.xes [more.csv ...]
 //
-// Input format is inferred from the extension (.xes or .csv). With -stream
-// the files are fed through the concurrent ingestion pipeline (trace-affinity
-// workers, group commits) instead of one serial batch per file.
+// Input format is inferred from the extension (.xes or .csv). Each file is
+// one batch: it goes through the engine's ingestion pipeline (trace-affinity
+// workers) and commits as one group per store.
 package main
 
 import (
@@ -20,29 +20,24 @@ import (
 	"time"
 
 	"seqlog"
-	"seqlog/internal/eventlog"
-	"seqlog/internal/model"
 )
 
 func main() {
 	var (
 		dir     = flag.String("dir", "", "index directory (required; created if absent)")
 		policy  = flag.String("policy", "STNM", "pair policy: SC or STNM")
-		method  = flag.String("method", "indexing", "STNM extraction flavor: parsing, indexing or state")
 		period  = flag.String("period", "", "index partition for this batch")
-		workers = flag.Int("workers", 0, "parallel workers (0 = all cores)")
+		workers = flag.Int("workers", 0, "ingestion shard workers (0 = all cores)")
 		partial = flag.Bool("partial", false, "treat same-timestamp events as concurrent (partial order; STNM only)")
 
 		shards   = flag.Int("shards", 0, "split the index across N independent stores (0/1 = single store; pinned at creation)")
 		shardDir = flag.String("shard-dir", "", "base directory for shard-NNNN stores (default: -dir)")
 		segments = flag.Bool("segments", false, "compact postings into immutable block-compressed segment files (requires -dir)")
 
-		stream        = flag.Bool("stream", false, "ingest through the streaming pipeline instead of serial batches")
-		ingestWorkers = flag.Int("ingest-workers", 0, "streaming shard workers (0 = all cores; implies -stream semantics only with -stream)")
-		flushEvents   = flag.Int("flush-events", 0, "streaming flush threshold in events (0 = default 1024)")
-		flushInterval = flag.Duration("flush-interval", 0, "streaming flush age bound (0 = default 50ms)")
-		flushInflight = flag.Int("flush-inflight", 0, "streaming flush cycles allowed past extraction at once (1 = serial commits, 0 = default 2: extraction overlaps fsync)")
-		flushQueue    = flag.Int("flush-queue", 0, "streaming admission queue in events (0 = default 4x flush-events)")
+		flushEvents   = flag.Int("flush-events", 0, "ingestion flush threshold in events (0 = default 1024)")
+		flushInterval = flag.Duration("flush-interval", 0, "ingestion flush age bound (0 = default 50ms)")
+		flushInflight = flag.Int("flush-inflight", 0, "ingestion flush cycles allowed past extraction at once (1 = serial commits, 0 = default 2: extraction overlaps fsync)")
+		flushQueue    = flag.Int("flush-queue", 0, "ingestion admission queue in events (0 = default 4x flush-events)")
 	)
 	flag.Parse()
 	if *dir == "" || flag.NArg() == 0 {
@@ -52,10 +47,10 @@ func main() {
 	}
 
 	eng, err := seqlog.Open(seqlog.Config{
-		Policy: *policy, Method: *method, Workers: *workers, Dir: *dir, Period: *period,
+		Policy: *policy, Workers: *workers, Dir: *dir, Period: *period,
 		PartialOrder: *partial,
 		Shards:       *shards, ShardDir: *shardDir, Segments: *segments,
-		IngestWorkers: *ingestWorkers, FlushEvents: *flushEvents, FlushInterval: *flushInterval,
+		FlushEvents: *flushEvents, FlushInterval: *flushInterval,
 		IngestInflight: *flushInflight, IngestQueue: *flushQueue,
 	})
 	if err != nil {
@@ -63,105 +58,30 @@ func main() {
 	}
 	defer eng.Close()
 
-	if *stream {
-		if err := streamFiles(eng, flag.Args()); err != nil {
+	for _, path := range flag.Args() {
+		f, err := os.Open(path)
+		if err != nil {
 			fatal(err)
 		}
-	} else {
-		for _, path := range flag.Args() {
-			f, err := os.Open(path)
-			if err != nil {
-				fatal(err)
-			}
-			start := time.Now()
-			var st seqlog.UpdateStats
-			switch strings.ToLower(filepath.Ext(path)) {
-			case ".xes", ".xml":
-				st, err = eng.IngestXES(f)
-			case ".csv":
-				st, err = eng.IngestCSV(f)
-			default:
-				err = fmt.Errorf("seqindex: unknown log format %q (want .xes or .csv)", path)
-			}
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s: %d events in %d traces -> %d pairs, %d occurrences (%.3fs)\n",
-				path, st.Events, st.Traces, st.Pairs, st.Occurrences, time.Since(start).Seconds())
+		start := time.Now()
+		var st seqlog.UpdateStats
+		switch strings.ToLower(filepath.Ext(path)) {
+		case ".xes", ".xml":
+			st, err = eng.IngestXES(f)
+		case ".csv":
+			st, err = eng.IngestCSV(f)
+		default:
+			err = fmt.Errorf("seqindex: unknown log format %q (want .xes or .csv)", path)
 		}
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s: %d events in %d traces (%.3fs)\n", path, st.Events, st.Traces, time.Since(start).Seconds())
 	}
 	if err := eng.Compact(); err != nil {
 		fatal(err)
 	}
-}
-
-// streamFiles pushes every log file through one shared ingestion stream. The
-// appender blocks on backpressure (a batch loader has nowhere else to put
-// events), and the final Close drains the pipeline with a durable group
-// commit before Compact runs.
-func streamFiles(eng *seqlog.Engine, paths []string) error {
-	app, err := eng.OpenStream(seqlog.StreamOptions{Block: true})
-	if err != nil {
-		return err
-	}
-	defer app.Close()
-
-	const chunk = 4096
-	for _, path := range paths {
-		start := time.Now()
-		events, err := loadEvents(path)
-		if err != nil {
-			return err
-		}
-		for len(events) > 0 {
-			n := min(chunk, len(events))
-			if err := app.Append(events[:n]); err != nil {
-				return err
-			}
-			events = events[n:]
-		}
-		fmt.Printf("%s: streamed (%.3fs)\n", path, time.Since(start).Seconds())
-	}
-	if err := app.Flush(); err != nil {
-		return err
-	}
-	st := app.Stats()
-	fmt.Printf("stream: %d events flushed in %d group commits (%d syncs, %d stalls)\n",
-		st.Flushed, st.Batches, st.Syncs, st.Stalls)
-	return app.Close()
-}
-
-// loadEvents parses a log file into the public event form, preserving
-// per-trace order.
-func loadEvents(path string) ([]seqlog.Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var log *model.Log
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".xes", ".xml":
-		log, err = eventlog.ReadXES(f)
-	case ".csv":
-		log, err = eventlog.ReadCSV(f)
-	default:
-		return nil, fmt.Errorf("seqindex: unknown log format %q (want .xes or .csv)", path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	names := log.Alphabet.Names()
-	events := make([]seqlog.Event, 0, log.NumEvents())
-	for _, tr := range log.Traces {
-		for _, ev := range tr.Events {
-			events = append(events, seqlog.Event{
-				Trace: int64(tr.ID), Activity: names[ev.Activity], Time: int64(ev.TS),
-			})
-		}
-	}
-	return events, nil
 }
 
 func fatal(err error) {

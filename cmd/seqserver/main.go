@@ -1,6 +1,7 @@
 // Command seqserver serves the query-processor HTTP API over an index — the
 // deployment shape of the paper's architecture (Figure 1): a pre-processing
-// batch path (seqindex or POST /ingest) and an online query path.
+// path (seqindex, POST /ingest or /ingest/stream, all through the engine's
+// ingestion pipeline) and an online query path.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, drains in-flight
 // requests (bounded by -shutdown-timeout), then syncs and closes the store —
@@ -40,7 +41,6 @@ func main() {
 		dir     = flag.String("dir", "", "index directory (empty = in-memory)")
 		addr    = flag.String("addr", ":8080", "listen address")
 		policy  = flag.String("policy", "STNM", "pair policy: SC or STNM")
-		method  = flag.String("method", "indexing", "STNM extraction flavor")
 		partial = flag.Bool("partial", false, "treat same-timestamp events as concurrent (partial order)")
 		planner = flag.Bool("planner", false, "use the selectivity-based join planner")
 		cacheMB = flag.Int("cache-mb", 0, "decoded-postings cache budget in MiB (0 = default 64, negative disables)")
@@ -52,11 +52,11 @@ func main() {
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated seqshard server addresses; the engine runs over remote stores instead of -dir (excludes -dir/-shard-dir/-segments/-follow)")
 		segments   = flag.Bool("segments", false, "compact postings into immutable block-compressed segment files (requires -dir)")
 
-		ingestWorkers = flag.Int("ingest-workers", 0, "streaming-ingest shard workers (0 = all cores)")
-		flushEvents   = flag.Int("flush-events", 0, "streaming-ingest flush threshold in events (0 = default 1024)")
-		flushInterval = flag.Duration("flush-interval", 0, "streaming-ingest flush age bound (0 = default 50ms)")
-		flushInflight = flag.Int("flush-inflight", 0, "streaming flush cycles allowed past extraction at once (1 = serial commits, 0 = default 2: extraction overlaps fsync)")
-		flushQueue    = flag.Int("flush-queue", 0, "streaming-ingest admission queue in events (0 = default 4x flush-events)")
+		ingestWorkers = flag.Int("ingest-workers", 0, "ingestion shard workers for /ingest and /ingest/stream (0 = all cores)")
+		flushEvents   = flag.Int("flush-events", 0, "ingestion flush threshold in events (0 = default 1024)")
+		flushInterval = flag.Duration("flush-interval", 0, "ingestion flush age bound (0 = default 50ms)")
+		flushInflight = flag.Int("flush-inflight", 0, "ingestion flush cycles allowed past extraction at once (1 = serial commits, 0 = default 2: extraction overlaps fsync)")
+		flushQueue    = flag.Int("flush-queue", 0, "ingestion admission queue in events (0 = default 4x flush-events)")
 
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-request handling timeout (0 disables)")
 		maxBodyMB    = flag.Int("max-body-mb", 64, "maximum request body size in MiB (0 disables the cap)")
@@ -77,14 +77,14 @@ func main() {
 	)
 	flag.Parse()
 	cfg := seqlog.Config{
-		Dir: *dir, Policy: *policy, Method: *method,
+		Dir: *dir, Policy: *policy,
 		PartialOrder: *partial, Planner: *planner,
 		CacheBytes: cacheBytes(*cacheMB), QueryWorkers: *workers,
 		Salvage:        *salvage,
 		Shards:         *shards,
 		ShardDir:       *shardDir,
 		Segments:       *segments,
-		IngestWorkers:  *ingestWorkers,
+		Workers:        *ingestWorkers,
 		FlushEvents:    *flushEvents,
 		FlushInterval:  *flushInterval,
 		IngestInflight: *flushInflight,

@@ -64,8 +64,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("indexed %d events / %d sessions in %v (%d pair occurrences)\n\n",
-		st.Events, st.Traces, time.Since(start).Round(time.Millisecond), st.Occurrences)
+	fmt.Printf("indexed %d events / %d sessions in %v\n\n",
+		st.Events, st.Traces, time.Since(start).Round(time.Millisecond))
 
 	// How often does a search eventually lead to payment in one session?
 	ctx := context.Background()

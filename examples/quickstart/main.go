@@ -40,8 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("indexed %d events in %d traces (%d pair occurrences)\n\n",
-		st.Events, st.Traces, st.Occurrences)
+	fmt.Printf("indexed %d events in %d traces\n\n", st.Events, st.Traces)
 
 	// Each query family is one call: a pattern plus its options struct.
 	ctx := context.Background()

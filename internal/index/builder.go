@@ -5,6 +5,10 @@
 // parallel exactly as the paper's Spark job does, and deduplicating
 // re-extracted pairs across batches on the Seq boundary, which admits the
 // same occurrences as Algorithm 1's per-pair watermark.
+//
+// It is the batch reference: the paper experiments (Tables 5-6) and the
+// serial-equivalence oracles run it, while the engine ingests through
+// internal/ingest. Both apply the same per-trace rule, pairs.Rule.
 package index
 
 import (
@@ -59,19 +63,18 @@ type Builder struct {
 	mu     sync.Mutex // serializes Update / PruneTraces
 	tables storage.Backend
 	opts   Options
+	rule   pairs.Rule
 }
 
 // NewBuilder returns a builder writing through the given tables —
 // single-store or sharded; the Backend routes each write to its owning
 // store either way.
 func NewBuilder(tables storage.Backend, opts Options) (*Builder, error) {
-	if opts.Policy != model.SC && opts.Policy != model.STNM {
-		return nil, fmt.Errorf("index: policy %v is not indexable", opts.Policy)
+	rule := pairs.Rule{Policy: opts.Policy, Method: opts.Method, PartialOrder: opts.PartialOrder}
+	if err := rule.Validate(); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	if opts.PartialOrder && opts.Policy != model.STNM {
-		return nil, fmt.Errorf("index: partial order requires the STNM policy")
-	}
-	return &Builder{tables: tables, opts: opts}, nil
+	return &Builder{tables: tables, opts: opts, rule: rule}, nil
 }
 
 // shardOf maps a pair key onto its accumulator shard with a Fibonacci mix,
@@ -219,52 +222,17 @@ func countDelta(accs []countAccum) []storage.CountEntry {
 	return out
 }
 
-// updateTrace processes one trace of the batch: merge with the stored
-// prefix, extract pairs over the full sequence, keep the occurrences
-// completing after the boundary, and push them into the shared shards.
+// updateTrace processes one trace of the batch: extend the stored prefix by
+// the shared per-trace rule (pairs.Rule) and push the new occurrences into
+// the shared shards.
 func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, shards []shard) error {
 	old, _, err := b.tables.GetSeq(context.Background(), id)
 	if err != nil {
 		return err
 	}
-	boundary := model.Timestamp(-1 << 62)
-	if len(old) > 0 {
-		boundary = old[len(old)-1].TS
-	}
-
-	sort.SliceStable(newEvents, func(i, j int) bool { return newEvents[i].TS < newEvents[j].TS })
-	if b.opts.PartialOrder {
-		// Ties denote concurrency and are preserved; but a batch must
-		// not split a tie group of an already stored trace, or the
-		// boundary dedup of the incremental update breaks.
-		if len(old) > 0 && len(newEvents) > 0 && newEvents[0].TS <= boundary {
-			return fmt.Errorf("index: partial-order batch reaches back to ts %d of trace %d (stored up to %d)",
-				newEvents[0].TS, id, boundary)
-		}
-	} else {
-		// Restore the ≤ total order of Definition 2.1: normalise
-		// timestamps so the full sequence is strictly increasing (ties
-		// and regressions are bumped forward; the paper's fallback of
-		// using positions as timestamps degenerates to exactly this
-		// when all timestamps are equal).
-		prev := boundary
-		for i := range newEvents {
-			if newEvents[i].TS <= prev {
-				newEvents[i].TS = prev + 1
-			}
-			prev = newEvents[i].TS
-		}
-	}
-
-	full := make([]model.TraceEvent, 0, len(old)+len(newEvents))
-	full = append(full, old...)
-	full = append(full, newEvents...)
-
-	var res pairs.Result
-	if b.opts.PartialOrder {
-		res = pairs.ExtractSTNMPartial(full)
-	} else {
-		res = pairs.Extract(full, b.opts.Policy, b.opts.Method)
+	full, res, err := b.rule.Extend(old, newEvents, nil)
+	if err != nil {
+		return fmt.Errorf("index: trace %d: %w", id, err)
 	}
 
 	// Group this trace's contributions by destination shard to amortise
@@ -275,17 +243,8 @@ func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, sh
 	}
 	grouped := make(map[int][]contrib)
 	for k, occ := range res {
-		// Keep only occurrences completing after the boundary; the
-		// rest were indexed by earlier batches.
-		lo := 0
-		for lo < len(occ) && occ[lo].TsB <= boundary {
-			lo++
-		}
-		if lo == len(occ) {
-			continue
-		}
 		si := shardOf(k)
-		grouped[si] = append(grouped[si], contrib{key: k, occ: occ[lo:]})
+		grouped[si] = append(grouped[si], contrib{key: k, occ: occ})
 	}
 
 	for si, contribs := range grouped {
@@ -314,7 +273,7 @@ func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, sh
 		s.mu.Unlock()
 	}
 
-	return b.tables.AppendSeq(id, newEvents)
+	return b.tables.AppendSeq(id, full[len(old):])
 }
 
 // PruneTraces removes completed traces from the Seq table (§3.1.3), the only

@@ -56,7 +56,6 @@ func TestCancellationBoundedUnderSlowDisk(t *testing.T) {
 		Workers:       2,
 		FlushEvents:   128,
 		FlushInterval: time.Millisecond,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestCancellationBoundedUnderSlowDisk(t *testing.T) {
 			if hi > len(prodEvents) {
 				hi = len(prodEvents)
 			}
-			if err := p.AppendCtx(prodCtx, prodEvents[lo:hi]); err != nil {
+			if err := p.AppendCtx(prodCtx, prodEvents[lo:hi], true); err != nil {
 				return // teardown cancel; any earlier error shows up in Close
 			}
 		}
@@ -128,7 +127,7 @@ func TestCancellationBoundedUnderSlowDisk(t *testing.T) {
 	// A flush wait abandons promptly on deadline even though the flusher is
 	// mid-crawl. (The flush itself keeps going: other producers may depend
 	// on the commit.)
-	if err := p.AppendCtx(prodCtx, randomLog(rng, 4, 64, 5)); err != nil {
+	if err := p.AppendCtx(prodCtx, randomLog(rng, 4, 64, 5), true); err != nil {
 		t.Fatal(err)
 	}
 	fctx, fcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -1,6 +1,9 @@
 package ingest
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"sort"
 
 	"seqlog/internal/kvstore"
@@ -51,58 +54,83 @@ func (d *shardDelta) bumpCount(a, b model.ActivityID, by storage.CountEntry) {
 }
 
 // add folds one trace's flush result into the delta.
-func (d *shardDelta) add(id model.TraceID, evs []model.TraceEvent, occs []pairs.PairOccurrence) {
+func (d *shardDelta) add(id model.TraceID, evs []model.TraceEvent, res pairs.Result) {
 	if _, seen := d.seqs[id]; !seen {
 		d.traces = append(d.traces, id)
 	}
 	d.seqs[id] = append(d.seqs[id], evs...)
-	for _, po := range occs {
-		k, o := po.Key, po.Occ
-		d.entries[k] = append(d.entries[k], storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
-		d.bumpCount(k.First(), k.Second(), storage.CountEntry{SumDuration: int64(o.TsB - o.TsA), Completions: 1})
+	for k, occ := range res {
+		es := d.entries[k]
+		var dur int64
+		for _, o := range occ {
+			es = append(es, storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
+			dur += int64(o.TsB - o.TsA)
+		}
+		d.entries[k] = es
+		d.bumpCount(k.First(), k.Second(), storage.CountEntry{SumDuration: dur, Completions: int64(len(occ))})
 	}
 }
 
 // extractShard runs one shard's part of a flush cycle: group the inbox by
-// trace (arrival order preserved — the inbox is per-shard FIFO), feed each
-// trace's resident session, and collect the delta. Only the coordinator's
-// extraction pass calls this (under cycleMu), so sessions need no locking.
+// trace (arrival order preserved — the inbox is per-shard FIFO), extend each
+// trace's resident session by the rule, and collect the delta. Traces go in
+// id order, so a pair's entries come out sorted when one shard fed them.
+// Only the coordinator's extraction pass calls this (under cycleMu), so
+// sessions need no locking.
 func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDelta, error) {
-	byTrace := make(map[model.TraceID][]model.Event)
-	var order []model.TraceID
+	byTrace := make(map[model.TraceID][]model.TraceEvent)
+	var ids []model.TraceID
 	for _, ev := range inbox {
 		if _, ok := byTrace[ev.Trace]; !ok {
-			order = append(order, ev.Trace)
+			ids = append(ids, ev.Trace)
 		}
-		byTrace[ev.Trace] = append(byTrace[ev.Trace], ev)
+		byTrace[ev.Trace] = append(byTrace[ev.Trace], model.TraceEvent{Activity: ev.Activity, TS: ev.TS})
 	}
+	slices.Sort(ids)
 	d := newShardDelta()
-	for _, id := range order {
+	for _, id := range ids {
 		if err := p.abortedErr(); err != nil {
 			return nil, err
 		}
 		sess := sh.sessions[id]
 		if sess == nil {
-			var err error
-			if sess, err = loadSession(p.tables, id, p.opts.Policy); err != nil {
+			old, _, err := p.tables.GetSeq(context.Background(), id)
+			if err != nil {
 				return nil, err
 			}
+			sess = &session{events: old}
 			sh.sessions[id] = sess
 		}
-		evs, occs := sess.addBatch(byTrace[id])
-		sess.cycle = p.cycles
-		d.add(id, evs, occs)
+		stored := len(sess.events)
+		if sess.counts == nil && stored > 0 {
+			// Built once the trace holds events, so a one-shot batch of new
+			// traces never pays for it.
+			sess.counts = make(map[model.ActivityID]int)
+			for _, ev := range sess.events {
+				sess.counts[ev.Activity]++
+			}
+		}
+		full, res, err := p.rule.Extend(sess.events, byTrace[id], sess.counts)
+		if err != nil {
+			return nil, fmt.Errorf("ingest: trace %d: %w", id, err)
+		}
+		sess.events, sess.cycle = full, p.cycles
+		d.add(id, full[stored:], res)
 	}
 	return d, nil
 }
 
-// mergeDeltas folds the per-shard deltas into one. Traces are disjoint
-// across shards (affinity sharding), so Seq rows concatenate; pair and
-// count rows may collide and are merged.
+// mergeDeltas folds the per-shard deltas into the first one. Traces are
+// disjoint across shards (affinity sharding), so Seq rows concatenate; pair
+// and count rows may collide and are merged.
 func mergeDeltas(deltas []*shardDelta) *shardDelta {
-	out := newShardDelta()
+	var out *shardDelta
 	for _, d := range deltas {
 		if d == nil {
+			continue
+		}
+		if out == nil {
+			out = d
 			continue
 		}
 		for _, id := range d.traces {
@@ -323,12 +351,15 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 		es := d.entries[k]
 		// Within a cycle a pair's entries come from many traces; keep a
 		// canonical order inside the appended chunk.
-		sort.Slice(es, func(i, j int) bool {
+		less := func(i, j int) bool {
 			if es[i].Trace != es[j].Trace {
 				return es[i].Trace < es[j].Trace
 			}
 			return es[i].TsB < es[j].TsB
-		})
+		}
+		if !sort.SliceIsSorted(es, less) {
+			sort.Slice(es, less)
+		}
 		if err = p.tables.AppendIndex(p.opts.Period, k, es); err != nil {
 			return err
 		}

@@ -14,10 +14,11 @@ import (
 	"seqlog/internal/storage"
 )
 
-// The crash sweep for the tentpole's durability claim: every pipeline flush
-// is one WAL record group, so a power cut at any byte recovers the tables
-// to the state after some whole number of flushes — a committed-batch
-// prefix, never half a flush.
+// The crash sweep for the pipeline's durability claim: every flush is one
+// WAL record group, so a power cut at any byte recovers the tables to the
+// state after some whole number of flushes — a committed-batch prefix, never
+// half a flush. The one-shot leg runs each chunk the way Engine.Ingest runs
+// a batch: a fresh pipeline, Append, Flush, Close.
 
 // crashChunks returns the workload as explicit flush-sized chunks. The test
 // pins flush boundaries to chunks (huge thresholds + explicit Flush), so
@@ -56,9 +57,9 @@ func chunkStates(t *testing.T, chunks [][]model.Event) []string {
 }
 
 // runStreamTorture streams the chunks through a pipeline over a DiskStore
-// on ffs, flushing after each chunk. It returns the number of acknowledged
-// (fsynced) flushes.
-func runStreamTorture(t *testing.T, ffs *kvstore.FaultFS, dir string, chunks [][]model.Event) int {
+// on ffs, flushing after each chunk; with oneShot every chunk gets a fresh
+// pipeline. It returns the number of acknowledged (fsynced) flushes.
+func runStreamTorture(t *testing.T, ffs *kvstore.FaultFS, dir string, chunks [][]model.Event, oneShot bool) int {
 	t.Helper()
 	ds, err := kvstore.OpenDiskWith(dir, kvstore.DiskOptions{FS: ffs})
 	if err != nil {
@@ -67,19 +68,28 @@ func runStreamTorture(t *testing.T, ffs *kvstore.FaultFS, dir string, chunks [][
 	defer ds.Close()
 	ds.CompactAt = 0
 	tb := storage.NewTables(ds)
-	p, err := New(tb, Options{
-		Policy:        model.STNM,
-		Workers:       2,
-		FlushEvents:   1 << 20, // only explicit flushes
-		FlushInterval: time.Hour,
-		Block:         true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	start := func() *Pipeline {
+		p, err := New(tb, Options{
+			Policy:        model.STNM,
+			Workers:       2,
+			FlushEvents:   1 << 20, // only explicit flushes
+			FlushInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	defer p.Close()
+	p := start()
+	defer func() { p.Close() }()
 	acked := 0
-	for _, c := range chunks {
+	for i, c := range chunks {
+		if oneShot && i > 0 {
+			if err := p.Close(); err != nil {
+				return acked
+			}
+			p = start()
+		}
 		if err := p.Append(c); err != nil {
 			return acked
 		}
@@ -92,15 +102,22 @@ func runStreamTorture(t *testing.T, ffs *kvstore.FaultFS, dir string, chunks [][
 }
 
 // TestStreamCrashRecoversCommittedPrefix sweeps a crash across the write
-// stream of the streamed workload and asserts recovery lands on a whole
-// number of flushes.
+// stream of the workload, streamed and as one-shot batches, and asserts
+// recovery lands on a whole number of flushes.
 func TestStreamCrashRecoversCommittedPrefix(t *testing.T) {
 	chunks := crashChunks()
 	states := chunkStates(t, chunks)
-	root := t.TempDir()
+	for _, oneShot := range []bool{false, true} {
+		t.Run(fmt.Sprintf("oneShot=%v", oneShot), func(t *testing.T) {
+			sweepStreamCrash(t, chunks, states, oneShot)
+		})
+	}
+}
 
+func sweepStreamCrash(t *testing.T, chunks [][]model.Event, states []string, oneShot bool) {
+	root := t.TempDir()
 	probe := kvstore.NewFaultFS(nil)
-	if acked := runStreamTorture(t, probe, filepath.Join(root, "probe"), chunks); acked != len(chunks) {
+	if acked := runStreamTorture(t, probe, filepath.Join(root, "probe"), chunks, oneShot); acked != len(chunks) {
 		t.Fatalf("clean run acked %d of %d flushes", acked, len(chunks))
 	}
 	total := probe.BytesWritten()
@@ -120,17 +137,17 @@ func TestStreamCrashRecoversCommittedPrefix(t *testing.T) {
 		stride = 1
 	}
 	for b := int64(0); b < total; b += stride {
-		testStreamCrashAt(t, root, chunks, states, b)
+		testStreamCrashAt(t, root, chunks, states, b, oneShot)
 	}
-	testStreamCrashAt(t, root, chunks, states, total-1)
+	testStreamCrashAt(t, root, chunks, states, total-1, oneShot)
 }
 
-func testStreamCrashAt(t *testing.T, root string, chunks [][]model.Event, states []string, b int64) {
+func testStreamCrashAt(t *testing.T, root string, chunks [][]model.Event, states []string, b int64, oneShot bool) {
 	t.Helper()
 	ffs := kvstore.NewFaultFS(nil)
 	ffs.CrashAfterBytes(b)
 	dir := filepath.Join(root, fmt.Sprintf("b%06d", b))
-	acked := runStreamTorture(t, ffs, dir, chunks)
+	acked := runStreamTorture(t, ffs, dir, chunks, oneShot)
 	if !ffs.Crashed() {
 		t.Fatalf("byte budget %d never triggered", b)
 	}
@@ -167,7 +184,7 @@ func TestStreamGroupCommitSyncs(t *testing.T) {
 	}
 	defer ds.Close()
 	tb := storage.NewTables(ds)
-	p, err := New(tb, Options{Policy: model.STNM, Workers: 2, FlushEvents: 1 << 20, FlushInterval: time.Hour, Block: true})
+	p, err := New(tb, Options{Policy: model.STNM, Workers: 2, FlushEvents: 1 << 20, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

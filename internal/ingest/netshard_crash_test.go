@@ -60,7 +60,6 @@ func runNetshardStreamTorture(t *testing.T, ffs *kvstore.FaultFS, root string, c
 		Workers:       2,
 		FlushEvents:   1 << 20, // only explicit flushes: cycle == chunk
 		FlushInterval: time.Hour,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

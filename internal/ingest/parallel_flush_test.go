@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"seqlog/internal/index"
 	"seqlog/internal/kvstore"
 	"seqlog/internal/model"
 	"seqlog/internal/shard"
@@ -34,7 +35,6 @@ func TestTimerHygieneNoSpuriousWakes(t *testing.T) {
 		Workers:       1,
 		FlushEvents:   1, // every append kicks
 		FlushInterval: interval,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,21 +89,21 @@ func TestAdmissionAllOrNothing(t *testing.T) {
 		}
 		return out
 	}
-	if err := p.Append(evs(6, 1)); err != nil {
+	if err := tryAppend(p, evs(6, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// 3 > the 2 free credits: the whole batch must bounce, not 2 of it.
-	if err := p.Append(evs(3, 7)); !errors.Is(err, ErrOverloaded) {
+	if err := tryAppend(p, evs(3, 7)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("partial-fit batch: %v, want ErrOverloaded", err)
 	}
 	if st := p.Stats(); st.Accepted != 6 {
 		t.Fatalf("refused batch leaked events into admission: %+v", st)
 	}
 	// Exactly-fitting remainder still goes through: the pool was untouched.
-	if err := p.Append(evs(2, 7)); err != nil {
+	if err := tryAppend(p, evs(2, 7)); err != nil {
 		t.Fatalf("exact-fit batch after a refusal: %v", err)
 	}
-	if err := p.Append(evs(1, 9)); !errors.Is(err, ErrOverloaded) {
+	if err := tryAppend(p, evs(1, 9)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("append onto a full pool: %v, want ErrOverloaded", err)
 	}
 	gate.Unlock()
@@ -137,13 +137,13 @@ func TestAdmissionOversizeWhole(t *testing.T) {
 	for i := range big {
 		big[i] = model.Event{Trace: 1, Activity: model.ActivityID(i % 4), TS: model.Timestamp(i + 1)}
 	}
-	if err := p.Append(big); err != nil {
+	if err := tryAppend(p, big); err != nil {
 		t.Fatalf("oversize batch onto a free pool: %v", err)
 	}
 	if st := p.Stats(); st.Accepted != 25 {
 		t.Fatalf("oversize batch admitted partially: %+v", st)
 	}
-	if err := p.Append(big[:1]); !errors.Is(err, ErrOverloaded) {
+	if err := tryAppend(p, big[:1]); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("append behind an overdraft: %v, want ErrOverloaded", err)
 	}
 	gate.Unlock()
@@ -167,7 +167,6 @@ func TestAppendCtxCanceledAdmitsNothing(t *testing.T) {
 		FlushEvents:   4,
 		QueueEvents:   8,
 		FlushInterval: time.Hour,
-		Block:         true,
 		CommitLock:    &gate,
 	})
 	if err != nil {
@@ -183,7 +182,7 @@ func TestAppendCtxCanceledAdmitsNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err = p.AppendCtx(ctx, []model.Event{{Trace: 2, Activity: 0, TS: 1}, {Trace: 2, Activity: 1, TS: 2}})
+	err = p.AppendCtx(ctx, []model.Event{{Trace: 2, Activity: 0, TS: 1}, {Trace: 2, Activity: 1, TS: 2}}, true)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled admission wait: %v, want DeadlineExceeded", err)
 	}
@@ -216,23 +215,24 @@ func shardedMemTables(t *testing.T, n int) *shard.Tables {
 // TestStreamShardedEqualsSerial is the cross-shard reducer's oracle: a
 // pipeline driving N independent stores through per-store parallel flushers
 // must produce tables observably identical to one serial Builder on a single
-// store — same rows through the scatter-gathered view, any shard count.
+// store — same rows through the scatter-gathered view, any shard count, SC,
+// STNM and partial order.
 func TestStreamShardedEqualsSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	for _, policy := range []model.Policy{model.SC, model.STNM} {
+	for _, mode := range orderModes {
 		for _, nshards := range []int{2, 3} {
 			for iter := 0; iter < 3; iter++ {
 				events := randomLog(rng, 1+rng.Intn(6), 200, 4)
-				want := serialDump(t, events, policy, "")
+				want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
 
 				st := shardedMemTables(t, nshards)
 				p, err := New(st, Options{
-					Policy:        policy,
+					Policy:        mode.policy,
+					PartialOrder:  mode.partial,
 					Workers:       4,
 					FlushEvents:   8,
 					FlushInterval: time.Millisecond,
 					MaxInflight:   3,
-					Block:         true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -241,10 +241,7 @@ func TestStreamShardedEqualsSerial(t *testing.T) {
 					t.Fatalf("pipeline found %d stores on a %d-shard backend", len(p.stores), nshards)
 				}
 				for lo := 0; lo < len(events); {
-					hi := lo + 1 + rng.Intn(12)
-					if hi > len(events) {
-						hi = len(events)
-					}
+					hi := chunkEnd(events, lo+1+rng.Intn(12), mode.partial)
 					if err := p.Append(events[lo:hi]); err != nil {
 						t.Fatal(err)
 					}
@@ -254,8 +251,8 @@ func TestStreamShardedEqualsSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := dumpTables(t, st, ""); got != want {
-					t.Fatalf("policy=%v shards=%d iter=%d: sharded stream diverges from serial build\ngot:\n%s\nwant:\n%s",
-						policy, nshards, iter, got, want)
+					t.Fatalf("policy=%v partial=%v shards=%d iter=%d: sharded stream diverges from serial build\ngot:\n%s\nwant:\n%s",
+						mode.policy, mode.partial, nshards, iter, got, want)
 				}
 			}
 		}
@@ -302,7 +299,6 @@ func TestParallelFlushersRaceHammer(t *testing.T) {
 		FlushEvents:   32,
 		FlushInterval: time.Millisecond,
 		MaxInflight:   3,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +385,6 @@ func runShardedStreamTorture(t *testing.T, ffs *kvstore.FaultFS, root string, ch
 		Workers:       2,
 		FlushEvents:   1 << 20, // only explicit flushes: cycle == chunk
 		FlushInterval: time.Hour,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

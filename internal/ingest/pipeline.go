@@ -1,17 +1,19 @@
-// Package ingest is the streaming write path of the reproduction: a
-// concurrent pipeline that accepts events continuously and maintains the
-// pair index incrementally, the regime §4.2 of the paper argues the State
-// method (Algorithm 8) exists for.
+// Package ingest is the write path of the reproduction: a concurrent
+// pipeline that accepts events continuously and maintains the pair index
+// incrementally. A batch update (§3.1.3) is its one-shot case: append the
+// batch, flush, close.
 //
 // Architecture (see DESIGN.md "Ingestion pipeline"):
 //
 //   - Append shards incoming events by trace id onto N affinity shards.
 //     A trace always lands on the same shard, so per-trace arrival order —
-//     the only order the index semantics need — survives sharding.
-//   - Each shard keeps resident extraction sessions: one StateExtractor
-//     (or last-event cell under SC) per live trace, fed across micro-batches
-//     instead of re-deriving pairs from the stored prefix every flush the
-//     way the batch Builder must.
+//     the only order the index semantics need — survives sharding. One
+//     Append never straddles two flush cycles.
+//   - Each shard keeps resident sessions: the events of every live trace,
+//     loaded from its Seq row once per pipeline. A flush extends each
+//     touched trace by the same per-trace rule the batch Builder applies
+//     (pairs.Rule), so both write the same rows; a session re-extracts only
+//     the suffix window its new events can complete pairs in.
 //   - The coordinator goroutine swaps the shard inboxes when a flush
 //     trigger fires (size or age), extracts deltas on all shards in
 //     parallel, and partitions them per independent STORE of the backend
@@ -31,7 +33,8 @@
 //
 // Equivalence contract, enforced by the oracle tests: when each trace's
 // events are appended in timestamp order (any interleaving across traces,
-// any chunking), the resulting tables are equivalent to a single serial
+// any chunking; under partial order, no tie group split across Appends),
+// the resulting tables are equivalent to a single serial
 // index.Builder.Update of the whole log — identical Seq, Count and
 // LastChecked rows, and an Index holding exactly the same
 // entries (append order within a posting list may differ, as it already
@@ -50,6 +53,7 @@ import (
 	"seqlog/internal/kvstore"
 	"seqlog/internal/metrics"
 	"seqlog/internal/model"
+	"seqlog/internal/pairs"
 	"seqlog/internal/parallel"
 	"seqlog/internal/storage"
 )
@@ -64,9 +68,15 @@ var ErrClosed = errors.New("ingest: pipeline is closed")
 
 // Options configures a Pipeline.
 type Options struct {
-	// Policy is SC or STNM (STAM is not indexable, and the positional
-	// partial-order extractor is batch-only — both are rejected).
+	// Policy is SC or STNM (STAM is not indexable and is rejected).
 	Policy model.Policy
+
+	// PartialOrder treats same-timestamp events of a trace as concurrent
+	// (STNM only). Each Append must then extend each of its traces strictly
+	// after the events already appended or stored, so a tie group arrives in
+	// one Append; an Append that reaches back is refused whole (see
+	// checkOrder) and the pipeline carries on.
+	PartialOrder bool
 
 	// Period is the index partition new entries are appended to.
 	Period string
@@ -96,10 +106,6 @@ type Options struct {
 	// N's groups are inside fsync. Higher values deepen the fsync-
 	// coalescing window at the cost of more unacked cycles in flight.
 	MaxInflight int
-
-	// Block selects the backpressure style of Append: true blocks the
-	// caller until the queue drains, false fails fast with ErrOverloaded.
-	Block bool
 
 	// CommitLock, when set, is held around every table commit, so an
 	// embedding engine can serialize flushes against its readers.
@@ -161,12 +167,13 @@ type flushJob struct {
 	err      error
 }
 
-// Pipeline is the streaming ingestion subsystem. Append may be called from
+// Pipeline is the ingestion subsystem. Append may be called from
 // any number of goroutines; Flush, Close and Stats are also safe for
 // concurrent use.
 type Pipeline struct {
 	tables storage.Backend
 	opts   Options
+	rule   pairs.Rule
 
 	flushH      *metrics.Histogram // committed-flush latency; nil-safe
 	commitWaitH *metrics.Histogram // extraction blocked on the commit handoff
@@ -178,6 +185,15 @@ type Pipeline struct {
 	route  storage.ShardedCommits
 
 	shards []ingestShard
+	// inboxMu makes each Append atomic with respect to the inbox swap:
+	// enqueue holds it shared while it distributes a batch, extractCycle
+	// exclusively while it swaps, so a batch never straddles two cycles.
+	inboxMu sync.RWMutex
+
+	// last holds, under partial order only, each trace's latest appended
+	// or stored timestamp (checkOrder).
+	orderMu sync.Mutex
+	last    map[model.TraceID]model.Timestamp
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -217,6 +233,18 @@ type Pipeline struct {
 	written atomic.Uint64 // last cycle whose rows the committer has written
 }
 
+// session is the resident state of one live trace: its events so far — the
+// stored Seq prefix, read once when the trace first reaches this pipeline,
+// plus everything extracted since. Every flush that touches the trace
+// extends them by pairs.Rule, exactly as one Builder.Update over the same
+// prefix would; counts lets the rule re-extract only the suffix window the
+// new events can complete pairs in.
+type session struct {
+	events []model.TraceEvent
+	counts map[model.ActivityID]int // occurrences per activity in events; built when first needed
+	cycle  uint64                   // extraction cycle that last fed the session
+}
+
 // ingestShard owns the inbox and the resident sessions of the traces
 // assigned to it. The inbox is touched by producers under mu; sessions are
 // touched only by the coordinator's extraction pass, which is serialized
@@ -229,8 +257,9 @@ type ingestShard struct {
 
 // New returns a running pipeline writing through tables.
 func New(tables storage.Backend, opts Options) (*Pipeline, error) {
-	if opts.Policy != model.SC && opts.Policy != model.STNM {
-		return nil, fmt.Errorf("ingest: policy %v is not indexable", opts.Policy)
+	rule := pairs.Rule{Policy: opts.Policy, Method: pairs.Indexing, PartialOrder: opts.PartialOrder}
+	if err := rule.Validate(); err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -253,6 +282,7 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 	p := &Pipeline{
 		tables:  tables,
 		opts:    opts,
+		rule:    rule,
 		shards:  make([]ingestShard, opts.Workers),
 		free:    opts.QueueEvents,
 		kick:    make(chan struct{}, 1),
@@ -262,6 +292,9 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 		done:    make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	if opts.PartialOrder {
+		p.last = make(map[model.TraceID]model.Timestamp)
+	}
 	p.flushH = opts.Metrics.Histogram("seqlog_ingest_flush_seconds")
 	p.commitWaitH = opts.Metrics.Histogram("seqlog_ingest_commit_wait_seconds")
 	if sc, ok := tables.(storage.ShardedCommits); ok {
@@ -296,29 +329,80 @@ func (p *Pipeline) shardFor(id model.TraceID) int {
 	return int((uint64(id) * 0x9E3779B97F4A7C15) >> 32 % uint64(len(p.shards)))
 }
 
-// Append admits a batch of events into the pipeline. Admission is
-// all-or-nothing per batch: in non-blocking mode a full queue refuses the
-// whole batch with ErrOverloaded and nothing is enqueued; a batch larger
-// than the queue itself waits for the pool to drain completely and then
-// overdraws it, so even oversize batches are admitted in one piece. Events
-// of one trace must be appended in timestamp order for the
-// Builder-equivalence contract to hold; out-of-order events are still
-// accepted and normalized forward, exactly as the serial path would.
+// Append admits a batch of events into the pipeline, waiting for queue
+// space. Admission is all-or-nothing per batch (see AppendCtx). Events of
+// one trace must be appended in timestamp order for the Builder-equivalence
+// contract to hold; out-of-order events are still accepted and normalized
+// forward, exactly as the serial Builder would.
 func (p *Pipeline) Append(events []model.Event) error {
-	return p.AppendCtx(context.Background(), events)
+	return p.AppendCtx(context.Background(), events, true)
 }
 
-// AppendCtx is Append with a cancellable admission wait: a caller blocked on
-// backpressure credits unblocks with ctx.Err() when ctx is done, and in that
-// case nothing of the batch was admitted — cancellation cannot tear a batch.
-func (p *Pipeline) AppendCtx(ctx context.Context, events []model.Event) error {
+// AppendCtx is Append with a cancellable admission wait and a choice of
+// backpressure: with block a full queue parks the caller until credits come
+// home (or ctx is done, returning ctx.Err()); without it a full queue
+// refuses the whole batch with ErrOverloaded. Either way a refused batch
+// admitted nothing — cancellation cannot tear a batch — and a batch larger
+// than the queue itself waits for the pool to drain completely and then
+// overdraws it, so even oversize batches are admitted in one piece. Under
+// partial order a batch reaching back into one of its traces is refused
+// whole with an error wrapping pairs.ErrReachesBack.
+func (p *Pipeline) AppendCtx(ctx context.Context, events []model.Event, block bool) error {
 	if len(events) == 0 {
 		return nil
 	}
-	if err := p.admit(ctx, len(events)); err != nil {
+	if err := p.admit(ctx, len(events), block); err != nil {
 		return err
 	}
+	if p.last != nil {
+		p.orderMu.Lock()
+		defer p.orderMu.Unlock()
+		if err := p.checkOrder(ctx, events); err != nil {
+			n := int64(len(events)) // hand the credits back: nothing was admitted
+			p.mu.Lock()
+			p.free += len(events)
+			p.queued, p.buffered, p.stats.Accepted = p.queued-n, p.buffered-n, p.stats.Accepted-n
+			p.cond.Broadcast()
+			p.mu.Unlock()
+			return err
+		}
+	}
 	p.enqueue(events)
+	return nil
+}
+
+// checkOrder holds a partial-order Append to what one Builder.Update
+// accepts: each of its traces must start strictly after every timestamp
+// already appended or stored for it, since a tie group split across two
+// flushes would hide its completions behind the Seq boundary. Checked at
+// admission, a reaching-back Append fails alone, whatever flush cycle it
+// would have joined. The caller holds orderMu until the events are enqueued,
+// so admission order is extraction order.
+func (p *Pipeline) checkOrder(ctx context.Context, events []model.Event) error {
+	next := make(map[model.TraceID]model.Timestamp) // each trace's last ts once admitted
+	for _, ev := range events {
+		last, ok := p.last[ev.Trace]
+		if !ok {
+			seq, _, err := p.tables.GetSeq(ctx, ev.Trace)
+			if err != nil {
+				return err
+			}
+			last = -1 << 62
+			if len(seq) > 0 {
+				last = seq[len(seq)-1].TS
+			}
+			p.last[ev.Trace] = last
+		}
+		if ev.TS <= last {
+			return fmt.Errorf("ingest: trace %d: %w to ts %d (holds up to %d)", ev.Trace, pairs.ErrReachesBack, ev.TS, last)
+		}
+		if cur, ok := next[ev.Trace]; !ok || ev.TS > cur {
+			next[ev.Trace] = ev.TS
+		}
+	}
+	for id, ts := range next {
+		p.last[id] = ts
+	}
 	return nil
 }
 
@@ -329,7 +413,7 @@ func (p *Pipeline) AppendCtx(ctx context.Context, events []model.Event) error {
 // batch on a mid-batch failure, which is exactly what the ErrOverloaded
 // contract rules out. Pending reservations pause ordinary blocking admits so
 // an oversize batch cannot be starved by a steady trickle of small ones.
-func (p *Pipeline) admit(ctx context.Context, n int) error {
+func (p *Pipeline) admit(ctx context.Context, n int, block bool) error {
 	oversize := n > p.opts.QueueEvents
 	done := ctx.Done()
 	p.mu.Lock()
@@ -371,7 +455,7 @@ func (p *Pipeline) admit(ctx context.Context, n int) error {
 			}
 			return nil
 		}
-		if !p.opts.Block && !oversize {
+		if !block && !oversize {
 			p.stats.Stalls++
 			p.kickFlusher()
 			return ErrOverloaded
@@ -402,12 +486,14 @@ func (p *Pipeline) enqueue(events []model.Event) {
 		si := p.shardFor(ev.Trace)
 		byShard[si] = append(byShard[si], ev)
 	}
+	p.inboxMu.RLock()
 	for si, evs := range byShard {
 		sh := &p.shards[si]
 		sh.mu.Lock()
 		sh.inbox = append(sh.inbox, evs...)
 		sh.mu.Unlock()
 	}
+	p.inboxMu.RUnlock()
 	p.mu.Lock()
 	if p.buffered >= int64(p.opts.FlushEvents) {
 		p.kickFlusher()
@@ -539,6 +625,13 @@ func (p *Pipeline) fail(err error) {
 	p.mu.Unlock()
 }
 
+// Err returns the error that failed the pipeline, nil while it is healthy.
+func (p *Pipeline) Err() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.failed
+}
+
 // Stats returns a snapshot of the pipeline counters.
 func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
@@ -548,8 +641,8 @@ func (p *Pipeline) Stats() Stats {
 	return st
 }
 
-// Forget drops the resident sessions of pruned traces so their memory is
-// reclaimed. The caller must have flushed (or not care about) pending
+// Forget drops the resident sessions (and partial-order boundaries) of
+// pruned traces so their memory is reclaimed. The caller must have flushed (or not care about) pending
 // events of those traces. A session fed by a cycle the committer has not
 // written yet is kept: reloading it from the Seq table now would miss that
 // cycle's events and extract their pairs twice.
@@ -562,6 +655,13 @@ func (p *Pipeline) Forget(ids []model.TraceID) {
 		if s := sessions[id]; s != nil && s.cycle <= written {
 			delete(sessions, id)
 		}
+	}
+	if p.last != nil {
+		p.orderMu.Lock()
+		for _, id := range ids {
+			delete(p.last, id)
+		}
+		p.orderMu.Unlock()
 	}
 }
 
@@ -658,6 +758,7 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 
 	pend := make([][]model.Event, len(p.shards))
 	total := 0
+	p.inboxMu.Lock()
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
@@ -665,6 +766,7 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 		sh.mu.Unlock()
 		total += len(pend[i])
 	}
+	p.inboxMu.Unlock()
 	if total == 0 {
 		return nil, nil
 	}

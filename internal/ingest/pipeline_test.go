@@ -106,45 +106,69 @@ func randomLog(rng *rand.Rand, traces, events, alphabet int) []model.Event {
 // returns the canonical dump — the oracle every streaming run must match.
 func serialDump(t *testing.T, events []model.Event, policy model.Policy, period string) string {
 	t.Helper()
+	return serialBuild(t, events, index.Options{Policy: policy, Period: period})
+}
+
+// serialBuild is serialDump for any Builder options (Method and Workers are
+// fixed: every flavor and worker count builds the same tables).
+func serialBuild(t *testing.T, events []model.Event, opts index.Options) string {
+	t.Helper()
 	tb := storage.NewTables(kvstore.NewMemStore())
-	b, err := index.NewBuilder(tb, index.Options{Policy: policy, Method: pairs.Indexing, Workers: 2, Period: period})
+	opts.Method, opts.Workers = pairs.Indexing, 2
+	b, err := index.NewBuilder(tb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Update(events); err != nil {
 		t.Fatal(err)
 	}
-	return dumpTables(t, tb, period)
+	return dumpTables(t, tb, opts.Period)
 }
 
-// TestStreamEqualsSerialBuilder is the equivalence oracle of the tentpole:
-// any chunking of the stream, any worker count, SC and STNM, tiny flush
-// thresholds forcing many micro-batch cycles — the tables must come out
-// equivalent to one serial batch update.
+// orderModes are the pair semantics the equivalence oracles cover: SC,
+// STNM, and STNM under partial order (same-timestamp events concurrent).
+var orderModes = []struct {
+	policy  model.Policy
+	partial bool
+}{{model.SC, false}, {model.STNM, false}, {model.STNM, true}}
+
+// chunkEnd clamps a chunk end to the log and, under partial order, moves it
+// past the tie group it would split: randomLog's timestamps are global, so
+// this keeps every trace's tie group inside one Append, as the partial-order
+// contract asks.
+func chunkEnd(events []model.Event, hi int, partial bool) int {
+	hi = min(hi, len(events))
+	for partial && hi < len(events) && events[hi].TS == events[hi-1].TS {
+		hi++
+	}
+	return hi
+}
+
+// TestStreamEqualsSerialBuilder is the pipeline's equivalence oracle: any
+// chunking of the stream, any worker count, SC, STNM and partial order, tiny
+// flush thresholds forcing many micro-batch cycles — the tables must come
+// out equivalent to one serial batch update.
 func TestStreamEqualsSerialBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, policy := range []model.Policy{model.SC, model.STNM} {
+	for _, mode := range orderModes {
 		for _, workers := range []int{1, 2, 4} {
 			for iter := 0; iter < 4; iter++ {
 				events := randomLog(rng, 1+rng.Intn(6), 150, 4)
-				want := serialDump(t, events, policy, "")
+				want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
 
 				tb := storage.NewTables(kvstore.NewMemStore())
 				p, err := New(tb, Options{
-					Policy:        policy,
+					Policy:        mode.policy,
+					PartialOrder:  mode.partial,
 					Workers:       workers,
 					FlushEvents:   8,
 					FlushInterval: time.Millisecond,
-					Block:         true,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for lo := 0; lo < len(events); {
-					hi := lo + 1 + rng.Intn(12)
-					if hi > len(events) {
-						hi = len(events)
-					}
+					hi := chunkEnd(events, lo+1+rng.Intn(12), mode.partial)
 					if err := p.Append(events[lo:hi]); err != nil {
 						t.Fatal(err)
 					}
@@ -155,8 +179,8 @@ func TestStreamEqualsSerialBuilder(t *testing.T) {
 				}
 
 				if got := dumpTables(t, tb, ""); got != want {
-					t.Fatalf("policy=%v workers=%d iter=%d: streamed tables diverge from serial build\ngot:\n%s\nwant:\n%s",
-						policy, workers, iter, got, want)
+					t.Fatalf("policy=%v partial=%v workers=%d iter=%d: streamed tables diverge from serial build\ngot:\n%s\nwant:\n%s",
+						mode.policy, mode.partial, workers, iter, got, want)
 				}
 
 				st := p.Stats()
@@ -168,59 +192,114 @@ func TestStreamEqualsSerialBuilder(t *testing.T) {
 	}
 }
 
-// TestConcurrentProducers partitions the traces across goroutines that
-// append concurrently (each preserving its own traces' order). Run under
-// -race this is the pipeline's concurrency proof.
-func TestConcurrentProducers(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	const producers = 4
-	events := randomLog(rng, producers*3, 600, 5)
-	want := serialDump(t, events, model.STNM, "")
-
-	// Partition by trace, preserving per-trace order.
-	parts := make([][]model.Event, producers)
-	for _, ev := range events {
-		pi := int(ev.Trace) % producers
-		parts[pi] = append(parts[pi], ev)
-	}
-
+// TestPartialOrderReachBackFailsOnlyItsAppend: under partial order an Append
+// reaching back into a trace — past a flushed event, or past one still
+// buffered in the same cycle — is refused whole at admission, hands its
+// credits back, and leaves the pipeline serving every other Append; the
+// tables are then exactly the serial build of the accepted Appends.
+func TestPartialOrderReachBackFailsOnlyItsAppend(t *testing.T) {
 	tb := storage.NewTables(kvstore.NewMemStore())
-	p, err := New(tb, Options{
-		Policy:        model.STNM,
-		Workers:       4,
-		FlushEvents:   16,
-		FlushInterval: time.Millisecond,
-		Block:         true,
-	})
+	p, err := New(tb, Options{Policy: model.STNM, PartialOrder: true, Workers: 2, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for pi := 0; pi < producers; pi++ {
-		wg.Add(1)
-		go func(evs []model.Event) {
-			defer wg.Done()
-			prng := rand.New(rand.NewSource(int64(len(evs))))
-			for lo := 0; lo < len(evs); {
-				hi := lo + 1 + prng.Intn(9)
-				if hi > len(evs) {
-					hi = len(evs)
-				}
-				if err := p.Append(evs[lo:hi]); err != nil {
-					t.Error(err)
-					return
-				}
-				lo = hi
-			}
-		}(parts[pi])
+	ev := func(trace, act, ts int) model.Event {
+		return model.Event{Trace: model.TraceID(trace), Activity: model.ActivityID(act), TS: model.Timestamp(ts)}
 	}
-	wg.Wait()
-	if err := p.Close(); err != nil {
+	var accepted []model.Event
+	appendOK := func(evs ...model.Event) {
+		t.Helper()
+		if err := p.Append(evs); err != nil {
+			t.Fatalf("append %v: %v", evs, err)
+		}
+		accepted = append(accepted, evs...)
+	}
+	refused := func(evs ...model.Event) {
+		t.Helper()
+		before := p.Stats()
+		if err := p.Append(evs); !errors.Is(err, pairs.ErrReachesBack) {
+			t.Fatalf("append %v: %v, want ErrReachesBack", evs, err)
+		}
+		if st := p.Stats(); st.Accepted != before.Accepted || st.Queued != before.Queued {
+			t.Fatalf("refused append left counters %+v (before %+v)", st, before)
+		}
+	}
+
+	appendOK(ev(1, 0, 1), ev(1, 1, 5), ev(2, 0, 5))
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dumpTables(t, tb, ""); got != want {
-		t.Fatalf("concurrent producers diverge from serial build\ngot:\n%s\nwant:\n%s", got, want)
+	refused(ev(3, 0, 1), ev(1, 2, 5))  // ties trace 1's flushed ts 5; trace 3 must not land either
+	appendOK(ev(1, 2, 6), ev(1, 0, 6)) // one tie group, one Append
+	refused(ev(1, 1, 6))               // same cycle, still buffered
+	appendOK(ev(2, 1, 6), ev(3, 1, 2))
+	if err := p.Close(); err != nil {
+		t.Fatalf("close after refusals: %v", err)
 	}
+	want := serialBuild(t, accepted, index.Options{Policy: model.STNM, PartialOrder: true})
+	if got := dumpTables(t, tb, ""); got != want {
+		t.Fatalf("tables diverge from the serial build of the accepted appends\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestConcurrentProducers partitions the traces across goroutines that
+// append concurrently (each preserving its own traces' order), under every
+// order mode. Run under -race this is the pipeline's concurrency proof.
+func TestConcurrentProducers(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	const producers = 4
+	for _, mode := range orderModes {
+		events := randomLog(rng, producers*3, 600, 5)
+		want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
+
+		// Partition by trace, preserving per-trace order.
+		parts := make([][]model.Event, producers)
+		for _, ev := range events {
+			pi := int(ev.Trace) % producers
+			parts[pi] = append(parts[pi], ev)
+		}
+
+		tb := storage.NewTables(kvstore.NewMemStore())
+		p, err := New(tb, Options{
+			Policy:        mode.policy,
+			PartialOrder:  mode.partial,
+			Workers:       4,
+			FlushEvents:   16,
+			FlushInterval: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for pi := 0; pi < producers; pi++ {
+			wg.Add(1)
+			go func(evs []model.Event) {
+				defer wg.Done()
+				prng := rand.New(rand.NewSource(int64(len(evs))))
+				for lo := 0; lo < len(evs); {
+					hi := chunkEnd(evs, lo+1+prng.Intn(9), mode.partial)
+					if err := p.Append(evs[lo:hi]); err != nil {
+						t.Error(err)
+						return
+					}
+					lo = hi
+				}
+			}(parts[pi])
+		}
+		wg.Wait()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := dumpTables(t, tb, ""); got != want {
+			t.Fatalf("policy=%v partial=%v: concurrent producers diverge from serial build\ngot:\n%s\nwant:\n%s",
+				mode.policy, mode.partial, got, want)
+		}
+	}
+}
+
+// tryAppend is a non-blocking Append: a full queue answers ErrOverloaded.
+func tryAppend(p *Pipeline, evs []model.Event) error {
+	return p.AppendCtx(context.Background(), evs, false)
 }
 
 // lockedLocker hands the test a way to stall commits: while held, the
@@ -247,7 +326,7 @@ func TestBackpressureOverloaded(t *testing.T) {
 	accepted := 0
 	var lastErr error
 	for i := 0; i < 100; i++ {
-		if err := p.Append([]model.Event{ev(i)}); err != nil {
+		if err := tryAppend(p, []model.Event{ev(i)}); err != nil {
 			lastErr = err
 			break
 		}
@@ -293,7 +372,6 @@ func TestBlockingAppendWaits(t *testing.T) {
 		FlushEvents:   4,
 		QueueEvents:   8,
 		FlushInterval: time.Millisecond,
-		Block:         true,
 		CommitLock:    &gate,
 	})
 	if err != nil {
@@ -372,7 +450,7 @@ func TestStreamOnTopOfBatchPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		p, err := New(tb, Options{Policy: policy, Workers: 2, FlushEvents: 8, FlushInterval: time.Millisecond, Block: true})
+		p, err := New(tb, Options{Policy: policy, Workers: 2, FlushEvents: 8, FlushInterval: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +469,7 @@ func TestStreamOnTopOfBatchPrefix(t *testing.T) {
 // TestForgetDropsSessions: pruned traces release their resident state.
 func TestForgetDropsSessions(t *testing.T) {
 	tb := storage.NewTables(kvstore.NewMemStore())
-	p, err := New(tb, Options{Policy: model.STNM, Workers: 2, FlushEvents: 4, Block: true})
+	p, err := New(tb, Options{Policy: model.STNM, Workers: 2, FlushEvents: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +516,7 @@ func TestForgetKeepsSessionOfUnwrittenCycle(t *testing.T) {
 	events := []model.Event{{Trace: 1, Activity: 1, TS: 1}, {Trace: 1, Activity: 2, TS: 2}}
 	gate := &commitGate{arrived: make(chan struct{}), release: make(chan struct{})}
 	tb := storage.NewTables(kvstore.NewMemStore())
-	p, err := New(tb, Options{Policy: model.STNM, Workers: 1, FlushEvents: 1, Block: true, CommitLock: gate})
+	p, err := New(tb, Options{Policy: model.STNM, Workers: 1, FlushEvents: 1, CommitLock: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +575,7 @@ func (s *writeLog) Append(table, key string, value []byte) error {
 // LastChecked rows, and nothing to the "rcount" table older builds kept.
 func TestStreamNoReverseCountWrites(t *testing.T) {
 	store := newWriteLog()
-	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 16, Block: true})
+	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +594,7 @@ func TestStreamNoReverseCountWrites(t *testing.T) {
 // with the number of traces that ever held the pair.
 func TestStreamLastCheckedRowStaysScalar(t *testing.T) {
 	store := newWriteLog()
-	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 8, Block: true})
+	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -824,8 +824,9 @@ func (c *Client) SetCacheBudget(bytes int64) {
 }
 
 // Sync flushes and fsyncs the remote store's WAL (no-op for memory-backed
-// servers). The engine calls it through the sharded backend after batch
-// ingests.
+// servers). The engine calls it through the sharded backend from
+// Engine.Sync; ingestion needs no separate sync, since a commit group acks
+// only once durable.
 func (c *Client) Sync() error {
 	_, err := c.call(context.Background(), opSync, nil)
 	return err

@@ -279,20 +279,6 @@ type StateExtractor struct {
 	lists map[model.PairKey][]model.Timestamp
 	seen  []model.ActivityID
 	first map[model.ActivityID]model.Timestamp
-
-	// Streaming mode (NewStreamingStateExtractor): every pair completion is
-	// also recorded into fresh at the moment its list reaches even length,
-	// so Drain can hand out only-new occurrences without an O(all pairs)
-	// Finalize sweep per micro-batch.
-	track bool
-	fresh []PairOccurrence
-}
-
-// PairOccurrence is one pair completion tagged with its pair key — the unit
-// Drain reports to the ingestion pipeline.
-type PairOccurrence struct {
-	Key model.PairKey
-	Occ Occurrence
 }
 
 // NewStateExtractor returns an empty extractor.
@@ -301,15 +287,6 @@ func NewStateExtractor() *StateExtractor {
 		lists: make(map[model.PairKey][]model.Timestamp),
 		first: make(map[model.ActivityID]model.Timestamp),
 	}
-}
-
-// NewStreamingStateExtractor returns an extractor that additionally records
-// each completion as it happens, for retrieval via Drain. Batch callers use
-// NewStateExtractor and pay nothing for the bookkeeping.
-func NewStreamingStateExtractor() *StateExtractor {
-	s := NewStateExtractor()
-	s.track = true
-	return s
 }
 
 // Add folds one event into the state: for every known type x, the entry
@@ -337,7 +314,8 @@ func (s *StateExtractor) Add(ev model.TraceEvent) {
 	for _, x := range s.seen {
 		if x == e {
 			// Self pair: alternate open/close.
-			s.push(model.NewPairKey(e, e), ts)
+			k := model.NewPairKey(e, e)
+			s.lists[k] = append(s.lists[k], ts)
 			continue
 		}
 		// e as first event of (e, x): open when balanced.
@@ -348,33 +326,9 @@ func (s *StateExtractor) Add(ev model.TraceEvent) {
 		// e as second event of (x, e): close when open.
 		k2 := model.NewPairKey(x, e)
 		if len(s.lists[k2])%2 == 1 {
-			s.push(k2, ts)
+			s.lists[k2] = append(s.lists[k2], ts)
 		}
 	}
-}
-
-// push appends ts to the pair's list and, in streaming mode, records the
-// completion when the append balances the list.
-func (s *StateExtractor) push(k model.PairKey, ts model.Timestamp) {
-	l := append(s.lists[k], ts)
-	s.lists[k] = l
-	if s.track && len(l)%2 == 0 {
-		s.fresh = append(s.fresh, PairOccurrence{
-			Key: k,
-			Occ: Occurrence{TsA: l[len(l)-2], TsB: l[len(l)-1]},
-		})
-	}
-}
-
-// Drain returns the completions recorded since the previous Drain (or since
-// construction), in completion order — TsB ascending when events are added in
-// timestamp order, which is exactly the order the Index table appends in.
-// It returns nil outside streaming mode. The returned slice is owned by the
-// caller.
-func (s *StateExtractor) Drain() []PairOccurrence {
-	out := s.fresh
-	s.fresh = nil
-	return out
 }
 
 // Finalize trims odd-length lists and converts them into occurrences. The

@@ -318,48 +318,3 @@ func TestQuickMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDrainMatchesFinalize: the streaming completion feed is exactly the
-// batch result. Drains taken at arbitrary chunk boundaries, concatenated,
-// must carry the same occurrences (per pair, in TsB order) as one Finalize of
-// the whole trace — this is what lets the ingestion pipeline flush only-new
-// occurrences per micro-batch.
-func TestDrainMatchesFinalize(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for iter := 0; iter < 200; iter++ {
-		evs := randomTrace(rng, 1+rng.Intn(6), rng.Intn(90))
-
-		s := NewStreamingStateExtractor()
-		got := make(Result)
-		for i, ev := range evs {
-			s.Add(ev)
-			if rng.Intn(4) == 0 || i == len(evs)-1 {
-				for _, po := range s.Drain() {
-					got[po.Key] = append(got[po.Key], po.Occ)
-				}
-			}
-		}
-		if rest := s.Drain(); len(rest) != 0 {
-			t.Fatalf("iter %d: second Drain not empty: %v", iter, rest)
-		}
-		want := ExtractReference(evs)
-		if !Equal(got, want) {
-			t.Fatalf("iter %d: drained occurrences diverge from batch result\ntrace: %v\ngot:  %v\nwant: %v",
-				iter, evs, got, want)
-		}
-	}
-}
-
-// TestDrainOffByDefault: batch extractors pay nothing and report nothing.
-func TestDrainOffByDefault(t *testing.T) {
-	s := NewStateExtractor()
-	for _, ev := range trace("abab") {
-		s.Add(ev)
-	}
-	if got := s.Drain(); got != nil {
-		t.Fatalf("Drain on a batch extractor returned %v, want nil", got)
-	}
-	if n := NumOccurrences(s.Finalize()); n == 0 {
-		t.Fatal("Finalize lost occurrences")
-	}
-}

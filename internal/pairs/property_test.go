@@ -10,9 +10,8 @@ import (
 
 // Property tests over seeded random logs for the equivalences the system
 // leans on: the paper asserts its three STNM extraction flavors (Parsing,
-// Indexing, State) compute the same pair sets, the streaming pipeline
-// additionally relies on the State extractor emitting exactly those pairs
-// incrementally through Drain, and Algorithm 1's batch dedup relies on
+// Indexing, State) compute the same pair sets, and Algorithm 1's dedup —
+// Rule.Extend, which batch and streaming ingestion share — relies on
 // extraction being prefix-stable (indexing a prefix never changes the
 // occurrences a longer run of the same trace produces).
 
@@ -47,48 +46,6 @@ func TestExtractorsAgreeOnRandomLogs(t *testing.T) {
 					t.Fatalf("seed %d trace %d: %v diverges from reference\nevents: %v\ngot: %v\nwant: %v",
 						seed, ti, m, evs, got, ref)
 				}
-			}
-		}
-	}
-}
-
-// TestIncrementalDrainMatchesBatch: feeding a trace to the streaming State
-// extractor in random chunks and draining between chunks yields exactly the
-// batch result of every flavor — in completion order, which is the order the
-// Index table appends in.
-func TestIncrementalDrainMatchesBatch(t *testing.T) {
-	for _, seed := range []int64{3, 77, 1234} {
-		rng := rand.New(rand.NewSource(seed))
-		for ti, evs := range randomLogTraces(rng, 20) {
-			s := NewStreamingStateExtractor()
-			got := make(Result)
-			var lastTsB model.Timestamp
-			i := 0
-			for i < len(evs) {
-				chunk := 1 + rng.Intn(5)
-				for j := 0; j < chunk && i < len(evs); j, i = j+1, i+1 {
-					s.Add(evs[i])
-				}
-				for _, po := range s.Drain() {
-					if po.Occ.TsB < lastTsB {
-						t.Fatalf("seed %d trace %d: drained out of completion order (%d after %d)",
-							seed, ti, po.Occ.TsB, lastTsB)
-					}
-					lastTsB = po.Occ.TsB
-					got[po.Key] = append(got[po.Key], po.Occ)
-				}
-			}
-			if rest := s.Drain(); len(rest) != 0 {
-				t.Fatalf("seed %d trace %d: second drain not empty: %v", seed, ti, rest)
-			}
-			for _, m := range []Method{Parsing, Indexing, State} {
-				if want := ExtractSTNM(evs, m); !Equal(got, want) {
-					t.Fatalf("seed %d trace %d: incremental drains diverge from batch %v\ngot: %v\nwant: %v",
-						seed, ti, m, got, want)
-				}
-			}
-			if fin := s.Finalize(); !Equal(got, fin) {
-				t.Fatalf("seed %d trace %d: drains diverge from Finalize\ngot: %v\nfin: %v", seed, ti, got, fin)
 			}
 		}
 	}

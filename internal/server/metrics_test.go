@@ -51,7 +51,9 @@ func scrape(t *testing.T, url string) string {
 
 // TestMetricsEndpoint drives every query family plus batch ingest and
 // asserts one scrape covers them all — query histograms, HTTP series,
-// storage cache, row accounting, WAL fsync and ingest counters.
+// storage cache, row accounting, WAL fsync and ingest counters. A batch is
+// the one-shot case of the ingestion pipeline, so /ingest and
+// /ingest/stream feed the same monotone counters.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newMetricsServer(t)
 	ingestSample(t, srv.URL)
@@ -77,13 +79,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		"seqlog_wal_size_bytes",
 		"seqlog_activities 3",
 		"seqlog_traces 2",
+		"seqlog_ingest_accepted_total 5",
+		"seqlog_ingest_flushed_total 5",
+		"seqlog_ingest_batches_total 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape lacks %q:\n%s", want, text)
 		}
 	}
 
-	// Streaming ingest shows up in the monotone ingest counters.
+	// Streaming ingest adds its 6 events to the same counters.
 	c := &httpclient.Client{}
 	var out StreamResponse
 	if err := c.Post(srv.URL+"/ingest/stream", "application/x-ndjson",
@@ -92,8 +97,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	text = scrape(t, srv.URL)
 	for _, want := range []string{
-		"seqlog_ingest_accepted_total 6",
-		"seqlog_ingest_flushed_total 6",
+		"seqlog_ingest_accepted_total 11",
+		"seqlog_ingest_flushed_total 11",
 		"seqlog_ingest_flush_seconds_count",
 	} {
 		if !strings.Contains(text, want) {

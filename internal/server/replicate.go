@@ -217,5 +217,9 @@ func writeMutationErr(w http.ResponseWriter, err error) {
 		writeErr(w, http.StatusForbidden, err)
 		return
 	}
+	if errors.Is(err, seqlog.ErrReachesBack) {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	writeErr(w, http.StatusInternalServerError, err)
 }

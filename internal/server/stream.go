@@ -35,7 +35,8 @@ type StreamResponse struct {
 //   - 429 + Retry-After when the pipeline pushes back (ErrOverloaded),
 //     again with the accepted count. Nothing of the refused chunk was
 //     admitted; the client resumes from accepted.
-//   - 400 on a malformed line, with the accepted count.
+//   - 400 on a malformed line, or on a partial-order chunk reaching back
+//     into a trace (ErrReachesBack), with the accepted count.
 //
 // Every reply that reports accepted > 0 — success or error — is preceded by
 // a Flush: clients resume from the accepted count, so the events behind it
@@ -82,6 +83,8 @@ func (h *Handler) ingestStream(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case errors.Is(err, seqlog.ErrOverloaded):
 				fail(http.StatusTooManyRequests, err)
+			case errors.Is(err, seqlog.ErrReachesBack):
+				fail(http.StatusBadRequest, err)
 			default:
 				fail(http.StatusInternalServerError, err)
 			}
@@ -91,6 +94,10 @@ func (h *Handler) ingestStream(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
+	// Under partial order a trace's tie group must arrive in one Append, so a
+	// full chunk is cut only where the timestamp moves on: a time-ordered
+	// body then never splits a tie group, wherever row 512 falls.
+	ties := h.engine.PartialOrder()
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	chunk := make([]seqlog.Event, 0, streamChunkEvents)
@@ -114,8 +121,14 @@ func (h *Handler) ingestStream(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, fmt.Errorf("line %d: %w", line, err))
 			return
 		}
+		if ties && len(chunk) >= streamChunkEvents && ev.Time != chunk[len(chunk)-1].Time {
+			if !push(chunk) {
+				return
+			}
+			chunk = chunk[:0]
+		}
 		chunk = append(chunk, ev)
-		if len(chunk) >= streamChunkEvents {
+		if !ties && len(chunk) >= streamChunkEvents {
 			if !push(chunk) {
 				return
 			}

@@ -172,6 +172,58 @@ func TestIngestStreamClientDisconnect(t *testing.T) {
 	}
 }
 
+// TestIngestStreamPartialOrderTieAcrossChunk: under partial order a tie
+// group straddling the 512-row chunk boundary stays in one Append, so a
+// time-ordered body is accepted whole; a row that does reach back into its
+// trace is a 400 reporting the rows accepted before it.
+func TestIngestStreamPartialOrderTieAcrossChunk(t *testing.T) {
+	eng, err := seqlog.Open(seqlog.Config{PartialOrder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(eng))
+	t.Cleanup(func() { srv.Close(); eng.Close() })
+
+	var body bytes.Buffer
+	for i := 0; i < 1000; i++ {
+		ts := i
+		if i >= streamChunkEvents-2 && i < streamChunkEvents+3 {
+			ts = streamChunkEvents - 2 // rows 511-515 are one tie group
+		}
+		fmt.Fprintf(&body, `{"Trace":1,"Activity":"act%d","Time":%d}`+"\n", i%5, ts)
+	}
+	c := &httpclient.Client{}
+	var out StreamResponse
+	if err := c.Post(srv.URL+"/ingest/stream", "application/x-ndjson", &body, &out); err != nil {
+		t.Fatalf("time-ordered partial-order body: %v", err)
+	}
+	if evs, _, err := eng.TraceEvents(1); out.Accepted != 1000 || err != nil || len(evs) != 1000 {
+		t.Fatalf("accepted %d, stored %d events (%v), want 1000", out.Accepted, len(evs), err)
+	}
+
+	resp, err := http.Post(srv.URL+"/ingest/stream", "application/x-ndjson", strings.NewReader(ndjson(
+		`{"Trace":2,"Activity":"a","Time":1}`,
+		`{"Trace":1,"Activity":"a","Time":5}`,
+	)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var refused struct {
+		Accepted int    `json:"accepted"`
+		Error    string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&refused); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || refused.Accepted != 0 || !strings.Contains(refused.Error, "reaches back") {
+		t.Fatalf("reaching-back body: %d %+v", resp.StatusCode, refused)
+	}
+	if _, ok, _ := eng.TraceEvents(2); ok {
+		t.Fatal("the refused chunk stored its other trace")
+	}
+}
+
 // TestIngestStreamSequentialRequests: a trace may continue across requests;
 // the second request resumes the trace's session from the stored prefix.
 func TestIngestStreamSequentialRequests(t *testing.T) {

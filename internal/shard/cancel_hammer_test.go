@@ -82,7 +82,6 @@ func TestCancelHammer(t *testing.T) {
 		Workers:       2,
 		FlushEvents:   256,
 		FlushInterval: 2 * time.Millisecond,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -184,7 +184,6 @@ func runShardTorture(t *testing.T, ffs *kvstore.FaultFS, root string, chunks [][
 		Workers:       2,
 		FlushEvents:   1 << 20, // only explicit flushes
 		FlushInterval: time.Hour,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,6 @@ func TestShardedConcurrentHammer(t *testing.T) {
 		Workers:       2,
 		FlushEvents:   256, // small: many group commits race the readers
 		FlushInterval: 2 * time.Millisecond,
-		Block:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

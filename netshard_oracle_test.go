@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"seqlog/internal/kvstore"
+	"seqlog/internal/metrics"
 	"seqlog/internal/netshard"
 	"seqlog/internal/storage"
 )
@@ -86,7 +87,8 @@ func openNetEngine(t *testing.T, f *netFleet) *Engine {
 	return eng
 }
 
-// TestNetShardOracle: local 1-shard (baseline), local 4-shard, a 2-server
+// TestNetShardOracle: a serial Builder-written store (baseline), local
+// 1-shard, local 4-shard, a 2-server
 // durable netshard fleet, and a 3-server in-memory fleet all answer the full
 // query battery identically.
 func TestNetShardOracle(t *testing.T) {
@@ -94,7 +96,7 @@ func TestNetShardOracle(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			w := oracleLog(seed)
-			engines := openOracleEngines(t, w)[:2] // 1-shard baseline + 4-shard
+			engines := openOracleEngines(t, w)[:3] // serial baseline, 1-shard, 4-shard
 
 			disk := startNetFleet(t, []string{t.TempDir(), t.TempDir()})
 			defer disk.Stop()
@@ -117,51 +119,119 @@ func TestNetShardOracle(t *testing.T) {
 
 // TestNetShardStreamMatchesBatch: the streaming pipeline writing through
 // remote stores (one WAL group per shard server per flush) builds the same
-// index as serial batch ingestion into a local single-store engine.
+// index as serial batch updates (index.Builder) into a local single-store
+// engine, under a total and under a partial order.
 func TestNetShardStreamMatchesBatch(t *testing.T) {
-	w := oracleLog(17)
+	for _, partial := range []bool{false, true} {
+		t.Run(fmt.Sprintf("partial=%v", partial), func(t *testing.T) {
+			w := oracleLog(17)
+			if partial {
+				w.batches = tiedBatches(w.batches)
+			}
+			cfg := Config{Policy: "STNM", Workers: 2, QueryWorkers: 2, PartialOrder: partial}
+			serial := builderEngine(t, cfg, w.batches...)
 
-	serial, err := Open(Config{Policy: "STNM", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+			f := startNetFleet(t, []string{t.TempDir(), t.TempDir()})
+			defer f.Stop()
+			cfg.ShardAddrs = f.addrs
+			remote, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+			app, err := remote.OpenStream(StreamOptions{Block: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range w.batches {
+				if err := app.Append(b); err != nil {
+					t.Fatal(err)
+				}
+				if err := app.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := app.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for pi, p := range w.patterns {
+				want := jrun(t, func() (any, error) { return serial.Detect(context.Background(), p, DetectOptions{}) })
+				got := jrun(t, func() (any, error) { return remote.Detect(context.Background(), p, DetectOptions{}) })
+				if got != want {
+					t.Errorf("pattern %d: streamed netshard engine diverges from serial local\nwant %s\ngot  %s", pi, want, got)
+				}
+			}
+			stats := jrun(t, func() (any, error) { return serial.Stats(context.Background(), w.patterns[0], StatsOptions{}) })
+			if got := jrun(t, func() (any, error) { return remote.Stats(context.Background(), w.patterns[0], StatsOptions{}) }); got != stats {
+				t.Errorf("stats diverge:\nwant %s\ngot  %s", stats, got)
+			}
+		})
 	}
-	defer serial.Close()
-	for _, b := range w.batches {
-		if _, err := serial.Ingest(b); err != nil {
-			t.Fatal(err)
+}
+
+// tiedBatches coarsens the workload's timestamps so traces hold
+// same-timestamp groups, and moves each batch cut past a group it would
+// split: a partial-order batch may not reach back into a stored tie.
+func tiedBatches(batches [][]Event) [][]Event {
+	var (
+		evs  []Event
+		cuts []int
+	)
+	for _, b := range batches {
+		for _, ev := range b {
+			ev.Time /= 8
+			evs = append(evs, ev)
+		}
+		cuts = append(cuts, len(evs))
+	}
+	var out [][]Event
+	lo := 0
+	for _, hi := range cuts {
+		for hi < len(evs) && evs[hi].Trace == evs[hi-1].Trace && evs[hi].Time == evs[hi-1].Time {
+			hi++
+		}
+		if hi > lo {
+			out = append(out, evs[lo:hi])
+			lo = hi
 		}
 	}
+	return out
+}
 
+// TestNetShardIngestOneCommitPerShard: over a fleet a batch Ingest ships
+// each shard server its rows as one commit group — no per-row write RPC and
+// no separate sync — so each shard commits the batch atomically.
+func TestNetShardIngestOneCommitPerShard(t *testing.T) {
 	f := startNetFleet(t, []string{t.TempDir(), t.TempDir()})
 	defer f.Stop()
-	remote := openNetEngine(t, f)
-	defer remote.Close()
-	app, err := remote.OpenStream(StreamOptions{Block: true})
-	if err != nil {
+	eng := openNetEngine(t, f)
+	defer eng.Close()
+	writeOps := []string{"append_seq", "append_index", "merge_counts", "merge_last_completion", "put_meta", "sync", "commit"}
+	rpcs := func() map[string]int64 {
+		n := map[string]int64{}
+		for shard := range f.addrs {
+			for _, op := range writeOps {
+				h := eng.Metrics().Histogram("seqlog_netshard_rpc_seconds",
+					metrics.Label{Key: "shard", Value: fmt.Sprint(shard)}, metrics.Label{Key: "op", Value: op})
+				n[fmt.Sprintf("%s/%d", op, shard)] = h.Snapshot().Count
+			}
+		}
+		return n
+	}
+	before := rpcs()
+	if _, err := eng.Ingest(shopEvents()); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range w.batches {
-		if err := app.Append(b); err != nil {
-			t.Fatal(err)
+	after := rpcs()
+	for k, n := range after {
+		want := int64(0)
+		if strings.HasPrefix(k, "commit/") {
+			want = 1
 		}
-		if err := app.Flush(); err != nil {
-			t.Fatal(err)
+		if n-before[k] != want {
+			t.Errorf("%s RPCs during one Ingest = %d, want %d (all: %v)", k, n-before[k], want, after)
 		}
-	}
-	if err := app.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for pi, p := range w.patterns {
-		want := jrun(t, func() (any, error) { return serial.Detect(context.Background(), p, DetectOptions{}) })
-		got := jrun(t, func() (any, error) { return remote.Detect(context.Background(), p, DetectOptions{}) })
-		if got != want {
-			t.Errorf("pattern %d: streamed netshard engine diverges from serial local\nwant %s\ngot  %s", pi, want, got)
-		}
-	}
-	stats := jrun(t, func() (any, error) { return serial.Stats(context.Background(), w.patterns[0], StatsOptions{}) })
-	if got := jrun(t, func() (any, error) { return remote.Stats(context.Background(), w.patterns[0], StatsOptions{}) }); got != stats {
-		t.Errorf("stats diverge:\nwant %s\ngot  %s", stats, got)
 	}
 }
 

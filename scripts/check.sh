@@ -53,12 +53,15 @@ if want vet; then
 		echo "check: internal/bench imports the engine or a fleet package; measure it in benchmark/" >&2
 		exit 1
 	fi
-	# Baselines behind a fence: internal/sase, subtree and textsearch exist
-	# to reproduce the paper's Tables 6-8; only internal/bench and tests may
-	# import them, so the serving path stays clean.
-	if grep -rlE '"seqlog/internal/(sase|subtree|textsearch)"' --include='*.go' . |
-		grep -vE '^\./internal/bench/|_test\.go$'; then
-		echo "check: baseline package imported outside internal/bench and tests" >&2
+	# Reproduction code behind a fence: internal/sase, subtree and textsearch
+	# are the paper's Tables 6-8 baselines, and index.Builder is the batch
+	# reference that Tables 5-6 and the serial-equivalence oracles run. Only
+	# internal/bench and tests may import them, so the serving path stays
+	# clean and the product has one ingest path, the pipeline. benchmark/ is
+	# its own module.
+	if grep -rlE '"seqlog/internal/(sase|subtree|textsearch|index)"' --include='*.go' . |
+		grep -vE '^\./(internal/bench|benchmark)/|_test\.go$'; then
+		echo "check: baseline or index.Builder imported outside internal/bench and tests" >&2
 		exit 1
 	fi
 	# One postings read: the row-returning GetIndex* reads stay deleted.
@@ -87,12 +90,13 @@ if want crash; then
 	go test -race -run 'Crash|Corrupt' ./internal/kvstore/
 fi
 
-# Ingest tier: the streaming pipeline under the race detector, plus the
+# Ingest tier: the ingestion pipeline under the race detector, plus the
 # serial-equivalence oracles (streamed micro-batches at 1, 2 and 4 ingest
 # workers — and 1 vs N sharded stores — must produce exactly the tables of
-# one serial Builder.Update), the group-commit crash sweeps (including the
-# sharded one: an acked flush is durable on EVERY store it touched, even
-# crashing mid-fsync-coalesce), and the parallel-flusher regression gates
+# one serial Builder.Update, under SC, STNM and partial order), the
+# group-commit crash sweeps (streamed and one-shot batches, and the sharded
+# one: an acked flush is durable on EVERY store it touched, even crashing
+# mid-fsync-coalesce), and the parallel-flusher regression gates
 # (timer hygiene, all-or-nothing admission, producer/Flush/Forget hammer),
 # run explicitly for the same reason as above.
 if want ingest; then

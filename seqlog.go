@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"seqlog/internal/eventlog"
-	"seqlog/internal/index"
 	"seqlog/internal/ingest"
 	"seqlog/internal/kvstore"
 	"seqlog/internal/metrics"
@@ -60,12 +59,8 @@ import (
 type Config struct {
 	// Policy is the pair-indexing policy: "SC" or "STNM" (default "STNM").
 	Policy string
-	// Method is the STNM pair-extraction flavor: "parsing", "indexing" or
-	// "state" (default "indexing", the paper's recommendation for
-	// periodic batch updates).
-	Method string
-	// Workers bounds per-trace parallelism during ingestion; 0 uses all
-	// cores.
+	// Workers is the number of trace-affinity shards, and so the extraction
+	// parallelism, of the ingestion pipeline; 0 uses all cores.
 	Workers int
 	// Dir, when non-empty, stores the index durably in that directory
 	// (write-ahead log + snapshots). Empty means in-memory.
@@ -97,7 +92,9 @@ type Config struct {
 	// PartialOrder treats same-timestamp events of a trace as concurrent
 	// (the §7 extension): such events never pair with each other and
 	// detection steps must advance strictly in time. Requires the STNM
-	// policy; batches may not reach back into stored timestamps.
+	// policy; a batch (or stream Append) may not reach back to a timestamp
+	// its trace already holds, so a tie group must arrive in one piece.
+	// Such a batch fails alone with ErrReachesBack.
 	PartialOrder bool
 	// Planner enables the selectivity-based join planner for Detect: pair
 	// rows are intersected at the trace level before the Algorithm 2 join,
@@ -129,20 +126,17 @@ type Config struct {
 	// itself degraded through Recovery / Info. Without it, corruption fails
 	// Open with kvstore.ErrCorruptWAL or kvstore.ErrCorruptSnapshot.
 	Salvage bool
-	// IngestWorkers is the default shard count of streaming ingestion
-	// (OpenStream); 0 falls back to Workers, then to all cores.
-	IngestWorkers int
-	// FlushEvents is the default size trigger of a streaming flush.
+	// FlushEvents is the size trigger of an ingestion-pipeline flush.
 	FlushEvents int
-	// FlushInterval is the default age trigger of a streaming flush.
+	// FlushInterval is the age trigger of an ingestion-pipeline flush.
 	FlushInterval time.Duration
-	// IngestQueue bounds the streaming input queue (backpressure).
+	// IngestQueue bounds the ingestion input queue (backpressure).
 	IngestQueue int
-	// IngestInflight caps how many streaming flush cycles may be past
-	// extraction at once: 1 serializes commits (each cycle runs to
-	// durability before the next is handed off), 0 or 2 pipelines them
-	// (extraction and table writes of cycle N+1 overlap cycle N's fsync,
-	// and back-to-back cycles on one store coalesce their fsyncs).
+	// IngestInflight caps how many flush cycles may be past extraction at
+	// once: 1 serializes commits (each cycle runs to durability before the
+	// next is handed off), 0 or 2 pipelines them (extraction and table
+	// writes of cycle N+1 overlap cycle N's fsync, and back-to-back cycles
+	// on one store coalesce their fsyncs).
 	IngestInflight int
 	// SlowQueryThreshold, when positive, logs every query taking at least
 	// this long as one structured line — family, pattern arity, rows
@@ -202,10 +196,8 @@ type Proposal struct {
 
 // UpdateStats summarises one ingestion batch.
 type UpdateStats struct {
-	Traces      int
-	Events      int
-	Pairs       int
-	Occurrences int
+	Traces int // distinct traces the batch touched
+	Events int // events in the batch
 }
 
 // ExploreMode selects a continuation strategy.
@@ -294,21 +286,24 @@ func Truncated(err error) bool {
 // Engine is the top-level handle combining the pre-processing component and
 // the query processor over one indexing database.
 type Engine struct {
-	mu       sync.Mutex           // serialises ingestion and alphabet persistence
+	mu       sync.Mutex           // serialises table commits with alphabet persistence and table maintenance
 	stores   []kvstore.Store      // one per shard (length 1 unsharded)
 	disks    []*kvstore.DiskStore // empty for in-memory engines
 	tables   storage.Backend
-	builder  *index.Builder
+	policy   model.Policy
 	proc     *query.Processor
 	alphabet *model.Alphabet
 	cfg      Config
 
-	// Streaming ingestion (stream.go). pipeMu guards the pipeline handle
-	// and refcount; persistedActs (under mu) tracks how much of the
-	// alphabet is durable, so stream flushes persist it only on growth.
+	// Ingestion (stream.go). pipeMu guards the pipeline handle, its
+	// refcount, the pipeline being drained (drained signals the end of a
+	// drain) and cfg.Period; persistedActs (under mu) tracks how much of
+	// the alphabet is durable, so flushes persist it only on growth.
 	pipeMu        sync.Mutex
 	pipeline      *ingest.Pipeline
 	streams       int
+	draining      *ingest.Pipeline
+	drained       *sync.Cond
 	lastIngest    ingest.Stats // snapshot of the last drained stream
 	ingestTotal   ingest.Stats // counters accumulated over drained pipelines
 	persistedActs int
@@ -388,16 +383,12 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = "STNM"
 	}
-	if cfg.Method == "" {
-		cfg.Method = "indexing"
-	}
 	policy, err := model.ParsePolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
-	method, err := parseMethod(cfg.Method)
-	if err != nil {
-		return nil, err
+	if err := (pairs.Rule{Policy: policy, PartialOrder: cfg.PartialOrder}).Validate(); err != nil {
+		return nil, fmt.Errorf("seqlog: %w", err)
 	}
 
 	reg := metrics.New()
@@ -413,14 +404,6 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.CacheBytes != 0 {
 		tables.SetCacheBudget(cfg.CacheBytes)
 	}
-	builder, err := index.NewBuilder(tables, index.Options{
-		Policy: policy, Method: method, Workers: cfg.Workers, Period: cfg.Period,
-		PartialOrder: cfg.PartialOrder,
-	})
-	if err != nil {
-		closeStores()
-		return nil, err
-	}
 
 	proc := query.NewProcessor(tables)
 	proc.SetWorkers(cfg.QueryWorkers)
@@ -428,12 +411,13 @@ func Open(cfg Config) (*Engine, error) {
 		stores:   stores,
 		disks:    disks,
 		tables:   tables,
-		builder:  builder,
+		policy:   policy,
 		proc:     proc,
 		alphabet: model.NewAlphabet(),
 		cfg:      cfg,
 		metrics:  reg,
 	}
+	e.drained = sync.NewCond(&e.pipeMu)
 	if err := e.restoreMeta(policy); err != nil {
 		closeStores()
 		return nil, err
@@ -681,19 +665,6 @@ func (e *Engine) track(family string, arity int) func(*error) {
 	}
 }
 
-func parseMethod(s string) (pairs.Method, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "parsing":
-		return pairs.Parsing, nil
-	case "indexing":
-		return pairs.Indexing, nil
-	case "state":
-		return pairs.State, nil
-	default:
-		return 0, fmt.Errorf("seqlog: unknown method %q (want parsing, indexing or state)", s)
-	}
-}
-
 func (e *Engine) restoreMeta(policy model.Policy) error {
 	raw, ok, err := e.tables.GetMeta(metaPolicy)
 	if err != nil {
@@ -762,68 +733,39 @@ func (e *Engine) persistAlphabet() error {
 // Events may extend traces seen in earlier batches; the index never
 // duplicates pairs across batches.
 //
-// While a stream is open (OpenStream) the batch is routed through the
-// pipeline instead — its resident sessions must observe every write — and
-// acknowledged after a full flush, preserving the durability contract. On
-// that path only the Events counter of the returned stats is populated.
+// A batch is the one-shot case of a stream: it joins the engine's ingestion
+// pipeline (starting it when no stream is open), is flushed, and is
+// acknowledged once durable. Each store commits it as one crash-atomic WAL
+// group, and a batch the rule rejects (a partial-order batch reaching back
+// into a trace, ErrReachesBack) writes nothing and fails alone.
 func (e *Engine) Ingest(events []Event) (UpdateStats, error) {
 	return e.IngestCtx(context.Background(), events)
 }
 
-// IngestCtx is Ingest with a caller context. On the streaming path the
-// admission wait and the flush wait are cancellable; on the batch path the
-// context is only checked up front — a started batch update always commits
-// or fails whole, never half.
+// IngestCtx is Ingest with a caller context. ctx cancels only the wait for
+// queue space, in which case nothing was admitted. An admitted batch is
+// waited for until it is durable, so an error never hides a committed batch
+// that a retry would index twice.
 func (e *Engine) IngestCtx(ctx context.Context, events []Event) (UpdateStats, error) {
-	if err := e.readOnlyErr(); err != nil {
-		return UpdateStats{}, err
-	}
-	e.pipeMu.Lock()
-	p := e.pipeline
-	e.pipeMu.Unlock()
-	if p != nil {
-		err := p.AppendCtx(ctx, e.intern(events))
-		if err == nil {
-			if err := p.FlushCtx(ctx); err != nil {
-				return UpdateStats{}, err
-			}
-			return UpdateStats{Events: len(events)}, nil
-		}
-		// ErrClosed means the last stream closed the pipeline after the
-		// lookup and nothing was admitted: the batch path takes the events.
-		if !errors.Is(err, ingest.ErrClosed) {
-			return UpdateStats{}, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return UpdateStats{}, err
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	batch := make([]model.Event, len(events))
-	before := e.alphabet.Len()
-	for i, ev := range events {
-		batch[i] = model.Event{
-			Trace:    model.TraceID(ev.Trace),
-			Activity: e.alphabet.ID(ev.Activity),
-			TS:       model.Timestamp(ev.Time),
-		}
-	}
-	st, err := e.builder.Update(batch)
+	a, err := e.OpenStream(StreamOptions{Block: true})
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	if e.alphabet.Len() != before {
-		if err := e.persistAlphabet(); err != nil {
-			return UpdateStats{}, err
-		}
-		e.persistedActs = e.alphabet.Len()
+	err = a.AppendCtx(ctx, events)
+	if err == nil {
+		err = a.Flush()
 	}
-	if err := e.syncDisks(); err != nil {
+	if cerr := a.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return UpdateStats{}, err
 	}
-	return UpdateStats(st), nil
+	traces := make(map[int64]bool)
+	for _, ev := range events {
+		traces[ev.Trace] = true
+	}
+	return UpdateStats{Traces: len(traces), Events: len(events)}, nil
 }
 
 // syncDisks flushes and fsyncs every durable shard's WAL (no-op in memory).
@@ -948,7 +890,7 @@ func (e *Engine) Detect(ctx context.Context, patternNames []string, opts DetectO
 	case opts.Scan && e.cfg.PartialOrder:
 		ms, err = e.proc.DetectScanPartial(ctx, p)
 	case opts.Scan:
-		ms, err = e.proc.DetectScan(ctx, p, e.builder.Options().Policy)
+		ms, err = e.proc.DetectScan(ctx, p, e.policy)
 	case opts.Within > 0:
 		ms, err = e.proc.DetectWithin(ctx, p, opts.Within)
 	case e.cfg.Planner:
@@ -1133,8 +1075,13 @@ func (e *Engine) PruneTraces(ids []int64) error {
 			return err
 		}
 	}
+	var err error
 	e.mu.Lock()
-	err := e.builder.PruneTraces(conv)
+	for _, id := range conv {
+		if err = e.tables.DeleteSeq(id); err != nil {
+			break
+		}
+	}
 	e.mu.Unlock()
 	if err == nil && p != nil {
 		p.Forget(conv)
@@ -1144,30 +1091,17 @@ func (e *Engine) PruneTraces(ids []int64) error {
 
 // RotatePeriod directs subsequent batches into a new index partition
 // (§3.1.3 suggests e.g. one per month); queries keep spanning all
-// partitions.
+// partitions. It refuses while any ingestion — an open stream or an Ingest
+// in flight — holds the pipeline.
 func (e *Engine) RotatePeriod(period string) error {
 	if err := e.readOnlyErr(); err != nil {
 		return err
 	}
 	e.pipeMu.Lock()
-	streaming := e.pipeline != nil
-	e.pipeMu.Unlock()
-	if streaming {
-		return errors.New("seqlog: close ingestion streams before rotating the period")
+	defer e.pipeMu.Unlock()
+	if e.pipeline != nil {
+		return errors.New("seqlog: ingestion in progress; close streams before rotating the period")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b, err := index.NewBuilder(e.tables, index.Options{
-		Policy:       e.builder.Options().Policy,
-		Method:       e.builder.Options().Method,
-		Workers:      e.cfg.Workers,
-		Period:       period,
-		PartialOrder: e.cfg.PartialOrder,
-	})
-	if err != nil {
-		return err
-	}
-	e.builder = b
 	e.cfg.Period = period
 	return nil
 }
@@ -1276,9 +1210,10 @@ type IndexInfo struct {
 	Segments SegmentStats `json:"segments"`
 	Recovery RecoveryInfo `json:"recovery"`
 	Degraded bool         `json:"degraded"`
-	// Ingest reports the streaming-pipeline counters: live while a stream
-	// is open, the final snapshot after it drained, nil when streaming was
-	// never used.
+	// Ingest reports the ingestion-pipeline counters, which count Ingest
+	// batches and stream appends alike: live while either holds the
+	// pipeline, the final snapshot after it drained, nil before the first
+	// ingestion.
 	Ingest *IngestStats `json:"ingest,omitempty"`
 	// Role is this engine's replication role: "follower" while tailing a
 	// primary, "primary" otherwise.
@@ -1291,7 +1226,7 @@ type IndexInfo struct {
 func (e *Engine) Info() (IndexInfo, error) {
 	info := IndexInfo{
 		Activities:  e.alphabet.Len(),
-		Policy:      e.builder.Options().Policy.String(),
+		Policy:      e.policy.String(),
 		Shards:      e.tables.NumShards(),
 		Partitions:  make(map[string]int),
 		Cache:       e.CacheStats(),
@@ -1371,8 +1306,9 @@ func (e *Engine) Freeze() error {
 }
 
 // Sync flushes and fsyncs the write-ahead log(s) (no-op in memory). Ingest
-// already syncs before acknowledging a batch; Sync exists for callers that
-// need a durability point outside ingestion, such as server shutdown.
+// already commits durably before acknowledging a batch; Sync exists for
+// callers that need a durability point outside ingestion, such as server
+// shutdown.
 func (e *Engine) Sync() error { return e.syncDisks() }
 
 // Close releases the engine. An open ingestion stream is drained with a

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"seqlog/internal/kvstore"
 )
@@ -91,14 +93,13 @@ func TestTraces(t *testing.T) {
 
 func TestOpenDefaultsAndValidation(t *testing.T) {
 	e := openMem(t, Config{})
-	if e.cfg.Policy != "STNM" || e.cfg.Method != "indexing" {
+	if e.cfg.Policy != "STNM" {
 		t.Fatalf("defaults not applied: %+v", e.cfg)
 	}
-	if _, err := Open(Config{Policy: "bogus"}); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-	if _, err := Open(Config{Method: "bogus"}); err == nil {
-		t.Fatal("bogus method accepted")
+	for _, policy := range []string{"bogus", "STAM"} {
+		if _, err := Open(Config{Policy: policy}); err == nil {
+			t.Fatalf("policy %q accepted", policy)
+		}
 	}
 }
 
@@ -682,6 +683,68 @@ func TestPartialOrderFacade(t *testing.T) {
 	ms, err := e.Detect(context.Background(), []string{"login", "sync"}, DetectOptions{Scan: true})
 	if err != nil || len(ms) != 1 || ms[0].Trace != 2 {
 		t.Fatalf("partial scan = %v %v", ms, err)
+	}
+}
+
+// TestRejectedPartialOrderBatchWritesNothing: a partial-order batch that
+// reaches back into one trace is refused whole — extraction runs before any
+// write, so the batch's other traces leave no Seq row behind that the index
+// lacks, and re-sending them later is accepted.
+func TestRejectedPartialOrderBatchWritesNothing(t *testing.T) {
+	e := openMem(t, Config{PartialOrder: true, Workers: 1})
+	if _, err := e.Ingest([]Event{{Trace: 2, Activity: "a", Time: 1}, {Trace: 2, Activity: "b", Time: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	trace1 := []Event{{Trace: 1, Activity: "a", Time: 1}, {Trace: 1, Activity: "b", Time: 2}}
+	_, err := e.Ingest(append(slices.Clone(trace1), Event{Trace: 2, Activity: "c", Time: 3}))
+	if err == nil || !strings.Contains(err.Error(), "reaches back to ts 3") {
+		t.Fatalf("reaching-back batch: %v", err)
+	}
+	if _, ok, err := e.TraceEvents(1); ok || err != nil {
+		t.Fatalf("rejected batch stored trace 1 (%v)", err)
+	}
+	if evs, _, _ := e.TraceEvents(2); len(evs) != 2 {
+		t.Fatalf("rejected batch changed trace 2: %v", evs)
+	}
+	joinAndScan := func(want []int64) {
+		t.Helper()
+		join, err1 := detectTraces(e, []string{"a", "b"})
+		ms, err2 := e.Detect(context.Background(), []string{"a", "b"}, DetectOptions{Scan: true})
+		if scan := Traces(ms); err1 != nil || err2 != nil || !reflect.DeepEqual(join, want) || !reflect.DeepEqual(scan, want) {
+			t.Fatalf("a,b: join %v (%v), scan %v (%v), want %v", join, err1, scan, err2, want)
+		}
+	}
+	joinAndScan([]int64{2})
+	if _, err := e.Ingest(trace1); err != nil {
+		t.Fatalf("re-sending trace 1: %v", err)
+	}
+	joinAndScan([]int64{1, 2})
+}
+
+// TestIngestCtxWaitsOutAdmittedBatch: once a batch is admitted, IngestCtx
+// waits for its commit past the context's deadline and reports success, so
+// a caller never sees an error for a committed batch it would then resend.
+func TestIngestCtxWaitsOutAdmittedBatch(t *testing.T) {
+	e := openMem(t, Config{})
+	evs := streamEvents()
+	e.mu.Lock() // the commit lock: the batch is admitted but cannot commit
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.IngestCtx(ctx, evs)
+		done <- err
+	}()
+	for st := e.IngestInfo(); st == nil || st.Accepted < int64(len(evs)); st = e.IngestInfo() {
+		time.Sleep(time.Millisecond)
+	}
+	<-ctx.Done()
+	e.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("IngestCtx of an admitted, committed batch = %v", err)
+	}
+	if n, err := e.NumTraces(); err != nil || n != 3 {
+		t.Fatalf("traces = %d (%v), want 3", n, err)
 	}
 }
 

@@ -106,11 +106,21 @@ func oracleIngest(t *testing.T, name string, eng *Engine, w oracleWorkload) {
 	}
 }
 
-// openOracleEngines opens one in-memory engine per shard count and ingests
-// the workload identically into each.
+// openOracleEngines opens the baseline — a single store that index.Builder
+// wrote batch by batch, the serial reference — and one in-memory engine per
+// shard count that ingests the workload identically through the pipeline.
 func openOracleEngines(t *testing.T, w oracleWorkload) []oracleEngine {
 	t.Helper()
-	engines := make([]oracleEngine, 0, len(oracleShardCounts))
+	ref := openMem(t, Config{Policy: "STNM", Workers: 2, QueryWorkers: 2})
+	for bi, batch := range w.batches {
+		if bi == 2 {
+			if err := ref.RotatePeriod("p2"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		builderIngest(t, ref, batch)
+	}
+	engines := []oracleEngine{{"serial-builder", ref}}
 	for _, n := range oracleShardCounts {
 		eng, err := Open(Config{Policy: "STNM", Shards: n, Workers: 2, QueryWorkers: 2})
 		if err != nil {
@@ -310,16 +320,7 @@ func TestShardedDurableReopen(t *testing.T) {
 func TestShardedStreamMatchesBatch(t *testing.T) {
 	w := oracleLog(17)
 
-	serial, err := Open(Config{Policy: "STNM", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	for _, b := range w.batches {
-		if _, err := serial.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	serial := builderEngine(t, Config{Policy: "STNM", Workers: 2}, w.batches...)
 
 	sharded, err := Open(Config{Policy: "STNM", Shards: 4, Workers: 2, Dir: t.TempDir()})
 	if err != nil {

@@ -2,12 +2,11 @@ package seqlog
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"seqlog/internal/ingest"
 	"seqlog/internal/model"
+	"seqlog/internal/pairs"
 )
 
 // ErrOverloaded is returned by a non-blocking stream Append when the
@@ -15,29 +14,21 @@ import (
 // caller should retry after a flush drains the queue.
 var ErrOverloaded = ingest.ErrOverloaded
 
-// StreamOptions tunes an ingestion stream. Zero fields fall back to the
-// engine Config (IngestWorkers, FlushEvents, FlushInterval, IngestQueue)
-// and then to the pipeline defaults.
+// ErrReachesBack is wrapped by the error of a partial-order batch (Ingest)
+// or Append that does not start strictly after the timestamps its trace
+// already holds. Nothing of it was admitted; the engine carries on.
+var ErrReachesBack = pairs.ErrReachesBack
+
+// StreamOptions tunes one appender. The pipeline it feeds is sized by the
+// engine Config (Workers, FlushEvents, FlushInterval, IngestQueue,
+// IngestInflight).
 type StreamOptions struct {
-	// Workers is the number of trace-affinity shards / extraction workers.
-	Workers int
-	// FlushEvents triggers a flush once this many events are buffered.
-	FlushEvents int
-	// FlushInterval bounds how long a buffered event waits for its flush.
-	FlushInterval time.Duration
-	// QueueEvents bounds the input queue (backpressure threshold).
-	QueueEvents int
-	// Inflight caps how many flush cycles may be past extraction at once
-	// (the commit pipelining depth). 1 restores strictly serial commits;
-	// the default (2) lets extraction and table writes of one cycle overlap
-	// the previous cycle's fsync.
-	Inflight int
 	// Block makes Append wait for queue space instead of returning
 	// ErrOverloaded.
 	Block bool
 }
 
-// IngestStats mirrors the pipeline counters of the streaming write path.
+// IngestStats mirrors the counters of the ingestion pipeline.
 type IngestStats struct {
 	Queued   int64 `json:"queued"`
 	Accepted int64 `json:"accepted"`
@@ -48,51 +39,54 @@ type IngestStats struct {
 	Sessions int64 `json:"sessions,omitempty"`
 }
 
-// Appender is one handle onto the engine's shared ingestion stream. All
-// appenders feed the same pipeline; the last Close drains it with a final
-// group commit. An Appender is safe for concurrent use, but events of one
-// trace must be appended in timestamp order (across all its appenders) for
-// the serial-equivalence guarantee.
+// Appender is one handle onto the engine's shared ingestion pipeline. All
+// appenders — and every Ingest call — feed the same pipeline; the last
+// Close drains it with a final group commit. An Appender is safe for
+// concurrent use, but events of one trace must be appended in timestamp
+// order (across all its appenders) for the serial-equivalence guarantee.
 type Appender struct {
 	e      *Engine
+	p      *ingest.Pipeline
+	block  bool
 	closed bool
 }
 
-// OpenStream opens (or joins) the engine's streaming ingestion pipeline.
-// The first call starts the pipeline; later calls return additional
-// appenders onto it — opts of later calls are ignored. An acknowledged
-// Flush (and every acknowledged non-blocking Append after its flush) is
-// durable on disk-backed engines: each flush commits as one atomic WAL
-// group with a single fsync.
+// OpenStream opens (or joins) the engine's ingestion pipeline. The first
+// holder starts it; later calls return additional appenders onto it. An
+// acknowledged Flush is durable on disk-backed engines: each flush commits
+// as one atomic WAL group per store.
 func (e *Engine) OpenStream(opts StreamOptions) (*Appender, error) {
 	if err := e.readOnlyErr(); err != nil {
 		return nil, err
 	}
-	if e.cfg.PartialOrder {
-		return nil, errors.New("seqlog: streaming ingestion requires a total order (the partial-order extractor is batch-only)")
-	}
 	e.pipeMu.Lock()
 	defer e.pipeMu.Unlock()
+	for {
+		for e.draining != nil {
+			e.drained.Wait()
+		}
+		failed := e.pipeline
+		if failed == nil || failed.Err() == nil {
+			break
+		}
+		// A failed pipeline refuses every append; detach it so this caller
+		// starts afresh. Its holders keep their handles and see the error,
+		// so the drain's error is theirs, not this caller's.
+		e.pipeline, e.streams, e.draining = nil, 0, failed
+		e.pipeMu.Unlock()
+		e.drain(failed)
+		e.pipeMu.Lock()
+	}
 	if e.pipeline == nil {
-		pick := func(v, cfg int) int {
-			if v > 0 {
-				return v
-			}
-			return cfg
-		}
-		interval := opts.FlushInterval
-		if interval <= 0 {
-			interval = e.cfg.FlushInterval
-		}
 		p, err := ingest.New(e.tables, ingest.Options{
-			Policy:        e.builder.Options().Policy,
+			Policy:        e.policy,
+			PartialOrder:  e.cfg.PartialOrder,
 			Period:        e.cfg.Period,
-			Workers:       pick(opts.Workers, pick(e.cfg.IngestWorkers, e.cfg.Workers)),
-			FlushEvents:   pick(opts.FlushEvents, e.cfg.FlushEvents),
-			FlushInterval: interval,
-			QueueEvents:   pick(opts.QueueEvents, e.cfg.IngestQueue),
-			MaxInflight:   pick(opts.Inflight, e.cfg.IngestInflight),
-			Block:         opts.Block,
+			Workers:       e.cfg.Workers,
+			FlushEvents:   e.cfg.FlushEvents,
+			FlushInterval: e.cfg.FlushInterval,
+			QueueEvents:   e.cfg.IngestQueue,
+			MaxInflight:   e.cfg.IngestInflight,
 			CommitLock:    &e.mu,
 			BeforeCommit:  e.persistAlphabetIfGrown,
 			Metrics:       e.metrics,
@@ -103,8 +97,12 @@ func (e *Engine) OpenStream(opts StreamOptions) (*Appender, error) {
 		e.pipeline = p
 	}
 	e.streams++
-	return &Appender{e: e}, nil
+	return &Appender{e: e, p: e.pipeline, block: opts.Block}, nil
 }
+
+// PartialOrder reports whether the engine keeps same-timestamp events
+// concurrent, so a streaming client must keep each tie group in one Append.
+func (e *Engine) PartialOrder() bool { return e.cfg.PartialOrder }
 
 // persistAlphabetIfGrown persists the interned alphabet when it grew since
 // the last persist, reporting whether it wrote. It runs under e.mu — as the
@@ -151,10 +149,7 @@ func (a *Appender) AppendCtx(ctx context.Context, events []Event) error {
 	if a.closed {
 		return ingest.ErrClosed
 	}
-	if len(events) == 0 {
-		return nil
-	}
-	return a.e.pipeline.AppendCtx(ctx, a.e.intern(events))
+	return a.p.AppendCtx(ctx, a.e.intern(events), a.block)
 }
 
 // Flush commits everything this appender admitted and blocks until the
@@ -170,12 +165,12 @@ func (a *Appender) FlushCtx(ctx context.Context) error {
 	if a.closed {
 		return ingest.ErrClosed
 	}
-	return a.e.pipeline.FlushCtx(ctx)
+	return a.p.FlushCtx(ctx)
 }
 
 // Stats snapshots the shared pipeline counters.
 func (a *Appender) Stats() IngestStats {
-	return IngestStats(a.e.pipeline.Stats())
+	return IngestStats(a.p.Stats())
 }
 
 // Close detaches this appender. The last Close drains the pipeline with a
@@ -185,68 +180,81 @@ func (a *Appender) Close() error {
 		return nil
 	}
 	a.closed = true
-	return a.e.releaseStream()
-}
-
-func (e *Engine) releaseStream() error {
+	e := a.e
 	e.pipeMu.Lock()
-	e.streams--
-	var p *ingest.Pipeline
-	if e.streams == 0 {
-		p, e.pipeline = e.pipeline, nil
-		e.lastIngest = p.Stats() // snapshot survives for Info
+	last := false
+	if e.pipeline == a.p { // else it failed or Engine.Close drained it
+		e.streams--
+		if last = e.streams == 0; last {
+			e.pipeline, e.draining = nil, a.p
+		}
 	}
 	e.pipeMu.Unlock()
-	if p == nil {
+	if !last {
 		return nil
 	}
-	cerr := p.Close()
-	e.pipeMu.Lock()
-	e.lastIngest = p.Stats()
-	e.accumulateIngestLocked(e.lastIngest)
-	e.pipeMu.Unlock()
-	if cerr != nil {
-		return fmt.Errorf("seqlog: draining ingestion stream: %w", cerr)
+	if err := e.drain(a.p); err != nil {
+		return fmt.Errorf("seqlog: draining ingestion stream: %w", err)
 	}
 	return nil
 }
 
-// accumulateIngestLocked folds a drained pipeline's counters into the
-// engine-lifetime totals (pipeMu held). Only monotone counters accumulate;
-// Queued/Sessions are instantaneous and belong to the live pipeline.
-func (e *Engine) accumulateIngestLocked(st ingest.Stats) {
-	e.ingestTotal.Accepted += st.Accepted
-	e.ingestTotal.Flushed += st.Flushed
-	e.ingestTotal.Batches += st.Batches
-	e.ingestTotal.Syncs += st.Syncs
-	e.ingestTotal.Stalls += st.Stalls
+// drain closes p, detached from the engine as e.draining, and folds its
+// counters into the engine totals. OpenStream waits for it before starting
+// a successor, whose sessions would otherwise load Seq rows that miss p's
+// last commit; readers do not wait.
+func (e *Engine) drain(p *ingest.Pipeline) error {
+	err := p.Close()
+	st := p.Stats()
+	e.pipeMu.Lock()
+	defer e.pipeMu.Unlock()
+	e.lastIngest = st
+	addIngest(&e.ingestTotal, st)
+	e.draining = nil
+	e.drained.Broadcast()
+	return err
 }
 
 // ingestCumulative sums the counters of all drained pipelines with the live
-// one, keeping the exported ingest counters monotone across stream restarts.
+// (or draining) one, keeping the exported ingest counters monotone across
+// restarts.
 func (e *Engine) ingestCumulative() ingest.Stats {
 	e.pipeMu.Lock()
 	st := e.ingestTotal
-	p := e.pipeline
+	p := e.activeLocked()
 	e.pipeMu.Unlock()
 	if p != nil {
 		live := p.Stats()
-		st.Accepted += live.Accepted
-		st.Flushed += live.Flushed
-		st.Batches += live.Batches
-		st.Syncs += live.Syncs
-		st.Stalls += live.Stalls
-		st.Queued = live.Queued
-		st.Sessions = live.Sessions
+		addIngest(&st, live)
+		st.Queued, st.Sessions = live.Queued, live.Sessions
 	}
 	return st
 }
 
-// liveIngest snapshots the open pipeline's counters, or zeros when no stream
-// is open.
+// addIngest adds the monotone counters of src to dst; Queued and Sessions
+// are instantaneous and belong to the live pipeline.
+func addIngest(dst *ingest.Stats, src ingest.Stats) {
+	dst.Accepted += src.Accepted
+	dst.Flushed += src.Flushed
+	dst.Batches += src.Batches
+	dst.Syncs += src.Syncs
+	dst.Stalls += src.Stalls
+}
+
+// activeLocked is the pipeline whose counters are live: the open one, else
+// the one draining (pipeMu held).
+func (e *Engine) activeLocked() *ingest.Pipeline {
+	if e.pipeline != nil {
+		return e.pipeline
+	}
+	return e.draining
+}
+
+// liveIngest snapshots the active pipeline's counters, or zeros when no
+// ingestion holds one.
 func (e *Engine) liveIngest() ingest.Stats {
 	e.pipeMu.Lock()
-	p := e.pipeline
+	p := e.activeLocked()
 	e.pipeMu.Unlock()
 	if p == nil {
 		return ingest.Stats{}
@@ -254,37 +262,34 @@ func (e *Engine) liveIngest() ingest.Stats {
 	return p.Stats()
 }
 
-// closePipeline force-drains the stream on engine Close, regardless of open
-// appenders.
+// closePipeline force-drains the pipeline on engine Close, regardless of
+// open appenders, after any drain already under way.
 func (e *Engine) closePipeline() error {
 	e.pipeMu.Lock()
+	for e.draining != nil {
+		e.drained.Wait()
+	}
 	p := e.pipeline
-	e.pipeline = nil
-	e.streams = 0
+	e.pipeline, e.streams, e.draining = nil, 0, p
 	e.pipeMu.Unlock()
 	if p == nil {
 		return nil
 	}
-	err := p.Close()
-	e.pipeMu.Lock()
-	e.lastIngest = p.Stats()
-	e.accumulateIngestLocked(e.lastIngest)
-	e.pipeMu.Unlock()
-	return err
+	return e.drain(p)
 }
 
-// IngestInfo returns the streaming-pipeline counters: live while a stream
-// is open, the final snapshot after the last one drained, nil when
-// streaming was never used. Unlike Info it touches no tables.
+// IngestInfo returns the ingestion-pipeline counters: live while ingestion
+// holds the pipeline, the final snapshot after it last drained, nil before
+// the first ingestion. Unlike Info it touches no tables.
 func (e *Engine) IngestInfo() *IngestStats { return e.ingestStats() }
 
 // ingestStats returns the live pipeline counters, or the snapshot of the
-// last drained stream, or nil when streaming was never used.
+// last drained pipeline, or nil before the first ingestion.
 func (e *Engine) ingestStats() *IngestStats {
 	e.pipeMu.Lock()
 	defer e.pipeMu.Unlock()
-	if e.pipeline != nil {
-		st := IngestStats(e.pipeline.Stats())
+	if p := e.activeLocked(); p != nil {
+		st := IngestStats(p.Stats())
 		return &st
 	}
 	if e.lastIngest != (ingest.Stats{}) {
