@@ -3,9 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"seqlog/internal/model"
+	"seqlog/internal/parallel"
 	"seqlog/internal/query"
+	"seqlog/internal/storage"
 )
 
 // explorePatterns is how many random patterns each continuation measurement
@@ -15,8 +18,10 @@ const explorePatterns = 20
 // Figure5 compares the Accurate and Fast continuation strategies across
 // query pattern lengths on max_10000 — the paper's Figure 5.
 //
-// Expected shape: Accurate grows like the detection curve of Figure 4; Fast
-// is flat and orders of magnitude cheaper.
+// Expected shape: Algorithm 3 as written grows like the detection curve of
+// Figure 4; Fast is flat and orders of magnitude cheaper. The product's
+// Accurate joins the pattern once for all candidates, so it no longer grows
+// with pattern length.
 func (r *Runner) Figure5() error {
 	spec, err := r.figureDataset()
 	if err != nil {
@@ -27,7 +32,7 @@ func (r *Runner) Figure5() error {
 	log := r.log(spec)
 	tb := r.indexedTables(spec, model.STNM)
 	q := proc(tb)
-	header := []string{"pattern length", "Accurate", "Fast"}
+	header := []string{"pattern length", "Accurate", "Algorithm 3 (as written)", "Fast"}
 	var rows [][]string
 	for _, plen := range []int{1, 2, 3, 4, 5, 6} {
 		ps := samplePatterns(log, plen, explorePatterns, int64(500+plen))
@@ -37,10 +42,11 @@ func (r *Runner) Figure5() error {
 		tAcc := r.timeQueries(ps, func(p model.Pattern) {
 			q.ExploreAccurate(context.Background(), p, query.ExploreOptions{})
 		})
+		tAlg3 := r.timeQueries(ps, func(p model.Pattern) { algorithm3(tb, q, p) })
 		tFast := r.timeQueries(ps, func(p model.Pattern) {
 			q.ExploreFast(context.Background(), p, query.ExploreOptions{})
 		})
-		rows = append(rows, []string{fmt.Sprint(plen), msecs(tAcc), msecs(tFast)})
+		rows = append(rows, []string{fmt.Sprint(plen), msecs(tAcc), msecs(tAlg3), msecs(tFast)})
 	}
 	r.table(header, rows)
 	return nil
@@ -50,7 +56,8 @@ func (r *Runner) Figure5() error {
 // with Fast and Accurate as the two constant bounds — the paper's Figure 6.
 //
 // Expected shape: Hybrid grows roughly linearly in topK between the Fast
-// floor and the Accurate ceiling.
+// floor and the Accurate ceiling; Algorithm 3 as written is the paper's
+// ceiling, one detection per candidate.
 func (r *Runner) Figure6() error {
 	spec, err := r.figureDataset()
 	if err != nil {
@@ -68,14 +75,15 @@ func (r *Runner) Figure6() error {
 
 	tFast := r.timeQueries(ps, func(p model.Pattern) { q.ExploreFast(context.Background(), p, query.ExploreOptions{}) })
 	tAcc := r.timeQueries(ps, func(p model.Pattern) { q.ExploreAccurate(context.Background(), p, query.ExploreOptions{}) })
+	tAlg3 := r.timeQueries(ps, func(p model.Pattern) { algorithm3(tb, q, p) })
 
-	header := []string{"topK", "Hybrid", "Fast (bound)", "Accurate (bound)"}
+	header := []string{"topK", "Hybrid", "Fast (bound)", "Accurate (bound)", "Algorithm 3 (as written)"}
 	var rows [][]string
 	for _, k := range []int{0, 1, 2, 4, 8, 16, 32, 64, 128} {
 		tHyb := r.timeQueries(ps, func(p model.Pattern) {
 			q.ExploreHybrid(context.Background(), p, query.ExploreOptions{TopK: k})
 		})
-		rows = append(rows, []string{fmt.Sprint(k), msecs(tHyb), msecs(tFast), msecs(tAcc)})
+		rows = append(rows, []string{fmt.Sprint(k), msecs(tHyb), msecs(tFast), msecs(tAcc), msecs(tAlg3)})
 	}
 	r.table(header, rows)
 	return nil
@@ -156,4 +164,35 @@ func proposalEvents(props []query.Proposal) []model.ActivityID {
 		}
 	}
 	return out
+}
+
+// algorithm3 is Algorithm 3 as the paper writes it: the successors of the
+// pattern's last event from the Count table, each verified by a full
+// detection of the extended pattern and ranked by Equation 1. It fans out
+// over the cores like the product's Accurate, so the two columns differ only
+// in the shared prefix join.
+func algorithm3(tb *storage.Tables, q *query.Processor, p model.Pattern) ([]query.Proposal, error) {
+	ctx := context.Background()
+	cands, err := tb.GetCounts(ctx, p[len(p)-1])
+	if err != nil {
+		return nil, err
+	}
+	out, err := parallel.Map(cands, 0, func(c storage.CountEntry) (query.Proposal, error) {
+		ms, err := q.Detect(ctx, append(append(model.Pattern{}, p...), c.Other))
+		var gap int64
+		for _, m := range ms {
+			gap += int64(m.Timestamps[len(p)] - m.Timestamps[len(p)-1])
+		}
+		pr := query.Proposal{Event: c.Other, Completions: int64(len(ms)), Exact: true}
+		if len(ms) > 0 {
+			pr.AvgDuration = float64(gap) / float64(len(ms))
+			pr.Score = float64(len(ms)) / pr.AvgDuration
+			if pr.AvgDuration <= 0 {
+				pr.Score = float64(len(ms))
+			}
+		}
+		return pr, err
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	return out, err
 }

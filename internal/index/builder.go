@@ -83,9 +83,6 @@ func shardOf(k model.PairKey) int {
 	return int((uint64(k) * 0x9E3779B97F4A7C15) >> 32 % numShards)
 }
 
-// Options returns the builder configuration.
-func (b *Builder) Options() Options { return b.opts }
-
 // countAccum accumulates Count deltas for one leading activity.
 type countAccum map[model.ActivityID]*storage.CountEntry
 
@@ -98,11 +95,6 @@ type shard struct {
 }
 
 const numShards = 16
-
-// UpdateLog ingests every event of an in-memory log in one batch.
-func (b *Builder) UpdateLog(log *model.Log) (Stats, error) {
-	return b.Update(log.Events())
-}
 
 // Update implements Algorithm 1: the batch is grouped into traces, each
 // trace is merged with its stored prefix, pairs are re-extracted over the

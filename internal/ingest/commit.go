@@ -89,9 +89,6 @@ func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDel
 	slices.Sort(ids)
 	d := newShardDelta()
 	for _, id := range ids {
-		if err := p.abortedErr(); err != nil {
-			return nil, err
-		}
 		sess := sh.sessions[id]
 		if sess == nil {
 			old, _, err := p.tables.GetSeq(context.Background(), id)
@@ -329,11 +326,6 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 	sort.Slice(d.traces, func(i, j int) bool { return d.traces[i] < d.traces[j] })
 	for _, id := range d.traces {
-		// Abort poll between writes: returning the cause here unwinds into
-		// the caller's AbortBatch path, so the whole group rolls back.
-		if err = p.abortedErr(); err != nil {
-			return err
-		}
 		if err = p.tables.AppendSeq(id, d.seqs[id]); err != nil {
 			return err
 		}
@@ -345,9 +337,6 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		if err = p.abortedErr(); err != nil {
-			return err
-		}
 		es := d.entries[k]
 		// Within a cycle a pair's entries come from many traces; keep a
 		// canonical order inside the appended chunk.
@@ -374,9 +363,6 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 	}
 	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
 	for _, a := range acts {
-		if err = p.abortedErr(); err != nil {
-			return err
-		}
 		row := d.counts[a]
 		delta := make([]storage.CountEntry, 0, len(row))
 		for _, e := range row {

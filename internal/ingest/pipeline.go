@@ -220,14 +220,6 @@ type Pipeline struct {
 	// premature, often empty, tiny cycle.)
 	spuriousWakes atomic.Int64
 
-	// Abort state (CloseCtx): once set, the extraction and commit loops stop
-	// at their next poll — in-flight WAL batch groups roll back via the
-	// commit's AbortBatch path, exactly like any other commit error — and
-	// the pipeline poisons itself with the cause. Checked with a single
-	// atomic load between table writes, so the flush hot path is untouched.
-	aborted    atomic.Bool
-	abortCause atomic.Value // error
-
 	cycleMu sync.Mutex    // serializes extraction cycles with Forget
 	cycles  uint64        // extraction cycles so far; guarded by cycleMu
 	written atomic.Uint64 // last cycle whose rows the committer has written
@@ -564,55 +556,6 @@ func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.failed
-}
-
-// CloseCtx is Close with a bounded drain: when ctx is done before the drain
-// completes, the pipeline aborts — the in-flight flush stops at its next
-// cooperative poll, open WAL batch groups roll back cleanly (no partial
-// flush ever commits), and the pipeline poisons itself with the cause.
-// Events admitted but not yet committed are lost, which is the crash
-// contract re-ingestion already tolerates (watermark dedup makes replays
-// idempotent).
-func (p *Pipeline) CloseCtx(ctx context.Context) error {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			p.abort(context.Cause(ctx))
-		})
-		defer stop()
-	}
-	return p.Close()
-}
-
-// abortBox wraps the cause so abortCause always stores one concrete type
-// (atomic.Value requires it).
-type abortBox struct{ err error }
-
-// abort poisons the pipeline with cause and wakes every waiter. Only the
-// first cause sticks.
-func (p *Pipeline) abort(cause error) {
-	if cause == nil {
-		cause = context.Canceled
-	}
-	p.mu.Lock()
-	if !p.aborted.Load() {
-		p.abortCause.Store(abortBox{err: cause})
-		p.aborted.Store(true)
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.kickFlusher()
-}
-
-// abortedErr returns the abort cause, or nil while the pipeline is live.
-// One atomic load on the fast path.
-func (p *Pipeline) abortedErr() error {
-	if !p.aborted.Load() {
-		return nil
-	}
-	if b, ok := p.abortCause.Load().(abortBox); ok && b.err != nil {
-		return b.err
-	}
-	return context.Canceled
 }
 
 // fail records the first pipeline error and wakes every waiter.

@@ -22,25 +22,26 @@ import (
 // table: the successors are the Count row of the event before the gap, and
 // a predecessor x of the event after it is a pair read of (x, p[i]). With
 // no event before the gap (i = 0), every activity of the caller's alphabet
-// is tried. The accurate flavor verifies each candidate with a full
-// detection of the extended pattern.
+// is tried. The accurate flavor verifies each candidate exactly, through the
+// shared-prefix continuation of continuation.go.
 
 // ErrBadPosition reports an insertion position outside [0, len(pattern)].
 var ErrBadPosition = fmt.Errorf("query: insertion position out of range")
 
 // ExploreInsertAccurate proposes events to insert into the pattern at the
 // given position (0 = before the first event, len(p) = append at the end,
-// which degenerates to ExploreAccurate). Every candidate is verified with a
-// full detection, so completions are exact. alphabet lists the activities
-// a leading insert (pos 0) may propose; other positions ignore it.
+// which is ExploreAccurate). Every candidate is verified exactly, so
+// completions are exact. alphabet lists the activities a leading insert
+// (pos 0) may propose; other positions ignore it.
 func (q *Processor) ExploreInsertAccurate(ctx context.Context, p model.Pattern, pos int, alphabet []model.ActivityID, opts ExploreOptions) ([]Proposal, error) {
 	ctx = noPartial(ctx)
 	candidates, err := q.insertCandidates(ctx, p, pos, alphabet)
 	if err != nil {
 		return nil, err
 	}
-	props, err := parallel.MapCtx(ctx, candidates, q.workers, func(c gapCandidate) (*Proposal, error) {
-		return q.verifyInsert(ctx, p, pos, c.event, opts)
+	c := q.continueAt(ctx, p, pos, opts)
+	props, err := parallel.MapCtx(ctx, candidates, q.workers, func(gc gapCandidate) (*Proposal, error) {
+		return c.verify(gc.event)
 	})
 	if err != nil {
 		return nil, err
@@ -48,34 +49,6 @@ func (q *Processor) ExploreInsertAccurate(ctx context.Context, p model.Pattern, 
 	out := collectProposals(props)
 	sortProposals(out)
 	return out, nil
-}
-
-// verifyInsert runs the full detection of the pattern with cand inserted at
-// pos and scores the candidate exactly; nil means the MaxAvgGap constraint
-// dropped it.
-func (q *Processor) verifyInsert(ctx context.Context, p model.Pattern, pos int, cand model.ActivityID, opts ExploreOptions) (*Proposal, error) {
-	matches, err := q.Detect(ctx, insertAt(p, pos, cand))
-	if err != nil {
-		return nil, err
-	}
-	var sum int64
-	for _, m := range matches {
-		sum += gapAround(m, pos)
-	}
-	var avg float64
-	if len(matches) > 0 {
-		avg = float64(sum) / float64(len(matches))
-	}
-	if opts.MaxAvgGap > 0 && avg > opts.MaxAvgGap {
-		return nil, nil
-	}
-	return &Proposal{
-		Event:       cand,
-		Completions: int64(len(matches)),
-		AvgDuration: avg,
-		Score:       score(int64(len(matches)), avg),
-		Exact:       true,
-	}, nil
 }
 
 // ExploreInsertFast ranks insertion candidates from precomputed statistics
@@ -130,9 +103,7 @@ func (q *Processor) ExploreInsertHybrid(ctx context.Context, p model.Pattern, po
 	if err != nil {
 		return nil, err
 	}
-	return q.recheckTopK(ctx, fast, opts.TopK, func(event model.ActivityID) (*Proposal, error) {
-		return q.verifyInsert(ctx, p, pos, event, ExploreOptions{})
-	})
+	return q.recheckTopK(ctx, fast, opts.TopK, q.continueAt(ctx, p, pos, ExploreOptions{}).verify)
 }
 
 // gapCandidate is one event that can fill an insertion gap, with the Count
@@ -204,25 +175,4 @@ func (q *Processor) patternBound(ctx context.Context, p model.Pattern) (int64, e
 		}
 	}
 	return bound, nil
-}
-
-func insertAt(p model.Pattern, pos int, a model.ActivityID) model.Pattern {
-	ext := make(model.Pattern, 0, len(p)+1)
-	ext = append(ext, p[:pos]...)
-	ext = append(ext, a)
-	return append(ext, p[pos:]...)
-}
-
-// gapAround returns the time the inserted event (at index pos of the match)
-// adds around its neighbours: the span between its preceding and following
-// matched events, or the single-sided gap at the pattern edges.
-func gapAround(m Match, pos int) int64 {
-	switch {
-	case pos == 0:
-		return int64(m.Timestamps[1] - m.Timestamps[0])
-	case pos == len(m.Timestamps)-1:
-		return int64(m.Timestamps[pos] - m.Timestamps[pos-1])
-	default:
-		return int64(m.Timestamps[pos+1] - m.Timestamps[pos-1])
-	}
 }

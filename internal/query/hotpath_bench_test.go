@@ -24,6 +24,14 @@ func benchProcessor(b *testing.B, traces, events, alphabet int) *Processor {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if _, err := bld.Update(benchEvents(traces, events, alphabet)); err != nil {
+		b.Fatal(err)
+	}
+	return NewProcessor(tb)
+}
+
+// benchEvents is the reproducible random log of benchProcessor.
+func benchEvents(traces, events, alphabet int) []model.Event {
 	rng := rand.New(rand.NewSource(42))
 	var batch []model.Event
 	for t := 1; t <= traces; t++ {
@@ -35,10 +43,7 @@ func benchProcessor(b *testing.B, traces, events, alphabet int) *Processor {
 			})
 		}
 	}
-	if _, err := bld.Update(batch); err != nil {
-		b.Fatal(err)
-	}
-	return NewProcessor(tb)
+	return batch
 }
 
 // BenchmarkDetectJoin measures repeated detection of the same pattern — the
@@ -86,7 +91,7 @@ func BenchmarkDetectPlannedJoin(b *testing.B) {
 }
 
 // BenchmarkExploreAccurate measures Algorithm 3 with 16 candidate
-// continuations, each verified by a full detection.
+// continuations of a two-event pattern over in-memory rows.
 func BenchmarkExploreAccurate(b *testing.B) {
 	q := benchProcessor(b, 200, 100, 16)
 	p := model.Pattern{0, 1}
@@ -96,6 +101,41 @@ func BenchmarkExploreAccurate(b *testing.B) {
 	}
 	if len(props) < 8 {
 		b.Fatalf("want >= 8 candidates, got %d", len(props))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.ExploreAccurate(context.Background(), p, ExploreOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExploreAccurateSegments measures Algorithm 3 where its cost
+// lives on a cold store: a length-3 pattern (a 2-pair prefix shared by 16
+// candidates) over postings frozen into a segment, read through a 256 KiB
+// cache that holds a small share of the ~100k decoded entries, serially.
+func BenchmarkExploreAccurateSegments(b *testing.B) {
+	tb, err := storage.OpenTables(kvstore.NewMemStore(), storage.Options{SegmentDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld, err := index.NewBuilder(tb, index.Options{Policy: model.STNM, Method: pairs.Indexing, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := bld.Update(benchEvents(1000, 100, 16)); err != nil {
+		b.Fatal(err)
+	}
+	if err := tb.FreezePostings(); err != nil {
+		b.Fatal(err)
+	}
+	tb.SetCacheBudget(256 << 10)
+	q := NewProcessor(tb)
+	q.SetWorkers(1)
+	p := model.Pattern{0, 1, 2}
+	if props, err := q.ExploreAccurate(context.Background(), p, ExploreOptions{}); err != nil || len(props) < 8 {
+		b.Fatalf("want >= 8 candidates, got %v (%v)", props, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

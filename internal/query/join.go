@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"sort"
 
@@ -67,6 +68,26 @@ type chain struct {
 // the result is byte-identical no matter how entries were distributed across
 // runs — the invariant the segment differential oracle pins.
 func joinPostings(qs *qstate, pos []storage.Postings, within int64, candidates map[model.TraceID]bool) ([]Match, error) {
+	chains, err := joinChains(qs, pos, within, candidates)
+	if err != nil || len(chains) == 0 {
+		return nil, err
+	}
+	depth := len(pos) + 1
+	out := make([]Match, len(chains))
+	for i, c := range chains {
+		ts := make([]model.Timestamp, depth)
+		for k, n := depth-1, c.node; n != nil; k, n = k-1, n.parent {
+			ts[k] = n.ts
+		}
+		out[i] = Match{Trace: c.trace, Timestamps: ts}
+	}
+	sortMatches(out)
+	return out, nil
+}
+
+// joinChains is the join of joinPostings without materialisation: the chains
+// alive after the last pair, in join order.
+func joinChains(qs *qstate, pos []storage.Postings, within int64, candidates map[model.TraceID]bool) ([]chain, error) {
 	var arena nodeArena
 	var candMin, candMax model.TraceID
 	if candidates != nil {
@@ -177,20 +198,7 @@ seeding:
 		}
 		chains = next
 	}
-	if len(chains) == 0 {
-		return nil, nil
-	}
-	depth := len(pos) + 1
-	out := make([]Match, len(chains))
-	for i, c := range chains {
-		ts := make([]model.Timestamp, depth)
-		for k, n := depth-1, c.node; n != nil; k, n = k-1, n.parent {
-			ts[k] = n.ts
-		}
-		out[i] = Match{Trace: c.trace, Timestamps: ts}
-	}
-	sortMatches(out)
-	return out, nil
+	return chains, nil
 }
 
 // extendRun appends to next one extended chain per entry of r continuing c:
@@ -258,9 +266,8 @@ func extendRun(r storage.PostingsRun, c chain, within int64, arena *nodeArena, n
 // the result — is independent of the fan-out. Single-store backends keep the
 // serial loop: its early exit on an absent pair is worth more there than
 // goroutine overlap on one cache.
-func (q *Processor) patternPostings(qs *qstate, p model.Pattern) ([]storage.Postings, error) {
-	ctx := qs.context()
-	pos := make([]storage.Postings, len(p)-1)
+func (q *Processor) patternPostings(ctx context.Context, p model.Pattern) ([]storage.Postings, error) {
+	pos := make([]storage.Postings, max(len(p)-1, 0))
 	if q.tables.NumShards() > 1 && len(pos) > 1 {
 		err := parallel.ForEachCtx(ctx, len(pos), q.workers, func(i int) error {
 			po, err := q.tables.GetPostings(ctx, model.NewPairKey(p[i], p[i+1]))

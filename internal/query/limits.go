@@ -170,16 +170,6 @@ func (s *qstate) poll() error {
 	return nil
 }
 
-// check polls immediately, ignoring the countdown — for coarse boundaries
-// (between join phases) where a stale countdown shouldn't delay
-// cancellation.
-func (s *qstate) check() error {
-	if s == nil {
-		return nil
-	}
-	return s.poll()
-}
-
 // truncErr returns the *BudgetError (Partial set) describing a truncation
 // observed during the query, or nil when the query completed fully. The
 // results accompanying a non-nil return are valid partial results.

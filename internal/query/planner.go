@@ -24,7 +24,7 @@ func (q *Processor) DetectPlanned(ctx context.Context, p model.Pattern) ([]Match
 		return nil, ErrShortPattern
 	}
 	qs := q.begin(ctx)
-	pos, err := q.patternPostings(qs, p)
+	pos, err := q.patternPostings(qs.context(), p)
 	if err != nil || pos == nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@
 // completion kept in LastChecked, pattern detection by joining
 // inverted-index rows (Algorithm 2), and the three pattern-continuation
 // strategies — Accurate (Algorithm 3), Fast (Algorithm 4) and Hybrid
-// (Algorithm 5) — ranked by Equation 1.
+// (Algorithm 5) — ranked by Equation 1. Accurate joins the pattern once and
+// extends that frontier per candidate (continuation.go) instead of running
+// Algorithm 3's detection per candidate; the answers are the same.
 package query
 
 import (
@@ -73,18 +75,18 @@ func (m Match) Duration() int64 { return int64(m.End() - m.Start()) }
 // the traces a direct skip-till-next-match scan would report (see DESIGN.md
 // and the recall experiment); use DetectScan for the scan-exact answer.
 func (q *Processor) Detect(ctx context.Context, p model.Pattern) ([]Match, error) {
-	return q.detect(q.begin(ctx), p)
+	return q.detect(q.begin(ctx), p, 0)
 }
 
-func (q *Processor) detect(qs *qstate, p model.Pattern) ([]Match, error) {
+func (q *Processor) detect(qs *qstate, p model.Pattern, within int64) ([]Match, error) {
 	if len(p) < 2 {
 		return nil, ErrShortPattern
 	}
-	pos, err := q.patternPostings(qs, p)
+	pos, err := q.patternPostings(qs.context(), p)
 	if err != nil || pos == nil {
 		return nil, err
 	}
-	ms, err := joinPostings(qs, pos, 0, nil)
+	ms, err := joinPostings(qs, pos, within, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +98,18 @@ func (q *Processor) detect(qs *qstate, p model.Pattern) ([]Match, error) {
 // sliding-window strict contiguity). It is the exact reference the recall
 // experiment compares against, and the fallback for single-event patterns.
 func (q *Processor) DetectScan(ctx context.Context, p model.Pattern, policy model.Policy) ([]Match, error) {
+	return q.scan(ctx, p, func(events []model.TraceEvent) [][]model.Timestamp { return MatchTrace(events, p, policy) })
+}
+
+// DetectScanPartial is DetectScan under partial order (§7): same-timestamp
+// events are concurrent and each pattern step must advance strictly in
+// time.
+func (q *Processor) DetectScanPartial(ctx context.Context, p model.Pattern) ([]Match, error) {
+	return q.scan(ctx, p, func(events []model.TraceEvent) [][]model.Timestamp { return pairs.MatchTracePartial(events, p) })
+}
+
+// scan matches every stored trace with match.
+func (q *Processor) scan(ctx context.Context, p model.Pattern, match func([]model.TraceEvent) [][]model.Timestamp) ([]Match, error) {
 	if len(p) == 0 {
 		return nil, ErrShortPattern
 	}
@@ -108,32 +122,7 @@ func (q *Processor) DetectScan(ctx context.Context, p model.Pattern, policy mode
 		if err := qs.step(len(events)); err != nil {
 			return err
 		}
-		for _, ts := range MatchTrace(events, p, policy) {
-			out = append(out, Match{Trace: id, Timestamps: ts})
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errTruncated) {
-		return nil, err
-	}
-	sortMatches(out)
-	return out, qs.truncErr()
-}
-
-// DetectScanPartial is DetectScan under partial order (§7): same-timestamp
-// events are concurrent and each pattern step must advance strictly in
-// time.
-func (q *Processor) DetectScanPartial(ctx context.Context, p model.Pattern) ([]Match, error) {
-	if len(p) == 0 {
-		return nil, ErrShortPattern
-	}
-	qs := q.begin(ctx)
-	var out []Match
-	err := q.tables.ScanSeq(qs.context(), func(id model.TraceID, events []model.TraceEvent) error {
-		if err := qs.step(len(events)); err != nil {
-			return err
-		}
-		for _, ts := range pairs.MatchTracePartial(events, p) {
+		for _, ts := range match(events) {
 			out = append(out, Match{Trace: id, Timestamps: ts})
 		}
 		return nil
@@ -233,21 +222,30 @@ type PatternStats struct {
 // Stats implements the Statistics query for every pair of consecutive
 // pattern events, using only the Count and LastChecked tables.
 func (q *Processor) Stats(ctx context.Context, p model.Pattern) (PatternStats, error) {
+	return q.stats(ctx, p, false)
+}
+
+// stats reads the pairs (p[i], p[j]) of every i < j when allPairs is set,
+// and the consecutive ones otherwise; the duration estimate sums the
+// consecutive pairs either way.
+func (q *Processor) stats(ctx context.Context, p model.Pattern, allPairs bool) (PatternStats, error) {
 	if len(p) < 2 {
 		return PatternStats{}, ErrShortPattern
 	}
 	qs := q.begin(noPartial(ctx))
 	out := PatternStats{MaxCompletions: math.MaxInt64}
-	for i := 0; i+1 < len(p); i++ {
-		ps, err := q.pairStats(qs, p[i], p[i+1])
-		if err != nil {
-			return PatternStats{}, err
+	for i := 0; i < len(p); i++ {
+		for j := i + 1; j < len(p) && (allPairs || j == i+1); j++ {
+			ps, err := q.pairStats(qs, p[i], p[j])
+			if err != nil {
+				return PatternStats{}, err
+			}
+			out.Pairs = append(out.Pairs, ps)
+			out.MaxCompletions = min(out.MaxCompletions, ps.Completions)
+			if j == i+1 {
+				out.EstimatedDuration += ps.AvgDuration
+			}
 		}
-		out.Pairs = append(out.Pairs, ps)
-		if ps.Completions < out.MaxCompletions {
-			out.MaxCompletions = ps.Completions
-		}
-		out.EstimatedDuration += ps.AvgDuration
 	}
 	return out, nil
 }
@@ -304,63 +302,13 @@ type ExploreOptions struct {
 
 // ExploreAccurate implements Algorithm 3: every successor candidate of the
 // pattern's last event (from the Count table) is appended to the pattern and
-// verified with a full detection, so completions are exact. The
-// per-candidate detections are independent, so they fan out over the
-// processor's worker pool (SetWorkers); candidate order — and therefore the
-// final ranking — is preserved at any worker count.
+// verified, so completions are exact. It is the insertion at len(p): the
+// pattern is joined once and each candidate only extends that frontier by its
+// own pair (continuation.go), with the answers and row budget of one full
+// detection per candidate. The extensions fan out over the processor's
+// worker pool (SetWorkers); the ranking is identical at any worker count.
 func (q *Processor) ExploreAccurate(ctx context.Context, p model.Pattern, opts ExploreOptions) ([]Proposal, error) {
-	if len(p) == 0 {
-		return nil, ErrShortPattern
-	}
-	ctx = noPartial(ctx)
-	candidates, err := q.tables.GetCounts(ctx, p[len(p)-1])
-	if err != nil {
-		return nil, err
-	}
-	// Each parallel verification builds its own per-query state from ctx,
-	// so cancellation reaches every worker and the row budget applies per
-	// candidate detection (the unit of work that can actually be large).
-	props, err := parallel.MapCtx(ctx, candidates, q.workers, func(cand storage.CountEntry) (*Proposal, error) {
-		return q.verifyAppend(ctx, p, cand.Other, opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := collectProposals(props)
-	sortProposals(out)
-	return out, nil
-}
-
-// verifyAppend runs the full detection of the pattern with cand appended
-// and scores the candidate exactly (the per-candidate body of Algorithms 3
-// and 5). A nil proposal means the MaxAvgGap constraint dropped it.
-func (q *Processor) verifyAppend(ctx context.Context, p model.Pattern, cand model.ActivityID, opts ExploreOptions) (*Proposal, error) {
-	ext := make(model.Pattern, len(p)+1)
-	copy(ext, p)
-	ext[len(p)] = cand
-	matches, err := q.Detect(ctx, ext)
-	if err != nil {
-		return nil, err
-	}
-	var sum int64
-	for _, m := range matches {
-		// Gap between the pattern's last event and the appended one.
-		sum += int64(m.Timestamps[len(m.Timestamps)-1] - m.Timestamps[len(m.Timestamps)-2])
-	}
-	var avg float64
-	if len(matches) > 0 {
-		avg = float64(sum) / float64(len(matches))
-	}
-	if opts.MaxAvgGap > 0 && avg > opts.MaxAvgGap {
-		return nil, nil
-	}
-	return &Proposal{
-		Event:       cand,
-		Completions: int64(len(matches)),
-		AvgDuration: avg,
-		Score:       score(int64(len(matches)), avg),
-		Exact:       true,
-	}, nil
+	return q.ExploreInsertAccurate(ctx, p, len(p), nil, opts)
 }
 
 // collectProposals drops the nil (constraint-filtered) slots of a parallel
@@ -440,12 +388,9 @@ func (q *Processor) ExploreHybrid(ctx context.Context, p model.Pattern, opts Exp
 	if err != nil {
 		return nil, err
 	}
-	return q.recheckTopK(ctx, fast, opts.TopK, func(event model.ActivityID) (*Proposal, error) {
-		// The re-check reports the exact figures unfiltered, like the
-		// original Algorithm 5 loop: MaxAvgGap already filtered the fast
-		// ranking the candidate came from.
-		return q.verifyAppend(ctx, p, event, ExploreOptions{})
-	})
+	// The re-check reports the exact figures unfiltered, like the original
+	// Algorithm 5 loop: MaxAvgGap already filtered the fast ranking.
+	return q.recheckTopK(ctx, fast, opts.TopK, q.continueAt(ctx, p, len(p), ExploreOptions{}).verify)
 }
 
 // recheckTopK is the shared second stage of the Hybrid strategies

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"seqlog/internal/model"
+	"seqlog/internal/parallel"
 	"seqlog/internal/storage"
 )
 
@@ -95,4 +96,92 @@ func detectReference(q *Processor, p model.Pattern) ([]Match, error) {
 	}
 	sortMatches(out)
 	return out, nil
+}
+
+// verifyReference is the per-candidate body of Algorithms 3 and 5 as the
+// paper writes it, kept as the oracle of continuation.go: a full detection
+// of the pattern with cand inserted at pos (pos = len(p) appends), scored by
+// the gap around cand. A nil proposal means MaxAvgGap dropped it.
+func verifyReference(ctx context.Context, q *Processor, p model.Pattern, pos int, cand model.ActivityID, opts ExploreOptions) (*Proposal, error) {
+	matches, err := q.Detect(ctx, insertAt(p, pos, cand))
+	if err != nil {
+		return nil, err
+	}
+	var sum int64
+	for _, m := range matches {
+		sum += gapAround(m, pos)
+	}
+	var avg float64
+	if len(matches) > 0 {
+		avg = float64(sum) / float64(len(matches))
+	}
+	if opts.MaxAvgGap > 0 && avg > opts.MaxAvgGap {
+		return nil, nil
+	}
+	return &Proposal{
+		Event:       cand,
+		Completions: int64(len(matches)),
+		AvgDuration: avg,
+		Score:       score(int64(len(matches)), avg),
+		Exact:       true,
+	}, nil
+}
+
+// exploreReference is ExploreInsertAccurate (ExploreAccurate at pos =
+// len(p)) with one detection per candidate.
+func exploreReference(ctx context.Context, q *Processor, p model.Pattern, pos int, alphabet []model.ActivityID, opts ExploreOptions) ([]Proposal, error) {
+	ctx = noPartial(ctx)
+	candidates, err := q.insertCandidates(ctx, p, pos, alphabet)
+	if err != nil {
+		return nil, err
+	}
+	props, err := parallel.MapCtx(ctx, candidates, q.workers, func(c gapCandidate) (*Proposal, error) {
+		return verifyReference(ctx, q, p, pos, c.event, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := collectProposals(props)
+	sortProposals(out)
+	return out, nil
+}
+
+// hybridReference is ExploreInsertHybrid (ExploreHybrid at pos = len(p))
+// re-checking its top K with one detection per candidate.
+func hybridReference(ctx context.Context, q *Processor, p model.Pattern, pos int, alphabet []model.ActivityID, opts ExploreOptions) ([]Proposal, error) {
+	ctx = noPartial(ctx)
+	var fast []Proposal
+	var err error
+	if pos == len(p) {
+		fast, err = q.ExploreFast(ctx, p, opts)
+	} else {
+		fast, err = q.ExploreInsertFast(ctx, p, pos, alphabet, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return q.recheckTopK(ctx, fast, opts.TopK, func(event model.ActivityID) (*Proposal, error) {
+		return verifyReference(ctx, q, p, pos, event, ExploreOptions{})
+	})
+}
+
+func insertAt(p model.Pattern, pos int, a model.ActivityID) model.Pattern {
+	ext := make(model.Pattern, 0, len(p)+1)
+	ext = append(ext, p[:pos]...)
+	ext = append(ext, a)
+	return append(ext, p[pos:]...)
+}
+
+// gapAround returns the time the inserted event (at index pos of the match)
+// adds around its neighbours: the span between its preceding and following
+// matched events, or the single-sided gap at the pattern edges.
+func gapAround(m Match, pos int) int64 {
+	switch {
+	case pos == 0:
+		return int64(m.Timestamps[1] - m.Timestamps[0])
+	case pos == len(m.Timestamps)-1:
+		return int64(m.Timestamps[pos] - m.Timestamps[pos-1])
+	default:
+		return int64(m.Timestamps[pos+1] - m.Timestamps[pos-1])
+	}
 }

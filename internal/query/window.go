@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"math"
 
 	"seqlog/internal/model"
 )
@@ -13,22 +12,7 @@ import (
 // window are pruned at every join step, so tight windows make the query
 // cheaper, not just smaller.
 func (q *Processor) DetectWithin(ctx context.Context, p model.Pattern, within int64) ([]Match, error) {
-	if within <= 0 {
-		return q.Detect(ctx, p)
-	}
-	if len(p) < 2 {
-		return nil, ErrShortPattern
-	}
-	qs := q.begin(ctx)
-	pos, err := q.patternPostings(qs, p)
-	if err != nil || pos == nil {
-		return nil, err
-	}
-	ms, err := joinPostings(qs, pos, within, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ms, qs.truncErr()
+	return q.detect(q.begin(ctx), p, within)
 }
 
 // StatsAllPairs is the refinement §3.2.1 sketches: "the number of
@@ -48,25 +32,5 @@ func (q *Processor) DetectWithin(ctx context.Context, p model.Pattern, within in
 // sound for both, because every chain consumes a distinct occurrence of
 // each consecutive pair.
 func (q *Processor) StatsAllPairs(ctx context.Context, p model.Pattern) (PatternStats, error) {
-	if len(p) < 2 {
-		return PatternStats{}, ErrShortPattern
-	}
-	qs := q.begin(noPartial(ctx))
-	out := PatternStats{MaxCompletions: math.MaxInt64}
-	for i := 0; i < len(p); i++ {
-		for j := i + 1; j < len(p); j++ {
-			ps, err := q.pairStats(qs, p[i], p[j])
-			if err != nil {
-				return PatternStats{}, err
-			}
-			out.Pairs = append(out.Pairs, ps)
-			if ps.Completions < out.MaxCompletions {
-				out.MaxCompletions = ps.Completions
-			}
-			if j == i+1 {
-				out.EstimatedDuration += ps.AvgDuration
-			}
-		}
-	}
-	return out, nil
+	return q.stats(ctx, p, true)
 }

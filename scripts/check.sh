@@ -79,6 +79,12 @@ if want vet; then
 		echo "check: storage.Backend mentions ReverseCount; take predecessors from Count rows" >&2
 		exit 1
 	fi
+	# Continuation joins the prefix once: verifying a candidate extends the
+	# shared frontier (continuation.go) instead of detecting p + cand.
+	if grep -n 'q\.Detect(' internal/query/query.go internal/query/explore_insert.go; then
+		echo "check: continuation runs a detection per candidate; extend the shared prefix frontier" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 

@@ -204,7 +204,8 @@ type UpdateStats struct {
 type ExploreMode string
 
 const (
-	// Accurate verifies every candidate with a full detection (Alg. 3).
+	// Accurate verifies every candidate exactly (Alg. 3), sharing the
+	// pattern's join across candidates.
 	Accurate ExploreMode = "accurate"
 	// Fast uses only precomputed statistics (Alg. 4).
 	Fast ExploreMode = "fast"
@@ -972,7 +973,8 @@ func (e *Engine) convertStats(st query.PatternStats) PatternStats {
 // that position (the insert case is its own metric family,
 // explore_insert). Rankings cannot be soundly truncated, so under a budget
 // this family always errors — the budget applies to each candidate
-// verification (see Stats for the aggregate rationale).
+// verification, charged what one detection of the extended pattern charges
+// (see Stats for the aggregate rationale).
 func (e *Engine) Explore(ctx context.Context, patternNames []string, opts ExploreOptions) (_ []Proposal, err error) {
 	family := famExplore
 	if opts.Position != nil {
