@@ -23,8 +23,9 @@
 // failing). In server mode they ride in the request body and the server
 // clamps them against its own caps.
 //
-// Global flags (-dir, -server, -policy) come before the verb; verb flags
-// after it. In server mode idempotent GETs (the info verb) are retried with
+// Global flags (-dir, -server, ...) come before the verb; verb flags after
+// it. A local open takes the policy, order and shard count from what the
+// store pins. In server mode idempotent GETs (the info verb) are retried with
 // exponential backoff; query POSTs are attempted once.
 package main
 
@@ -39,40 +40,32 @@ import (
 	"time"
 
 	"seqlog"
+	"seqlog/cmd/internal/cliflag"
 	"seqlog/internal/httpclient"
 	"seqlog/internal/server"
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: seqquery {-dir DIR | -server URL} [-policy STNM] {detect|traces|stats|explore|info|metrics} [verb flags] ACTIVITY...")
+	fmt.Fprintln(os.Stderr, "usage: seqquery {-dir DIR | -server URL} [flags] {detect|traces|stats|explore|info|metrics} [verb flags] ACTIVITY...")
 	flag.PrintDefaults()
 	os.Exit(2)
 }
 
 func main() {
-	var (
-		dir     = flag.String("dir", "", "index directory (local mode)")
-		srvURL  = flag.String("server", "", "seqserver base URL (server mode, e.g. http://localhost:8080)")
-		retries = flag.Int("retries", 3, "server mode: retry idempotent GETs this many times on connection errors and 5xx")
-		policy  = flag.String("policy", "STNM", "policy the index was built with")
-		partial = flag.Bool("partial", false, "the index was built with partial order")
-		planner = flag.Bool("planner", false, "use the selectivity-based join planner")
-		cacheMB = flag.Int("cache-mb", 0, "decoded-postings cache budget in MiB (0 = default 64, negative disables)")
-		workers = flag.Int("query-workers", 0, "continuation-query fan-out (0 = all cores, 1 = serial)")
-
-		shards   = flag.Int("shards", 0, "shard count the index was built with (0/1 = single store)")
-		shardDir = flag.String("shard-dir", "", "base directory of the shard-NNNN stores (default: -dir)")
-
-		timeoutMS  = flag.Int64("timeout-ms", 0, "per-query deadline in milliseconds; the query is aborted cooperatively (0 disables; server mode can only tighten the server's cap)")
-		budgetRows = flag.Int64("budget-rows", 0, "per-query row budget; exceeding it fails the query (0 disables)")
-		partialRes = flag.Bool("partial-results", false, "detect queries that trip the row budget print the matches found so far, marked truncated, instead of failing")
-	)
+	f := cliflag.New(flag.CommandLine)
+	f.Store("dir", "shard-dir", "cache-mb")
+	f.Query()
+	srvURL := flag.String("server", "", "seqserver base URL (server mode, e.g. http://localhost:8080; excludes -dir)")
+	retries := flag.Int("retries", 3, "server mode: retry idempotent GETs this many times on connection errors and 5xx")
+	var lim limits
+	flag.Int64Var(&lim.timeoutMS, "timeout-ms", 0, "per-query deadline in milliseconds; the query is aborted cooperatively (0 disables; server mode can only tighten the server's cap)")
+	flag.Int64Var(&lim.budgetRows, "budget-rows", 0, "per-query row budget; exceeding it fails the query (0 disables)")
+	flag.BoolVar(&lim.partial, "partial-results", false, "detect queries that trip the row budget print the matches found so far, marked truncated, instead of failing")
 	flag.Parse()
-	if (*dir == "") == (*srvURL == "") || flag.NArg() < 1 {
+	if (f.Config.Dir == "") == (*srvURL == "") || flag.NArg() < 1 {
 		usage()
 	}
 	verb, rest := flag.Arg(0), flag.Args()[1:]
-	lim := limits{timeoutMS: *timeoutMS, budgetRows: *budgetRows, partial: *partialRes}
 
 	// Exactly one of eng (local mode) and c (server mode) is set.
 	var (
@@ -84,12 +77,7 @@ func main() {
 		c = &httpclient.Client{Retries: *retries}
 	} else {
 		var err error
-		eng, err = seqlog.Open(seqlog.Config{
-			Dir: *dir, Policy: *policy, PartialOrder: *partial, Planner: *planner,
-			CacheBytes: cacheBytes(*cacheMB), QueryWorkers: *workers,
-			Shards: *shards, ShardDir: *shardDir,
-		})
-		if err != nil {
+		if eng, err = seqlog.Open(f.Config); err != nil {
 			fatal(err)
 		}
 		defer eng.Close()
@@ -354,14 +342,6 @@ func need(pattern []string, min int) []string {
 		os.Exit(2)
 	}
 	return pattern
-}
-
-// cacheBytes maps the -cache-mb flag onto Config.CacheBytes semantics.
-func cacheBytes(mb int) int64 {
-	if mb < 0 {
-		return -1
-	}
-	return int64(mb) << 20
 }
 
 func fatal(err error) {

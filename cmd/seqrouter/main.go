@@ -21,81 +21,57 @@
 // instead: the file is a static placement map, one seqshard address per line
 // ('#' starts a comment), and the router opens a full query engine over
 // those remote stores (netshard, DESIGN.md §13) and serves the ordinary
-// seqserver HTTP API on -listen. Scatter-gather across shards, cancellation,
-// and sibling-abort follow the engine's usual contract; -primary/-replica
-// are not used in this mode.
+// seqserver HTTP API on -listen through seqserver's own serve path — the
+// same body cap, drain window and final sync. The engine takes the policy
+// the fleet pins. Scatter-gather across shards, cancellation, and
+// sibling-abort follow the engine's usual contract; -primary/-replica are
+// not used in this mode.
 //
-//	seqrouter -listen :8090 -shard-map shards.txt -policy STNM
+//	seqrouter -listen :8090 -shard-map shards.txt
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"seqlog"
+	"seqlog/cmd/internal/cliflag"
 	"seqlog/internal/metrics"
 	"seqlog/internal/replica"
 	"seqlog/internal/server"
 )
 
-// replicaList collects repeated -replica flags (comma-separated values work
-// too).
-type replicaList []string
-
-func (r *replicaList) String() string { return strings.Join(*r, ",") }
-
-func (r *replicaList) Set(v string) error {
-	for _, u := range strings.Split(v, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			*r = append(*r, u)
-		}
-	}
-	return nil
-}
-
 func main() {
-	var replicas replicaList
+	f := cliflag.New(flag.CommandLine)
+	f.Query()
+	f.Limits()
+	var replicas cliflag.List
 	var (
-		listen    = flag.String("listen", ":8090", "router listen address")
-		primary   = flag.String("primary", "", "primary seqserver base URL (required unless -shard-map)")
-		probe     = flag.Duration("probe-interval", 2*time.Second, "backend readiness probe interval")
-		maxLagMB  = flag.Int64("max-lag-mb", 64, "drain replicas reporting more replication lag than this (negative disables)")
-		metricsOn = flag.Bool("metrics", true, "expose GET /metrics")
-
+		listen   = flag.String("listen", ":8090", "router listen address")
+		primary  = flag.String("primary", "", "primary seqserver base URL (required unless -shard-map)")
+		probe    = flag.Duration("probe-interval", 2*time.Second, "backend readiness probe interval")
+		maxLag   = cliflag.MiB(64 << 20)
 		shardMap = flag.String("shard-map", "", "placement map file (one seqshard address per line); run as a cross-shard query coordinator instead of an HTTP balancer")
-		policy   = flag.String("policy", "STNM", "coordinator mode: pair policy, SC or STNM")
-		planner  = flag.Bool("planner", false, "coordinator mode: use the selectivity-based join planner")
-		workers  = flag.Int("query-workers", 0, "coordinator mode: continuation-query fan-out (0 = all cores)")
-
-		reqTimeout      = flag.Duration("request-timeout", 30*time.Second, "coordinator mode: per-request handling timeout (0 disables)")
-		queryTimeoutMS  = flag.Int("query-timeout-ms", 0, "coordinator mode: per-query deadline in milliseconds (0 disables)")
-		queryBudgetRows = flag.Int64("query-budget-rows", 0, "coordinator mode: per-query row budget (0 disables)")
 	)
-	flag.Var(&replicas, "replica", "read replica base URL (repeatable, or comma-separated)")
+	flag.Var(&maxLag, "max-lag-mb", "drain replicas reporting more replication lag than this many `MiB` (negative disables)")
+	flag.Var(&replicas, "replica", "read replica base `URL` (repeatable, or comma-separated)")
 	flag.Parse()
-	if *shardMap != "" {
-		err := runCoordinator(*listen, *shardMap, *policy, *planner, *workers,
-			*reqTimeout, *queryTimeoutMS, *queryBudgetRows, *metricsOn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "seqrouter:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *primary == "" {
+	var err error
+	switch {
+	case *shardMap != "":
+		err = runCoordinator(f, *listen, *shardMap)
+	case *primary == "":
 		fmt.Fprintln(os.Stderr, "seqrouter: -primary is required (or -shard-map for coordinator mode)")
 		os.Exit(2)
+	default:
+		err = run(*listen, *primary, replicas, *probe, int64(maxLag), f.Server)
 	}
-	if err := run(*listen, *primary, replicas, *probe, *maxLagMB, *metricsOn); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "seqrouter:", err)
 		os.Exit(1)
 	}
@@ -130,67 +106,22 @@ func parseShardMap(path string) ([]string, error) {
 
 // runCoordinator serves the full seqserver HTTP API over an engine whose
 // stores are remote seqshard processes.
-func runCoordinator(listen, shardMap, policy string, planner bool, workers int,
-	reqTimeout time.Duration, queryTimeoutMS int, queryBudgetRows int64, metricsOn bool) error {
+func runCoordinator(f *cliflag.Flags, listen, shardMap string) error {
 	addrs, err := parseShardMap(shardMap)
 	if err != nil {
 		return err
 	}
-	eng, err := seqlog.Open(seqlog.Config{
-		ShardAddrs:   addrs,
-		Policy:       policy,
-		Planner:      planner,
-		QueryWorkers: workers,
-	})
+	f.Config.ShardAddrs = addrs
+	eng, err := seqlog.Open(f.Config)
 	if err != nil {
 		return err
 	}
-
-	handler := server.NewWith(eng, server.Options{
-		RequestTimeout:         reqTimeout,
-		QueryTimeout:           time.Duration(queryTimeoutMS) * time.Millisecond,
-		QueryBudgetRows:        queryBudgetRows,
-		DisableMetricsEndpoint: !metricsOn,
-	})
-	srv := &http.Server{Addr: listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	go func() {
-		log.Printf("seqrouter coordinating %d shards from %s, listening on %s", len(addrs), shardMap, listen)
-		serveErr <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-serveErr:
-		eng.Close()
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("seqrouter: drain incomplete: %v", err)
-	}
-	if err := eng.Close(); err != nil {
-		return fmt.Errorf("close shard clients: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	log.Printf("seqrouter stopped cleanly")
-	return nil
+	log.Printf("seqrouter coordinating %d shards from %s", len(addrs), shardMap)
+	return server.ServeEngine("seqrouter", eng, f.Server, listen)
 }
 
-func run(listen, primary string, replicas []string, probe time.Duration, maxLagMB int64, metricsOn bool) error {
+func run(listen, primary string, replicas []string, probe time.Duration, maxLag int64, opts server.Options) error {
 	reg := metrics.New()
-	maxLag := maxLagMB << 20
-	if maxLagMB < 0 {
-		maxLag = -1
-	}
 	router, err := replica.NewRouter(replica.RouterOptions{
 		Primary:       primary,
 		Replicas:      replicas,
@@ -201,41 +132,17 @@ func run(listen, primary string, replicas []string, probe time.Duration, maxLagM
 	if err != nil {
 		return err
 	}
-	defer router.Close()
-
 	mux := http.NewServeMux()
-	if metricsOn {
+	if !opts.DisableMetricsEndpoint {
 		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			reg.WritePrometheus(w)
 		})
 	}
 	mux.Handle("/", router)
-
-	srv := &http.Server{Addr: listen, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	go func() {
-		log.Printf("seqrouter listening on %s (primary=%s replicas=%d)", listen, primary, len(replicas))
-		serveErr <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("seqrouter: drain incomplete: %v", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	log.Printf("seqrouter stopped cleanly")
-	return nil
+	log.Printf("seqrouter balancing primary=%s replicas=%d", primary, len(replicas))
+	return server.Serve("seqrouter", mux, listen, opts.ShutdownTimeout, func() error {
+		router.Close()
+		return nil
+	})
 }

@@ -1,13 +1,16 @@
 // Command seqshard serves one shard of a seqlog index over the netshard wire
 // protocol (DESIGN.md §13). It owns a single kvstore plus its segment tier
-// and exposes the raw table read/commit surface to remote engines — it
-// runs no query processor of its own. Point an engine (or seqrouter
-// -shard-map) at a fleet of these and the engine's shard router treats each
-// process exactly like a local store directory.
+// under <dir>/segments and exposes the raw table read/commit surface to
+// remote engines — it runs no query processor of its own. Point an engine
+// (or seqrouter -shard-map) at a fleet of these and the engine's shard
+// router treats each process exactly like a local store directory: a
+// durable shard freezes its postings into a segment before each automatic
+// compaction, as an engine's own store does, and opens a store an engine
+// froze.
 //
 // Usage:
 //
-//	seqshard -addr :9101 -dir ./shard-0 [-segments] [-cache-mb 64]
+//	seqshard -addr :9101 -dir ./shard-0 [-cache-mb 64]
 //
 // On SIGINT/SIGTERM the server stops accepting connections, waits for
 // in-flight requests (commit groups are never torn: they apply under the
@@ -27,6 +30,8 @@ import (
 	"syscall"
 	"time"
 
+	"seqlog"
+	"seqlog/cmd/internal/cliflag"
 	"seqlog/internal/kvstore"
 	"seqlog/internal/metrics"
 	"seqlog/internal/netshard"
@@ -34,50 +39,41 @@ import (
 )
 
 func main() {
+	f := cliflag.New(flag.CommandLine)
+	f.Store("dir", "segments", "salvage", "cache-mb")
 	var (
 		addr        = flag.String("addr", ":9101", "netshard listen address")
-		dir         = flag.String("dir", "", "store directory (empty = in-memory: commit groups apply but nothing is durable)")
-		segments    = flag.Bool("segments", false, "enable the immutable-segment tier under <dir>/segments (requires -dir)")
-		cacheMB     = flag.Int("cache-mb", 0, "decoded-postings cache budget in MiB (0 = storage default, negative disables)")
-		salvage     = flag.Bool("salvage", false, "recover a corrupt store by quarantining unreadable regions instead of failing")
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics on this address (empty disables)")
 		maxFrameMB  = flag.Int("max-frame-mb", 0, "largest request/response frame accepted in MiB (0 = default 32)")
 		maxCommitMB = flag.Int("max-commit-mb", 0, "largest buffered commit group accepted in MiB (0 = default 512)")
 	)
 	flag.Parse()
-	if *segments && *dir == "" {
-		fmt.Fprintln(os.Stderr, "seqshard: -segments requires -dir")
-		os.Exit(2)
-	}
-	if err := run(*addr, *dir, *segments, *cacheMB, *salvage, *metricsAddr, *maxFrameMB, *maxCommitMB); err != nil {
+	if err := run(f.Config, *addr, *metricsAddr, *maxFrameMB, *maxCommitMB); err != nil {
 		fmt.Fprintln(os.Stderr, "seqshard:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dir string, segments bool, cacheMB int, salvage bool, metricsAddr string, maxFrameMB, maxCommitMB int) error {
+func run(cfg seqlog.Config, addr, metricsAddr string, maxFrameMB, maxCommitMB int) error {
 	reg := metrics.New()
 
 	var store kvstore.Store
 	var tab *storage.Tables
-	if dir == "" {
+	if cfg.Dir == "" {
 		store = kvstore.NewMemStore()
 		tab = storage.NewTables(store)
 	} else {
-		ds, err := kvstore.OpenDiskWith(dir, kvstore.DiskOptions{Salvage: salvage, Metrics: reg})
+		ds, err := kvstore.OpenDiskWith(cfg.Dir, kvstore.DiskOptions{Salvage: cfg.Salvage, Metrics: reg})
 		if err != nil {
 			return err
 		}
 		store = ds
-		opts := storage.Options{}
-		if segments {
-			opts.SegmentDir = filepath.Join(dir, "segments")
-		}
-		tab, err = storage.OpenTables(ds, opts)
+		tab, err = storage.OpenTables(ds, storage.Options{SegmentDir: filepath.Join(cfg.Dir, "segments")})
 		if err != nil {
 			ds.Close()
 			return err
 		}
+		ds.SetBeforeCompact(tab.FreezePostings)
 		if rec := ds.Recovery(); rec.Salvaged {
 			log.Printf("WARNING: store salvaged at startup: %d corrupt regions (%d bytes) quarantined",
 				rec.DroppedRegions, rec.DroppedBytes)
@@ -86,12 +82,8 @@ func run(addr, dir string, segments bool, cacheMB int, salvage bool, metricsAddr
 	defer store.Close()
 	defer tab.Close()
 	tab.SetMetrics(reg)
-	if cacheMB != 0 {
-		budget := int64(cacheMB) << 20
-		if cacheMB < 0 {
-			budget = -1
-		}
-		tab.SetCacheBudget(budget)
+	if cfg.CacheBytes != 0 {
+		tab.SetCacheBudget(cfg.CacheBytes)
 	}
 
 	so := netshard.ServerOptions{Logf: log.Printf}
@@ -128,7 +120,7 @@ func run(addr, dir string, segments bool, cacheMB int, salvage bool, metricsAddr
 
 	serveErr := make(chan error, 1)
 	go func() {
-		log.Printf("seqshard listening on %s (dir=%q segments=%v)", ln.Addr(), dir, segments)
+		log.Printf("seqshard listening on %s (dir=%q)", ln.Addr(), cfg.Dir)
 		serveErr <- srv.Serve(ln)
 	}()
 

@@ -10,8 +10,9 @@ import (
 )
 
 // TestReadmeFlagTables: every flag a README flag-table row lists for a tool
-// exists in that tool's -h output, so the tables cannot drift from the
-// binaries. A row is `| `tool`[, `tool`…] | `-flag …`[, `-flag …`…] | …`.
+// exists in that tool's -h output, and every flag in a tool's -h output has
+// a row, so the tables cannot drift from the binaries either way. A row is
+// `| `tool`[, `tool`…] | `-flag …`[, `-flag …`…] | …`.
 func TestReadmeFlagTables(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -19,6 +20,7 @@ func TestReadmeFlagTables(t *testing.T) {
 	}
 	backticked := regexp.MustCompile("`([^`]+)`")
 	help := map[string]string{}
+	documented := map[string]bool{} // "tool -flag"
 	rows := 0
 	for i, line := range strings.Split(string(raw), "\n") {
 		cells := strings.Split(line, "|")
@@ -47,6 +49,7 @@ func TestReadmeFlagTables(t *testing.T) {
 				help[tool] = h
 			}
 			for _, flag := range flags {
+				documented[tool+" "+flag] = true
 				if !regexp.MustCompile(`(?m)^\s+` + regexp.QuoteMeta(flag) + `(\s|$)`).MatchString(h) {
 					t.Errorf("README.md:%d lists %s %s, which `%s -h` does not have", i+1, tool, flag, tool)
 				}
@@ -55,5 +58,22 @@ func TestReadmeFlagTables(t *testing.T) {
 	}
 	if rows < 30 {
 		t.Fatalf("found %d README flag rows; the table format changed?", rows)
+	}
+
+	tools, err := os.ReadDir("../../cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := regexp.MustCompile(`(?m)^\s+(-[a-z][a-z0-9-]*)`)
+	for _, tool := range tools {
+		if tool.Name() == "internal" {
+			continue
+		}
+		out, _ := exec.Command(filepath.Join(binDir, tool.Name()), "-h").CombinedOutput()
+		for _, m := range declared.FindAllStringSubmatch(string(out), -1) {
+			if !documented[tool.Name()+" "+m[1]] {
+				t.Errorf("`%s -h` has %s, which no README.md flag-table row lists", tool.Name(), m[1])
+			}
+		}
 	}
 }

@@ -232,7 +232,6 @@ func TestStreamShardedEqualsSerial(t *testing.T) {
 					Workers:       4,
 					FlushEvents:   8,
 					FlushInterval: time.Millisecond,
-					MaxInflight:   3,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -298,7 +297,6 @@ func TestParallelFlushersRaceHammer(t *testing.T) {
 		Workers:       4,
 		FlushEvents:   32,
 		FlushInterval: time.Millisecond,
-		MaxInflight:   3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,6 +66,12 @@ var ErrOverloaded = errors.New("ingest: pipeline overloaded, retry later")
 // ErrClosed is returned by operations on a closed pipeline.
 var ErrClosed = errors.New("ingest: pipeline is closed")
 
+// inflight is how many flush cycles may be past extraction at once: the
+// coordinator extracts and the committer writes cycle N+1 while cycle N's
+// groups are inside fsync, and back-to-back cycles on one store coalesce
+// their fsyncs.
+const inflight = 2
+
 // Options configures a Pipeline.
 type Options struct {
 	// Policy is SC or STNM (STAM is not indexable and is rejected).
@@ -98,14 +104,6 @@ type Options struct {
 	// backpressure can never deadlock the flush trigger. Default
 	// 4×FlushEvents.
 	QueueEvents int
-
-	// MaxInflight caps how many flush cycles may be past extraction at
-	// once: with 1 every commit runs to durability before the next cycle's
-	// handoff (the pre-pipelining behavior); with 2 (the default) the
-	// coordinator extracts and the committer writes cycle N+1 while cycle
-	// N's groups are inside fsync. Higher values deepen the fsync-
-	// coalescing window at the cost of more unacked cycles in flight.
-	MaxInflight int
 
 	// CommitLock, when set, is held around every table commit, so an
 	// embedding engine can serialize flushes against its readers.
@@ -162,7 +160,6 @@ type flushJob struct {
 	start    time.Time     // cycle start (inbox swap)
 	cycle    uint64        // extraction cycle number
 	waits    []kvstore.Durability
-	waited   bool
 	syncs    int64
 	err      error
 }
@@ -207,7 +204,7 @@ type Pipeline struct {
 
 	kick    chan struct{}
 	jobs    chan *flushJob // coordinator -> committer, unbuffered
-	acks    chan *flushJob // committer -> acker, cap MaxInflight-1
+	acks    chan *flushJob // committer -> acker, cap inflight-1
 	ackDone chan struct{}
 	done    chan struct{}
 
@@ -268,9 +265,6 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 	if opts.QueueEvents < 2*opts.FlushEvents {
 		opts.QueueEvents = 2 * opts.FlushEvents
 	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 2
-	}
 	p := &Pipeline{
 		tables:  tables,
 		opts:    opts,
@@ -279,7 +273,7 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 		free:    opts.QueueEvents,
 		kick:    make(chan struct{}, 1),
 		jobs:    make(chan *flushJob),
-		acks:    make(chan *flushJob, opts.MaxInflight-1),
+		acks:    make(chan *flushJob, inflight-1),
 		ackDone: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -612,7 +606,7 @@ func (p *Pipeline) Forget(ids []model.TraceID) {
 // and extracts pending inboxes into flush jobs and hands them downstream.
 // Extraction is decoupled from durability — while a job's groups are inside
 // fsync, the next cycle is already being extracted (double buffering); the
-// handoff blocks only once MaxInflight cycles are past extraction, and that
+// handoff blocks only once inflight cycles are past extraction, and that
 // blocked time is what seqlog_ingest_commit_wait_seconds measures.
 func (p *Pipeline) run() {
 	defer close(p.done)
@@ -745,9 +739,8 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 }
 
 // committer is the middle stage: one job at a time, it writes every store's
-// partition in parallel and seals the groups. With MaxInflight 1 it also
-// waits out durability before accepting the next job, restoring strictly
-// serial commits.
+// partition in parallel and seals the groups, then hands the job to the
+// acker without waiting for its fsync.
 func (p *Pipeline) committer() {
 	defer close(p.acks)
 	for job := range p.jobs {
@@ -760,9 +753,6 @@ func (p *Pipeline) committer() {
 			job.err = p.commitJob(job)
 		}
 		p.written.Store(job.cycle)
-		if job.err == nil && p.opts.MaxInflight <= 1 {
-			job.err = p.waitJob(job)
-		}
 		p.acks <- job
 	}
 }
@@ -773,7 +763,7 @@ func (p *Pipeline) committer() {
 func (p *Pipeline) acker() {
 	defer close(p.ackDone)
 	for job := range p.acks {
-		if job.err == nil && !job.waited {
+		if job.err == nil {
 			job.err = p.waitJob(job)
 		}
 		p.finishJob(job)
@@ -784,7 +774,6 @@ func (p *Pipeline) acker() {
 // durable, timing each store's wait into its per-shard histogram. Waits on
 // different stores run concurrently — N stores, N overlapping fsyncs.
 func (p *Pipeline) waitJob(job *flushJob) error {
-	job.waited = true
 	active := 0
 	for _, w := range job.waits {
 		if w != nil {

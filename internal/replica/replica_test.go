@@ -126,8 +126,9 @@ func mustState(t *testing.T, src *replica.Source) replica.State {
 }
 
 // oracle asserts byte-identical answers from both engines across the query
-// families: the planner-backed Detect, the default Detect, DetectWithin and
-// Stats (plus Traces and Info partitions for good measure).
+// families: the planner-backed Detect, the default Detect, DetectWithin, the
+// policy-dependent scan and Stats (plus Traces, the reported policy and the
+// alphabet for good measure).
 func oracle(t *testing.T, primary, follower *seqlog.Engine, pattern []string) {
 	t.Helper()
 	ctx := context.Background()
@@ -154,6 +155,13 @@ func oracle(t *testing.T, primary, follower *seqlog.Engine, pattern []string) {
 	})
 	check("DetectWithin", func(e *seqlog.Engine) (any, error) {
 		return e.Detect(ctx, pattern, seqlog.DetectOptions{Within: 100})
+	})
+	check("DetectScan", func(e *seqlog.Engine) (any, error) {
+		return e.Detect(ctx, pattern, seqlog.DetectOptions{Scan: true})
+	})
+	check("Policy", func(e *seqlog.Engine) (any, error) {
+		info, err := e.Info()
+		return info.Policy, err
 	})
 	check("Stats", func(e *seqlog.Engine) (any, error) { return e.Stats(ctx, pattern, seqlog.StatsOptions{}) })
 	check("NumTraces", func(e *seqlog.Engine) (any, error) { return e.NumTraces() })
@@ -189,6 +197,18 @@ func TestFollowerCatchupOracle(t *testing.T) {
 	}
 }
 
+// TestFollowerTakesPrimaryPolicy: a follower passes no policy. Its store
+// is empty at open, so it learns how the index was built from the meta the
+// primary pins, and the policy-dependent scan answers as on the primary.
+func TestFollowerTakesPrimaryPolicy(t *testing.T) {
+	primary, srv := openPrimary(t, seqlog.Config{Policy: "SC"})
+	follower := openFollower(t, srv.URL, seqlog.Config{})
+	ingestBatches(t, primary, 0, 3)
+	waitCaughtUp(t, primary, follower)
+	oracle(t, primary, follower, []string{"login", "checkout", "pay"})
+	oracle(t, primary, follower, []string{"browse", "pay"})
+}
+
 func TestFollowerRejectsLocalWrites(t *testing.T) {
 	primary, srv := openPrimary(t, seqlog.Config{})
 	follower := openFollower(t, srv.URL, seqlog.Config{})
@@ -220,7 +240,7 @@ func TestFollowerRejectsLocalWrites(t *testing.T) {
 }
 
 func TestFollowerSegmentShippingAndResync(t *testing.T) {
-	primary, srv := openPrimary(t, seqlog.Config{Segments: true})
+	primary, srv := openPrimary(t, seqlog.Config{})
 	ingestBatches(t, primary, 0, 4)
 	// Freeze the postings into a segment file and compact: the WAL epoch
 	// advances, so a fresh follower must take the snapshot+segment path.
@@ -229,7 +249,7 @@ func TestFollowerSegmentShippingAndResync(t *testing.T) {
 	}
 	ingestBatches(t, primary, 500, 2)
 
-	follower := openFollower(t, srv.URL, seqlog.Config{Segments: true})
+	follower := openFollower(t, srv.URL, seqlog.Config{})
 	waitCaughtUp(t, primary, follower)
 	oracle(t, primary, follower, []string{"login", "checkout", "pay"})
 	if fseg := follower.SegmentStats(); fseg.Segments != primary.SegmentStats().Segments {

@@ -60,6 +60,9 @@ type Options struct {
 	// not-ready when it has not heard from its primary for this long —
 	// lag can't be trusted when the primary is unreachable.
 	ReadyMaxStale time.Duration
+	// ShutdownTimeout is the drain window Serve grants in-flight requests
+	// on SIGINT or SIGTERM.
+	ShutdownTimeout time.Duration
 }
 
 // Handler is the HTTP API. Create it with New and mount it as an

@@ -100,19 +100,31 @@ func (e *Engine) Role() string {
 }
 
 // refreshAfterApply reconciles engine-level in-memory state with a replicated
-// group. Today that is the interned alphabet: a shipped put of the alphabet
-// meta key means the primary interned new activity names, and queries on this
-// replica must resolve them. Names are stored \x00-joined in ID order, so
-// re-interning in storage order assigns the same dense IDs the primary uses.
+// group: the interned alphabet, and how the store was built. A shipped put of
+// the alphabet meta key means the primary interned new activity names, and
+// queries on this replica must resolve them. Names are stored \x00-joined in
+// ID order, so re-interning in storage order assigns the same dense IDs the
+// primary uses. A shipped policy or order key is the primary's pin, which a
+// replica that opened an empty store adopts.
 func (e *Engine) refreshAfterApply(recs []kvstore.Record) {
-	touched := false
+	var alphabet, built bool
 	for _, r := range recs {
-		if r.Op == kvstore.OpPut && r.Table == storage.MetaTable && r.Key == metaAlphabet {
-			touched = true
-			break
+		if r.Op != kvstore.OpPut || r.Table != storage.MetaTable {
+			continue
+		}
+		switch r.Key {
+		case metaAlphabet:
+			alphabet = true
+		case metaPolicy, metaPartial:
+			built = true
 		}
 	}
-	if !touched {
+	if built {
+		if rule, _, _, err := e.storedRule(); err == nil {
+			e.built.Store(&rule)
+		}
+	}
+	if !alphabet {
 		return
 	}
 	raw, ok, err := e.tables.GetMeta(metaAlphabet)

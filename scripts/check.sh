@@ -85,6 +85,18 @@ if want vet; then
 		echo "check: continuation runs a detection per candidate; extend the shared prefix frontier" >&2
 		exit 1
 	fi
+	# One option surface: every durable store freezes before it compacts,
+	# so Config.Segments is an accepted, ignored name nothing reads; and the
+	# ingest in-flight depth is a constant, not an option.
+	if grep -rnE '(Config|cfg)\.Segments\b' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . |
+		grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+		echo "check: product code reads Config.Segments; durable stores always freeze" >&2
+		exit 1
+	fi
+	if grep -rnE 'IngestInflight|MaxInflight' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+		echo "check: the ingest in-flight depth is the constant 2, not an option" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 
@@ -136,10 +148,11 @@ if want shards; then
 fi
 
 # Segments tier: the block codec and segment-file fuzz targets (seed corpora
-# plus a short live fuzz each), the segment differential oracle (row-backed,
-# segment-backed, sharded-segment and compacting engines must be
+# plus a short live fuzz each), the segment differential oracle (in-memory
+# row-backed, segment-backed, sharded-segment and compacting engines must be
 # byte-identical for every query family, across freezes, reopen and drops),
-# and the freeze crash sweeps — a fault-injected filesystem cut at every
+# the migration of a store that never froze through its first automatic
+# compaction, and the freeze crash sweeps — a fault-injected filesystem cut at every
 # byte/op of two freezes, recovery must never lose committed data (torn
 # segment falls back to WAL replay).
 if want segments; then

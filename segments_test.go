@@ -29,17 +29,19 @@ func openSegmentOracleEngines(t *testing.T, w oracleWorkload) map[string]*Engine
 		t.Cleanup(func() { eng.Close() })
 		return eng
 	}
+	// In-memory stores never freeze: "mem" and the sharded "rows" are the
+	// row-backed tier the durable, freezing variants must match.
 	engines := map[string]*Engine{
 		"mem":     open("mem", Config{Policy: "STNM", Workers: 2}),
-		"rows":    open("rows", Config{Policy: "STNM", Workers: 2, Dir: t.TempDir()}),
+		"rows":    open("rows", Config{Policy: "STNM", Workers: 2, Shards: 3}),
 		"segs":    nil,
 		"shard":   nil,
 		"compact": nil,
 	}
 	dirs["segs"] = t.TempDir()
-	engines["segs"] = open("segs", Config{Policy: "STNM", Workers: 2, Dir: dirs["segs"], Segments: true})
-	engines["shard"] = open("shard", Config{Policy: "STNM", Workers: 2, QueryWorkers: 2, Shards: 4, Dir: t.TempDir(), Segments: true})
-	engines["compact"] = open("compact", Config{Policy: "STNM", Workers: 2, Dir: t.TempDir(), Segments: true})
+	engines["segs"] = open("segs", Config{Policy: "STNM", Workers: 2, Dir: dirs["segs"]})
+	engines["shard"] = open("shard", Config{Policy: "STNM", Workers: 2, QueryWorkers: 2, Shards: 4, Dir: t.TempDir()})
+	engines["compact"] = open("compact", Config{Policy: "STNM", Workers: 2, Dir: t.TempDir()})
 
 	for bi, batch := range w.batches {
 		for name, eng := range engines {
@@ -61,8 +63,8 @@ func openSegmentOracleEngines(t *testing.T, w oracleWorkload) map[string]*Engine
 					t.Fatalf("%s: freeze after batch %d: %v", name, bi, err)
 				}
 			}
-			// Compact (with Segments on) freezes first, then rewrites the
-			// snapshot — the full lifecycle in one call.
+			// Compact freezes first, then rewrites the snapshot — the full
+			// lifecycle in one call.
 			if err := engines["compact"].Compact(); err != nil {
 				t.Fatalf("compact: compact after batch %d: %v", bi, err)
 			}
@@ -74,7 +76,7 @@ func openSegmentOracleEngines(t *testing.T, w oracleWorkload) map[string]*Engine
 	if err := engines["segs"].Close(); err != nil {
 		t.Fatalf("close segs: %v", err)
 	}
-	engines["segs"] = open("segs-reopen", Config{Policy: "STNM", Workers: 2, Dir: dirs["segs"], Segments: true})
+	engines["segs"] = open("segs-reopen", Config{Workers: 2, Dir: dirs["segs"]})
 	return engines
 }
 
@@ -195,50 +197,89 @@ func TestSegmentEngineInvariance(t *testing.T) {
 	}
 }
 
-// TestSegmentReopenWithSegmentsOff: the Segments flag only gates new freezes;
-// a store that already holds a segment must reopen (and answer identically)
-// with the flag off — on-disk compatibility both ways.
-func TestSegmentReopenWithSegmentsOff(t *testing.T) {
+// TestSegmentMigration: a directory that never froze — the layout an older
+// build left without its segment option — opens as it is, answers the same
+// before and after, and holds a segment after its first automatic
+// compaction, because every durable store freezes before it compacts.
+func TestSegmentMigration(t *testing.T) {
 	dir := t.TempDir()
 	w := oracleLog(31)
-	eng, err := Open(Config{Policy: "STNM", Dir: dir, Segments: true})
+	ref := openMem(t, Config{Workers: 2})
+	oracleIngest(t, "mem", ref, w)
+	eng, err := Open(Config{Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range w.batches {
-		if _, err := eng.Ingest(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	want := jrun(t, func() (any, error) { return eng.Detect(context.Background(), w.patterns[0], DetectOptions{}) })
+	oracleIngest(t, "rows", eng, w)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	plain, err := Open(Config{Policy: "STNM", Dir: dir})
+	eng, err = Open(Config{Dir: dir})
 	if err != nil {
-		t.Fatalf("reopen with Segments off: %v", err)
+		t.Fatal(err)
 	}
-	defer plain.Close()
-	if st := plain.SegmentStats(); st.Segments != 1 {
-		t.Fatalf("segment not loaded on plain reopen: %+v", st)
+	defer eng.Close()
+	if st := eng.SegmentStats(); st.Segments != 0 {
+		t.Fatalf("a store that never compacted holds a segment: %+v", st)
 	}
-	if got := jrun(t, func() (any, error) { return plain.Detect(context.Background(), w.patterns[0], DetectOptions{}) }); got != want {
-		t.Fatalf("answers diverge after Segments-off reopen:\n on:  %s\n off: %s", want, got)
+	engines := []oracleEngine{{"mem", ref}, {"rows", eng}}
+	agree := func(stage string) {
+		t.Helper()
+		for pi, p := range w.patterns {
+			assertAgree(t, engines, fmt.Sprintf("%s detect[%d]", stage, pi), func(e *Engine) (any, error) {
+				return e.Detect(context.Background(), p, DetectOptions{})
+			})
+			assertAgree(t, engines, fmt.Sprintf("%s within[%d]", stage, pi), func(e *Engine) (any, error) {
+				return e.Detect(context.Background(), p, DetectOptions{Within: 40})
+			})
+			assertAgree(t, engines, fmt.Sprintf("%s stats[%d]", stage, pi), func(e *Engine) (any, error) {
+				return e.Stats(context.Background(), p, StatsOptions{AllPairs: true})
+			})
+		}
+		for pi, p := range w.prefixes {
+			assertAgree(t, engines, fmt.Sprintf("%s explore[%d]", stage, pi), func(e *Engine) (any, error) {
+				return e.Explore(context.Background(), p, ExploreOptions{Mode: Accurate})
+			})
+		}
 	}
-	// Freezing explicitly still works — only the automatic trigger is off.
-	if err := plain.Freeze(); err != nil {
-		t.Fatalf("explicit freeze with Segments off: %v", err)
+	agree("rows")
+
+	// Force the automatic compaction: the next durability point finds the
+	// WAL past its threshold.
+	eng.disks[0].CompactAt = 1
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
 	}
+	if st := eng.SegmentStats(); st.Segments != 1 || st.Freezes != 1 || st.Entries == 0 {
+		t.Fatalf("automatic compaction did not freeze: %+v", st)
+	}
+	agree("segment")
 }
 
-// TestSegmentsRequireDir pins the config guard: the in-memory engine cannot
-// promise durability for segment files.
-func TestSegmentsRequireDir(t *testing.T) {
-	if _, err := Open(Config{Policy: "STNM", Segments: true}); err == nil {
-		t.Fatal("Segments without Dir accepted")
+// TestSegmentsConfigIgnored: Config.Segments is an accepted, ignored name.
+// An in-memory engine opens with it set and holds no segment; a durable one
+// without it freezes on Compact.
+func TestSegmentsConfigIgnored(t *testing.T) {
+	mem := openMem(t, Config{Segments: true})
+	if err := mem.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := mem.SegmentStats(); st.Segments != 0 {
+		t.Fatalf("in-memory engine froze: %+v", st)
+	}
+	eng, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Ingest(shopEvents()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.SegmentStats(); st.Segments != 1 {
+		t.Fatalf("durable engine did not freeze on Compact: %+v", st)
 	}
 }

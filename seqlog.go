@@ -29,6 +29,7 @@
 package seqlog
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -40,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"seqlog/internal/eventlog"
@@ -56,35 +58,42 @@ import (
 )
 
 // Config configures an Engine.
+//
+// Policy, PartialOrder and Shards say how a store is built. A new store
+// pins them in its metadata and a reopen takes them from there, so their
+// zero values mean "what the store holds" (STNM, total order and one shard
+// for a new store). A non-zero value that disagrees with the store fails
+// Open instead of re-routing keys or mixing pair semantics.
 type Config struct {
-	// Policy is the pair-indexing policy: "SC" or "STNM" (default "STNM").
+	// Policy is the pair-indexing policy: "SC" or "STNM".
 	Policy string
 	// Workers is the number of trace-affinity shards, and so the extraction
 	// parallelism, of the ingestion pipeline; 0 uses all cores.
 	Workers int
 	// Dir, when non-empty, stores the index durably in that directory
-	// (write-ahead log + snapshots). Empty means in-memory.
+	// (write-ahead log + snapshots). Empty means in-memory. A durable store
+	// folds its postings into a block-compressed segment file before each
+	// automatic compaction (see Freeze).
 	Dir string
 	// Shards splits the index tables across that many independent stores
 	// (each with its own WAL, snapshots and compaction): index rows route
 	// by pair key, traces by affinity hash, and reads scatter-gather with
 	// a deterministic merge, so results are identical at any shard count.
-	// 0 or 1 keeps the classic single store. The count is pinned in the
-	// store's metadata — reopening with a different value fails instead of
-	// silently re-routing keys.
+	// 1 is the classic single store.
 	Shards int
 	// ShardDir, when non-empty, overrides where a sharded engine keeps its
-	// shard-NNNN directories (default: Dir). Ignored when Shards <= 1.
+	// shard-NNNN directories (default: Dir). Dir then records the location,
+	// so a later open needs only Dir. Ignored when Shards <= 1.
 	ShardDir string
 	// ShardAddrs, when non-empty, opens the engine over remote shard
 	// servers (cmd/seqshard) instead of local stores: one netshard client
 	// per address, in shard order — the slice IS the placement map and must
 	// be identical on every coordinator, since routing is a pure function
 	// of (key, count, position). Storage-affecting options (Dir, ShardDir,
-	// Segments, Salvage) then belong to the shard servers and must be left
-	// unset. The shard count is still pinned in the (replicated) meta
-	// table, so pointing a coordinator at a subset of an existing cluster
-	// fails instead of silently re-routing keys.
+	// Salvage) then belong to the shard servers and must be left unset.
+	// The shard count is still pinned in the (replicated) meta table, so
+	// pointing a coordinator at a subset of an existing cluster fails
+	// instead of silently re-routing keys.
 	ShardAddrs []string
 	// Period names the index partition new batches are written to; see
 	// RotatePeriod.
@@ -107,14 +116,8 @@ type Config struct {
 	// the default budget (64 MiB), a negative value disables caching.
 	// Results are identical either way; only latency changes.
 	CacheBytes int64
-	// Segments enables the immutable postings tier on durable engines:
-	// before each automatic compaction (and on Freeze), the inverted-index
-	// rows are folded into a block-compressed, mmap-served segment file per
-	// store, capping WAL replay and snapshot size as the index grows.
-	// Requires Dir. Query results are identical either way. A directory
-	// whose stores already reference segments reopens fine with Segments
-	// off — only the freeze triggers are disabled — but never downgrades:
-	// the on-disk format version is pinned once the first segment exists.
+	// Segments is accepted and ignored (see Dir); it stays until the
+	// separate benchmark module stops setting it.
 	Segments bool
 	// QueryWorkers bounds the per-candidate fan-out of the continuation
 	// queries (Accurate verification and the Hybrid re-check): 0 uses all
@@ -132,12 +135,6 @@ type Config struct {
 	FlushInterval time.Duration
 	// IngestQueue bounds the ingestion input queue (backpressure).
 	IngestQueue int
-	// IngestInflight caps how many flush cycles may be past extraction at
-	// once: 1 serializes commits (each cycle runs to durability before the
-	// next is handed off), 0 or 2 pipelines them (extraction and table
-	// writes of cycle N+1 overlap cycle N's fsync, and back-to-back cycles
-	// on one store coalesce their fsyncs).
-	IngestInflight int
 	// SlowQueryThreshold, when positive, logs every query taking at least
 	// this long as one structured line — family, pattern arity, rows
 	// scanned, duration — to SlowQueryLog.
@@ -145,11 +142,12 @@ type Config struct {
 	// SlowQueryLog receives slow-query lines; nil means os.Stderr.
 	SlowQueryLog io.Writer
 	// ReadOnly rejects every local mutation (Ingest, PruneTraces,
-	// RotatePeriod, DropPeriod, Freeze, OpenStream) with ErrReadOnly and
-	// disables the segment-freeze compaction trigger. It is how a read
-	// replica opens its store: the replication applier (StartFollower) is
-	// then the store's only writer, so replicated and local writes can
-	// never interleave. Queries are unaffected.
+	// RotatePeriod, DropPeriod, Freeze, OpenStream) with ErrReadOnly,
+	// writes no metadata on open and disables the segment-freeze
+	// compaction trigger. It is how a read replica opens its store: the
+	// replication applier (StartFollower) is then the store's only writer,
+	// so replicated and local writes can never interleave. Queries are
+	// unaffected.
 	ReadOnly bool
 }
 
@@ -291,7 +289,7 @@ type Engine struct {
 	stores   []kvstore.Store      // one per shard (length 1 unsharded)
 	disks    []*kvstore.DiskStore // empty for in-memory engines
 	tables   storage.Backend
-	policy   model.Policy
+	built    atomic.Pointer[pairs.Rule] // how the store was built; see rule
 	proc     *query.Processor
 	alphabet *model.Alphabet
 	cfg      Config
@@ -379,28 +377,13 @@ const (
 )
 
 // Open creates or reopens an engine. Reopening a durable directory restores
-// the interned alphabet and verifies the policy matches the stored index.
+// the interned alphabet and takes how the store was built — policy, order
+// and shard count — from its metadata (see Config).
 func Open(cfg Config) (*Engine, error) {
-	if cfg.Policy == "" {
-		cfg.Policy = "STNM"
-	}
-	policy, err := model.ParsePolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if err := (pairs.Rule{Policy: policy, PartialOrder: cfg.PartialOrder}).Validate(); err != nil {
-		return nil, fmt.Errorf("seqlog: %w", err)
-	}
-
 	reg := metrics.New()
 	stores, disks, tables, err := openStores(cfg, reg)
 	if err != nil {
 		return nil, err
-	}
-	closeStores := func() {
-		for _, s := range stores {
-			s.Close()
-		}
 	}
 	if cfg.CacheBytes != 0 {
 		tables.SetCacheBudget(cfg.CacheBytes)
@@ -412,15 +395,17 @@ func Open(cfg Config) (*Engine, error) {
 		stores:   stores,
 		disks:    disks,
 		tables:   tables,
-		policy:   policy,
 		proc:     proc,
 		alphabet: model.NewAlphabet(),
 		cfg:      cfg,
 		metrics:  reg,
 	}
 	e.drained = sync.NewCond(&e.pipeMu)
-	if err := e.restoreMeta(policy); err != nil {
-		closeStores()
+	if err := e.restoreMeta(); err != nil {
+		for _, s := range stores {
+			s.Close()
+		}
+		tables.Close()
 		return nil, err
 	}
 	e.initMetrics()
@@ -435,23 +420,19 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// openStores opens the engine's store(s): one kvstore for Shards <= 1, or
-// Shards independent stores — each a shard-NNNN subdirectory with its own
+// openStores opens the engine's store(s): one kvstore, or Shards
+// independent stores — each a shard-NNNN subdirectory with its own
 // WAL/snapshot/compaction when durable — wrapped in the sharded backend.
-// Two layout guards fail fast instead of corrupting data: a sharded open of
-// a directory holding a legacy single-store index, and a single-store open
-// of a directory holding shard subdirectories.
+// With Shards 0 a directory holding shard-NNNN stores opens sharded. Two
+// layout guards fail fast instead of corrupting data: a sharded open of a
+// directory holding a single-store index, and a single-store open of a
+// directory holding shard subdirectories. Every durable store that may
+// write freezes its postings into a segment before each automatic
+// compaction.
 func openStores(cfg Config, reg *metrics.Registry) ([]kvstore.Store, []*kvstore.DiskStore, storage.Backend, error) {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
 	if len(cfg.ShardAddrs) > 0 {
 		if cfg.Dir != "" || cfg.ShardDir != "" {
 			return nil, nil, nil, fmt.Errorf("seqlog: Config.ShardAddrs and Config.Dir are exclusive (remote shard servers own their directories)")
-		}
-		if cfg.Segments {
-			return nil, nil, nil, fmt.Errorf("seqlog: Config.Segments is managed by the shard servers; unset it with Config.ShardAddrs")
 		}
 		if cfg.Shards > 1 && cfg.Shards != len(cfg.ShardAddrs) {
 			return nil, nil, nil, fmt.Errorf("seqlog: Config.Shards (%d) disagrees with len(Config.ShardAddrs) (%d)", cfg.Shards, len(cfg.ShardAddrs))
@@ -479,30 +460,39 @@ func openStores(cfg Config, reg *metrics.Registry) ([]kvstore.Store, []*kvstore.
 		}
 		return nil, nil, st, nil
 	}
-	if cfg.Segments && cfg.Dir == "" && cfg.ShardDir == "" {
-		return nil, nil, nil, fmt.Errorf("seqlog: Config.Segments requires a durable directory (Config.Dir)")
+	base := cfg.ShardDir
+	if base == "" && cfg.Dir != "" {
+		base = cfg.Dir
+		if raw, err := os.ReadFile(filepath.Join(cfg.Dir, shardDirFile)); err == nil {
+			base = string(raw)
+		}
 	}
-	if n == 1 {
+	n := cfg.Shards
+	if n == 0 && base != "" {
+		// A reopen opens every shard-NNNN store; restoreMeta checks the
+		// count against the one the store pins.
+		for exists(filepath.Join(base, shardDirName(n))) {
+			n++
+		}
+	}
+	if n <= 1 {
 		if cfg.Dir == "" {
 			s := kvstore.NewMemStore()
 			return []kvstore.Store{s}, nil, storage.NewTables(s), nil
 		}
-		if _, err := os.Stat(filepath.Join(cfg.Dir, shardDirName(0))); err == nil {
+		if exists(filepath.Join(cfg.Dir, shardDirName(0))) {
 			return nil, nil, nil, fmt.Errorf("seqlog: %s holds a sharded index (found %s); set Config.Shards", cfg.Dir, shardDirName(0))
 		}
 		d, err := kvstore.OpenDiskWith(cfg.Dir, kvstore.DiskOptions{Salvage: cfg.Salvage, Metrics: reg})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// The segment directory is always configured on durable opens — a
-		// store already referencing a segment must load it regardless of
-		// Config.Segments, which only controls the freeze triggers.
 		tab, err := storage.OpenTables(d, storage.Options{SegmentDir: filepath.Join(cfg.Dir, segmentsDirName)})
 		if err != nil {
 			d.Close()
 			return nil, nil, nil, err
 		}
-		if cfg.Segments && !cfg.ReadOnly {
+		if !cfg.ReadOnly {
 			// A read-only replica must not freeze locally — its segment
 			// files are shipped from the primary, and a divergent local
 			// freeze would fork the two stores' contents.
@@ -511,27 +501,36 @@ func openStores(cfg Config, reg *metrics.Registry) ([]kvstore.Store, []*kvstore.
 		return []kvstore.Store{d}, []*kvstore.DiskStore{d}, tab, nil
 	}
 
-	base := cfg.ShardDir
-	if base == "" {
-		base = cfg.Dir
+	if cfg.Dir != "" && cfg.ShardDir != "" && cfg.ShardDir != cfg.Dir && !cfg.ReadOnly {
+		// Record where the shards live, so a reopen needs only Dir.
+		abs, err := filepath.Abs(cfg.ShardDir)
+		if err == nil {
+			err = os.MkdirAll(cfg.Dir, 0o755)
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(cfg.Dir, shardDirFile), []byte(abs), 0o644)
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	var (
-		stores []kvstore.Store
-		disks  []*kvstore.DiskStore
+		stores  []kvstore.Store
+		disks   []*kvstore.DiskStore
+		segDirs []string
 	)
 	closeAll := func() {
 		for _, s := range stores {
 			s.Close()
 		}
 	}
-	var segDirs []string
 	for i := 0; i < n; i++ {
 		if base == "" {
 			stores = append(stores, kvstore.NewMemStore())
 			continue
 		}
 		if i == 0 {
-			if _, err := os.Stat(filepath.Join(base, "WAL")); err == nil {
+			if exists(filepath.Join(base, "WAL")) {
 				return nil, nil, nil, fmt.Errorf("seqlog: %s holds a single-store index; open it without Config.Shards", base)
 			}
 		}
@@ -550,13 +549,21 @@ func openStores(cfg Config, reg *metrics.Registry) ([]kvstore.Store, []*kvstore.
 		closeAll()
 		return nil, nil, nil, err
 	}
-	if cfg.Segments && !cfg.ReadOnly {
+	if !cfg.ReadOnly {
 		for i, d := range disks {
 			d.SetBeforeCompact(st.Shard(i).FreezePostings)
 		}
 	}
 	return stores, disks, st, nil
 }
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// shardDirFile, inside Dir, records a ShardDir other than Dir.
+const shardDirFile = "SHARDDIR"
 
 // shardDirName names shard i's subdirectory. Zero-padding keeps directory
 // listings in shard order.
@@ -666,54 +673,65 @@ func (e *Engine) track(family string, arity int) func(*error) {
 	}
 }
 
-func (e *Engine) restoreMeta(policy model.Policy) error {
-	raw, ok, err := e.tables.GetMeta(metaPolicy)
+// restoreMeta reads how the store was built — policy, order and shard
+// count — and reconciles it with the Config: a zero value takes the stored
+// one, a disagreeing one fails. It pins what a new store does not hold yet
+// (not on a read-only engine, whose primary pins them) and restores the
+// interned alphabet.
+func (e *Engine) restoreMeta() error {
+	rule, policy, order, err := e.storedRule()
 	if err != nil {
 		return err
 	}
-	if ok {
-		stored, err := model.ParsePolicy(string(raw))
+	if e.cfg.Policy != "" {
+		want, err := model.ParsePolicy(e.cfg.Policy)
 		if err != nil {
 			return err
 		}
-		if stored != policy {
-			return fmt.Errorf("seqlog: store was indexed with policy %v, engine configured for %v", stored, policy)
+		if policy != "" && want != rule.Policy {
+			return fmt.Errorf("seqlog: store was indexed with policy %v, engine configured for %v", rule.Policy, want)
 		}
-	} else if err := e.tables.PutMeta(metaPolicy, []byte(policy.String())); err != nil {
+		rule.Policy = want
+	}
+	if e.cfg.PartialOrder {
+		if order != "" && !rule.PartialOrder {
+			return fmt.Errorf("seqlog: store was indexed with %s order, engine configured for partial", order)
+		}
+		rule.PartialOrder = true
+	}
+	if err := rule.Validate(); err != nil {
+		return fmt.Errorf("seqlog: %w", err)
+	}
+	// The routing hash is a pure function of (key, shards), so opening
+	// with a different count would silently look up keys on the wrong
+	// shard. (Legacy single-store directories without the key adopt 1.)
+	shards := strconv.Itoa(e.tables.NumShards())
+	raw, _, err := e.tables.GetMeta(metaShards)
+	if err != nil {
 		return err
+	}
+	if stored := string(raw); stored != "" && stored != shards {
+		return fmt.Errorf("seqlog: store was created with %s shard(s), engine configured for %s", stored, shards)
 	}
 	mode := "total"
-	if e.cfg.PartialOrder {
+	if rule.PartialOrder {
 		mode = "partial"
 	}
-	raw, ok, err = e.tables.GetMeta(metaPartial)
-	if err != nil {
-		return err
-	}
-	if ok {
-		if string(raw) != mode {
-			return fmt.Errorf("seqlog: store was indexed with %s order, engine configured for %s", raw, mode)
+	if !e.cfg.ReadOnly {
+		for _, pin := range []struct{ key, stored, value string }{
+			{metaPolicy, policy, rule.Policy.String()},
+			{metaPartial, order, mode},
+			{metaShards, string(raw), shards},
+		} {
+			if pin.stored == "" {
+				if err := e.tables.PutMeta(pin.key, []byte(pin.value)); err != nil {
+					return err
+				}
+			}
 		}
-	} else if err := e.tables.PutMeta(metaPartial, []byte(mode)); err != nil {
-		return err
 	}
-	// Pin the shard count: the routing hash is a pure function of (key,
-	// shards), so reopening with a different count would silently look up
-	// keys on the wrong shard. (Written on first open; legacy single-store
-	// directories without the key are adopted as 1.)
-	shards := strconv.Itoa(e.tables.NumShards())
-	raw, ok, err = e.tables.GetMeta(metaShards)
-	if err != nil {
-		return err
-	}
-	if ok {
-		if string(raw) != shards {
-			return fmt.Errorf("seqlog: store was created with %s shard(s), engine configured for %s", raw, shards)
-		}
-	} else if err := e.tables.PutMeta(metaShards, []byte(shards)); err != nil {
-		return err
-	}
-	raw, ok, err = e.tables.GetMeta(metaAlphabet)
+	e.built.Store(&rule)
+	raw, ok, err := e.tables.GetMeta(metaAlphabet)
 	if err != nil {
 		return err
 	}
@@ -725,6 +743,27 @@ func (e *Engine) restoreMeta(policy model.Policy) error {
 	e.persistedActs = e.alphabet.Len()
 	return nil
 }
+
+// storedRule reads the pair rule the store pins, and the raw policy and
+// order values: "" for a key the store does not hold yet, which reads as
+// the default, STNM or total order.
+func (e *Engine) storedRule() (rule pairs.Rule, policy, order string, err error) {
+	rawPolicy, _, err := e.tables.GetMeta(metaPolicy)
+	if err != nil {
+		return rule, "", "", err
+	}
+	rawOrder, _, err := e.tables.GetMeta(metaPartial)
+	if err != nil {
+		return rule, "", "", err
+	}
+	policy, order = string(rawPolicy), string(rawOrder)
+	rule.Policy, err = model.ParsePolicy(cmp.Or(policy, "STNM"))
+	rule.PartialOrder = order == "partial"
+	return rule, policy, order, err
+}
+
+// rule is how the store was built: its pair policy and order.
+func (e *Engine) rule() pairs.Rule { return *e.built.Load() }
 
 func (e *Engine) persistAlphabet() error {
 	return e.tables.PutMeta(metaAlphabet, []byte(strings.Join(e.alphabet.Names(), "\x00")))
@@ -888,10 +927,10 @@ func (e *Engine) Detect(ctx context.Context, patternNames []string, opts DetectO
 	}
 	var ms []query.Match
 	switch {
-	case opts.Scan && e.cfg.PartialOrder:
+	case opts.Scan && e.rule().PartialOrder:
 		ms, err = e.proc.DetectScanPartial(ctx, p)
 	case opts.Scan:
-		ms, err = e.proc.DetectScan(ctx, p, e.policy)
+		ms, err = e.proc.DetectScan(ctx, p, e.rule().Policy)
 	case opts.Within > 0:
 		ms, err = e.proc.DetectWithin(ctx, p, opts.Within)
 	case e.cfg.Planner:
@@ -1228,7 +1267,7 @@ type IndexInfo struct {
 func (e *Engine) Info() (IndexInfo, error) {
 	info := IndexInfo{
 		Activities:  e.alphabet.Len(),
-		Policy:      e.policy.String(),
+		Policy:      e.rule().Policy.String(),
 		Shards:      e.tables.NumShards(),
 		Partitions:  make(map[string]int),
 		Cache:       e.CacheStats(),
@@ -1272,11 +1311,11 @@ func (e *Engine) NumTraces() (int, error) { return e.tables.NumTraces(context.Ba
 
 // Compact folds every durable store into a fresh snapshot (no-op in
 // memory). On a sharded engine the shards compact independently, one after
-// the other, so at most one shard's write path is stalled at a time. With
-// Config.Segments, postings are frozen into segment files first, so the
-// snapshot shrinks to metadata and sequences.
+// the other, so at most one shard's write path is stalled at a time.
+// Postings are frozen into segment files first, so the snapshot shrinks to
+// metadata and sequences.
 func (e *Engine) Compact() error {
-	if e.cfg.Segments && !e.cfg.ReadOnly {
+	if len(e.disks) > 0 && !e.cfg.ReadOnly {
 		// A read replica never freezes locally: its segment files must stay
 		// byte-identical to the primary's, and the store-level compaction
 		// below is local housekeeping that does not change contents.
@@ -1293,11 +1332,14 @@ func (e *Engine) Compact() error {
 }
 
 // Freeze folds the memtable postings tier of every store into an immutable
-// block-compressed segment file (see Config.Segments), atomically switching
-// each store's reference and dropping the folded rows from its WAL-backed
-// state. Queries are answered consistently throughout; a crash at any point
-// loses nothing. Returns storage.ErrSegmentsDisabled on engines without a
-// durable directory.
+// block-compressed segment file, atomically switching each store's
+// reference and dropping the folded rows from its WAL-backed state, which
+// caps WAL replay and snapshot size as the index grows. Every durable store
+// freezes before each automatic compaction and Compact freezes first, so a
+// store that never froze does so on its first compaction. Queries are
+// answered consistently throughout; a crash at any point loses nothing.
+// Returns storage.ErrSegmentsDisabled on engines without a durable
+// directory.
 func (e *Engine) Freeze() error {
 	if err := e.readOnlyErr(); err != nil {
 		return err

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"seqlog/internal/kvstore"
+	"seqlog/internal/model"
 )
 
 func openMem(t *testing.T, cfg Config) *Engine {
@@ -93,8 +94,8 @@ func TestTraces(t *testing.T) {
 
 func TestOpenDefaultsAndValidation(t *testing.T) {
 	e := openMem(t, Config{})
-	if e.cfg.Policy != "STNM" {
-		t.Fatalf("defaults not applied: %+v", e.cfg)
+	if r := e.rule(); r.Policy != model.STNM || r.PartialOrder {
+		t.Fatalf("defaults not applied: %+v", r)
 	}
 	for _, policy := range []string{"bogus", "STAM"} {
 		if _, err := Open(Config{Policy: policy}); err == nil {
@@ -758,16 +759,28 @@ func TestPartialOrderDurableModeCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Close()
-	// Reopening in total-order mode must be rejected.
-	if _, err := Open(Config{Dir: dir}); err == nil {
-		t.Fatal("order-mode mismatch accepted")
+	// Reopening without the option takes the order the store pins;
+	// reopening in the same mode works too.
+	for _, partial := range []bool{false, true} {
+		e2, err := Open(Config{PartialOrder: partial, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e2.PartialOrder() {
+			t.Fatalf("reopen with PartialOrder %v lost the pinned partial order", partial)
+		}
+		e2.Close()
 	}
-	// Reopening in the same mode works.
-	e2, err := Open(Config{PartialOrder: true, Dir: dir})
+	// Asking for partial order over a total-order store must be rejected.
+	total := t.TempDir()
+	e3, err := Open(Config{Dir: total})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.Close()
+	e3.Close()
+	if _, err := Open(Config{PartialOrder: true, Dir: total}); err == nil || !strings.Contains(err.Error(), "indexed with total order") {
+		t.Fatalf("order-mode mismatch: %v", err)
+	}
 }
 
 func TestRotatePeriodKeepsPartialOrder(t *testing.T) {

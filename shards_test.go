@@ -273,8 +273,9 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 // TestShardedDurableReopen round-trips a sharded engine through disk: the
-// shard directories reopen to the same answers, and the pinned shard count
-// rejects a mismatched reopen instead of silently re-routing keys.
+// shard directories reopen to the same answers, at the count the store pins
+// when the Config leaves it zero, and an explicit mismatched count is
+// rejected instead of silently re-routing keys.
 func TestShardedDurableReopen(t *testing.T) {
 	dir := t.TempDir()
 	w := oracleLog(99)
@@ -296,21 +297,24 @@ func TestShardedDurableReopen(t *testing.T) {
 	if _, err := Open(Config{Policy: "STNM", Shards: 2, ShardDir: dir, Dir: dir}); err == nil {
 		t.Fatal("reopen with 2 shards over a 4-shard store succeeded")
 	}
-	// Single-store open of a sharded directory: refused by the layout guard.
-	if _, err := Open(Config{Policy: "STNM", Dir: dir}); err == nil {
+	// Explicit single-store open of a sharded directory: refused by the
+	// layout guard.
+	if _, err := Open(Config{Policy: "STNM", Shards: 1, Dir: dir}); err == nil {
 		t.Fatal("single-store reopen of a sharded directory succeeded")
 	}
 
-	reopened, err := Open(Config{Policy: "STNM", Shards: 4, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if info, err := reopened.Info(); err != nil || info.Shards != 4 {
-		t.Fatalf("reopened info: %+v, %v (want 4 shards)", info, err)
-	}
-	if got := jrun(t, func() (any, error) { return reopened.Detect(context.Background(), w.patterns[0], DetectOptions{}) }); got != want {
-		t.Fatalf("reopened sharded engine diverges:\nbefore: %s\nafter:  %s", want, got)
+	for _, shards := range []int{4, 0} {
+		reopened, err := Open(Config{Policy: "STNM", Shards: shards, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err := reopened.Info(); err != nil || info.Shards != 4 {
+			t.Fatalf("reopened with Shards %d: info %+v, %v (want 4 shards)", shards, info, err)
+		}
+		if got := jrun(t, func() (any, error) { return reopened.Detect(context.Background(), w.patterns[0], DetectOptions{}) }); got != want {
+			t.Fatalf("reopened with Shards %d: sharded engine diverges:\nbefore: %s\nafter:  %s", shards, want, got)
+		}
+		reopened.Close()
 	}
 }
 

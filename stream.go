@@ -20,8 +20,9 @@ var ErrOverloaded = ingest.ErrOverloaded
 var ErrReachesBack = pairs.ErrReachesBack
 
 // StreamOptions tunes one appender. The pipeline it feeds is sized by the
-// engine Config (Workers, FlushEvents, FlushInterval, IngestQueue,
-// IngestInflight).
+// engine Config (Workers, FlushEvents, FlushInterval, IngestQueue); at most
+// two flush cycles are past extraction at once, so the next cycle's
+// extraction overlaps the last one's fsync.
 type StreamOptions struct {
 	// Block makes Append wait for queue space instead of returning
 	// ErrOverloaded.
@@ -78,15 +79,15 @@ func (e *Engine) OpenStream(opts StreamOptions) (*Appender, error) {
 		e.pipeMu.Lock()
 	}
 	if e.pipeline == nil {
+		rule := e.rule()
 		p, err := ingest.New(e.tables, ingest.Options{
-			Policy:        e.policy,
-			PartialOrder:  e.cfg.PartialOrder,
+			Policy:        rule.Policy,
+			PartialOrder:  rule.PartialOrder,
 			Period:        e.cfg.Period,
 			Workers:       e.cfg.Workers,
 			FlushEvents:   e.cfg.FlushEvents,
 			FlushInterval: e.cfg.FlushInterval,
 			QueueEvents:   e.cfg.IngestQueue,
-			MaxInflight:   e.cfg.IngestInflight,
 			CommitLock:    &e.mu,
 			BeforeCommit:  e.persistAlphabetIfGrown,
 			Metrics:       e.metrics,
@@ -102,7 +103,7 @@ func (e *Engine) OpenStream(opts StreamOptions) (*Appender, error) {
 
 // PartialOrder reports whether the engine keeps same-timestamp events
 // concurrent, so a streaming client must keep each tie group in one Append.
-func (e *Engine) PartialOrder() bool { return e.cfg.PartialOrder }
+func (e *Engine) PartialOrder() bool { return e.rule().PartialOrder }
 
 // persistAlphabetIfGrown persists the interned alphabet when it grew since
 // the last persist, reporting whether it wrote. It runs under e.mu — as the

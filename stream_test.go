@@ -38,7 +38,7 @@ func builderEngine(t *testing.T, cfg Config, batches ...[]Event) *Engine {
 func builderIngest(t *testing.T, e *Engine, batch []Event) {
 	t.Helper()
 	b, err := index.NewBuilder(e.tables, index.Options{
-		Policy: e.policy, PartialOrder: e.cfg.PartialOrder, Period: e.cfg.Period, Workers: e.cfg.Workers,
+		Policy: e.rule().Policy, PartialOrder: e.rule().PartialOrder, Period: e.cfg.Period, Workers: e.cfg.Workers,
 	})
 	if err != nil {
 		t.Fatal(err)
