@@ -1,7 +1,7 @@
 // Package cliflag declares the flags the seqlog binaries share, once each,
 // bound straight into a seqlog.Config and a server.Options. A binary
-// registers the groups it takes: the store flags it names, the query
-// flags, the ingest flags and the server limits.
+// registers the groups it takes: the store flags it names, the ingest
+// flags and the server limits.
 package cliflag
 
 import (
@@ -57,12 +57,6 @@ func (f *Flags) Store(names ...string) {
 			panic("cliflag: no store flag " + name)
 		}
 	}
-}
-
-// Query registers the query-engine flags.
-func (f *Flags) Query() {
-	f.fs.BoolVar(&f.Config.Planner, "planner", false, "use the selectivity-based join planner")
-	f.fs.IntVar(&f.Config.QueryWorkers, "query-workers", 0, "continuation-query fan-out (0 = all cores, 1 = serial)")
 }
 
 // Ingest registers the ingestion-pipeline flags.

@@ -54,7 +54,6 @@ func usage() {
 func main() {
 	f := cliflag.New(flag.CommandLine)
 	f.Store("dir", "shard-dir", "cache-mb")
-	f.Query()
 	srvURL := flag.String("server", "", "seqserver base URL (server mode, e.g. http://localhost:8080; excludes -dir)")
 	retries := flag.Int("retries", 3, "server mode: retry idempotent GETs this many times on connection errors and 5xx")
 	var lim limits

@@ -48,7 +48,6 @@ import (
 
 func main() {
 	f := cliflag.New(flag.CommandLine)
-	f.Query()
 	f.Limits()
 	var replicas cliflag.List
 	var (

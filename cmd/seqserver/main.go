@@ -34,7 +34,6 @@ import (
 func main() {
 	f := cliflag.New(flag.CommandLine)
 	f.Store("dir", "shard-dir", "shards", "policy", "partial", "segments", "salvage", "cache-mb")
-	f.Query()
 	f.Ingest()
 	f.Limits()
 	cfg, opts := &f.Config, &f.Server

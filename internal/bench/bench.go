@@ -82,7 +82,7 @@ func Experiments() []string {
 	return []string{
 		"table4", "figure2", "table5", "figure3", "table6", "table7",
 		"figure4", "table8", "figure5", "figure6", "figure7",
-		"recall", "incremental", "partitions", "baseline19", "joinorder",
+		"recall", "incremental", "partitions", "baseline19",
 	}
 }
 
@@ -119,8 +119,6 @@ func (r *Runner) Run(name string) error {
 		return r.Partitions()
 	case "baseline19":
 		return r.Baseline19()
-	case "joinorder":
-		return r.JoinOrder()
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (known: %v)", name, Experiments())
 	}

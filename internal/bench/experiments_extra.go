@@ -195,30 +195,3 @@ func (r *Runner) Baseline19() error {
 	r.table(header, rows)
 	return nil
 }
-
-// JoinOrder is an ablation beyond the paper: Algorithm 2 joins pair rows
-// left to right, so a selective pair late in the pattern cannot prune early
-// work; DetectPlanned intersects the rows' trace sets first. Same results,
-// different cost — the gap grows with pattern length.
-func (r *Runner) JoinOrder() error {
-	r.section("Ablation — Algorithm 2 join order (milliseconds per query)",
-		"left-to-right join (paper) vs trace-set prefilter planner, per pattern length")
-	header := []string{"Log file", "len", "left-to-right", "planned"}
-	var rows [][]string
-	for _, spec := range r.datasets() {
-		log := r.log(spec)
-		tb := r.indexedTables(spec, model.STNM)
-		q := proc(tb)
-		for _, plen := range []int{2, 5, 10} {
-			ps := samplePatterns(log, plen, 50, int64(970+plen))
-			if len(ps) == 0 {
-				continue
-			}
-			plain := r.timeQueries(ps, func(p model.Pattern) { q.Detect(context.Background(), p) })
-			planned := r.timeQueries(ps, func(p model.Pattern) { q.DetectPlanned(context.Background(), p) })
-			rows = append(rows, []string{spec.Name, fmt.Sprint(plen), msecs(plain), msecs(planned)})
-		}
-	}
-	r.table(header, rows)
-	return nil
-}

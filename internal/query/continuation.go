@@ -67,7 +67,7 @@ func (c *continuation) join() error {
 	if err != nil || c.suffix == nil || c.pos < 2 {
 		return err
 	}
-	chains, err := joinChains(c.base, prefix, 0, nil)
+	chains, err := joinChains(c.base, prefix, 0)
 	c.front = c.tips(chains, c.pos-1)
 	return err
 }
@@ -130,7 +130,7 @@ func (c *continuation) count(pos []storage.Postings) (n, gap int64, err error) {
 		qs = &cp
 	}
 	if c.pos < 2 {
-		chains, err := joinChains(qs, pos[:1], 0, nil)
+		chains, err := joinChains(qs, pos[:1], 0)
 		if err != nil {
 			return 0, 0, err
 		}

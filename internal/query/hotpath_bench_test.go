@@ -73,23 +73,6 @@ func BenchmarkDetectJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectPlannedJoin is BenchmarkDetectJoin through the
-// selectivity-based planner.
-func BenchmarkDetectPlannedJoin(b *testing.B) {
-	q := benchProcessor(b, 200, 100, 16)
-	p := model.Pattern{0, 1, 2, 3}
-	if _, err := q.DetectPlanned(context.Background(), p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.DetectPlanned(context.Background(), p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExploreAccurate measures Algorithm 3 with 16 candidate
 // continuations of a two-event pattern over in-memory rows.
 func BenchmarkExploreAccurate(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,63 +31,76 @@ func randomTraces(rng *rand.Rand, n, length, k int) []string {
 
 // TestDetectMatchesReference asserts the merge join returns exactly what the
 // retained pre-overhaul map join returns, across random logs, both
-// policies, repeated-activity patterns and the planner.
+// policies and repeated-activity patterns, over in-memory rows and over
+// block runs: the segment leg (buildSegmentLog) freezes half of every trace,
+// so chains seed from segment blocks and extend across the segment/memtable
+// boundary, and is compared with the reference over plain rows. A hundred
+// traces give every pair several blocks.
 func TestDetectMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	patterns := []string{"AB", "ABC", "ABCD", "AAB", "ABA", "AAAA", "BCA"}
 	for _, policy := range []model.Policy{model.STNM, model.SC} {
 		for round := 0; round < 5; round++ {
-			traces := randomTraces(rng, 20, 30, 4)
+			traces := randomTraces(rng, 100, 30, 4)
 			q, _ := buildLog(t, policy, traces...)
+			seg := buildSegmentLog(t, policy, traces...)
 			for _, ps := range patterns {
 				p := pattern(ps)
 				want, err := detectReference(q, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := q.Detect(context.Background(), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("policy=%v pattern=%s: merge join %v != reference %v", policy, ps, got, want)
-				}
-				planned, err := q.DetectPlanned(context.Background(), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(planned, want) {
-					t.Fatalf("policy=%v pattern=%s: planned %v != reference %v", policy, ps, planned, want)
+				for leg, lq := range map[string]*Processor{"rows": q, "segments": seg} {
+					got, err := lq.Detect(context.Background(), p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s policy=%v pattern=%s: merge join %v != reference %v", leg, policy, ps, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestDetectWithinMatchesFilteredReference: join-time window pruning must
-// equal post-filtering the unconstrained reference result.
+// TestDetectWithinMatchesFilteredReference: join-time window pruning —
+// including the segment seed's MinDur block skip — must equal
+// post-filtering the unconstrained reference result. The first 80 traces
+// space A, B and C four events apart, so the leading segment blocks of AB
+// hold only pairs of duration 4 and a window of 2 skips them whole, while
+// a window of 4 must keep them.
 func TestDetectWithinMatchesFilteredReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	traces := randomTraces(rng, 25, 40, 3)
-	q, _ := buildLog(t, model.STNM, traces...)
-	p := pattern("ABC")
-	all, err := detectReference(q, p)
-	if err != nil {
-		t.Fatal(err)
+	var traces []string
+	for i := 0; i < 80; i++ {
+		traces = append(traces, strings.Repeat("ADDDBDDDCDDD", 3))
 	}
-	for _, within := range []int64{1, 2, 5, 10, 100} {
-		var want []Match
-		for _, m := range all {
-			if m.Duration() <= within {
-				want = append(want, m)
-			}
-		}
-		got, err := q.DetectWithin(context.Background(), p, within)
+	traces = append(traces, randomTraces(rng, 25, 40, 3)...)
+	q, _ := buildLog(t, model.STNM, traces...)
+	seg := buildSegmentLog(t, model.STNM, traces...)
+	for _, ps := range []string{"AB", "ABC"} {
+		p := pattern(ps)
+		all, err := detectReference(q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("within=%d: %v != %v", within, got, want)
+		for _, within := range []int64{1, 2, 4, 5, 8, 10, 100} {
+			var want []Match
+			for _, m := range all {
+				if m.Duration() <= within {
+					want = append(want, m)
+				}
+			}
+			for leg, lq := range map[string]*Processor{"rows": q, "segments": seg} {
+				got, err := lq.DetectWithin(context.Background(), p, within)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s within=%d: %v != %v", leg, ps, within, got, want)
+				}
+			}
 		}
 	}
 }

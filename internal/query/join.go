@@ -10,8 +10,8 @@ import (
 	"seqlog/internal/storage"
 )
 
-// The merge join behind Detect, DetectPlanned and DetectWithin. Algorithm 2
-// of the paper joins pair rows hash-style: group every row into nested
+// The merge join behind Detect and DetectWithin. Algorithm 2 of the paper
+// joins pair rows hash-style: group every row into nested
 // map[trace]map[tsA][]tsB maps, then extend each chain by lookup, copying
 // the whole timestamp prefix per extension. Rebuilding those maps on every
 // step dominated the query profile, so this implementation works on rows
@@ -57,18 +57,16 @@ type chain struct {
 // joinPostings joins one Postings (a set of disjoint sorted runs) per
 // consecutive pattern pair into full matches. within > 0 prunes chains
 // spanning more than the window (sound because pair timestamps never
-// decrease along a chain); candidates, when non-nil, restricts seeding to
-// those traces (the planner's intersection). Returns nil when nothing
-// matches.
+// decrease along a chain). Returns nil when nothing matches.
 //
 // Runs are consumed independently — a chain seeds from and extends into each
 // run in turn — which is what keeps segment runs compressed: a block only
 // decodes when its skip header admits it (duration window at the seed, trace
-// range everywhere). The final sortMatches is a total order over matches, so
-// the result is byte-identical no matter how entries were distributed across
-// runs — the invariant the segment differential oracle pins.
-func joinPostings(qs *qstate, pos []storage.Postings, within int64, candidates map[model.TraceID]bool) ([]Match, error) {
-	chains, err := joinChains(qs, pos, within, candidates)
+// range on extension). The final sortMatches is a total order over matches,
+// so the result is byte-identical no matter how entries were distributed
+// across runs — the invariant the segment differential oracle pins.
+func joinPostings(qs *qstate, pos []storage.Postings, within int64) ([]Match, error) {
+	chains, err := joinChains(qs, pos, within)
 	if err != nil || len(chains) == 0 {
 		return nil, err
 	}
@@ -87,24 +85,8 @@ func joinPostings(qs *qstate, pos []storage.Postings, within int64, candidates m
 
 // joinChains is the join of joinPostings without materialisation: the chains
 // alive after the last pair, in join order.
-func joinChains(qs *qstate, pos []storage.Postings, within int64, candidates map[model.TraceID]bool) ([]chain, error) {
+func joinChains(qs *qstate, pos []storage.Postings, within int64) ([]chain, error) {
 	var arena nodeArena
-	var candMin, candMax model.TraceID
-	if candidates != nil {
-		if len(candidates) == 0 {
-			return nil, nil
-		}
-		first := true
-		for id := range candidates {
-			if first || id < candMin {
-				candMin = id
-			}
-			if first || id > candMax {
-				candMax = id
-			}
-			first = false
-		}
-	}
 	chains := make([]chain, 0, pos[0].Total())
 	// seed examines entries in checkEvery-sized stripes so the cooperative
 	// checks fire inside large plain runs, not only between them; block runs
@@ -119,9 +101,6 @@ func joinChains(qs *qstate, pos []storage.Postings, within int64, candidates map
 			}
 			for i := range entries[:n] {
 				e := &entries[i]
-				if candidates != nil && !candidates[e.Trace] {
-					continue
-				}
 				if within > 0 && int64(e.TsB-e.TsA) > within {
 					continue
 				}
@@ -152,12 +131,8 @@ seeding:
 		for bi, nb := 0, r.Blocks.NumBlocks(); bi < nb; bi++ {
 			m := r.Blocks.Meta(bi)
 			// Skip-entry pruning without decoding: every entry in the block
-			// outlasts the window, or the whole block lies outside the
-			// candidate trace range.
+			// outlasts the window.
 			if within > 0 && m.MinDur > within {
-				continue
-			}
-			if candidates != nil && (m.LastTrace < candMin || m.FirstTrace > candMax) {
 				continue
 			}
 			blk, err := r.Blocks.Block(bi)

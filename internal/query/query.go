@@ -86,7 +86,7 @@ func (q *Processor) detect(qs *qstate, p model.Pattern, within int64) ([]Match, 
 	if err != nil || pos == nil {
 		return nil, err
 	}
-	ms, err := joinPostings(qs, pos, within, nil)
+	ms, err := joinPostings(qs, pos, within)
 	if err != nil {
 		return nil, err
 	}

@@ -126,9 +126,8 @@ func mustState(t *testing.T, src *replica.Source) replica.State {
 }
 
 // oracle asserts byte-identical answers from both engines across the query
-// families: the planner-backed Detect, the default Detect, DetectWithin, the
-// policy-dependent scan and Stats (plus Traces, the reported policy and the
-// alphabet for good measure).
+// families: Detect, DetectWithin, the policy-dependent scan and Stats
+// (plus Traces, the reported policy and the alphabet for good measure).
 func oracle(t *testing.T, primary, follower *seqlog.Engine, pattern []string) {
 	t.Helper()
 	ctx := context.Background()
@@ -170,11 +169,7 @@ func oracle(t *testing.T, primary, follower *seqlog.Engine, pattern []string) {
 
 func TestFollowerCatchupOracle(t *testing.T) {
 	primary, srv := openPrimary(t, seqlog.Config{})
-	// The follower runs with the join planner on: results must still be
-	// byte-identical to the primary's planner-off path (the planner is an
-	// execution strategy, not a semantics change), which makes the oracle a
-	// cross-check of both replication and the planner.
-	follower := openFollower(t, srv.URL, seqlog.Config{Planner: true})
+	follower := openFollower(t, srv.URL, seqlog.Config{})
 
 	ingestBatches(t, primary, 0, 5)
 	waitCaughtUp(t, primary, follower)

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -166,6 +168,89 @@ func TestDetectOptionsCompose(t *testing.T) {
 		}
 		if tc.status == http.StatusOK && got != tc.want || tc.status != http.StatusOK && !strings.Contains(got, tc.want) {
 			t.Errorf("%s: answered %s, want %s", tc.body, got, tc.want)
+		}
+	}
+}
+
+// TestMalformedQueryRejectedWhateverTheData: a query the options make
+// malformed fails before any name resolves, so a pattern over unknown
+// activities gets the same error as one over known activities — from the
+// engine and, as a 400, from the handler. A single-event scan stays legal.
+func TestMalformedQueryRejectedWhateverTheData(t *testing.T) {
+	srv, eng := newServer(t)
+	resp, _ := post(t, srv.URL+"/ingest", IngestRequest{Events: []seqlog.Event{
+		{Trace: 1, Activity: "A", Time: 1}, {Trace: 1, Activity: "B", Time: 2},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	ctx := context.Background()
+	engine := map[string]func([]byte) error{
+		"/detect": func(body []byte) error {
+			var req DetectRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			_, err := eng.Detect(ctx, req.Pattern, req.DetectOptions)
+			return err
+		},
+		"/stats": func(body []byte) error {
+			var req StatsRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			_, err := eng.Stats(ctx, req.Pattern, req.StatsOptions)
+			return err
+		},
+		"/explore": func(body []byte) error {
+			var req ExploreRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			_, err := eng.Explore(ctx, req.Pattern, req.ExploreOptions)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		path, body     string // body formats the pattern in at %s
+		known, unknown string
+		want           string // a substring of the error
+	}{
+		{"/detect", `{"pattern":%s}`, `["A"]`, `["Z"]`, "at least two events"},
+		{"/detect", `{"pattern":%s,"within":-5}`, `["A","B"]`, `["A","Z"]`, "within must not be negative"},
+		{"/detect", `{"pattern":%s,"within":-5,"scan":true}`, `["A","B"]`, `["A","Z"]`, "within must not be negative"},
+		{"/stats", `{"pattern":%s}`, `["A"]`, `["Z"]`, "at least two events"},
+		{"/stats", `{"pattern":%s,"allPairs":true}`, `["A"]`, `["Z"]`, "at least two events"},
+		{"/explore", `{"pattern":%s,"mode":"bogus"}`, `["A","B"]`, `["A","Z"]`, "unknown explore mode"},
+		{"/explore", `{"pattern":%s,"mode":"accurate","position":10}`, `["A","B"]`, `["A","Z"]`, "position out of range"},
+		{"/explore", `{"pattern":%s,"position":-1}`, `["A","B"]`, `["A","Z"]`, "position out of range"},
+		{"/explore", `{"pattern":%s,"topK":-3}`, `["A","B"]`, `["A","Z"]`, "topK must not be negative"},
+		{"/explore", `{"pattern":%s,"maxAvgGap":-1}`, `["A","B"]`, `["A","Z"]`, "maxAvgGap must not be negative"},
+	} {
+		var errs []string
+		for _, pattern := range []string{tc.known, tc.unknown} {
+			body := fmt.Sprintf(tc.body, pattern)
+			err := engine[tc.path]([]byte(body))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s %s: engine error %v, want %q", tc.path, body, err, tc.want)
+				continue
+			}
+			resp, out := post(t, srv.URL+tc.path, json.RawMessage(body))
+			var msg string
+			json.Unmarshal(out["error"], &msg)
+			if resp.StatusCode != http.StatusBadRequest || msg != err.Error() {
+				t.Errorf("%s %s: status %d %q, want 400 %q", tc.path, body, resp.StatusCode, msg, err)
+			}
+			errs = append(errs, err.Error())
+		}
+		if len(errs) == 2 && errs[0] != errs[1] {
+			t.Errorf("%s %s: known activities fail with %q, unknown with %q", tc.path, tc.body, errs[0], errs[1])
+		}
+	}
+	for _, pattern := range []string{`["A"]`, `["Z"]`} {
+		body := fmt.Sprintf(`{"pattern":%s,"scan":true}`, pattern)
+		if resp, _ := post(t, srv.URL+"/detect", json.RawMessage(body)); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", body, resp.StatusCode)
 		}
 	}
 }

@@ -153,9 +153,9 @@ func (r *BlockRun) AppendBlock(dst []IndexEntry, i int) ([]IndexEntry, error) {
 // All materialises the whole run into one sorted slice, sized exactly.
 // Resident cached blocks are reused, but missing blocks decode directly into
 // the result — no per-block intermediate slice, no cache fill. Bulk readers
-// (freeze merges, planner seeds, index scans) don't pay the block-granular
-// cache churn; the cache fills through Block, the join's block-at-a-time
-// path, where re-decoding the same hot block actually repeats.
+// (freeze merges, index scans) don't pay the block-granular cache churn;
+// the cache fills through Block, the join's block-at-a-time path, where
+// re-decoding the same hot block actually repeats.
 func (r *BlockRun) All() ([]IndexEntry, error) {
 	out := make([]IndexEntry, 0, r.total)
 	var c *postingsCache

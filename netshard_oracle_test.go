@@ -80,7 +80,7 @@ func (f *netFleet) Stop() {
 // openNetEngine opens an engine over the fleet's addresses.
 func openNetEngine(t *testing.T, f *netFleet) *Engine {
 	t.Helper()
-	eng, err := Open(Config{Policy: "STNM", ShardAddrs: f.addrs, Workers: 2, QueryWorkers: 2})
+	eng, err := Open(Config{Policy: "STNM", ShardAddrs: f.addrs, Workers: 2})
 	if err != nil {
 		t.Fatalf("open netshard engine over %v: %v", f.addrs, err)
 	}
@@ -128,7 +128,7 @@ func TestNetShardStreamMatchesBatch(t *testing.T) {
 			if partial {
 				w.batches = tiedBatches(w.batches)
 			}
-			cfg := Config{Policy: "STNM", Workers: 2, QueryWorkers: 2, PartialOrder: partial}
+			cfg := Config{Policy: "STNM", Workers: 2, PartialOrder: partial}
 			serial := builderEngine(t, cfg, w.batches...)
 
 			f := startNetFleet(t, []string{t.TempDir(), t.TempDir()})
@@ -288,7 +288,7 @@ func TestNetShardReadReplica(t *testing.T) {
 	f := startNetFleet(t, []string{t.TempDir(), t.TempDir()})
 	defer f.Stop()
 
-	replica, err := Open(Config{Policy: "STNM", ShardAddrs: f.addrs, QueryWorkers: 2, ReadOnly: true})
+	replica, err := Open(Config{Policy: "STNM", ShardAddrs: f.addrs, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

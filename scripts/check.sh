@@ -97,6 +97,12 @@ if want vet; then
 		echo "check: the ingest in-flight depth is the constant 2, not an option" >&2
 		exit 1
 	fi
+	# One Detect join and no query-tuning options: the trace-intersection
+	# planner stays deleted, and the continuation fan-out is GOMAXPROCS.
+	if grep -rnE 'DetectPlanned|Planner|QueryWorkers' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+		echo "check: product code mentions the join planner or QueryWorkers; Detect has one join and no tuning flags" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 

@@ -40,7 +40,7 @@ func openSegmentOracleEngines(t *testing.T, w oracleWorkload) map[string]*Engine
 	}
 	dirs["segs"] = t.TempDir()
 	engines["segs"] = open("segs", Config{Policy: "STNM", Workers: 2, Dir: dirs["segs"]})
-	engines["shard"] = open("shard", Config{Policy: "STNM", Workers: 2, QueryWorkers: 2, Shards: 4, Dir: t.TempDir()})
+	engines["shard"] = open("shard", Config{Policy: "STNM", Workers: 2, Shards: 4, Dir: t.TempDir()})
 	engines["compact"] = open("compact", Config{Policy: "STNM", Workers: 2, Dir: t.TempDir()})
 
 	for bi, batch := range w.batches {
@@ -130,13 +130,6 @@ func TestSegmentEngineInvariance(t *testing.T) {
 				})
 				assertSegAgree(t, engines, fmt.Sprintf("detectTraces[%d]", pi), func(e *Engine) (any, error) {
 					return detectTraces(e, p)
-				})
-				assertSegAgree(t, engines, fmt.Sprintf("detectPlanned[%d]", pi), func(e *Engine) (any, error) {
-					mp, ok, err := e.pattern(p)
-					if err != nil || !ok {
-						return nil, err
-					}
-					return e.proc.DetectPlanned(context.Background(), mp)
 				})
 				assertSegAgree(t, engines, fmt.Sprintf("detectScan[%d]", pi), func(e *Engine) (any, error) {
 					return e.Detect(context.Background(), p, DetectOptions{Scan: true})

@@ -105,12 +105,6 @@ type Config struct {
 	// its trace already holds, so a tie group must arrive in one piece.
 	// Such a batch fails alone with ErrReachesBack.
 	PartialOrder bool
-	// Planner enables the selectivity-based join planner for Detect: pair
-	// rows are intersected at the trace level before the Algorithm 2 join,
-	// which can be an order of magnitude faster for long or skewed
-	// patterns. Results are identical either way; off by default to match
-	// the paper's left-to-right join.
-	Planner bool
 	// CacheBytes bounds the decoded-postings cache that keeps hot
 	// inverted-index rows decoded and pre-sorted between queries: 0 uses
 	// the default budget (64 MiB), a negative value disables caching.
@@ -119,10 +113,6 @@ type Config struct {
 	// Segments is accepted and ignored (see Dir); it stays until the
 	// separate benchmark module stops setting it.
 	Segments bool
-	// QueryWorkers bounds the per-candidate fan-out of the continuation
-	// queries (Accurate verification and the Hybrid re-check): 0 uses all
-	// cores, 1 runs serially. Rankings are identical at any worker count.
-	QueryWorkers int
 	// Salvage switches durable-store recovery to quarantine-and-continue:
 	// corrupt WAL or snapshot regions are skipped (and preserved in a
 	// QUARANTINE file) instead of failing Open, and the engine reports
@@ -224,6 +214,23 @@ type DetectOptions struct {
 	Scan bool `json:"scan,omitempty"`
 }
 
+// validate rejects what no store could answer. It runs before the pattern's
+// names resolve, so a malformed query fails the same way whatever the store
+// holds. The join anchors on pairs and needs two events; a scan takes one.
+func (o DetectOptions) validate(patternLen int) error {
+	switch {
+	case o.Within < 0:
+		return errors.New("seqlog: within must not be negative")
+	case o.Scan && o.Within > 0:
+		// Filtering greedy scan matches by span afterwards is not a
+		// windowed STNM match: the combination has no sound answer.
+		return errors.New("seqlog: scan detection does not support within")
+	case !o.Scan && patternLen < 2:
+		return query.ErrShortPattern
+	}
+	return nil
+}
+
 // StatsOptions select the bound Stats computes. The JSON name is the
 // POST /stats body field.
 type StatsOptions struct {
@@ -232,6 +239,15 @@ type StatsOptions struct {
 	// non-overlapping completions, at quadratically more row reads (§3.2.1's
 	// accuracy/running-time trade-off).
 	AllPairs bool `json:"allPairs,omitempty"`
+}
+
+// validate is Stats' twin of DetectOptions.validate: the pair statistics
+// need two events.
+func (o StatsOptions) validate(patternLen int) error {
+	if patternLen < 2 {
+		return query.ErrShortPattern
+	}
+	return nil
 }
 
 // ExploreOptions select and tune the continuation strategy. The JSON names
@@ -249,6 +265,22 @@ type ExploreOptions struct {
 	// instead of after it — the §7 extension for completing patterns at
 	// arbitrary places.
 	Position *int `json:"position,omitempty"`
+}
+
+// validate is Explore's twin of DetectOptions.validate: a known mode,
+// non-negative tuning values and an insertion position inside the pattern.
+func (o ExploreOptions) validate(patternLen int) error {
+	switch {
+	case o.Mode != "" && o.Mode != Accurate && o.Mode != Fast && o.Mode != Hybrid:
+		return fmt.Errorf("seqlog: unknown explore mode %q", o.Mode)
+	case o.TopK < 0:
+		return errors.New("seqlog: topK must not be negative")
+	case o.MaxAvgGap < 0:
+		return errors.New("seqlog: maxAvgGap must not be negative")
+	case o.Position != nil && (*o.Position < 0 || *o.Position > patternLen):
+		return query.ErrBadPosition
+	}
+	return nil
 }
 
 // Limits bounds the work of one query: MaxRows caps the rows it may examine,
@@ -389,13 +421,11 @@ func Open(cfg Config) (*Engine, error) {
 		tables.SetCacheBudget(cfg.CacheBytes)
 	}
 
-	proc := query.NewProcessor(tables)
-	proc.SetWorkers(cfg.QueryWorkers)
 	e := &Engine{
 		stores:   stores,
 		disks:    disks,
 		tables:   tables,
-		proc:     proc,
+		proc:     query.NewProcessor(tables),
 		alphabet: model.NewAlphabet(),
 		cfg:      cfg,
 		metrics:  reg,
@@ -453,7 +483,7 @@ func openStores(cfg Config, reg *metrics.Registry) ([]kvstore.Store, []*kvstore.
 			}
 			backends[i] = cl
 		}
-		st, err := shard.NewFromBackends(backends, shard.Options{Workers: cfg.QueryWorkers})
+		st, err := shard.NewFromBackends(backends, shard.Options{})
 		if err != nil {
 			closeBackends()
 			return nil, nil, nil, err
@@ -544,7 +574,7 @@ func openStores(cfg Config, reg *metrics.Registry) ([]kvstore.Store, []*kvstore.
 		disks = append(disks, d)
 		segDirs = append(segDirs, filepath.Join(dir, segmentsDirName))
 	}
-	st, err := shard.New(stores, shard.Options{Workers: cfg.QueryWorkers, SegmentDirs: segDirs})
+	st, err := shard.New(stores, shard.Options{SegmentDirs: segDirs})
 	if err != nil {
 		closeAll()
 		return nil, nil, nil, err
@@ -907,7 +937,7 @@ func (e *Engine) activityName(id model.ActivityID) (string, error) {
 
 // Detect returns every completion of the pattern in the indexed log. The
 // index join (Algorithm 2) needs at least two activities; opts picks the
-// scan, a time window or, with Config.Planner, the planned join instead.
+// scan or a time window instead.
 //
 // Cancellation and deadlines on ctx abort the query at its next cooperative
 // check, and limits attached with WithLimits bound its work. Under
@@ -916,10 +946,8 @@ func (e *Engine) activityName(id model.ActivityID) (string, error) {
 // which Truncated(err) is true.
 func (e *Engine) Detect(ctx context.Context, patternNames []string, opts DetectOptions) (_ []Match, err error) {
 	defer e.track(famDetect, len(patternNames))(&err)
-	if opts.Scan && opts.Within > 0 {
-		// Filtering greedy scan matches by span afterwards is not a
-		// windowed STNM match: the combination has no sound answer.
-		return nil, errors.New("seqlog: scan detection does not support within")
+	if err := opts.validate(len(patternNames)); err != nil {
+		return nil, err
 	}
 	p, ok, err := e.pattern(patternNames)
 	if err != nil || !ok {
@@ -933,8 +961,6 @@ func (e *Engine) Detect(ctx context.Context, patternNames []string, opts DetectO
 		ms, err = e.proc.DetectScan(ctx, p, e.rule().Policy)
 	case opts.Within > 0:
 		ms, err = e.proc.DetectWithin(ctx, p, opts.Within)
-	case e.cfg.Planner:
-		ms, err = e.proc.DetectPlanned(ctx, p)
 	default:
 		ms, err = e.proc.Detect(ctx, p)
 	}
@@ -973,6 +999,9 @@ func convertMatches(ms []query.Match) []Match {
 // Limits.Partial is ignored here.
 func (e *Engine) Stats(ctx context.Context, patternNames []string, opts StatsOptions) (_ PatternStats, err error) {
 	defer e.track(famStats, len(patternNames))(&err)
+	if err := opts.validate(len(patternNames)); err != nil {
+		return PatternStats{}, err
+	}
 	// Unknown activities (ok=false): the pattern provably has zero
 	// completions.
 	p, ok, err := e.pattern(patternNames)
@@ -1020,9 +1049,8 @@ func (e *Engine) Explore(ctx context.Context, patternNames []string, opts Explor
 		family = famInsert
 	}
 	defer e.track(family, len(patternNames))(&err)
-	mode := opts.Mode
-	if mode == "" {
-		mode = Hybrid
+	if err := opts.validate(len(patternNames)); err != nil {
+		return nil, err
 	}
 	p, ok, err := e.pattern(patternNames)
 	if err != nil || !ok {
@@ -1031,17 +1059,15 @@ func (e *Engine) Explore(ctx context.Context, patternNames []string, opts Explor
 	qopts := query.ExploreOptions{TopK: opts.TopK, MaxAvgGap: opts.MaxAvgGap}
 	var props []query.Proposal
 	if opts.Position != nil {
-		props, err = e.exploreInsert(ctx, p, *opts.Position, mode, qopts)
+		props, err = e.exploreInsert(ctx, p, *opts.Position, opts.Mode, qopts)
 	} else {
-		switch mode {
+		switch opts.Mode {
 		case Accurate:
 			props, err = e.proc.ExploreAccurate(ctx, p, qopts)
 		case Fast:
 			props, err = e.proc.ExploreFast(ctx, p, qopts)
-		case Hybrid:
+		default: // Hybrid, also for the empty mode
 			props, err = e.proc.ExploreHybrid(ctx, p, qopts)
-		default:
-			err = fmt.Errorf("seqlog: unknown explore mode %q", mode)
 		}
 	}
 	if err != nil {
@@ -1089,10 +1115,9 @@ func (e *Engine) exploreInsert(ctx context.Context, p model.Pattern, pos int, mo
 		return e.proc.ExploreInsertAccurate(ctx, p, pos, alphabet, opts)
 	case Fast:
 		return e.proc.ExploreInsertFast(ctx, p, pos, alphabet, opts)
-	case Hybrid:
+	default: // Hybrid, also for the empty mode
 		return e.proc.ExploreInsertHybrid(ctx, p, pos, alphabet, opts)
 	}
-	return nil, fmt.Errorf("seqlog: unknown explore mode %q", mode)
 }
 
 // PruneTraces forgets the mutable state of completed traces (their Seq

@@ -631,31 +631,6 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	}
 }
 
-func TestPlannerConfigAgrees(t *testing.T) {
-	plain := openMem(t, Config{})
-	planned := openMem(t, Config{Planner: true})
-	for _, e := range []*Engine{plain, planned} {
-		if _, err := e.Ingest(shopEvents()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range [][]string{
-		{"search", "view"}, {"search", "view", "cart"}, {"search", "pay"},
-	} {
-		a, err := plain.Detect(context.Background(), p, DetectOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := planned.Detect(context.Background(), p, DetectOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("pattern %v: plain %v != planned %v", p, a, b)
-		}
-	}
-}
-
 func TestPartialOrderFacade(t *testing.T) {
 	if _, err := Open(Config{Policy: "SC", PartialOrder: true}); err == nil {
 		t.Fatal("partial order with SC accepted")

@@ -111,7 +111,7 @@ func oracleIngest(t *testing.T, name string, eng *Engine, w oracleWorkload) {
 // shard count that ingests the workload identically through the pipeline.
 func openOracleEngines(t *testing.T, w oracleWorkload) []oracleEngine {
 	t.Helper()
-	ref := openMem(t, Config{Policy: "STNM", Workers: 2, QueryWorkers: 2})
+	ref := openMem(t, Config{Policy: "STNM", Workers: 2})
 	for bi, batch := range w.batches {
 		if bi == 2 {
 			if err := ref.RotatePeriod("p2"); err != nil {
@@ -122,7 +122,7 @@ func openOracleEngines(t *testing.T, w oracleWorkload) []oracleEngine {
 	}
 	engines := []oracleEngine{{"serial-builder", ref}}
 	for _, n := range oracleShardCounts {
-		eng, err := Open(Config{Policy: "STNM", Shards: n, Workers: 2, QueryWorkers: 2})
+		eng, err := Open(Config{Policy: "STNM", Shards: n, Workers: 2})
 		if err != nil {
 			t.Fatalf("open %d-shard engine: %v", n, err)
 		}
@@ -174,7 +174,7 @@ func assertAgree(t *testing.T, engines []oracleEngine, label string, fn func(*En
 }
 
 // runOracleBattery interrogates every engine with the workload's full query
-// matrix — detection (plain, traced, planned, windowed), statistics,
+// matrix — detection (plain, traced, windowed), statistics,
 // continuation exploration in every mode — then exercises the mutating prune
 // path and re-compares. Engines must already hold the workload. This is THE
 // shared differential battery: the shard-count oracle and the netshard
@@ -206,13 +206,6 @@ func runOracleBattery(t *testing.T, engines []oracleEngine, w oracleWorkload) {
 		})
 		assertAgree(t, engines, fmt.Sprintf("detectTraces[%d]", pi), func(e *Engine) (any, error) {
 			return detectTraces(e, p)
-		})
-		assertAgree(t, engines, fmt.Sprintf("detectPlanned[%d]", pi), func(e *Engine) (any, error) {
-			mp, ok, err := e.pattern(p)
-			if err != nil || !ok {
-				return nil, err
-			}
-			return e.proc.DetectPlanned(context.Background(), mp)
 		})
 		assertAgree(t, engines, fmt.Sprintf("detectWithin[%d]", pi), func(e *Engine) (any, error) {
 			return e.Detect(context.Background(), p, DetectOptions{Within: 40})
