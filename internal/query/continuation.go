@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sort"
 	"sync"
 
 	"seqlog/internal/model"
@@ -179,16 +178,19 @@ func settle(tips []tip) []tip {
 // cursor reads each run, so a block decodes at most once however many tips
 // probe it. qs is charged one row per chain, as joinChains charges.
 func walk(qs *qstate, tips []tip, po storage.Postings, fn func(t *tip, tsB model.Timestamp)) error {
-	curs := make([]cursor, len(po.Runs))
-	for i, r := range po.Runs {
-		curs[i] = cursor{blocks: r.Blocks, bi: -1, blk: r.Entries}
-	}
+	curs := openCursors(po)
+	var tsBs []model.Timestamp
 	for i := range tips {
 		t := &tips[i]
+		tsBs = tsBs[:0]
 		for j := range curs {
-			if err := curs[j].each(t.trace, t.ts, func(tsB model.Timestamp) { fn(t, tsB) }); err != nil {
+			var err error
+			if tsBs, err = curs[j].read(tsBs, t.trace, t.ts); err != nil {
 				return err
 			}
+		}
+		for _, tsB := range tsBs {
+			fn(t, tsB)
 		}
 		for k := int64(0); k < t.n; k++ {
 			if err := qs.step(1); err != nil {
@@ -197,44 +199,4 @@ func walk(qs *qstate, tips []tip, po storage.Postings, fn func(t *tip, tsB model
 		}
 	}
 	return nil
-}
-
-// cursor reads one sorted postings run forward for ascending keys.
-type cursor struct {
-	blocks *storage.BlockRun    // nil for a plain run
-	bi     int                  // last block considered
-	blk    []storage.IndexEntry // unread entries of block bi, or of the plain run
-}
-
-// each hands fn the TsB of every entry keyed (trace, ts) and moves past them.
-// A block decodes only when its skip header shows it can hold the key.
-func (c *cursor) each(trace model.TraceID, ts model.Timestamp, fn func(model.Timestamp)) error {
-	for {
-		c.blk = c.blk[sort.Search(len(c.blk), func(j int) bool {
-			e := &c.blk[j]
-			return e.Trace > trace || e.Trace == trace && e.TsA >= ts
-		}):]
-		for ; len(c.blk) > 0 && c.blk[0].Trace == trace && c.blk[0].TsA == ts; c.blk = c.blk[1:] {
-			fn(c.blk[0].TsB)
-		}
-		b := c.blocks
-		if len(c.blk) > 0 || b == nil {
-			return nil
-		}
-		// The block is spent: decode the first later one ending at or past
-		// the key, unless it starts past the key too.
-		from, nb := c.bi+1, b.NumBlocks()
-		c.bi = from + sort.Search(nb-from, func(j int) bool {
-			m := b.Meta(from + j)
-			return m.LastTrace > trace || m.LastTrace == trace && m.LastTsA >= ts
-		})
-		if c.bi == nb || b.Meta(c.bi).FirstTrace > trace || b.Meta(c.bi).FirstTrace == trace && b.Meta(c.bi).FirstTsA > ts {
-			c.bi-- // no entry of the key; the next key searches on from here
-			return nil
-		}
-		var err error
-		if c.blk, err = b.Block(c.bi); err != nil {
-			return err
-		}
-	}
 }

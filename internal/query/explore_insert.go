@@ -170,9 +170,7 @@ func (q *Processor) patternBound(ctx context.Context, p model.Pattern) (int64, e
 		if !ok {
 			return 0, nil
 		}
-		if entry.Completions < bound {
-			bound = entry.Completions
-		}
+		bound = min(bound, entry.Completions)
 	}
 	return bound, nil
 }

@@ -73,6 +73,53 @@ func BenchmarkDetectJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectJoinSegments measures detection where the join reads
+// block runs: the log of BenchmarkExploreAccurateSegments frozen into a
+// segment, read through a 256 KiB cache that holds a small share of the
+// decoded entries and through the default cache that holds them all. It
+// reports the decoded rows each detection reads (rows/op).
+func BenchmarkDetectJoinSegments(b *testing.B) {
+	tb, err := storage.OpenTables(kvstore.NewMemStore(), storage.Options{SegmentDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld, err := index.NewBuilder(tb, index.Options{Policy: model.STNM, Method: pairs.Indexing, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := bld.Update(benchEvents(1000, 100, 16)); err != nil {
+		b.Fatal(err)
+	}
+	if err := tb.FreezePostings(); err != nil {
+		b.Fatal(err)
+	}
+	q := NewProcessor(tb)
+	p := model.Pattern{0, 1, 2, 3}
+	for _, tc := range []struct {
+		name  string
+		cache int64
+	}{
+		{"cache256k", 256 << 10},
+		{"cachedefault", storage.DefaultCacheBytes},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tb.SetCacheBudget(tc.cache)
+			if ms, err := q.Detect(context.Background(), p); err != nil || len(ms) == 0 {
+				b.Fatalf("want matches, got %d (%v)", len(ms), err)
+			}
+			rows := tb.ReadRows()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.Detect(context.Background(), p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tb.ReadRows()-rows)/float64(b.N), "rows/op")
+		})
+	}
+}
+
 // BenchmarkExploreAccurate measures Algorithm 3 with 16 candidate
 // continuations of a two-event pattern over in-memory rows.
 func BenchmarkExploreAccurate(b *testing.B) {

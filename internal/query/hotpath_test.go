@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 
 	"math/rand"
 	"reflect"
@@ -352,4 +353,168 @@ func TestRecheckTopKClampAndDedup(t *testing.T) {
 			t.Fatalf("TopK=1: exact entry lost to the approximate duplicate: %v", got)
 		}
 	}
+}
+
+// TestDetectReadsEachBlockOnce: one join reads each block of a pair at most
+// once, so a detection over a frozen store decodes (or takes from the
+// cache) at most Σ Postings.Total() rows over the pattern's pairs, however
+// many chains probe a block.
+func TestDetectReadsEachBlockOnce(t *testing.T) {
+	tb, err := storage.OpenTables(kvstore.NewMemStore(), storage.Options{SegmentDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bld, err := index.NewBuilder(tb, index.Options{Policy: model.STNM, Method: pairs.Indexing, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bld.Update(benchEvents(1000, 100, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.FreezePostings(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := NewProcessor(tb)
+	p := model.Pattern{0, 1, 2, 3}
+	var bound int64
+	for i := 0; i+1 < len(p); i++ {
+		po, err := tb.GetPostings(ctx, model.NewPairKey(p[i], p[i+1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound += int64(po.Total())
+	}
+	for _, within := range []int64{0, 30} {
+		for round := 0; round < 2; round++ { // cold, then from the cache
+			before := tb.ReadRows()
+			ms, err := q.DetectWithin(ctx, p, within)
+			if err != nil || len(ms) == 0 {
+				t.Fatalf("within %d: %d matches (%v)", within, len(ms), err)
+			}
+			if read := tb.ReadRows() - before; read > bound {
+				t.Fatalf("within %d round %d: read %d rows, the pattern's pairs hold %d", within, round, read, bound)
+			}
+		}
+	}
+}
+
+// TestDetectChainsOfOneEventAcrossRuns: many chains ending at one event
+// share one read of the frontier, across every run of a pair — a segment,
+// a memtable tail and a period partition holding both — and continuation
+// runs long enough to cross block boundaries. Detect and DetectWithin must
+// equal the map-join reference; under a row budget the answer is a subset
+// of the full one, the same on every run. Indexed logs never hold such
+// chains (an event ends at most one entry per pair), so the rows are
+// written directly, as TestContinuationMergesChainsOfOneEvent writes them.
+func TestDetectChainsOfOneEventAcrossRuns(t *testing.T) {
+	tb, err := storage.OpenTables(kvstore.NewMemStore(), storage.Options{SegmentDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.SetCacheBudget(16 << 10)
+	ab := model.NewPairKey(act('A'), act('B'))
+	bc := model.NewPairKey(act('B'), act('C'))
+	cd := model.NewPairKey(act('C'), act('D'))
+	// write appends, per trace, n copies of (tsA, tsB) for every tsB in
+	// [from, to) to the pair's row in period.
+	write := func(period string, pair model.PairKey, n int, tsA, from, to model.Timestamp) {
+		t.Helper()
+		var rows []storage.IndexEntry
+		for tr := model.TraceID(1); tr <= 4; tr++ {
+			for tsB := from; tsB < to; tsB++ {
+				for i := 0; i < n; i++ {
+					rows = append(rows, storage.IndexEntry{Trace: tr, TsA: tsA, TsB: tsB})
+				}
+			}
+		}
+		if err := tb.AppendIndex(period, pair, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A segment with a multi-block (t, 2) run of BC, then the tails.
+	write("", ab, 40, 1, 2, 3)
+	write("", ab, 3, 3, 4, 5)
+	write("p1", ab, 10, 1, 2, 3)
+	write("", bc, 1, 2, 5, 135)
+	write("p1", bc, 1, 2, 135, 145)
+	write("", bc, 1, 4, 9, 10)
+	write("", cd, 1, 9, 300, 302)
+	write("p1", cd, 1, 20, 300, 301)
+	if err := tb.FreezePostings(); err != nil {
+		t.Fatal(err)
+	}
+	write("", ab, 30, 1, 2, 3)
+	write("p1", ab, 20, 1, 2, 3)
+	write("p1", ab, 2, 3, 4, 5)
+	write("", bc, 1, 2, 145, 150)
+	write("p1", bc, 1, 2, 150, 155)
+	write("p1", bc, 1, 4, 10, 11)
+	write("", cd, 1, 10, 300, 301)
+	write("p1", cd, 2, 140, 301, 302)
+	ctx := context.Background()
+	for _, pair := range []model.PairKey{ab, bc} {
+		po, err := tb.GetPostings(ctx, pair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(po.Runs) != 4 || po.Runs[0].Blocks == nil || po.Runs[0].Blocks.NumBlocks() < 2 {
+			t.Fatalf("pair %v: want a multi-block segment run, a tail and a period's two runs, got %d runs", pair, len(po.Runs))
+		}
+	}
+	q := NewProcessor(tb)
+	for _, ps := range []string{"ABC", "ABCD"} {
+		p := pattern(ps)
+		all, err := detectReference(q, p)
+		if err != nil || len(all) == 0 {
+			t.Fatalf("%s: reference %d matches (%v)", ps, len(all), err)
+		}
+		truncated := false
+		for _, within := range []int64{0, 8, 60, 1000} {
+			var want []Match
+			for _, m := range all {
+				if within == 0 || m.Duration() <= within {
+					want = append(want, m)
+				}
+			}
+			got, err := q.DetectWithin(ctx, p, within)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s within %d: %d matches (%v), reference %d", ps, within, len(got), err, len(want))
+			}
+			for _, rows := range []int64{1, 300, 5000, 20000} {
+				bctx := WithLimits(ctx, Limits{MaxRows: rows, Partial: true})
+				got, err := q.DetectWithin(bctx, p, within)
+				again, err2 := q.DetectWithin(bctx, p, within)
+				if !reflect.DeepEqual(got, again) || rowsOfErr(err) != rowsOfErr(err2) {
+					t.Fatalf("%s within %d budget %d: two runs differ: %d matches (%v), then %d (%v)", ps, within, rows, len(got), err, len(again), err2)
+				}
+				var be *BudgetError
+				if err != nil && !(errors.As(err, &be) && be.Partial) {
+					t.Fatalf("%s within %d budget %d: %v", ps, within, rows, err)
+				}
+				if !subsequence(got, want) {
+					t.Fatalf("%s within %d budget %d: %d matches are not a subset of the %d full ones", ps, within, rows, len(got), len(want))
+				}
+				truncated = truncated || err != nil && len(got) < len(want)
+			}
+		}
+		if !truncated {
+			t.Fatalf("%s: no budget truncated the answer", ps)
+		}
+	}
+}
+
+// subsequence reports whether sub is a subsequence of ms, both in
+// sortMatches order: a sub-multiset of the matches.
+func subsequence(sub, ms []Match) bool {
+	for _, m := range sub {
+		for len(ms) > 0 && !reflect.DeepEqual(ms[0], m) {
+			ms = ms[1:]
+		}
+		if len(ms) == 0 {
+			return false
+		}
+		ms = ms[1:]
+	}
+	return true
 }

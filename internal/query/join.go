@@ -1,8 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"seqlog/internal/model"
@@ -17,9 +19,12 @@ import (
 // step dominated the query profile, so this implementation works on rows
 // pre-sorted by (trace, tsA, tsB) — the order the decoded-postings cache
 // hands out, so sorting is paid once per index update, not per query.
-// Chains carry only their last timestamp plus a parent pointer; extensions
-// binary-search the run of matching entries; full timestamp chains
-// materialise once at the end. Results are identical to the map join
+// Chains carry only their last timestamp plus a parent pointer, and full
+// timestamp chains materialise once at the end. A pair with a block run is
+// a merge: the frontier goes in (trace, last timestamp) order and one
+// forward cursor per run reads each block at most once per query, the chains
+// ending at one event sharing one read; a pair of plain runs only is
+// binary-searched per chain. Results are identical to the map join
 // (asserted by TestDetectMatchesReference against the retained reference
 // implementation).
 
@@ -59,12 +64,10 @@ type chain struct {
 // spanning more than the window (sound because pair timestamps never
 // decrease along a chain). Returns nil when nothing matches.
 //
-// Runs are consumed independently — a chain seeds from and extends into each
-// run in turn — which is what keeps segment runs compressed: a block only
-// decodes when its skip header admits it (duration window at the seed, trace
-// range on extension). The final sortMatches is a total order over matches,
-// so the result is byte-identical no matter how entries were distributed
-// across runs — the invariant the segment differential oracle pins.
+// Runs stay separate, which keeps segment runs compressed: a block only
+// decodes when its skip header admits it (duration window at the seed, key
+// range on extension). The final sortMatches is a total order, so the result
+// is byte-identical however entries were spread across runs.
 func joinPostings(qs *qstate, pos []storage.Postings, within int64) ([]Match, error) {
 	chains, err := joinChains(qs, pos, within)
 	if err != nil || len(chains) == 0 {
@@ -147,28 +150,65 @@ seeding:
 			}
 		}
 	}
+	var curs []cursor
+	var tsBs []model.Timestamp
 	for _, po := range pos[1:] {
 		if len(chains) == 0 {
 			return nil, nil
 		}
+		// With a block run the frontier goes in key order, so one forward
+		// cursor per run decodes each block at most once. Plain runs alone
+		// skip the sort (it costs more than it saves) and search per chain.
+		forward := slices.ContainsFunc(po.Runs, func(r storage.PostingsRun) bool { return r.Blocks != nil })
+		if forward {
+			if !slices.IsSortedFunc(chains, chainOrder) {
+				slices.SortFunc(chains, chainOrder)
+			}
+			curs = openCursors(po)
+		}
 		next := make([]chain, 0, len(chains))
-		for _, c := range chains {
-			for _, r := range po.Runs {
-				var err error
-				if next, err = extendRun(r, c, within, &arena, next); err != nil {
-					return nil, err
+	extending:
+		for i, j := 0, 0; i < len(chains); i = j {
+			trace, ts := chains[i].trace, chains[i].node.ts
+			j = i + 1
+			if forward { // the chains [i, j) end at one event and share its read
+				for j < len(chains) && chains[j].trace == trace && chains[j].node.ts == ts {
+					j++
+				}
+				tsBs = tsBs[:0]
+				for k := range curs {
+					var err error
+					if tsBs, err = curs[k].read(tsBs, trace, ts); err != nil {
+						return nil, err
+					}
 				}
 			}
-			// One work unit per chain probe. On truncation the chains not
-			// yet probed for this pair are dropped — they were partial
-			// matches, so dropping them keeps every surviving chain a
-			// genuine one; the remaining pairs then extend the (small)
-			// surviving set to full matches.
-			if err := qs.step(1); err != nil {
-				if errors.Is(err, errTruncated) {
-					break
+			for _, c := range chains[i:j] {
+				if forward {
+					for _, tsB := range tsBs {
+						if within <= 0 || int64(tsB-c.start) <= within {
+							next = append(next, chain{trace: trace, start: c.start, node: arena.new(tsB, c.node)})
+						}
+					}
+				} else {
+					for k := range po.Runs {
+						match, _ := seek(po.Runs[k].Entries, trace, ts)
+						for _, e := range match {
+							if within <= 0 || int64(e.TsB-c.start) <= within {
+								next = append(next, chain{trace: trace, start: c.start, node: arena.new(e.TsB, c.node)})
+							}
+						}
+					}
 				}
-				return nil, err
+				// One work unit per chain probe. On truncation the chains not
+				// yet probed for this pair are dropped: partial matches, so
+				// every surviving chain stays a genuine one.
+				if err := qs.step(1); err != nil {
+					if errors.Is(err, errTruncated) {
+						break extending
+					}
+					return nil, err
+				}
 			}
 		}
 		chains = next
@@ -176,59 +216,70 @@ seeding:
 	return chains, nil
 }
 
-// extendRun appends to next one extended chain per entry of r continuing c:
-// same trace, tsA equal to the chain's last timestamp. Plain runs
-// binary-search the slice; block runs binary-search the skip headers first
-// and decode only the block(s) the continuation run can live in.
-func extendRun(r storage.PostingsRun, c chain, within int64, arena *nodeArena, next []chain) ([]chain, error) {
-	ts := c.node.ts
-	scan := func(row []storage.IndexEntry) bool {
-		lo := sort.Search(len(row), func(j int) bool {
-			if row[j].Trace != c.trace {
-				return row[j].Trace > c.trace
-			}
-			return row[j].TsA >= ts
+// chainOrder orders chains by (trace, last timestamp), the cursors' key.
+func chainOrder(a, b chain) int {
+	return cmp.Or(cmp.Compare(a.trace, b.trace), cmp.Compare(a.node.ts, b.node.ts))
+}
+
+// openCursors points one cursor at the start of each run of po.
+func openCursors(po storage.Postings) []cursor {
+	curs := make([]cursor, len(po.Runs))
+	for i, r := range po.Runs {
+		curs[i] = cursor{blocks: r.Blocks, bi: -1, blk: r.Entries}
+	}
+	return curs
+}
+
+// cursor reads one sorted postings run forward for ascending keys.
+type cursor struct {
+	blocks *storage.BlockRun    // nil for a plain run
+	bi     int                  // last block considered
+	blk    []storage.IndexEntry // unread entries of block bi, or of the plain run
+}
+
+// read appends to dst the TsB of every entry keyed (trace, ts) and moves
+// past them. A block decodes only when its skip header shows it can hold
+// the key, and at most once: keys only ascend.
+func (c *cursor) read(dst []model.Timestamp, trace model.TraceID, ts model.Timestamp) ([]model.Timestamp, error) {
+	for {
+		var match []storage.IndexEntry
+		match, c.blk = seek(c.blk, trace, ts)
+		for _, e := range match {
+			dst = append(dst, e.TsB)
+		}
+		b := c.blocks
+		if len(c.blk) > 0 || b == nil {
+			return dst, nil
+		}
+		// The block is spent: decode the first later one ending at or past
+		// the key, unless it starts past the key too.
+		from, nb := c.bi+1, b.NumBlocks()
+		c.bi = from + sort.Search(nb-from, func(j int) bool {
+			m := b.Meta(from + j)
+			return m.LastTrace > trace || m.LastTrace == trace && m.LastTsA >= ts
 		})
-		j := lo
-		for ; j < len(row) && row[j].Trace == c.trace && row[j].TsA == ts; j++ {
-			if within > 0 && int64(row[j].TsB-c.start) > within {
-				continue
-			}
-			next = append(next, chain{trace: c.trace, start: c.start, node: arena.new(row[j].TsB, c.node)})
+		if c.bi == nb || b.Meta(c.bi).FirstTrace > trace || b.Meta(c.bi).FirstTrace == trace && b.Meta(c.bi).FirstTsA > ts {
+			c.bi-- // no entry of the key; the next key searches on from here
+			return dst, nil
 		}
-		return j == len(row) // the matching run reached the end of the slice
-	}
-	if r.Blocks == nil {
-		scan(r.Entries)
-		return next, nil
-	}
-	b := r.Blocks
-	nb := b.NumBlocks()
-	// First block whose last entry is >= (trace, ts): blocks before it end
-	// too early to hold the continuation run.
-	bi := sort.Search(nb, func(j int) bool {
-		m := b.Meta(j)
-		if m.LastTrace != c.trace {
-			return m.LastTrace > c.trace
-		}
-		return m.LastTsA >= ts
-	})
-	for ; bi < nb; bi++ {
-		m := b.Meta(bi)
-		if m.FirstTrace > c.trace || (m.FirstTrace == c.trace && m.FirstTsA > ts) {
-			break // the block starts past the run: no match here or later
-		}
-		blk, err := b.Block(bi)
-		if err != nil {
+		var err error
+		if c.blk, err = b.Block(c.bi); err != nil {
 			return nil, err
 		}
-		// Only a run still open at the block's end can continue into the
-		// next block.
-		if !scan(blk) || m.LastTrace != c.trace || m.LastTsA != ts {
-			break
-		}
 	}
-	return next, nil
+}
+
+// seek binary-searches sorted entries for the key (trace, ts) and splits
+// off the entries keyed so and the entries after them.
+func seek(row []storage.IndexEntry, trace model.TraceID, ts model.Timestamp) (match, rest []storage.IndexEntry) {
+	lo := sort.Search(len(row), func(j int) bool {
+		return row[j].Trace > trace || row[j].Trace == trace && row[j].TsA >= ts
+	})
+	hi := lo
+	for hi < len(row) && row[hi].Trace == trace && row[hi].TsA == ts {
+		hi++
+	}
+	return row[lo:hi], row[hi:]
 }
 
 // patternPostings fetches the postings of every consecutive pattern pair. A

@@ -345,9 +345,7 @@ func (q *Processor) ExploreFast(ctx context.Context, p model.Pattern, opts Explo
 			maxCompletions = 0
 			break
 		}
-		if entry.Completions < maxCompletions {
-			maxCompletions = entry.Completions
-		}
+		maxCompletions = min(maxCompletions, entry.Completions)
 	}
 	candidates, err := q.tables.GetCounts(qs.context(), p[len(p)-1])
 	if err != nil {
@@ -358,10 +356,7 @@ func (q *Processor) ExploreFast(ctx context.Context, p model.Pattern, opts Explo
 	}
 	var out []Proposal
 	for _, cand := range candidates {
-		completions := cand.Completions
-		if maxCompletions < completions {
-			completions = maxCompletions
-		}
+		completions := min(cand.Completions, maxCompletions)
 		avg := cand.AvgDuration()
 		if opts.MaxAvgGap > 0 && avg > opts.MaxAvgGap {
 			continue
@@ -400,13 +395,7 @@ func (q *Processor) ExploreHybrid(ctx context.Context, p model.Pattern, opts Exp
 // that appears in both halves keeps only its exact entry, so equal-score
 // duplicates cannot make the ranking drift between runs.
 func (q *Processor) recheckTopK(ctx context.Context, fast []Proposal, topK int, verify func(model.ActivityID) (*Proposal, error)) ([]Proposal, error) {
-	k := topK
-	if k < 0 {
-		k = 0
-	}
-	if k > len(fast) {
-		k = len(fast)
-	}
+	k := min(max(topK, 0), len(fast))
 	if k == 0 {
 		return fast, nil
 	}

@@ -24,8 +24,10 @@ import (
 // overflow traps and every entry round-trips exactly, whatever its value.
 //
 // The skip header lets readers decide whether a block is worth decoding at
-// all: the merge join binary-searches (LastTrace, LastTsA) to seek to the
-// block containing a trace's continuation run, and windowed detection skips
+// all: the merge join reads a run with one forward cursor that, past the end
+// of a block, searches the later headers' (LastTrace, LastTsA) for the block
+// holding the next key and decodes it only when its first key admits that
+// key, so a query decodes each block at most once; windowed detection skips
 // blocks whose minimum duration already exceeds the window. Headers decode in
 // O(blocks) without touching payload bytes.
 

@@ -91,16 +91,17 @@ func newBlockRun(t *Tables, seg *segment, ri int) *BlockRun {
 // NumBlocks returns the number of blocks in the run.
 func (r *BlockRun) NumBlocks() int { return len(r.metas) }
 
-// Meta returns the skip header of block i.
-func (r *BlockRun) Meta(i int) BlockMeta { return r.metas[i] }
+// Meta returns the skip header of block i, read in place: callers must not
+// modify it.
+func (r *BlockRun) Meta(i int) *BlockMeta { return &r.metas[i] }
 
 // Total returns the number of entries across all blocks.
 func (r *BlockRun) Total() int { return r.total }
 
 // Block returns the decoded entries of block i, served from the postings
-// cache when resident. The slice is shared — callers must not modify it.
+// cache when resident. The slice is shared — callers must not modify it. A
+// hit touches no skip header; only a decode copies one.
 func (r *BlockRun) Block(i int) ([]IndexEntry, error) {
-	m := r.metas[i]
 	var c *postingsCache
 	if r.t != nil {
 		c = r.t.cache
@@ -112,7 +113,7 @@ func (r *BlockRun) Block(i int) ([]IndexEntry, error) {
 			return entries, nil
 		}
 		gen, _ := c.begin(k)
-		entries, err := decodePostingsBlock(r.blob, m, make([]IndexEntry, 0, m.Count))
+		entries, err := decodePostingsBlock(r.blob, r.metas[i], make([]IndexEntry, 0, r.metas[i].Count))
 		if err != nil {
 			return nil, fmt.Errorf("%w: block %d of pair %d: %w", ErrCorruptSegment, i, r.pair, err)
 		}
@@ -124,7 +125,7 @@ func (r *BlockRun) Block(i int) ([]IndexEntry, error) {
 		r.t.rows.Add(int64(len(entries)))
 		return entries, nil
 	}
-	entries, err := decodePostingsBlock(r.blob, m, make([]IndexEntry, 0, m.Count))
+	entries, err := decodePostingsBlock(r.blob, r.metas[i], make([]IndexEntry, 0, r.metas[i].Count))
 	if err != nil {
 		return nil, fmt.Errorf("%w: block %d of pair %d: %w", ErrCorruptSegment, i, r.pair, err)
 	}

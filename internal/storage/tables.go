@@ -311,7 +311,7 @@ func decodeIndexEntries(raw []byte) ([]IndexEntry, error) {
 }
 
 // lessIndexEntry is the (Trace, TsA, TsB) order every postings run obeys —
-// the order the query processor's merge join binary-searches.
+// the order the query processor's merge join reads.
 func lessIndexEntry(a, b IndexEntry) bool {
 	if a.Trace != b.Trace {
 		return a.Trace < b.Trace

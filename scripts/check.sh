@@ -85,6 +85,14 @@ if want vet; then
 		echo "check: continuation runs a detection per candidate; extend the shared prefix frontier" >&2
 		exit 1
 	fi
+	# Detect reads each block once per query: the join extends its frontier
+	# with the one forward cursor, so no per-chain extendRun comes back and
+	# only cursor.read searches the skip headers' sort keys.
+	if awk '/^func /{fn=$0} /^func extendRun\(/ || /(First|Last)(Trace|TsA)/ && fn !~ /^func \(c \*cursor\) read\(/ {print FILENAME ":" FNR ": " $0; bad=1} END{exit !bad}' \
+		$(ls internal/query/*.go | grep -v '_test\.go$'); then
+		echo "check: internal/query searches skip headers outside cursor.read; extend the frontier with the cursor" >&2
+		exit 1
+	fi
 	# One option surface: every durable store freezes before it compacts,
 	# so Config.Segments is an accepted, ignored name nothing reads; and the
 	# ingest in-flight depth is a constant, not an option.
@@ -165,6 +173,7 @@ if want segments; then
 	go test ./internal/storage/ -fuzz FuzzPostingsBlocks -fuzztime 5s
 	go test ./internal/storage/ -fuzz FuzzSegmentFile -fuzztime 5s
 	go test -run 'TestSegment' .
+	go test -run 'ReadsEachBlockOnce|MatchesReference' ./internal/query/
 	go test -race -short -run 'FreezeCrash' ./internal/storage/
 fi
 
