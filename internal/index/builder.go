@@ -222,7 +222,7 @@ func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, sh
 	if err != nil {
 		return err
 	}
-	full, res, err := b.rule.Extend(old, newEvents, nil)
+	full, res, _, err := b.rule.Extend(old, newEvents, nil)
 	if err != nil {
 		return fmt.Errorf("index: trace %d: %w", id, err)
 	}

@@ -14,43 +14,24 @@ import (
 )
 
 // shardDelta is the table delta one shard contributes to a flush cycle:
-// normalized new events per trace, new index entries per pair, and count
-// increments per leading activity. Shapes mirror the Builder's accumulators
-// so the committed rows are encoded identically.
+// normalized new events per trace and new index entries per pair. The Count
+// increments are sums over the entries, taken when the delta is written.
 // The same shape doubles as the per-STORE partition the reducer produces.
 type shardDelta struct {
 	traces  []model.TraceID // first-appearance order, for determinism
 	seqs    map[model.TraceID][]model.TraceEvent
 	entries map[model.PairKey][]storage.IndexEntry
-	counts  map[model.ActivityID]map[model.ActivityID]*storage.CountEntry
 }
 
 func newShardDelta() *shardDelta {
 	return &shardDelta{
 		seqs:    make(map[model.TraceID][]model.TraceEvent),
 		entries: make(map[model.PairKey][]storage.IndexEntry),
-		counts:  make(map[model.ActivityID]map[model.ActivityID]*storage.CountEntry),
 	}
 }
 
 func (d *shardDelta) empty() bool {
-	return len(d.seqs) == 0 && len(d.entries) == 0 && len(d.counts) == 0
-}
-
-// bumpCount adds by's duration and completions to the (a, b) count entry.
-func (d *shardDelta) bumpCount(a, b model.ActivityID, by storage.CountEntry) {
-	row := d.counts[a]
-	if row == nil {
-		row = make(map[model.ActivityID]*storage.CountEntry)
-		d.counts[a] = row
-	}
-	e := row[b]
-	if e == nil {
-		e = &storage.CountEntry{Other: b}
-		row[b] = e
-	}
-	e.SumDuration += by.SumDuration
-	e.Completions += by.Completions
+	return len(d.seqs) == 0 && len(d.entries) == 0
 }
 
 // add folds one trace's flush result into the delta.
@@ -61,23 +42,20 @@ func (d *shardDelta) add(id model.TraceID, evs []model.TraceEvent, res pairs.Res
 	d.seqs[id] = append(d.seqs[id], evs...)
 	for k, occ := range res {
 		es := d.entries[k]
-		var dur int64
 		for _, o := range occ {
 			es = append(es, storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
-			dur += int64(o.TsB - o.TsA)
 		}
 		d.entries[k] = es
-		d.bumpCount(k.First(), k.Second(), storage.CountEntry{SumDuration: dur, Completions: int64(len(occ))})
 	}
 }
 
 // extractShard runs one shard's part of a flush cycle: group the inbox by
 // trace (arrival order preserved — the inbox is per-shard FIFO), extend each
-// trace's resident session by the rule, and collect the delta. Traces go in
-// id order, so a pair's entries come out sorted when one shard fed them.
-// Only the coordinator's extraction pass calls this (under cycleMu), so
-// sessions need no locking.
-func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDelta, error) {
+// trace's resident session by the rule, and collect the delta and the number
+// of events handed to extraction. Traces go in id order, so a pair's entries
+// come out sorted when one shard fed them. Only the coordinator's extraction
+// pass calls this (under cycleMu), so sessions need no locking.
+func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDelta, int, error) {
 	byTrace := make(map[model.TraceID][]model.TraceEvent)
 	var ids []model.TraceID
 	for _, ev := range inbox {
@@ -88,38 +66,37 @@ func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDel
 	}
 	slices.Sort(ids)
 	d := newShardDelta()
+	extracted := 0
 	for _, id := range ids {
 		sess := sh.sessions[id]
 		if sess == nil {
 			old, _, err := p.tables.GetSeq(context.Background(), id)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sess = &session{events: old}
 			sh.sessions[id] = sess
 		}
 		stored := len(sess.events)
-		if sess.counts == nil && stored > 0 {
+		if sess.tally == nil && stored > 0 {
 			// Built once the trace holds events, so a one-shot batch of new
 			// traces never pays for it.
-			sess.counts = make(map[model.ActivityID]int)
-			for _, ev := range sess.events {
-				sess.counts[ev.Activity]++
-			}
+			sess.tally = pairs.NewTally(sess.events)
 		}
-		full, res, err := p.rule.Extend(sess.events, byTrace[id], sess.counts)
+		full, res, n, err := p.rule.Extend(sess.events, byTrace[id], sess.tally)
 		if err != nil {
-			return nil, fmt.Errorf("ingest: trace %d: %w", id, err)
+			return nil, 0, fmt.Errorf("ingest: trace %d: %w", id, err)
 		}
 		sess.events, sess.cycle = full, p.cycles
 		d.add(id, full[stored:], res)
+		extracted += n
 	}
-	return d, nil
+	return d, extracted, nil
 }
 
 // mergeDeltas folds the per-shard deltas into the first one. Traces are
 // disjoint across shards (affinity sharding), so Seq rows concatenate; pair
-// and count rows may collide and are merged.
+// rows may collide and are concatenated.
 func mergeDeltas(deltas []*shardDelta) *shardDelta {
 	var out *shardDelta
 	for _, d := range deltas {
@@ -138,11 +115,6 @@ func mergeDeltas(deltas []*shardDelta) *shardDelta {
 		}
 		for k, es := range d.entries {
 			out.entries[k] = append(out.entries[k], es...)
-		}
-		for a, row := range d.counts {
-			for b, e := range row {
-				out.bumpCount(a, b, *e)
-			}
 		}
 	}
 	return out
@@ -177,19 +149,12 @@ func (p *Pipeline) partitionDeltas(deltas []*shardDelta) []*shardDelta {
 			}
 			t.seqs[id] = append(t.seqs[id], d.seqs[id]...)
 		}
+		// Count increments are derived from a pair's entries, so they land
+		// where the pair routes, as the sharded backend's own MergeCounts
+		// splitting puts them.
 		for k, es := range d.entries {
 			t := part(p.route.ShardForPair(k))
 			t.entries[k] = append(t.entries[k], es...)
-		}
-		// Count partials route where their underlying pair routes: the
-		// (a, b) entry of a's row belongs to pair (a,b). This mirrors the
-		// sharded backend's own MergeCounts splitting, so the partition is
-		// exactly the rows store i would keep.
-		for a, row := range d.counts {
-			for b, e := range row {
-				t := part(p.route.ShardForPair(model.NewPairKey(a, b)))
-				t.bumpCount(a, b, *e)
-			}
 		}
 	}
 	return parts
@@ -323,6 +288,9 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 // writeDelta streams one store partition through the tables in sorted,
 // reproducible order. The caller has already opened the target store's WAL
 // group; routing determinism guarantees every write here lands inside it.
+// Pairs go in key order, so the pairs of one leading activity are contiguous:
+// their Count increments — completions and summed durations of the entries —
+// are merged into its Count row once, after its last pair.
 func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 	sort.Slice(d.traces, func(i, j int) bool { return d.traces[i] < d.traces[j] })
 	for _, id := range d.traces {
@@ -335,8 +303,9 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 	for k := range d.entries {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	slices.Sort(keys)
+	var counts []storage.CountEntry
+	for i, k := range keys {
 		es := d.entries[k]
 		// Within a cycle a pair's entries come from many traces; keep a
 		// canonical order inside the appended chunk.
@@ -355,22 +324,16 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 		if err = p.tables.MergeLastCompletion(k, storage.LastCompletion(es)); err != nil {
 			return err
 		}
-	}
-
-	acts := make([]model.ActivityID, 0, len(d.counts))
-	for a := range d.counts {
-		acts = append(acts, a)
-	}
-	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
-	for _, a := range acts {
-		row := d.counts[a]
-		delta := make([]storage.CountEntry, 0, len(row))
-		for _, e := range row {
-			delta = append(delta, *e)
+		c := storage.CountEntry{Other: k.Second(), Completions: int64(len(es))}
+		for _, e := range es {
+			c.SumDuration += int64(e.TsB - e.TsA)
 		}
-		sort.Slice(delta, func(i, j int) bool { return delta[i].Other < delta[j].Other })
-		if err = p.tables.MergeCounts(a, delta); err != nil {
-			return err
+		counts = append(counts, c)
+		if i+1 == len(keys) || keys[i+1].First() != k.First() {
+			if err = p.tables.MergeCounts(k.First(), counts); err != nil {
+				return err
+			}
+			counts = counts[:0]
 		}
 	}
 	return nil

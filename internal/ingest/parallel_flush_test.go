@@ -219,39 +219,45 @@ func shardedMemTables(t *testing.T, n int) *shard.Tables {
 // STNM and partial order.
 func TestStreamShardedEqualsSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	for _, mode := range orderModes {
-		for _, nshards := range []int{2, 3} {
-			for iter := 0; iter < 3; iter++ {
-				events := randomLog(rng, 1+rng.Intn(6), 200, 4)
-				want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
+	// The 40-activity leg makes most events new to their trace.
+	for _, leg := range []struct {
+		alphabet int
+		shards   []int
+	}{{4, []int{2, 3}}, {40, []int{1, 3}}} {
+		for _, mode := range orderModes {
+			for _, nshards := range leg.shards {
+				for iter := 0; iter < 3; iter++ {
+					events := randomLog(rng, 1+rng.Intn(6), 200, leg.alphabet)
+					want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
 
-				st := shardedMemTables(t, nshards)
-				p, err := New(st, Options{
-					Policy:        mode.policy,
-					PartialOrder:  mode.partial,
-					Workers:       4,
-					FlushEvents:   8,
-					FlushInterval: time.Millisecond,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(p.stores) != nshards {
-					t.Fatalf("pipeline found %d stores on a %d-shard backend", len(p.stores), nshards)
-				}
-				for lo := 0; lo < len(events); {
-					hi := chunkEnd(events, lo+1+rng.Intn(12), mode.partial)
-					if err := p.Append(events[lo:hi]); err != nil {
+					st := shardedMemTables(t, nshards)
+					p, err := New(st, Options{
+						Policy:        mode.policy,
+						PartialOrder:  mode.partial,
+						Workers:       4,
+						FlushEvents:   8,
+						FlushInterval: time.Millisecond,
+					})
+					if err != nil {
 						t.Fatal(err)
 					}
-					lo = hi
-				}
-				if err := p.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if got := dumpTables(t, st, ""); got != want {
-					t.Fatalf("policy=%v partial=%v shards=%d iter=%d: sharded stream diverges from serial build\ngot:\n%s\nwant:\n%s",
-						mode.policy, mode.partial, nshards, iter, got, want)
+					if len(p.stores) != nshards {
+						t.Fatalf("pipeline found %d stores on a %d-shard backend", len(p.stores), nshards)
+					}
+					for lo := 0; lo < len(events); {
+						hi := chunkEnd(events, lo+1+rng.Intn(12), mode.partial)
+						if err := p.Append(events[lo:hi]); err != nil {
+							t.Fatal(err)
+						}
+						lo = hi
+					}
+					if err := p.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if got := dumpTables(t, st, ""); got != want {
+						t.Fatalf("alphabet=%d policy=%v partial=%v shards=%d iter=%d: sharded stream diverges from serial build\ngot:\n%s\nwant:\n%s",
+							leg.alphabet, mode.policy, mode.partial, nshards, iter, got, want)
+					}
 				}
 			}
 		}

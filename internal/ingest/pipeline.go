@@ -12,8 +12,9 @@
 //   - Each shard keeps resident sessions: the events of every live trace,
 //     loaded from its Seq row once per pipeline. A flush extends each
 //     touched trace by the same per-trace rule the batch Builder applies
-//     (pairs.Rule), so both write the same rows; a session re-extracts only
-//     the suffix window its new events can complete pairs in.
+//     (pairs.Rule), so both write the same rows; a session pairs an activity
+//     new to its trace without extraction and re-extracts only the suffix
+//     window its other new events can complete pairs in.
 //   - The coordinator goroutine swaps the shard inboxes when a flush
 //     trigger fires (size or age), extracts deltas on all shards in
 //     parallel, and partitions them per independent STORE of the backend
@@ -139,6 +140,10 @@ type Stats struct {
 	Syncs    int64 `json:"syncs"`              // cycles sealed by a group commit (an fsync on durable stores)
 	Stalls   int64 `json:"stalls"`             // Appends that blocked or were refused
 	Sessions int64 `json:"sessions,omitempty"` // resident trace sessions
+	// Reextracted counts the events handed to pair extraction, summed over
+	// cycles: each window's stored events plus the new events it covers. An
+	// activity new to its trace is paired without extraction.
+	Reextracted int64 `json:"reextracted"`
 }
 
 // storeWriter is the commit seam of one independent store of the backend:
@@ -154,14 +159,15 @@ type storeWriter struct {
 
 // flushJob is one extracted cycle moving through the commit stages.
 type flushJob struct {
-	parts    []*shardDelta // per store, aligned with Pipeline.stores
-	total    int           // events in the cycle
-	sessions int64         // resident sessions after extraction
-	start    time.Time     // cycle start (inbox swap)
-	cycle    uint64        // extraction cycle number
-	waits    []kvstore.Durability
-	syncs    int64
-	err      error
+	parts     []*shardDelta // per store, aligned with Pipeline.stores
+	total     int           // events in the cycle
+	sessions  int64         // resident sessions after extraction
+	extracted int64         // events handed to pair extraction
+	start     time.Time     // cycle start (inbox swap)
+	cycle     uint64        // extraction cycle number
+	waits     []kvstore.Durability
+	syncs     int64
+	err       error
 }
 
 // Pipeline is the ingestion subsystem. Append may be called from
@@ -226,12 +232,14 @@ type Pipeline struct {
 // stored Seq prefix, read once when the trace first reaches this pipeline,
 // plus everything extracted since. Every flush that touches the trace
 // extends them by pairs.Rule, exactly as one Builder.Update over the same
-// prefix would; counts lets the rule re-extract only the suffix window the
-// new events can complete pairs in.
+// prefix would; the tally (each activity's count and first occurrence) lets
+// the rule pair an activity new to the trace without extraction and
+// re-extract only the suffix window the other new events can complete pairs
+// in.
 type session struct {
 	events []model.TraceEvent
-	counts map[model.ActivityID]int // occurrences per activity in events; built when first needed
-	cycle  uint64                   // extraction cycle that last fed the session
+	tally  *pairs.Tally // of events; built when first needed
+	cycle  uint64       // extraction cycle that last fed the session
 }
 
 // ingestShard owns the inbox and the resident sessions of the traces
@@ -711,12 +719,13 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 	p.cycles++
 
 	deltas := make([]*shardDelta, len(p.shards))
+	extracted := make([]int, len(p.shards))
 	err := parallel.ForEach(len(p.shards), p.opts.Workers, func(i int) error {
 		if len(pend[i]) == 0 {
 			return nil
 		}
-		d, err := p.extractShard(&p.shards[i], pend[i])
-		deltas[i] = d
+		var err error
+		deltas[i], extracted[i], err = p.extractShard(&p.shards[i], pend[i])
 		return err
 	})
 	if err != nil {
@@ -731,6 +740,7 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 	}
 	for i := range p.shards {
 		job.sessions += int64(len(p.shards[i].sessions))
+		job.extracted += int64(extracted[i])
 	}
 	p.mu.Lock()
 	p.buffered -= int64(total)
@@ -816,6 +826,7 @@ func (p *Pipeline) finishJob(job *flushJob) {
 		p.stats.Batches++
 		p.stats.Syncs += job.syncs
 		p.stats.Sessions = job.sessions
+		p.stats.Reextracted += job.extracted
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()

@@ -147,45 +147,48 @@ func chunkEnd(events []model.Event, hi int, partial bool) int {
 // TestStreamEqualsSerialBuilder is the pipeline's equivalence oracle: any
 // chunking of the stream, any worker count, SC, STNM and partial order, tiny
 // flush thresholds forcing many micro-batch cycles — the tables must come
-// out equivalent to one serial batch update.
+// out equivalent to one serial batch update. The 40-activity leg makes most
+// events new to their trace, so sessions pair them without extraction.
 func TestStreamEqualsSerialBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, mode := range orderModes {
-		for _, workers := range []int{1, 2, 4} {
-			for iter := 0; iter < 4; iter++ {
-				events := randomLog(rng, 1+rng.Intn(6), 150, 4)
-				want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
+	for _, alphabet := range []int{4, 40} {
+		for _, mode := range orderModes {
+			for _, workers := range []int{1, 2, 4} {
+				for iter := 0; iter < 4; iter++ {
+					events := randomLog(rng, 1+rng.Intn(6), 150, alphabet)
+					want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
 
-				tb := storage.NewTables(kvstore.NewMemStore())
-				p, err := New(tb, Options{
-					Policy:        mode.policy,
-					PartialOrder:  mode.partial,
-					Workers:       workers,
-					FlushEvents:   8,
-					FlushInterval: time.Millisecond,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for lo := 0; lo < len(events); {
-					hi := chunkEnd(events, lo+1+rng.Intn(12), mode.partial)
-					if err := p.Append(events[lo:hi]); err != nil {
+					tb := storage.NewTables(kvstore.NewMemStore())
+					p, err := New(tb, Options{
+						Policy:        mode.policy,
+						PartialOrder:  mode.partial,
+						Workers:       workers,
+						FlushEvents:   8,
+						FlushInterval: time.Millisecond,
+					})
+					if err != nil {
 						t.Fatal(err)
 					}
-					lo = hi
-				}
-				if err := p.Close(); err != nil {
-					t.Fatal(err)
-				}
+					for lo := 0; lo < len(events); {
+						hi := chunkEnd(events, lo+1+rng.Intn(12), mode.partial)
+						if err := p.Append(events[lo:hi]); err != nil {
+							t.Fatal(err)
+						}
+						lo = hi
+					}
+					if err := p.Close(); err != nil {
+						t.Fatal(err)
+					}
 
-				if got := dumpTables(t, tb, ""); got != want {
-					t.Fatalf("policy=%v partial=%v workers=%d iter=%d: streamed tables diverge from serial build\ngot:\n%s\nwant:\n%s",
-						mode.policy, mode.partial, workers, iter, got, want)
-				}
+					if got := dumpTables(t, tb, ""); got != want {
+						t.Fatalf("alphabet=%d policy=%v partial=%v workers=%d iter=%d: streamed tables diverge from serial build\ngot:\n%s\nwant:\n%s",
+							alphabet, mode.policy, mode.partial, workers, iter, got, want)
+					}
 
-				st := p.Stats()
-				if st.Flushed != int64(len(events)) || st.Queued != 0 {
-					t.Fatalf("stats after close: %+v, want %d flushed, 0 queued", st, len(events))
+					st := p.Stats()
+					if st.Flushed != int64(len(events)) || st.Queued != 0 {
+						t.Fatalf("stats after close: %+v, want %d flushed, 0 queued", st, len(events))
+					}
 				}
 			}
 		}

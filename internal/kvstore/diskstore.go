@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,7 +59,8 @@ type DiskStore struct {
 	dir  string
 	wal  File
 	bw   *bufio.Writer
-	size int64 // bytes in the WAL (header included)
+	size int64  // bytes in the WAL (header included)
+	rec  []byte // logAndApply's record buffer, reused under mu
 
 	// Group-commit fsync coalescing (syncTo): syncing marks a leader's fsync
 	// in flight with the store unlocked; followers (and Close/Compact, which
@@ -108,6 +110,10 @@ type DiskStore struct {
 
 	closed bool
 }
+
+// maxKeptRecord caps the record buffer a store keeps for reuse, so one
+// large write does not pin its size.
+const maxKeptRecord = 1 << 20
 
 const (
 	walName        = "WAL"
@@ -238,21 +244,24 @@ func (s *DiskStore) path(name string) string { return filepath.Join(s.dir, name)
 
 // record layout: crc32(payload) uint32 | len(payload) uint32 | payload
 // payload: op byte | table varint-string | key varint-string | value varint-bytes
+//
+// The record is encoded in place: the header is reserved, the payload
+// appended behind it, and the header filled in last.
 func encodeRecord(buf []byte, op byte, table, key string, value []byte) []byte {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(table)+len(key)+len(value)+binary.MaxVarintLen64)
-	payload = append(payload, op)
-	payload = binary.AppendUvarint(payload, uint64(len(table)))
-	payload = append(payload, table...)
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = binary.AppendUvarint(payload, uint64(len(value)))
-	payload = append(payload, value...)
+	start := len(buf)
+	buf = slices.Grow(buf, 8+1+3*binary.MaxVarintLen64+len(table)+len(key)+len(value))
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, op)
+	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	buf = append(buf, table...)
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.AppendUvarint(buf, uint64(len(value)))
+	buf = append(buf, value...)
 
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(payload)))
+	return buf
 }
 
 // errTornRecord marks a record that does not decode at its offset (truncated,
@@ -626,15 +635,26 @@ func (s *DiskStore) logAndApply(op byte, table, key string, value []byte) error 
 	if s.failed != nil {
 		return s.poisonedErr()
 	}
-	rec := encodeRecord(nil, op, table, key, value)
+	if err := s.writeRecord(op, table, key, value); err != nil {
+		return err // the op is not applied
+	}
+	return s.apply(op, table, key, value)
+}
+
+// writeRecord appends one record to the buffered WAL, encoding it into the
+// store's reused record buffer; s.mu is held. A failed write leaves the WAL
+// tail unknowable (possibly a half-written record), so it poisons the store.
+func (s *DiskStore) writeRecord(op byte, table, key string, value []byte) error {
+	rec := encodeRecord(s.rec[:0], op, table, key, value)
+	if cap(rec) <= maxKeptRecord {
+		s.rec = rec
+	}
 	if _, err := s.bw.Write(rec); err != nil {
-		// The WAL tail is now unknowable (possibly a half-written record):
-		// the op is not applied and the store stops accepting writes.
 		return s.poison(fmt.Errorf("kvstore: wal write: %w", err))
 	}
 	s.size += int64(len(rec))
 	s.writtenTotal += int64(len(rec))
-	return s.apply(op, table, key, value)
+	return nil
 }
 
 // Get implements Store.
@@ -799,12 +819,9 @@ func (s *DiskStore) BeginBatch() error {
 	if s.inBatch {
 		return errors.New("kvstore: batch already open")
 	}
-	rec := encodeRecord(nil, opBatchBegin, "", "", nil)
-	if _, err := s.bw.Write(rec); err != nil {
-		return s.poison(fmt.Errorf("kvstore: wal write: %w", err))
+	if err := s.writeRecord(opBatchBegin, "", "", nil); err != nil {
+		return err
 	}
-	s.size += int64(len(rec))
-	s.writtenTotal += int64(len(rec))
 	s.inBatch = true
 	return nil
 }
@@ -851,14 +868,10 @@ func (s *DiskStore) SealBatch() (Durability, error) {
 		s.mu.Unlock()
 		return nil, errors.New("kvstore: no batch open")
 	}
-	rec := encodeRecord(nil, opBatchCommit, "", "", nil)
-	if _, err := s.bw.Write(rec); err != nil {
-		err = s.poison(fmt.Errorf("kvstore: wal write: %w", err))
+	if err := s.writeRecord(opBatchCommit, "", "", nil); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.size += int64(len(rec))
-	s.writtenTotal += int64(len(rec))
 	s.inBatch = false
 	tok := batchToken{s: s, off: s.writtenTotal}
 	over := s.CompactAt > 0 && s.size > s.CompactAt && !s.hookActive

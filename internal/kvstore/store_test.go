@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -389,6 +391,46 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// layoutRecord is the WAL record layout spelled out field by field: the
+// payload built on its own, then the checksum and length header in front.
+func layoutRecord(op byte, table, key string, value []byte) []byte {
+	payload := []byte{op}
+	payload = binary.AppendUvarint(payload, uint64(len(table)))
+	payload = append(payload, table...)
+	payload = binary.AppendUvarint(payload, uint64(len(key)))
+	payload = append(payload, key...)
+	payload = binary.AppendUvarint(payload, uint64(len(value)))
+	payload = append(payload, value...)
+	rec := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+	return append(rec, payload...)
+}
+
+// TestEncodeRecordMatchesLayout: encoding in place — after earlier records,
+// into a reused buffer — writes exactly the bytes of the record layout, so
+// the WAL format is unchanged.
+func TestEncodeRecordMatchesLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	str := func(n int) string {
+		b := make([]byte, n)
+		rng.Read(b)
+		return string(b)
+	}
+	var buf, want []byte
+	for i := 0; i < 2000; i++ {
+		if rng.Intn(8) == 0 {
+			buf, want = buf[:0], want[:0]
+		}
+		op, table, key := byte(rng.Intn(6)), str(rng.Intn(20)), str(rng.Intn(40))
+		value := []byte(str(rng.Intn(1 << uint(rng.Intn(15)))))
+		buf = encodeRecord(buf, op, table, key, value)
+		want = append(want, layoutRecord(op, table, key, value)...)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("record %d (op %d, %d-byte value) encodes differently from the layout", i, op, len(value))
+		}
 	}
 }
 

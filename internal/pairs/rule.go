@@ -39,17 +39,47 @@ func (r Rule) Validate() error {
 	return nil
 }
 
+// Tally is what a pipeline session keeps of its trace between Extend calls:
+// how often each activity occurs in the events so far, and the first
+// occurrence of each, in order of appearance.
+type Tally struct {
+	counts map[model.ActivityID]int
+	firsts []model.TraceEvent
+}
+
+// NewTally tallies a trace's stored events.
+func NewTally(events []model.TraceEvent) *Tally {
+	t := &Tally{counts: make(map[model.ActivityID]int)}
+	for _, ev := range events {
+		t.add(ev)
+	}
+	return t
+}
+
+func (t *Tally) add(ev model.TraceEvent) {
+	n := t.counts[ev.Activity]
+	if n == 0 {
+		t.firsts = append(t.firsts, ev)
+	}
+	t.counts[ev.Activity] = n + 1
+}
+
 // Extend applies the rule to one trace. stored is the trace's indexed prefix
 // (its Seq row) and batch its new events in arrival order. Like append, it
 // returns stored with the batch appended — stable-sorted by timestamp and
 // normalised — reusing stored's spare capacity; the new events are the tail
 // past len(stored). The Result holds the occurrences completing after the
 // prefix: extraction is prefix-stable, so every other one was indexed with
-// the prefix.
+// the prefix. extracted is how many events Extend handed to extraction.
 //
-// counts, when non-nil, holds how often each activity occurs in stored;
-// Extend then re-extracts only the suffix window that decides the new
-// completions (see window) and adds the batch to counts. With nil counts it
+// tally, when non-nil, tallies stored; Extend then adds the batch to it and
+// extracts only what the batch can complete. Under a total-order STNM it
+// walks the batch in order: an activity y new to the trace completes exactly
+// one (x, y) per activity x the trace already holds, at (first x, y) — the
+// retroactive open of the State method (§4.2, StateExtractor.Add) — so it
+// needs no extraction; each run of known activities re-extracts its suffix
+// window (see window) over the events before it. SC and partial order
+// re-extract their window of the whole batch. With a nil tally Extend
 // re-extracts the whole trace.
 //
 // Under a total order, ties and regressions are bumped to the previous
@@ -57,7 +87,7 @@ func (r Rule) Validate() error {
 // sequence is strictly increasing. Under partial order a batch reaching back
 // to the prefix's last timestamp is rejected: splitting a tie group would
 // hide its new completions behind the boundary filter.
-func (r Rule) Extend(stored, batch []model.TraceEvent, counts map[model.ActivityID]int) ([]model.TraceEvent, Result, error) {
+func (r Rule) Extend(stored, batch []model.TraceEvent, tally *Tally) (full []model.TraceEvent, res Result, extracted int, err error) {
 	boundary := model.Timestamp(-1 << 62)
 	if len(stored) > 0 {
 		boundary = stored[len(stored)-1].TS
@@ -65,7 +95,7 @@ func (r Rule) Extend(stored, batch []model.TraceEvent, counts map[model.Activity
 	sort.SliceStable(batch, func(i, j int) bool { return batch[i].TS < batch[j].TS })
 	if r.PartialOrder {
 		if len(stored) > 0 && len(batch) > 0 && batch[0].TS <= boundary {
-			return nil, nil, fmt.Errorf("%w to ts %d (stored up to %d)", ErrReachesBack, batch[0].TS, boundary)
+			return nil, nil, 0, fmt.Errorf("%w to ts %d (stored up to %d)", ErrReachesBack, batch[0].TS, boundary)
 		}
 	} else {
 		prev := boundary
@@ -76,53 +106,92 @@ func (r Rule) Extend(stored, batch []model.TraceEvent, counts map[model.Activity
 			prev = batch[i].TS
 		}
 	}
-
-	from := 0
-	if counts != nil {
-		from = r.window(stored, batch, counts)
-		for _, ev := range batch {
-			counts[ev.Activity]++
-		}
-	}
-	full := batch
+	full = batch
 	if len(stored) > 0 {
 		full = append(stored, batch...)
 	}
-	var res Result
+	if tally == nil || r.PartialOrder || r.Policy == model.SC {
+		from := 0
+		if tally != nil {
+			from = r.window(stored, batch, tally)
+			for _, ev := range batch {
+				tally.add(ev)
+			}
+		}
+		res = r.extract(full[from:])
+		if len(stored) > 0 {
+			res = appendFresh(make(Result), res, boundary)
+		}
+		return full, res, len(full) - from, nil
+	}
+
+	res = make(Result)
+	for i := 0; i < len(batch); {
+		y := batch[i]
+		if tally.counts[y.Activity] == 0 {
+			occ := make([]Occurrence, len(tally.firsts))
+			for j, x := range tally.firsts {
+				occ[j] = Occurrence{TsA: x.TS, TsB: y.TS}
+				res[model.NewPairKey(x.Activity, y.Activity)] = occ[j : j+1 : j+1]
+			}
+			tally.add(y)
+			i++
+			continue
+		}
+		end := i + 1
+		for end < len(batch) && tally.counts[batch[end].Activity] > 0 {
+			end++
+		}
+		prefix := full[:len(stored)+i]
+		from := r.window(prefix, batch[i:end], tally)
+		res = appendFresh(res, r.extract(full[from:len(stored)+end]), prefix[len(prefix)-1].TS)
+		extracted += len(stored) + end - from
+		for _, ev := range batch[i:end] {
+			tally.add(ev)
+		}
+		i = end
+	}
+	return full, res, extracted, nil
+}
+
+func (r Rule) extract(events []model.TraceEvent) Result {
 	if r.PartialOrder {
-		res = ExtractSTNMPartial(full[from:])
-	} else {
-		res = Extract(full[from:], r.Policy, r.Method)
+		return ExtractSTNMPartial(events)
 	}
-	if len(stored) == 0 {
-		return full, res, nil
-	}
-	fresh := make(Result)
+	return Extract(events, r.Policy, r.Method)
+}
+
+// appendFresh appends to dst the occurrences of res completing after
+// boundary. Per pair they come last in res, in completion order.
+func appendFresh(dst, res Result, boundary model.Timestamp) Result {
 	for k, occ := range res {
 		lo := len(occ)
 		for lo > 0 && occ[lo-1].TsB > boundary {
 			lo--
 		}
-		if lo < len(occ) {
-			fresh[k] = occ[lo:]
+		if lo == len(occ) {
+			continue
+		}
+		if cur := dst[k]; cur != nil {
+			dst[k] = append(cur, occ[lo:]...)
+		} else {
+			dst[k] = occ[lo:]
 		}
 	}
-	return full, fresh, nil
+	return dst
 }
 
 // window returns the first position of stored that re-extraction must start
-// from to report every completion batch adds, given how often each activity
-// occurs in stored. SC pairs neighbours, so the last stored event suffices.
-// Under a total-order STNM a completion (x, y) ends at a batch event y, and
-// every (x, y) match restarts after an occurrence of y, so the window starts
-// at or before the position just past y's last stored occurrence; it also
-// starts past an even number of ys, so the (y, y) self pairs keep their
-// alternation. A batch activity new to the trace pairs with the first stored
-// occurrence of every activity, and partial-order matches chain through tie
-// groups: both re-extract the whole trace. Each activity is new to a trace
-// at most once, so a trace extended in small steps costs about the steps'
-// size each, not the trace's length.
-func (r Rule) window(stored, batch []model.TraceEvent, counts map[model.ActivityID]int) int {
+// from to report every completion batch adds, given the tally of stored;
+// every batch activity must already occur in stored. SC pairs neighbours, so
+// the last stored event suffices. Under a total-order STNM a completion
+// (x, y) ends at a batch event y, and every (x, y) match restarts after an
+// occurrence of y, so the window starts at or before the position just past
+// y's last stored occurrence; it also starts past an even number of ys, so
+// the (y, y) self pairs keep their alternation. Partial-order matches chain
+// through tie groups, so they re-extract the whole trace. A trace extended in
+// small steps thus costs about the steps' size each, not the trace's length.
+func (r Rule) window(stored, batch []model.TraceEvent, tally *Tally) int {
 	if r.PartialOrder || len(stored) == 0 {
 		return 0
 	}
@@ -131,16 +200,13 @@ func (r Rule) window(stored, batch []model.TraceEvent, counts map[model.Activity
 	}
 	tail := make(map[model.ActivityID]int) // batch activity -> occurrences in stored[w:]
 	for _, ev := range batch {
-		if counts[ev.Activity] == 0 {
-			return 0
-		}
 		tail[ev.Activity] = 0
 	}
 	for w := len(stored); w > 0; w-- {
 		prev := stored[w-1].Activity
 		ok := true
 		for y, n := range tail {
-			if (n == 0 && prev != y) || (counts[y]-n)%2 != 0 {
+			if (n == 0 && prev != y) || (tally.counts[y]-n)%2 != 0 {
 				ok = false
 				break
 			}

@@ -27,7 +27,7 @@ func randomTiedTrace(rng *rand.Rand, alphabet, n int) []model.TraceEvent {
 // chunks yields the one-shot Extend of the whole trace — the same normalised
 // sequence, and per pair the same occurrences in completion order, each
 // reported by exactly one chunk — whether each chunk re-extracts the whole
-// trace (nil counts, the Builder) or only its suffix window (counts, a
+// trace (nil tally, the Builder) or only what it can complete (a tally, a
 // pipeline session). This is what lets one rule serve batch ingestion and
 // every flush cycle of the stream. Under partial order the chunks never
 // split a tie group (the rule refuses that; see
@@ -41,18 +41,18 @@ func TestExtendChunksEqualBatch(t *testing.T) {
 	for _, r := range rules {
 		for iter := 0; iter < 300; iter++ {
 			evs := randomTiedTrace(rng, 1+rng.Intn(6), rng.Intn(120))
-			wantSeq, want, err := r.Extend(nil, slices.Clone(evs), nil)
+			wantSeq, want, _, err := r.Extend(nil, slices.Clone(evs), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			for _, windowed := range []bool{false, true} {
 				var (
-					seq    []model.TraceEvent
-					counts map[model.ActivityID]int
+					seq   []model.TraceEvent
+					tally *Tally
 				)
 				if windowed {
-					counts = make(map[model.ActivityID]int)
+					tally = NewTally(nil)
 				}
 				got := make(Result)
 				for lo := 0; lo < len(evs); {
@@ -61,7 +61,7 @@ func TestExtendChunksEqualBatch(t *testing.T) {
 						hi++
 					}
 					var res Result
-					if seq, res, err = r.Extend(seq, slices.Clone(evs[lo:hi]), counts); err != nil {
+					if seq, res, _, err = r.Extend(seq, slices.Clone(evs[lo:hi]), tally); err != nil {
 						t.Fatalf("%+v iter %d: chunk [%d,%d): %v", r, iter, lo, hi, err)
 					}
 					for k, occ := range res {
@@ -79,33 +79,52 @@ func TestExtendChunksEqualBatch(t *testing.T) {
 }
 
 // TestExtendWindowStaysNearTheEnd: a long trace extended a few events at a
-// time re-extracts a window of about the steps' size, not the stored
-// prefix, once every activity has been seen — the bound that keeps a
-// long-lived stream linear in its length. SC needs one stored event; STNM
-// reaches back past each batch activity's last occurrence.
+// time hands extraction about the steps' size, not the stored prefix — the
+// bound that keeps a long-lived stream linear in its length. SC needs one
+// stored event; STNM reaches back past each batch activity's last
+// occurrence. The 40-activity leg meets a new activity every 50 steps, long
+// after its prefix is long: a new activity is paired without extraction, so
+// no call re-extracts the whole stored prefix. Its windows are wider, since
+// one window must start past an even number of occurrences of each of up to
+// four rarer batch activities at once.
 func TestExtendWindowStaysNearTheEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, r := range []Rule{{Policy: model.SC}, {Policy: model.STNM, Method: Indexing}} {
+	for _, leg := range []struct {
+		r        Rule
+		alphabet func(step int) int
+		widest   int
+	}{
+		{Rule{Policy: model.SC}, func(int) int { return 4 }, 60},
+		{Rule{Policy: model.STNM, Method: Indexing}, func(int) int { return 4 }, 60},
+		{Rule{Policy: model.STNM, Method: Indexing}, func(step int) int { return min(40, 1+step/50) }, 1000},
+	} {
 		var seq []model.TraceEvent
-		counts := make(map[model.ActivityID]int)
+		tally := NewTally(nil)
 		ts := model.Timestamp(0)
 		widest := 0
 		for step := 0; step < 2000; step++ {
 			batch := make([]model.TraceEvent, 1+rng.Intn(4))
 			for i := range batch {
 				ts++
-				batch[i] = model.TraceEvent{Activity: model.ActivityID(rng.Intn(4)), TS: ts}
+				batch[i] = model.TraceEvent{Activity: model.ActivityID(rng.Intn(leg.alphabet(step))), TS: ts}
 			}
-			if step >= 100 {
-				widest = max(widest, len(seq)-r.window(seq, batch, counts))
-			}
-			var err error
-			if seq, _, err = r.Extend(seq, batch, counts); err != nil {
+			stored := len(seq)
+			var (
+				n   int
+				err error
+			)
+			if seq, _, n, err = leg.r.Extend(seq, batch, tally); err != nil {
 				t.Fatal(err)
 			}
+			if step >= 100 {
+				widest = max(widest, n)
+				if n >= stored {
+					t.Fatalf("%+v step %d: extracted %d events over a %d-event prefix", leg.r, step, n, stored)
+				}
+			}
 		}
-		if widest > 60 {
-			t.Fatalf("%+v: widest window %d events of a %d-event trace", r, widest, len(seq))
+		if widest > leg.widest {
+			t.Fatalf("%+v: widest extraction %d events of a %d-event trace", leg.r, widest, len(seq))
 		}
 	}
 }
@@ -115,7 +134,7 @@ func TestExtendWindowStaysNearTheEnd(t *testing.T) {
 func TestExtendNormalisesTotalOrder(t *testing.T) {
 	r := Rule{Policy: model.STNM, Method: Indexing}
 	stored := trace("AB") // A@1 B@2
-	full, res, err := r.Extend(stored, []model.TraceEvent{
+	full, res, _, err := r.Extend(stored, []model.TraceEvent{
 		{Activity: 'B', TS: 2}, {Activity: 'A', TS: 1},
 	}, nil)
 	if err != nil {
@@ -139,11 +158,11 @@ func TestExtendPartialOrderReachBack(t *testing.T) {
 	r := Rule{Policy: model.STNM, PartialOrder: true}
 	stored := []model.TraceEvent{{Activity: 'a', TS: 1}, {Activity: 'b', TS: 5}}
 	for _, ts := range []model.Timestamp{3, 5} {
-		if _, _, err := r.Extend(slices.Clone(stored), []model.TraceEvent{{Activity: 'c', TS: ts}}, nil); err == nil {
+		if _, _, _, err := r.Extend(slices.Clone(stored), []model.TraceEvent{{Activity: 'c', TS: ts}}, nil); err == nil {
 			t.Fatalf("batch at ts %d accepted onto a prefix stored up to 5", ts)
 		}
 	}
-	full, res, err := r.Extend(slices.Clone(stored), []model.TraceEvent{{Activity: 'c', TS: 6}, {Activity: 'd', TS: 6}}, nil)
+	full, res, _, err := r.Extend(slices.Clone(stored), []model.TraceEvent{{Activity: 'c', TS: 6}, {Activity: 'd', TS: 6}}, nil)
 	if err != nil || len(full) != 4 {
 		t.Fatalf("later batch: %v %v", full, err)
 	}

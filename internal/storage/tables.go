@@ -263,7 +263,10 @@ func (t *Tables) AppendIndex(period string, pair model.PairKey, entries []IndexE
 			return err
 		}
 	}
-	if err := t.store.Append(indexTable(period), pairKeyString(pair), encodeIndexEntries(nil, entries)); err != nil {
+	// 16 bytes hold most entries: a trace id, a millisecond timestamp and
+	// a duration, as varints.
+	buf := encodeIndexEntries(make([]byte, 0, 16*len(entries)), entries)
+	if err := t.store.Append(indexTable(period), pairKeyString(pair), buf); err != nil {
 		return err
 	}
 	// Invalidate after the append: a reader that decoded the pre-append row

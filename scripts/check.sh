@@ -111,6 +111,12 @@ if want vet; then
 		echo "check: product code mentions the join planner or QueryWorkers; Detect has one join and no tuning flags" >&2
 		exit 1
 	fi
+	# The flush delta holds index entries only: Count increments are summed
+	# from them as they are written, so no per-activity count maps come back.
+	if grep -nE 'map\[model\.ActivityID\]map\[model\.ActivityID\]' $(ls internal/ingest/*.go | grep -v '_test\.go$'); then
+		echo "check: internal/ingest keeps a count map per activity; derive Count from the delta's entries" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 
@@ -122,16 +128,21 @@ if want crash; then
 	go test -race -run 'Crash|Corrupt' ./internal/kvstore/
 fi
 
-# Ingest tier: the ingestion pipeline under the race detector, plus the
+# Ingest tier: the per-trace rule's properties (chunked Extend equals the
+# one-shot and reference extraction, over 30-60 activity alphabets where
+# most events are new to their trace, and its window stays near the end),
+# the ingestion pipeline under the race detector, plus the
 # serial-equivalence oracles (streamed micro-batches at 1, 2 and 4 ingest
 # workers — and 1 vs N sharded stores — must produce exactly the tables of
-# one serial Builder.Update, under SC, STNM and partial order), the
+# one serial Builder.Update, under SC, STNM and partial order, over 4- and
+# 40-activity alphabets), the
 # group-commit crash sweeps (streamed and one-shot batches, and the sharded
 # one: an acked flush is durable on EVERY store it touched, even crashing
 # mid-fsync-coalesce), and the parallel-flusher regression gates
 # (timer hygiene, all-or-nothing admission, producer/Flush/Forget hammer),
 # run explicitly for the same reason as above.
 if want ingest; then
+	go test -race -run 'Extend' ./internal/pairs/
 	go test -race -short ./internal/ingest/...
 	go test -race -short -run 'StreamEqualsSerialBuilder|StreamShardedEqualsSerial|StreamCrash|ShardedStreamCrash' ./internal/ingest/
 	go test -race -short -run 'TimerHygiene|Admission|ParallelFlushersRaceHammer' ./internal/ingest/

@@ -656,6 +656,7 @@ func (e *Engine) initMetrics() {
 	e.metrics.CounterFunc("seqlog_ingest_batches_total", cum(func(s ingest.Stats) int64 { return s.Batches }))
 	e.metrics.CounterFunc("seqlog_ingest_syncs_total", cum(func(s ingest.Stats) int64 { return s.Syncs }))
 	e.metrics.CounterFunc("seqlog_ingest_stalls_total", cum(func(s ingest.Stats) int64 { return s.Stalls }))
+	e.metrics.CounterFunc("seqlog_ingest_reextracted_events_total", cum(func(s ingest.Stats) int64 { return s.Reextracted }))
 	e.metrics.GaugeFunc("seqlog_ingest_queued", func() int64 { return e.liveIngest().Queued })
 	e.metrics.GaugeFunc("seqlog_ingest_sessions", func() int64 { return e.liveIngest().Sessions })
 }

@@ -38,6 +38,8 @@ type IngestStats struct {
 	Syncs    int64 `json:"syncs"`
 	Stalls   int64 `json:"stalls"`
 	Sessions int64 `json:"sessions,omitempty"`
+	// Reextracted counts the events handed to pair extraction.
+	Reextracted int64 `json:"reextracted"`
 }
 
 // Appender is one handle onto the engine's shared ingestion pipeline. All
@@ -240,6 +242,7 @@ func addIngest(dst *ingest.Stats, src ingest.Stats) {
 	dst.Batches += src.Batches
 	dst.Syncs += src.Syncs
 	dst.Stalls += src.Stalls
+	dst.Reextracted += src.Reextracted
 }
 
 // activeLocked is the pipeline whose counters are live: the open one, else
