@@ -1,7 +1,7 @@
 // Package index implements the pre-processing component of §3.1 of the
 // paper: it turns batches of new log events into updates of the inverted
-// pair index and its auxiliary tables (Seq, Count, and the per-pair latest
-// completion kept in LastChecked), processing traces in
+// pair index and its auxiliary tables (Seq and Count; a pair's latest
+// completion is read from the index), processing traces in
 // parallel exactly as the paper's Spark job does, and deduplicating
 // re-extracted pairs across batches on the Seq boundary, which admits the
 // same occurrences as Algorithm 1's per-pair watermark.
@@ -107,8 +107,8 @@ const numShards = 16
 // pair extraction is prefix-stable, filtering on the trace-level boundary
 // (the timestamp of the last Seq event of the trace) admits exactly the same
 // occurrences with one watermark instead of |pairs| of them. The watermark
-// is therefore the Seq row, and LastChecked keeps only what the statistics
-// queries read: each pair's latest completion timestamp.
+// is therefore the Seq row, and an update writes no LastChecked row: the
+// statistics read a pair's latest completion from its postings.
 func (b *Builder) Update(events []model.Event) (Stats, error) {
 	if len(events) == 0 {
 		return Stats{}, nil
@@ -142,17 +142,14 @@ func (b *Builder) Update(events []model.Event) (Stats, error) {
 	}
 
 	// Write phase, pairs first: every pair key lives in exactly one
-	// accumulator shard, so the index and LastChecked rows flush
-	// concurrently without write conflicts.
+	// accumulator shard, so the index rows flush concurrently without
+	// write conflicts.
 	var mu sync.Mutex
 	err = parallel.ForEach(numShards, b.opts.Workers, func(i int) error {
 		s := &shards[i]
 		localPairs, localOcc := 0, 0
 		for k, entries := range s.pairs {
 			if err := b.tables.AppendIndex(b.opts.Period, k, entries); err != nil {
-				return err
-			}
-			if err := b.tables.MergeLastCompletion(k, storage.LastCompletion(entries)); err != nil {
 				return err
 			}
 			localPairs++

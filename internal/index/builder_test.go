@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -308,23 +307,20 @@ func TestPruneTraces(t *testing.T) {
 	}
 }
 
-// writeLog wraps a store and records, per table, the Put and Append calls
-// and the largest value Put.
+// writeLog wraps a store and counts, per table, the Put and Append calls.
 type writeLog struct {
 	kvstore.Store
 	mu     sync.Mutex
 	writes map[string]int
-	maxPut map[string]int
 }
 
 func newWriteLog() *writeLog {
-	return &writeLog{Store: kvstore.NewMemStore(), writes: map[string]int{}, maxPut: map[string]int{}}
+	return &writeLog{Store: kvstore.NewMemStore(), writes: map[string]int{}}
 }
 
 func (s *writeLog) Put(table, key string, value []byte) error {
 	s.mu.Lock()
 	s.writes[table]++
-	s.maxPut[table] = max(s.maxPut[table], len(value))
 	s.mu.Unlock()
 	return s.Store.Put(table, key, value)
 }
@@ -336,11 +332,13 @@ func (s *writeLog) Append(table, key string, value []byte) error {
 	return s.Store.Append(table, key, value)
 }
 
-// TestLastCheckedRowStaysScalar: the row the builder rewrites per batch must
-// not grow with the number of traces that ever held the pair.
+// TestLastCheckedRowStaysScalar: a batch writes no lastchecked row at all —
+// a pair's last completion is read from its postings — however many traces
+// ever held the pair.
 func TestLastCheckedRowStaysScalar(t *testing.T) {
 	store := newWriteLog()
-	b, err := NewBuilder(storage.NewTables(store), Options{Policy: model.STNM, Method: pairs.Indexing})
+	tb := storage.NewTables(store)
+	b, err := NewBuilder(tb, Options{Policy: model.STNM, Method: pairs.Indexing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,14 +347,16 @@ func TestLastCheckedRowStaysScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if puts, largest := store.writes["lastchecked"], store.maxPut["lastchecked"]; puts != 200 || largest > binary.MaxVarintLen64 {
-		t.Fatalf("lastchecked: %d puts, largest %d bytes; want 200 puts of at most %d bytes",
-			puts, largest, binary.MaxVarintLen64)
+	if puts := store.writes["lastchecked"]; puts != 0 || store.writes["index"] != 200 {
+		t.Fatalf("writes per table = %v; want 200 index appends and 0 lastchecked puts", store.writes)
+	}
+	if lc, err := tb.GetLastCompletion(context.Background(), key('A', 'B')); lc != 201 || err != nil {
+		t.Fatalf("LastCompletion(A,B) = %d, %v; want 201", lc, err)
 	}
 }
 
 // TestNoReverseCountWrites: the builder keeps no Reverse Count table — a
-// batch writes Seq, Index, Count and LastChecked rows, and nothing to the
+// batch writes Seq, Index and Count rows, and nothing to the
 // "rcount" table older builds kept.
 func TestNoReverseCountWrites(t *testing.T) {
 	store := newWriteLog()

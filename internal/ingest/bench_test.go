@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"io/fs"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -17,7 +19,8 @@ import (
 // trace shifted by a random start offset and the whole log replayed in time
 // order, 250 events per Append followed by a Flush, onto a fresh disk store
 // per iteration. Besides the time per log it reports the events handed to
-// pair extraction and the allocations, both per ingested event.
+// pair extraction, the allocations and the store's on-disk bytes after
+// Close, all per ingested event.
 func BenchmarkIngestFlush(b *testing.B) {
 	spec, err := loggen.Lookup("max_5000")
 	if err != nil {
@@ -33,12 +36,13 @@ func BenchmarkIngestFlush(b *testing.B) {
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 
-	var reextracted, allocs uint64
+	var reextracted, allocs, walBytes uint64
 	var ms runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ds, err := kvstore.OpenDisk(b.TempDir())
+		dir := b.TempDir()
+		ds, err := kvstore.OpenDisk(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,9 +71,28 @@ func BenchmarkIngestFlush(b *testing.B) {
 		if err := ds.Close(); err != nil {
 			b.Fatal(err)
 		}
+		walBytes += dirBytes(b, dir)
 		b.StartTimer()
 	}
 	n := float64(b.N) * float64(len(events))
 	b.ReportMetric(float64(reextracted)/n, "reextracted/event")
 	b.ReportMetric(float64(allocs)/n, "allocs/event")
+	b.ReportMetric(float64(walBytes)/n, "walB/event")
+}
+
+// dirBytes sums the sizes of the files under dir.
+func dirBytes(b *testing.B, dir string) uint64 {
+	var n uint64
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		n += uint64(info.Size())
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
 }

@@ -321,9 +321,6 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 		if err = p.tables.AppendIndex(p.opts.Period, k, es); err != nil {
 			return err
 		}
-		if err = p.tables.MergeLastCompletion(k, storage.LastCompletion(es)); err != nil {
-			return err
-		}
 		c := storage.CountEntry{Other: k.Second(), Completions: int64(len(es))}
 		for _, e := range es {
 			c.SumDuration += int64(e.TsB - e.TsA)

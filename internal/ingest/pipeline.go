@@ -36,10 +36,11 @@
 // events are appended in timestamp order (any interleaving across traces,
 // any chunking; under partial order, no tie group split across Appends),
 // the resulting tables are equivalent to a single serial
-// index.Builder.Update of the whole log — identical Seq, Count and
-// LastChecked rows, and an Index holding exactly the same
-// entries (append order within a posting list may differ, as it already
-// does between two Builder runs).
+// index.Builder.Update of the whole log — identical Seq and Count rows, and
+// an Index holding exactly the same entries (append order within a posting
+// list may differ, as it already does between two Builder runs), so every
+// pair's last completion, derived from the Index, is the same too. Neither
+// writes the LastChecked table; only DropPeriod does.
 package ingest
 
 import (

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -546,23 +545,20 @@ func TestForgetKeepsSessionOfUnwrittenCycle(t *testing.T) {
 	}
 }
 
-// writeLog wraps a store and records, per table, the Put and Append calls
-// and the largest value Put.
+// writeLog wraps a store and counts, per table, the Put and Append calls.
 type writeLog struct {
 	kvstore.Store
 	mu     sync.Mutex
 	writes map[string]int
-	maxPut map[string]int
 }
 
 func newWriteLog() *writeLog {
-	return &writeLog{Store: kvstore.NewMemStore(), writes: map[string]int{}, maxPut: map[string]int{}}
+	return &writeLog{Store: kvstore.NewMemStore(), writes: map[string]int{}}
 }
 
 func (s *writeLog) Put(table, key string, value []byte) error {
 	s.mu.Lock()
 	s.writes[table]++
-	s.maxPut[table] = max(s.maxPut[table], len(value))
 	s.mu.Unlock()
 	return s.Store.Put(table, key, value)
 }
@@ -574,8 +570,8 @@ func (s *writeLog) Append(table, key string, value []byte) error {
 	return s.Store.Append(table, key, value)
 }
 
-// TestStreamNoReverseCountWrites: a flush writes Seq, Index, Count and
-// LastChecked rows, and nothing to the "rcount" table older builds kept.
+// TestStreamNoReverseCountWrites: a flush writes Seq, Index and Count rows,
+// and nothing to the "rcount" table older builds kept.
 func TestStreamNoReverseCountWrites(t *testing.T) {
 	store := newWriteLog()
 	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 16})
@@ -593,11 +589,13 @@ func TestStreamNoReverseCountWrites(t *testing.T) {
 	}
 }
 
-// TestStreamLastCheckedRowStaysScalar: the row a flush rewrites must not grow
-// with the number of traces that ever held the pair.
+// TestStreamLastCheckedRowStaysScalar: a flush cycle writes no lastchecked
+// row at all — a pair's last completion is read from its postings — however
+// many traces ever held the pair.
 func TestStreamLastCheckedRowStaysScalar(t *testing.T) {
 	store := newWriteLog()
-	p, err := New(storage.NewTables(store), Options{Policy: model.STNM, Workers: 2, FlushEvents: 8})
+	tb := storage.NewTables(store)
+	p, err := New(tb, Options{Policy: model.STNM, Workers: 2, FlushEvents: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,8 +608,10 @@ func TestStreamLastCheckedRowStaysScalar(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if puts, largest := store.writes["lastchecked"], store.maxPut["lastchecked"]; puts < 2 || largest > binary.MaxVarintLen64 {
-		t.Fatalf("lastchecked: %d puts, largest %d bytes; want several puts of at most %d bytes",
-			puts, largest, binary.MaxVarintLen64)
+	if puts := store.writes["lastchecked"]; puts != 0 || store.writes["index"] < 2 {
+		t.Fatalf("writes per table = %v; want several index appends and 0 lastchecked puts", store.writes)
+	}
+	if lc, err := tb.GetLastCompletion(context.Background(), model.NewPairKey(1, 2)); lc != 201 || err != nil {
+		t.Fatalf("LastCompletion(1,2) = %d, %v; want 201", lc, err)
 	}
 }

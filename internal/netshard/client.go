@@ -641,7 +641,7 @@ func (c *Client) GetPairCount(ctx context.Context, a, b model.ActivityID) (stora
 	return e, true, nil
 }
 
-// ---- storage.Backend: LastChecked table -------------------------------------
+// ---- storage.Backend: LastChecked -------------------------------------------
 
 // GetLastCompletion reads the pair's latest completion timestamp.
 func (c *Client) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
@@ -658,14 +658,6 @@ func (c *Client) GetLastCompletion(ctx context.Context, pair model.PairKey) (mod
 	}
 	c.rows.Add(1)
 	return ts, nil
-}
-
-// MergeLastCompletion raises the pair's row to ts.
-func (c *Client) MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error {
-	var w wbuf
-	w.u64(uint64(pair))
-	w.i64(int64(ts))
-	return c.write(opMergeLastCompletion, w.b)
 }
 
 // ---- storage.Backend: Meta table --------------------------------------------

@@ -71,9 +71,8 @@ func FuzzNetRequest(f *testing.F) {
 	w = wbuf{}
 	w.u64(9)
 	f.Add(opGetLastCompletion, append([]byte{}, w.b...))
-	w.i64(250)
 	w.u64(1 << 60) // trailing bytes after a complete body: rejected, not ignored
-	f.Add(opMergeLastCompletion, append([]byte{}, w.b...))
+	f.Add(opGetLastCompletion, append([]byte{}, w.b...))
 	w = wbuf{}
 	w.i64(3)
 	f.Add(opGetCounts, append([]byte{}, w.b...))
@@ -201,17 +200,17 @@ func TestCraftedFrames(t *testing.T) {
 		t.Fatalf("ping after unknown opcodes = %x, %v", payload, err)
 	}
 
-	// Body-level: a complete merge_last_completion body followed by more
-	// bytes is malformed, not a request with ignorable padding.
+	// Body-level: a complete merge_counts body followed by more bytes is
+	// malformed, not a request with ignorable padding.
 	var body wbuf
-	body.u64(9)
-	body.i64(250)
+	body.i64(9)
+	body.blob(storage.EncodeCountRow(nil, []storage.CountEntry{{Other: 4, SumDuration: 250, Completions: 1}}))
 	body.byte1(0)
-	if _, err := srv.unary(opMergeLastCompletion, body.b); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("merge_last_completion with trailing bytes: %v, want ErrBadFrame", err)
+	if _, err := srv.unary(opMergeCounts, body.b); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("merge_counts with trailing bytes: %v, want ErrBadFrame", err)
 	}
-	if ts, _ := tab.GetLastCompletion(context.Background(), 9); ts != 0 {
-		t.Fatalf("malformed merge applied: LastCompletion = %d", ts)
+	if row, _ := tab.GetCounts(context.Background(), 9); len(row) != 0 {
+		t.Fatalf("malformed merge applied: Count row = %v", row)
 	}
 
 	// Client-level: a response with an oversized declared length fails as a

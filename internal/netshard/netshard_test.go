@@ -166,17 +166,28 @@ func TestNetShardRoundTrip(t *testing.T) {
 		t.Fatal("GetPairCount(5,6) found")
 	}
 
-	// LastChecked table.
-	if ts, err := cl.GetLastCompletion(ctx, pair); ts != 0 || err != nil {
-		t.Fatalf("GetLastCompletion before any merge = %d, %v", ts, err)
+	// Last completion: the server derives it from the pair's postings and
+	// the residual a dropped period leaves, and ships one scalar.
+	other := model.NewPairKey(2, 1)
+	if ts, err := cl.GetLastCompletion(ctx, other); ts != 0 || err != nil {
+		t.Fatalf("GetLastCompletion before any append = %d, %v", ts, err)
 	}
 	for _, ts := range []model.Timestamp{250, 60, -3} {
-		if err := cl.MergeLastCompletion(pair, ts); err != nil {
+		if err := cl.AppendIndex("", other, []storage.IndexEntry{{Trace: 1, TsA: ts - 1, TsB: ts}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ts, err := cl.GetLastCompletion(ctx, pair); ts != 250 || err != nil {
+	if ts, err := cl.GetLastCompletion(ctx, other); ts != 250 || err != nil {
 		t.Fatalf("GetLastCompletion = %d, %v; want 250", ts, err)
+	}
+	if err := cl.AppendIndex("p3", pair, []storage.IndexEntry{{Trace: 7, TsA: 300, TsB: 900}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.DropPeriod("p3"); err != nil {
+		t.Fatal(err)
+	}
+	if ts, err := cl.GetLastCompletion(ctx, pair); ts != 900 || err != nil {
+		t.Fatalf("GetLastCompletion after dropping its latest period = %d, %v; want 900", ts, err)
 	}
 
 	// Meta table.
@@ -441,7 +452,7 @@ func TestNetShardCancelAfterSuccessKeepsPoolClean(t *testing.T) {
 	}
 }
 
-// TestNetShardV1HelloRefused: a peer of an older protocol version (v1–v3)
+// TestNetShardV1HelloRefused: a peer of an older protocol version (v1–v4)
 // must fail the hello with ErrVersion on both sides — never reach dispatch,
 // where its opcodes would name different operations.
 func TestNetShardV1HelloRefused(t *testing.T) {
@@ -484,7 +495,7 @@ func helloRefused(t *testing.T, version byte) {
 	}
 }
 
-// TestOpcodeTable pins the protocol-v4 numbering: the opcodes are the wire
+// TestOpcodeTable pins the protocol-v5 numbering: the opcodes are the wire
 // format, so a renumbering must come with a protoVersion bump.
 func TestOpcodeTable(t *testing.T) {
 	want := []string{
@@ -492,9 +503,9 @@ func TestOpcodeTable(t *testing.T) {
 		"delete_seq", "scan_seq", "num_traces", "append_index", "scan_index",
 		"num_indexed_pairs", "drop_period", "periods", "get_postings", "freeze",
 		"get_counts", "merge_counts", "get_pair_count", "get_last_completion",
-		"merge_last_completion", "set_cache_budget", "sync", "commit_chunk", "commit",
+		"set_cache_budget", "sync", "commit_chunk", "commit",
 	}
-	if protoVersion != 4 || opMax != 26 || !reflect.DeepEqual(opNames[:], want) {
-		t.Fatalf("protocol v%d opcode table = %q, want v4 %q", protoVersion, opNames, want)
+	if protoVersion != 5 || opMax != 25 || !reflect.DeepEqual(opNames[:], want) {
+		t.Fatalf("protocol v%d opcode table = %q, want v5 %q", protoVersion, opNames, want)
 	}
 }

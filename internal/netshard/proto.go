@@ -44,8 +44,10 @@ import (
 // them) and the v1 server-hello WAL flag: every store now commits groups.
 // Version 3 made the two LastChecked ops carry one scalar, dropped the prune
 // op and renumbered the opcodes after it. Version 4 dropped the two Reverse
-// Count ops and renumbered the opcodes after them.
-const protoVersion = 4
+// Count ops and renumbered the opcodes after them. Version 5 dropped
+// merge_last_completion — a pair's last completion is derived from its
+// postings on the server — and renumbered the opcodes after it.
+const protoVersion = 5
 
 var protoMagic = [4]byte{'S', 'Q', 'S', 'H'}
 
@@ -107,7 +109,6 @@ const (
 	opMergeCounts
 	opGetPairCount
 	opGetLastCompletion
-	opMergeLastCompletion
 	opSetCacheBudget
 	opSync
 	opCommitChunk
@@ -126,8 +127,8 @@ var opNames = [opMax]string{
 	opPeriods: "periods", opGetPostings: "get_postings", opFreeze: "freeze",
 	opGetCounts: "get_counts", opMergeCounts: "merge_counts",
 	opGetPairCount: "get_pair_count", opGetLastCompletion: "get_last_completion",
-	opMergeLastCompletion: "merge_last_completion", opSetCacheBudget: "set_cache_budget",
-	opSync: "sync", opCommitChunk: "commit_chunk", opCommit: "commit",
+	opSetCacheBudget: "set_cache_budget", opSync: "sync",
+	opCommitChunk: "commit_chunk", opCommit: "commit",
 }
 
 func opName(op byte) string {

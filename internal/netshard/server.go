@@ -405,7 +405,7 @@ func (s *Server) unary(op byte, body []byte) ([]byte, error) {
 		s.tab.SetCacheBudget(budget)
 
 	case opPutMeta, opAppendSeq, opDeleteSeq, opAppendIndex, opDropPeriod,
-		opMergeCounts, opMergeLastCompletion:
+		opMergeCounts:
 		s.wmu.Lock()
 		err := s.applyWrite(op, body)
 		s.wmu.Unlock()
@@ -513,14 +513,6 @@ func (s *Server) applyWrite(op byte, body []byte) error {
 			return err
 		}
 		return s.tab.MergeCounts(act, delta)
-
-	case opMergeLastCompletion:
-		pair := model.PairKey(r.u64())
-		ts := model.Timestamp(r.i64())
-		if err := r.done(); err != nil {
-			return err
-		}
-		return s.tab.MergeLastCompletion(pair, ts)
 	}
 	return fmt.Errorf("%w: opcode %d is not a mutation", ErrBadFrame, op)
 }

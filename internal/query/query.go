@@ -1,6 +1,6 @@
 // Package query implements the query processor component of §3.2 of the
 // paper: statistics queries over the Count table and the per-pair latest
-// completion kept in LastChecked, pattern detection by joining
+// completion read from the postings, pattern detection by joining
 // inverted-index rows (Algorithm 2), and the three pattern-continuation
 // strategies — Accurate (Algorithm 3), Fast (Algorithm 4) and Hybrid
 // (Algorithm 5) — ranked by Equation 1. Accurate joins the pattern once and
@@ -220,7 +220,8 @@ type PatternStats struct {
 }
 
 // Stats implements the Statistics query for every pair of consecutive
-// pattern events, using only the Count and LastChecked tables.
+// pattern events: a Count pair read and the pair's last completion, which
+// the backend derives from its postings' skip headers and tails.
 func (q *Processor) Stats(ctx context.Context, p model.Pattern) (PatternStats, error) {
 	return q.stats(ctx, p, false)
 }

@@ -439,15 +439,11 @@ func mergeCountRows(rows [][]storage.CountEntry) []storage.CountEntry {
 	}
 }
 
-// ---- LastChecked table (pair-routed: the owning shard holds the row) ------
+// ---- LastChecked (pair-routed: the owning shard holds postings and row) ----
 
-// MergeLastCompletion raises the pair's row on its owning shard.
-func (t *Tables) MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error {
-	return t.pairTab(pair).MergeLastCompletion(pair, ts)
-}
-
-// GetLastCompletion reads the pair's row from its owning shard: pair-routed
-// rows never split, and the shard count is pinned in meta.
+// GetLastCompletion asks the pair's owning shard, which holds its postings
+// and its residual row: pair-routed rows never split, and the shard count is
+// pinned in meta.
 func (t *Tables) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
 	return t.pairTab(pair).GetLastCompletion(ctx, pair)
 }
@@ -498,7 +494,7 @@ func (t *Tables) ShardBatch(i int) kvstore.BatchWriter { return t.shards[i].Batc
 func (t *Tables) ShardForTrace(id model.TraceID) int { return TraceShard(id, len(t.shards)) }
 
 // ShardForPair implements storage.ShardedCommits with the same routing the
-// write path uses for Index, LastChecked and count-partial rows.
+// write path uses for Index and count-partial rows.
 func (t *Tables) ShardForPair(k model.PairKey) int { return PairShard(k, len(t.shards)) }
 
 var _ storage.ShardedCommits = (*Tables)(nil)

@@ -135,7 +135,7 @@ func statsOverFakes(t *testing.T) ([]*statsReads, model.PairKey) {
 	if err := st.MergeCounts(3, []storage.CountEntry{{Other: 5, SumDuration: 4, Completions: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.MergeLastCompletion(pair, 42); err != nil {
+	if err := st.AppendIndex("", pair, []storage.IndexEntry{{Trace: 1, TsA: 40, TsB: 42}, {Trace: 2, TsA: 30, TsB: 32}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := query.NewProcessor(st).Stats(context.Background(), model.Pattern{3, 5})

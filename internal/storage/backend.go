@@ -65,10 +65,10 @@ type Backend interface {
 	GetCounts(ctx context.Context, first model.ActivityID) ([]CountEntry, error)
 	GetPairCount(ctx context.Context, a, b model.ActivityID) (CountEntry, bool, error)
 
-	// LastChecked table: the pair's latest completion timestamp, a statistic
-	// (Algorithm 1's watermark is the Seq boundary, DESIGN §4).
+	// The pair's latest completion timestamp, a statistic derived from its
+	// postings and the residual DropPeriod leaves (Algorithm 1's watermark
+	// is the Seq boundary, DESIGN §4).
 	GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error)
-	MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error
 
 	// Meta table.
 	PutMeta(key string, value []byte) error
@@ -116,8 +116,8 @@ type ShardedCommits interface {
 	ShardBatch(i int) kvstore.BatchWriter
 	// ShardForTrace is the shard a trace-keyed row (Seq) routes to.
 	ShardForTrace(id model.TraceID) int
-	// ShardForPair is the shard a pair-keyed row (Index, LastChecked, and
-	// the count partial registered under that pair's activity) routes to.
+	// ShardForPair is the shard a pair-keyed row (Index, and the count
+	// partial registered under that pair's activity) routes to.
 	ShardForPair(k model.PairKey) int
 }
 

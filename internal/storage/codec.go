@@ -2,11 +2,11 @@
 // Index, Count and LastChecked — onto the kvstore substrate, with compact
 // varint encodings tuned to the access pattern of each table: Seq and Index
 // rows only ever grow (Append), a Count row is read-modify-write once per
-// ingestion batch, and a LastChecked row is one varint — the pair's latest
-// completion timestamp — rewritten when it rises. The paper's fifth table,
-// Reverse Count, is Count transposed and is not kept: predecessors come from
-// pair reads of Count. A store written by an older build keeps its "rcount"
-// rows; nothing reads or writes them.
+// ingestion batch, and a LastChecked row is one varint — the latest
+// completion of the pair's dropped partitions — raised only by DropPeriod.
+// The paper's fifth table, Reverse Count, is Count transposed and is not
+// kept: predecessors come from pair reads of Count. A store written by an
+// older build keeps its "rcount" rows; nothing reads or writes them.
 package storage
 
 import (

@@ -72,19 +72,8 @@ func OpenTables(store kvstore.Store, opts Options) (*Tables, error) {
 		}
 		cleanSegmentDir(t.segCfg.fs, t.segCfg.dir, keep)
 	}
-	raw, ok, err = store.Get(tableMeta, metaSegDroppedKey)
-	if err != nil {
+	if t.segTomb, err = t.loadTombstones(); err != nil {
 		return nil, err
-	}
-	if ok && len(raw) > 0 {
-		var dropped []string
-		if jerr := json.Unmarshal(raw, &dropped); jerr != nil {
-			return nil, fmt.Errorf("%w: bad tombstone list: %v", ErrCorrupt, jerr)
-		}
-		t.segTomb = make(map[string]bool, len(dropped))
-		for _, p := range dropped {
-			t.segTomb[p] = true
-		}
 	}
 	return t, nil
 }
@@ -174,26 +163,16 @@ func (t *Tables) FreezePostings() error {
 	)
 	for _, p := range partitions {
 		tails := make(map[model.PairKey][]IndexEntry)
-		kvRows := 0
-		err := t.store.Scan(indexTable(p), func(k string, v []byte) error {
-			pair, perr := parsePairKey(k)
-			if perr != nil {
-				return perr
-			}
-			entries, derr := decodeIndexEntries(v)
-			if derr != nil {
-				return derr
-			}
+		err := t.scanTails(p, func(pair model.PairKey, entries []IndexEntry) error {
 			sortIndexEntries(entries)
 			tails[pair] = entries
 			tailEntries += len(entries)
-			kvRows++
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		if kvRows > 0 {
+		if len(tails) > 0 {
 			dropTables = append(dropTables, indexTable(p))
 		}
 		// Pairs present only in the old segment carry over unchanged.

@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"seqlog/internal/model"
 )
@@ -46,6 +47,23 @@ func (p Postings) Total() int {
 
 // Empty reports whether the pair has no postings at all.
 func (p Postings) Empty() bool { return p.Total() == 0 }
+
+// LastTsB returns the largest TsB across the runs — a block run's from its
+// skip headers, without decoding — or math.MinInt64 when there are none.
+func (p Postings) LastTsB() model.Timestamp {
+	last := model.Timestamp(math.MinInt64)
+	for _, r := range p.Runs {
+		for _, e := range r.Entries {
+			last = max(last, e.TsB)
+		}
+		if r.Blocks != nil {
+			for _, m := range r.Blocks.metas {
+				last = max(last, m.MaxTsB)
+			}
+		}
+	}
+	return last
+}
 
 // BlockRun exposes one segment run block-at-a-time. Meta returns skip
 // headers without decoding; Block decodes (through the postings cache) only

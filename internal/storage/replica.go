@@ -218,30 +218,7 @@ func (t *Tables) StageSegment(name string, data io.Reader) error {
 	if _, err := t.segCfg.fs.Stat(filepath.Join(t.segCfg.dir, name)); err == nil {
 		return nil
 	}
-	tmp := filepath.Join(t.segCfg.dir, name+".tmp")
-	f, err := t.segCfg.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, data); err != nil {
-		f.Close()
-		t.segCfg.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		t.segCfg.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		t.segCfg.fs.Remove(tmp)
-		return err
-	}
-	if err := t.segCfg.fs.Rename(tmp, filepath.Join(t.segCfg.dir, name)); err != nil {
-		t.segCfg.fs.Remove(tmp)
-		return err
-	}
-	return t.segCfg.fs.SyncDir(t.segCfg.dir)
+	return installFile(t.segCfg.fs, t.segCfg.dir, name, data)
 }
 
 // HasSegment reports whether a segment file is already staged.

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -317,34 +319,35 @@ func writeSegmentFile(fs kvstore.FS, dir, name string, rows []segRowData) error 
 	binary.BigEndian.PutUint32(tr[16:20], crc)
 	copy(tr[20:24], segTailMagic)
 	buf = append(buf, tr[:]...)
+	if err := installFile(fs, dir, name, bytes.NewReader(buf)); err != nil {
+		return fmt.Errorf("storage: install segment: %w", err)
+	}
+	return nil
+}
 
+// installFile durably writes data as dir/name: a temp file, fsynced, renamed
+// into place, then the directory fsynced. A crash leaves the old state or
+// the whole file, at worst beside a stray temp file cleanSegmentDir removes.
+func installFile(fs kvstore.FS, dir, name string, data io.Reader) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("storage: create segment: %w", err)
+		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
+	if _, err = io.Copy(f, data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
 		fs.Remove(tmp)
-		return fmt.Errorf("storage: write segment: %w", err)
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("storage: sync segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("storage: close segment: %w", err)
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("storage: install segment: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("storage: sync segment dir: %w", err)
-	}
-	return nil
+	return fs.SyncDir(dir)
 }
 
 // cleanSegmentDir removes stray segment files — leftovers of a freeze that

@@ -49,11 +49,10 @@ type Tables struct {
 	cache *postingsCache // decoded-postings cache; nil when disabled
 
 	// rows counts decoded rows served to readers across every table
-	// (postings entries, seq events, count entries, one per LastChecked
-	// read) — the "rows scanned" figure of the slow-query log and the
-	// seqlog_rows_read_total counter. A single process-wide atomic: per-query
-	// attribution is a delta around the call, exact for serial queries and
-	// approximate under concurrency.
+	// (postings entries, seq events, count entries) — the "rows scanned"
+	// figure of the slow-query log and the seqlog_rows_read_total counter.
+	// A single process-wide atomic: per-query attribution is a delta around
+	// the call, exact for serial queries and approximate under concurrency.
 	rows atomic.Int64
 
 	// Registered-period list, cached so GetPostings does not re-scan and
@@ -388,7 +387,8 @@ func mergeSortedEntries(rows [][]IndexEntry) []IndexEntry {
 // DropPeriod retires an entire period partition of the index. When the
 // segment tier holds rows of the period, they are hidden behind a persisted
 // tombstone (the segment file is immutable) and physically discarded by the
-// next freeze; the drop and the tombstone commit in one crash-atomic batch.
+// next freeze. The partition's completions raise its pairs' lastchecked rows
+// (dropResidualLocked); drop, rows and tombstone commit in one atomic batch.
 func (t *Tables) DropPeriod(period string) error {
 	// Committing below syncs the WAL, which can fire the store's auto-freeze
 	// hook on this goroutine while segMu is held; flag freezing so that call
@@ -401,17 +401,16 @@ func (t *Tables) DropPeriod(period string) error {
 	defer t.segMu.Unlock()
 	needTomb := t.seg != nil && t.seg.periods[period] > 0 && !t.segTomb[period]
 	err := kvstore.Atomically(t.store, func() error {
-		if period == "" {
-			if err := t.store.DropTable(tableIndex); err != nil {
-				return err
-			}
-		} else {
+		if err := t.dropResidualLocked(period); err != nil {
+			return err
+		}
+		if period != "" {
 			if err := t.store.Delete(tablePeriods, period); err != nil {
 				return err
 			}
-			if err := t.store.DropTable(indexTable(period)); err != nil {
-				return err
-			}
+		}
+		if err := t.store.DropTable(indexTable(period)); err != nil {
+			return err
 		}
 		if needTomb {
 			return t.store.Put(tableMeta, metaSegDroppedKey, t.encodeTombstones(period))
@@ -551,21 +550,13 @@ func (t *Tables) ScanIndex(ctx context.Context, period string, fn func(model.Pai
 	if useSeg {
 		seen = make(map[model.PairKey]bool, seg.periods[period])
 	}
-	err := t.store.Scan(indexTable(period), func(k string, v []byte) error {
+	err := t.scanTails(period, func(pair model.PairKey, entries []IndexEntry) error {
 		if done != nil {
 			select {
 			case <-done:
 				return ctx.Err()
 			default:
 			}
-		}
-		pair, err := parsePairKey(k)
-		if err != nil {
-			return err
-		}
-		entries, err := decodeIndexEntries(v)
-		if err != nil {
-			return err
 		}
 		if useSeg {
 			if i, ok := seg.byKey[segKey{period: period, pair: pair}]; ok {
@@ -595,6 +586,21 @@ func (t *Tables) ScanIndex(ctx context.Context, period string, fn func(model.Pai
 		}
 	}
 	return nil
+}
+
+// scanTails decodes every memtable-tier row of one partition.
+func (t *Tables) scanTails(period string, fn func(model.PairKey, []IndexEntry) error) error {
+	return t.store.Scan(indexTable(period), func(k string, v []byte) error {
+		pair, err := parsePairKey(k)
+		if err != nil {
+			return err
+		}
+		entries, err := decodeIndexEntries(v)
+		if err != nil {
+			return err
+		}
+		return fn(pair, entries)
+	})
 }
 
 // ---- Count table ------------------------------------------------------------
@@ -692,13 +698,14 @@ func (t *Tables) GetPairCount(ctx context.Context, a, b model.ActivityID) (Count
 	return CountEntry{}, false, nil
 }
 
-// ---- LastChecked table ------------------------------------------------------
+// ---- LastChecked: a pair's latest completion --------------------------------
 //
-// A row is one zigzag varint: the pair's latest completion timestamp over all
-// traces and periods, the only thing the table is read for (DESIGN §4). Older
-// builds stored a per-trace map, (uvarint trace, varint ts) repeated — two or
-// more varints where a scalar row holds exactly one — so a legacy row decodes
-// as its maximum and the next merge rewrites it as a scalar.
+// The value is derived on read: the largest TsB of the pair's postings and
+// its lastchecked row, the residual of dropped partitions that only
+// DropPeriod writes (DESIGN §4). A row is one zigzag varint. Older builds
+// wrote it on every flush, some as a per-trace map — (uvarint trace, varint
+// ts) repeated, two or more varints — which decodes as its maximum, a lower
+// bound of the answer, and becomes a scalar at the next drop that raises it.
 
 func decodeLastCompletion(raw []byte) (model.Timestamp, error) {
 	r := &reader{buf: raw}
@@ -722,52 +729,62 @@ func decodeLastCompletion(raw []byte) (model.Timestamp, error) {
 	return model.Timestamp(ts), nil
 }
 
-// LastCompletion is the latest completion timestamp among a non-empty chunk
-// of new index entries: what a writer merges into the pair's LastChecked row.
-func LastCompletion(entries []IndexEntry) model.Timestamp {
-	last := entries[0].TsB
-	for _, e := range entries[1:] {
-		if e.TsB > last {
-			last = e.TsB
-		}
-	}
-	return last
-}
-
-// GetLastCompletion returns the pair's latest completion timestamp, 0 when
-// the pair has never completed.
-func (t *Tables) GetLastCompletion(_ context.Context, pair model.PairKey) (model.Timestamp, error) {
-	raw, ok, err := t.store.Get(tableLast, pairKeyString(pair))
-	t.rows.Add(1)
-	if err != nil || !ok {
+// GetLastCompletion returns the pair's latest completion timestamp over all
+// traces and periods, dropped ones included; 0 when it never completed.
+func (t *Tables) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
+	po, err := t.GetPostings(ctx, pair)
+	if err != nil {
 		return 0, err
 	}
-	return decodeLastCompletion(raw)
+	last, _, err := t.lastCompletion(pair, po.LastTsB())
+	if err != nil || last == math.MinInt64 {
+		return 0, err
+	}
+	return last, nil
 }
 
-// MergeLastCompletion raises the pair's row to ts. The row is written only
-// when its bytes change, so the stored value is independent of batch split
-// and flush order.
-func (t *Tables) MergeLastCompletion(pair model.PairKey, ts model.Timestamp) error {
-	k := pairKeyString(pair)
-	raw, ok, err := t.store.Get(tableLast, k)
-	if err != nil {
-		return err
+// lastCompletion raises ts, the largest TsB read from postings, to the
+// pair's lastchecked row, and returns the row as stored.
+func (t *Tables) lastCompletion(pair model.PairKey, ts model.Timestamp) (model.Timestamp, []byte, error) {
+	raw, ok, err := t.store.Get(tableLast, pairKeyString(pair))
+	if err == nil && ok {
+		var row model.Timestamp
+		row, err = decodeLastCompletion(raw)
+		ts = max(ts, row)
 	}
-	if ok {
-		cur, err := decodeLastCompletion(raw)
-		if err != nil {
-			return err
-		}
-		if cur > ts {
-			ts = cur
+	return ts, raw, err
+}
+
+// dropResidualLocked raises the lastchecked row of every pair of period to
+// the largest TsB the drop deletes. It runs in DropPeriod's group, segMu
+// held; segment rows behind a tombstone were folded in by an earlier drop.
+func (t *Tables) dropResidualLocked(period string) error {
+	last := map[model.PairKey]model.Timestamp{}
+	raise := func(pair model.PairKey, run PostingsRun) {
+		ts := Postings{Runs: []PostingsRun{run}}.LastTsB()
+		if cur, ok := last[pair]; !ok || ts > cur {
+			last[pair] = ts
 		}
 	}
-	row := binary.AppendVarint(nil, int64(ts))
-	if ok && bytes.Equal(row, raw) {
+	if t.seg != nil && !t.segTomb[period] {
+		for _, i := range segRowsOfPeriod(t.seg, period) {
+			raise(t.seg.rows[i].pair, PostingsRun{Blocks: newBlockRun(nil, t.seg, i)})
+		}
+	}
+	err := t.scanTails(period, func(pair model.PairKey, entries []IndexEntry) error {
+		raise(pair, PostingsRun{Entries: entries})
 		return nil
+	})
+	for pair, ts := range last {
+		var raw []byte
+		if err == nil {
+			ts, raw, err = t.lastCompletion(pair, ts)
+		}
+		if row := binary.AppendVarint(nil, int64(ts)); err == nil && !bytes.Equal(row, raw) {
+			err = t.store.Put(tableLast, pairKeyString(pair), row)
+		}
 	}
-	return t.store.Put(tableLast, k, row)
+	return err
 }
 
 // ---- Meta table ---------------------------------------------------------

@@ -207,33 +207,72 @@ func lastCheckedRow(t *testing.T, tb *Tables, pair model.PairKey) []byte {
 	return raw
 }
 
-func TestLastChecked(t *testing.T) {
-	tb := newTables(t)
-	pair := model.NewPairKey(1, 2)
-	if ts, err := tb.GetLastCompletion(context.Background(), pair); ts != 0 || err != nil {
-		t.Fatalf("missing pair = %d, %v; want 0", ts, err)
-	}
-	// Max wins; lower timestamps never regress the row.
-	for _, step := range []struct{ merge, want model.Timestamp }{{10, 10}, {5, 10}, {30, 30}, {30, 30}} {
-		if err := tb.MergeLastCompletion(pair, step.merge); err != nil {
+// appendCompletions appends one entry per TsB to pair's row in period.
+func appendCompletions(t *testing.T, tb *Tables, period string, pair model.PairKey, tsBs ...model.Timestamp) {
+	t.Helper()
+	for i, ts := range tsBs {
+		if err := tb.AppendIndex(period, pair, []IndexEntry{{Trace: model.TraceID(i + 1), TsA: ts - 3, TsB: ts}}); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := tb.GetLastCompletion(context.Background(), pair); got != step.want || err != nil {
-			t.Fatalf("after merging %d: LastCompletion = %d, %v; want %d", step.merge, got, err, step.want)
-		}
-	}
-	// A first completion before the epoch is stored, not read as "never".
-	neg := model.NewPairKey(2, 3)
-	if err := tb.MergeLastCompletion(neg, -7); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := tb.GetLastCompletion(context.Background(), neg); got != -7 {
-		t.Fatalf("negative completion = %d, want -7", got)
 	}
 }
 
-// TestLastCheckedMergeOrderIndependent: however a batch is split and in
-// whatever order its pieces flush, the stored bytes are the same one varint.
+func wantLastCompletion(t *testing.T, tb *Tables, pair model.PairKey, want model.Timestamp) {
+	t.Helper()
+	if got, err := tb.GetLastCompletion(context.Background(), pair); got != want || err != nil {
+		t.Fatalf("LastCompletion(%v) = %d, %v; want %d", pair, got, err, want)
+	}
+}
+
+// TestLastChecked: a pair's last completion is the largest TsB over its
+// memtable tails, its segment runs and the residual row of dropped periods;
+// appending writes no row, dropping a period writes the row.
+func TestLastChecked(t *testing.T) {
+	tb := openSegTables(t, t.TempDir())
+	pair := model.NewPairKey(1, 2)
+	wantLastCompletion(t, tb, pair, 0)
+	appendCompletions(t, tb, "", pair, 10, 5)
+	appendCompletions(t, tb, "p1", pair, 30)
+	wantLastCompletion(t, tb, pair, 30)
+	// A first completion before the epoch is an answer, not "never".
+	neg := model.NewPairKey(2, 3)
+	appendCompletions(t, tb, "", neg, -7, -9)
+	wantLastCompletion(t, tb, neg, -7)
+	if err := tb.FreezePostings(); err != nil {
+		t.Fatal(err)
+	}
+	wantLastCompletion(t, tb, pair, 30) // skip headers only
+	appendCompletions(t, tb, "", pair, 20)
+	wantLastCompletion(t, tb, pair, 30) // headers and a tail
+	if raw := lastCheckedRow(t, tb, pair); raw != nil {
+		t.Fatalf("appends wrote lastchecked row %x", raw)
+	}
+	// Dropping the partition that held the maximum leaves it as the row.
+	if err := tb.DropPeriod("p1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := lastCheckedRow(t, tb, pair); !bytes.Equal(got, binary.AppendVarint(nil, 30)) {
+		t.Fatalf("row after dropping p1 = %x, want the one varint of 30", got)
+	}
+	wantLastCompletion(t, tb, pair, 30)
+	appendCompletions(t, tb, "", pair, 40)
+	wantLastCompletion(t, tb, pair, 40)
+	// The default partition's segment run and tail fold in together.
+	if err := tb.DropPeriod(""); err != nil {
+		t.Fatal(err)
+	}
+	wantLastCompletion(t, tb, pair, 40)
+	wantLastCompletion(t, tb, neg, -7)
+	if err := tb.FreezePostings(); err != nil {
+		t.Fatal(err)
+	}
+	wantLastCompletion(t, tb, pair, 40)
+}
+
+// TestLastCheckedMergeOrderIndependent: however a pair's completions are
+// split across appends, partitions and drops, and in whatever order they
+// arrive, the answer is their maximum and the residual row the same one
+// varint.
 func TestLastCheckedMergeOrderIndependent(t *testing.T) {
 	pair := model.NewPairKey(1, 2)
 	want := binary.AppendVarint(nil, 30)
@@ -241,13 +280,19 @@ func TestLastCheckedMergeOrderIndependent(t *testing.T) {
 	permute = func(done, rest []model.Timestamp) {
 		if len(rest) == 0 {
 			tb := newTables(t)
-			for _, ts := range done {
-				if err := tb.MergeLastCompletion(pair, ts); err != nil {
+			periods := []string{"", "a", "b"}
+			for i, ts := range done {
+				appendCompletions(t, tb, periods[i%len(periods)], pair, ts)
+			}
+			wantLastCompletion(t, tb, pair, 30)
+			for _, p := range periods {
+				if err := tb.DropPeriod(p); err != nil {
 					t.Fatal(err)
 				}
 			}
+			wantLastCompletion(t, tb, pair, 30)
 			if got := lastCheckedRow(t, tb, pair); !bytes.Equal(got, want) {
-				t.Fatalf("merge order %v stored %x, want %x", done, got, want)
+				t.Fatalf("order %v stored %x, want %x", done, got, want)
 			}
 			return
 		}
@@ -266,33 +311,33 @@ var (
 	legacyRowB = []byte{0x1, 0x14, 0x2, 0x28, 0x3, 0x3c}                                    // {1:10, 2:20, 3:30}
 )
 
-// TestLastCheckedLegacyRow: a legacy map row reads as its max and the next
-// merge rewrites it as a scalar; a damaged row of either shape is an error.
+// TestLastCheckedLegacyRow: a legacy map row reads as its max, a lower bound
+// the postings can beat, and a drop that raises it rewrites it as a scalar; a
+// damaged row of either shape is an error to both.
 func TestLastCheckedLegacyRow(t *testing.T) {
 	tb := newTables(t)
 	pa, pb := model.NewPairKey(1, 2), model.NewPairKey(2, 3)
 	tb.store.Put(tableLast, pairKeyString(pa), legacyRowA)
 	tb.store.Put(tableLast, pairKeyString(pb), legacyRowB)
-	if got, err := tb.GetLastCompletion(context.Background(), pa); got != 100 || err != nil {
-		t.Fatalf("legacy row A = %d, %v; want 100", got, err)
-	}
-	if got, err := tb.GetLastCompletion(context.Background(), pb); got != 30 || err != nil {
-		t.Fatalf("legacy row B = %d, %v; want 30", got, err)
-	}
-	// A lower merge keeps the max but still rewrites the row; a higher one wins.
-	if err := tb.MergeLastCompletion(pa, 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.MergeLastCompletion(pb, 31); err != nil {
+	wantLastCompletion(t, tb, pa, 100)
+	wantLastCompletion(t, tb, pb, 30)
+	appendCompletions(t, tb, "p", pa, 40)
+	appendCompletions(t, tb, "p", pb, 31)
+	wantLastCompletion(t, tb, pa, 100)
+	wantLastCompletion(t, tb, pb, 31)
+	if err := tb.DropPeriod("p"); err != nil {
 		t.Fatal(err)
 	}
 	if got := lastCheckedRow(t, tb, pa); !bytes.Equal(got, binary.AppendVarint(nil, 100)) {
-		t.Fatalf("row A after merge = %x, want the one varint of 100", got)
+		t.Fatalf("row A after drop = %x, want the one varint of 100", got)
 	}
 	if got := lastCheckedRow(t, tb, pb); !bytes.Equal(got, binary.AppendVarint(nil, 31)) {
-		t.Fatalf("row B after merge = %x, want the one varint of 31", got)
+		t.Fatalf("row B after drop = %x, want the one varint of 31", got)
 	}
+	wantLastCompletion(t, tb, pa, 100)
+	wantLastCompletion(t, tb, pb, 31)
 
+	appendCompletions(t, tb, "p", pa, 1)
 	for name, raw := range map[string][]byte{
 		"empty":                    {},
 		"truncated scalar":         {0x80},
@@ -305,8 +350,11 @@ func TestLastCheckedLegacyRow(t *testing.T) {
 			t.Errorf("%s row %x decoded to %d, %v; want ErrCorrupt", name, raw, ts, err)
 		}
 		tb.store.Put(tableLast, pairKeyString(pa), raw)
-		if err := tb.MergeLastCompletion(pa, 1); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("merge over %s row: %v, want ErrCorrupt", name, err)
+		if _, err := tb.GetLastCompletion(context.Background(), pa); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("read over %s row: %v, want ErrCorrupt", name, err)
+		}
+		if err := tb.DropPeriod("p"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("drop over %s row: %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -397,8 +445,8 @@ func TestCorruptRowsSurfaceErrors(t *testing.T) {
 	if _, err := tb.GetCounts(context.Background(), 1); err == nil {
 		t.Fatal("corrupt count row not detected")
 	}
-	store.Put("lastchecked", pairKeyString(model.NewPairKey(1, 2)), []byte{0x80})
-	if _, err := tb.GetLastCompletion(context.Background(), model.NewPairKey(1, 2)); err == nil {
+	store.Put("lastchecked", pairKeyString(model.NewPairKey(3, 4)), []byte{0x80})
+	if _, err := tb.GetLastCompletion(context.Background(), model.NewPairKey(3, 4)); err == nil {
 		t.Fatal("corrupt lastchecked row not detected")
 	}
 	// Malformed keys are detected on scans.

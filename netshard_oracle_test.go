@@ -207,7 +207,7 @@ func TestNetShardIngestOneCommitPerShard(t *testing.T) {
 	defer f.Stop()
 	eng := openNetEngine(t, f)
 	defer eng.Close()
-	writeOps := []string{"append_seq", "append_index", "merge_counts", "merge_last_completion", "put_meta", "sync", "commit"}
+	writeOps := []string{"append_seq", "append_index", "merge_counts", "put_meta", "sync", "commit"}
 	rpcs := func() map[string]int64 {
 		n := map[string]int64{}
 		for shard := range f.addrs {

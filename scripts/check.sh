@@ -117,6 +117,20 @@ if want vet; then
 		echo "check: internal/ingest keeps a count map per activity; derive Count from the delta's entries" >&2
 		exit 1
 	fi
+	# A pair's last completion is read from its postings: no flush writes
+	# the lastchecked table, and only DropPeriod (through its helper
+	# dropResidualLocked) raises the residual row of the partition it drops.
+	if grep -rnE 'MergeLastCompletion\(' --include='*.go' --exclude='*_test.go' . |
+		grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+		echo "check: non-test code declares or calls MergeLastCompletion; derive the last completion from the postings" >&2
+		exit 1
+	fi
+	if grep -rn '"lastchecked"' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/storage/codec\.go:' ||
+		awk '/^func /{fn=$0} /\.(Put|Append|Delete|DropTable)\(tableLast/ && fn !~ /^func \(t \*Tables\) (DropPeriod|dropResidualLocked)\(/ {print FILENAME ":" FNR ": " $0; bad=1} END{exit !bad}' \
+			$(ls internal/storage/*.go | grep -v '_test\.go$'); then
+		echo "check: the lastchecked table is written outside storage.Tables.DropPeriod" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 

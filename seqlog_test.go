@@ -1,6 +1,7 @@
 package seqlog
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -349,9 +350,9 @@ func TestPruneTracesFacade(t *testing.T) {
 }
 
 // TestLegacyLastCheckedStoreOpens: a store whose lastchecked rows were written
-// by a build that kept a per-trace map opens as is, answers Stats with the
-// same LastCompletion, and holds only scalar rows once the pairs are
-// ingested again.
+// by a build that kept a per-trace map opens as is and answers Stats with the
+// same LastCompletion; ingest leaves the row alone, and dropping the
+// partition rewrites it as a scalar.
 func TestLegacyLastCheckedStoreOpens(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Config{Dir: dir})
@@ -376,8 +377,8 @@ func TestLegacyLastCheckedStoreOpens(t *testing.T) {
 	// The (a,b) row exactly as the map encoder wrote it for this log:
 	// (uvarint trace, varint ts) for {1:10, 2:20, 3:30}.
 	legacy := []byte{0x1, 0x14, 0x2, 0x28, 0x3, 0x3c}
-	// rows returns the raw lastchecked table, after overwriting every row
-	// with replace when it is non-nil.
+	// rows returns the raw lastchecked table, after writing the (a,b) row as
+	// replace when it is non-nil: this build writes no row on ingest.
 	rows := func(replace []byte) map[string][]byte {
 		t.Helper()
 		st, err := kvstore.OpenDisk(dir)
@@ -385,19 +386,18 @@ func TestLegacyLastCheckedStoreOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
+		if replace != nil {
+			k := binary.BigEndian.AppendUint64(nil, uint64(model.NewPairKey(0, 1)))
+			if err := st.Put("lastchecked", string(k), replace); err != nil {
+				t.Fatal(err)
+			}
+		}
 		out := map[string][]byte{}
 		if err := st.Scan("lastchecked", func(k string, v []byte) error {
 			out[k] = append([]byte(nil), v...)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
-		}
-		for k := range out {
-			if replace != nil {
-				if err := st.Put("lastchecked", k, replace); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
 		return out
 	}
@@ -423,8 +423,28 @@ func TestLegacyLastCheckedStoreOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, v := range rows(nil) {
+		if !bytes.Equal(v, legacy) {
+			t.Fatalf("lastchecked row %x = %x after ingest, want the legacy row untouched", k, v)
+		}
+	}
+
+	e, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DropPeriod(""); err != nil {
+		t.Fatal(err)
+	}
+	got, err = e.Stats(context.Background(), []string{"a", "b"}, StatsOptions{})
+	if err != nil || got.Pairs[0].Completions != 4 || got.Pairs[0].LastCompletion != 30 {
+		t.Fatalf("Stats after dropping the partition = %+v, %v", got, err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range rows(nil) {
 		if _, n := binary.Varint(v); n != len(v) {
-			t.Fatalf("lastchecked row %x = %x, want one varint", k, v)
+			t.Fatalf("lastchecked row %x = %x after the drop, want one varint", k, v)
 		}
 	}
 }
