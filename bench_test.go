@@ -6,8 +6,10 @@ package seqlog
 
 import (
 	"context"
-
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"seqlog/internal/index"
@@ -350,4 +352,60 @@ func BenchmarkStores(b *testing.B) {
 			b.StartTimer()
 		}
 	})
+}
+
+// BenchmarkEngineIngest drives Engine.Ingest the way a durable server's
+// /ingest handler does: max_5000 × 0.15 (about 30k events over 750 traces),
+// each trace shifted by a random start offset and the whole log replayed in
+// time order, one Ingest call per 250-event batch, into a fresh durable
+// engine per iteration. Besides the time per log it reports, per ingested
+// event, the stored events loaded back into resident sessions, the events
+// handed to pair extraction and the allocations.
+func BenchmarkEngineIngest(b *testing.B) {
+	spec, err := loggen.Lookup("max_5000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var events []Event
+	for _, tr := range spec.Generate(0.15).Traces {
+		off := rng.Int63n(20000)
+		for _, ev := range tr.Events {
+			events = append(events, Event{Trace: int64(tr.ID), Activity: fmt.Sprintf("a%d", ev.Activity), Time: int64(ev.TS) + off})
+		}
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+
+	var loaded, reextracted, allocs uint64
+	var ms runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := Open(Config{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		for lo := 0; lo < len(events); lo += 250 {
+			if _, err := e.Ingest(events[lo:min(lo+250, len(events))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		allocs += ms.Mallocs - before
+		st := e.IngestInfo()
+		loaded += uint64(st.Loaded)
+		reextracted += uint64(st.Reextracted)
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	n := float64(b.N) * float64(len(events))
+	b.ReportMetric(float64(loaded)/n, "loaded/event")
+	b.ReportMetric(float64(reextracted)/n, "reextracted/event")
+	b.ReportMetric(float64(allocs)/n, "allocs/event")
 }

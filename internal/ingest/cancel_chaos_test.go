@@ -84,7 +84,7 @@ func TestCancellationBoundedUnderSlowDisk(t *testing.T) {
 			if hi > len(prodEvents) {
 				hi = len(prodEvents)
 			}
-			if err := p.AppendCtx(prodCtx, prodEvents[lo:hi], true); err != nil {
+			if _, err := p.AppendCtx(prodCtx, prodEvents[lo:hi], true); err != nil {
 				return // teardown cancel; any earlier error shows up in Close
 			}
 		}
@@ -127,18 +127,19 @@ func TestCancellationBoundedUnderSlowDisk(t *testing.T) {
 	// A flush wait abandons promptly on deadline even though the flusher is
 	// mid-crawl. (The flush itself keeps going: other producers may depend
 	// on the commit.)
-	if err := p.AppendCtx(prodCtx, randomLog(rng, 4, 64, 5), true); err != nil {
+	ticket, err := p.AppendCtx(prodCtx, randomLog(rng, 4, 64, 5), true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fctx, fcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	t0 := time.Now()
-	ferr := p.FlushCtx(fctx)
+	ferr := p.FlushTo(fctx, ticket)
 	fcancel()
 	if d := time.Since(t0); d > time.Second {
-		t.Errorf("FlushCtx returned after %v, want < 1s", d)
+		t.Errorf("FlushTo returned after %v, want < 1s", d)
 	}
 	if ferr != nil && !errors.Is(ferr, context.DeadlineExceeded) {
-		t.Errorf("FlushCtx error = %v, want nil or context.DeadlineExceeded", ferr)
+		t.Errorf("FlushTo error = %v, want nil or context.DeadlineExceeded", ferr)
 	}
 
 	stopProd()

@@ -21,6 +21,9 @@ type shardDelta struct {
 	traces  []model.TraceID // first-appearance order, for determinism
 	seqs    map[model.TraceID][]model.TraceEvent
 	entries map[model.PairKey][]storage.IndexEntry
+	// extracted and loaded count the events the shard handed to pair
+	// extraction and read from Seq rows into sessions.
+	extracted, loaded int
 }
 
 func newShardDelta() *shardDelta {
@@ -51,11 +54,11 @@ func (d *shardDelta) add(id model.TraceID, evs []model.TraceEvent, res pairs.Res
 
 // extractShard runs one shard's part of a flush cycle: group the inbox by
 // trace (arrival order preserved — the inbox is per-shard FIFO), extend each
-// trace's resident session by the rule, and collect the delta and the number
-// of events handed to extraction. Traces go in id order, so a pair's entries
-// come out sorted when one shard fed them. Only the coordinator's extraction
-// pass calls this (under cycleMu), so sessions need no locking.
-func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDelta, int, error) {
+// trace's resident session by the rule, and collect the delta. Traces go in
+// id order, so a pair's entries come out sorted when one shard fed them.
+// Only the coordinator's extraction pass calls this (under cycleMu), so
+// sessions need no locking.
+func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDelta, error) {
 	byTrace := make(map[model.TraceID][]model.TraceEvent)
 	var ids []model.TraceID
 	for _, ev := range inbox {
@@ -66,16 +69,17 @@ func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDel
 	}
 	slices.Sort(ids)
 	d := newShardDelta()
-	extracted := 0
 	for _, id := range ids {
 		sess := sh.sessions[id]
 		if sess == nil {
 			old, _, err := p.tables.GetSeq(context.Background(), id)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			sess = &session{events: old}
+			sess = &session{id: id, events: old}
 			sh.sessions[id] = sess
+			sh.resident += len(old)
+			d.loaded += len(old)
 		}
 		stored := len(sess.events)
 		if sess.tally == nil && stored > 0 {
@@ -85,13 +89,15 @@ func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDel
 		}
 		full, res, n, err := p.rule.Extend(sess.events, byTrace[id], sess.tally)
 		if err != nil {
-			return nil, 0, fmt.Errorf("ingest: trace %d: %w", id, err)
+			return nil, fmt.Errorf("ingest: trace %d: %w", id, err)
 		}
 		sess.events, sess.cycle = full, p.cycles
+		sh.resident += len(full) - stored
+		sh.fed(sess)
 		d.add(id, full[stored:], res)
-		extracted += n
+		d.extracted += n
 	}
-	return d, extracted, nil
+	return d, nil
 }
 
 // mergeDeltas folds the per-shard deltas into the first one. Traces are
@@ -219,7 +225,7 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 			if d == nil || d.empty() {
 				return nil
 			}
-			return p.writeDelta(d)
+			return p.writeDelta(d, job.period)
 		})
 		if err != nil {
 			abortOpen(err)
@@ -291,7 +297,7 @@ func (p *Pipeline) commitJob(job *flushJob) error {
 // Pairs go in key order, so the pairs of one leading activity are contiguous:
 // their Count increments — completions and summed durations of the entries —
 // are merged into its Count row once, after its last pair.
-func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
+func (p *Pipeline) writeDelta(d *shardDelta, period string) (err error) {
 	sort.Slice(d.traces, func(i, j int) bool { return d.traces[i] < d.traces[j] })
 	for _, id := range d.traces {
 		if err = p.tables.AppendSeq(id, d.seqs[id]); err != nil {
@@ -318,7 +324,7 @@ func (p *Pipeline) writeDelta(d *shardDelta) (err error) {
 		if !sort.SliceIsSorted(es, less) {
 			sort.Slice(es, less)
 		}
-		if err = p.tables.AppendIndex(p.opts.Period, k, es); err != nil {
+		if err = p.tables.AppendIndex(period, k, es); err != nil {
 			return err
 		}
 		c := storage.CountEntry{Other: k.Second(), Completions: int64(len(es))}

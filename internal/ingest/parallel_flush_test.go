@@ -182,7 +182,7 @@ func TestAppendCtxCanceledAdmitsNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err = p.AppendCtx(ctx, []model.Event{{Trace: 2, Activity: 0, TS: 1}, {Trace: 2, Activity: 1, TS: 2}}, true)
+	_, err = p.AppendCtx(ctx, []model.Event{{Trace: 2, Activity: 0, TS: 1}, {Trace: 2, Activity: 1, TS: 2}}, true)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled admission wait: %v, want DeadlineExceeded", err)
 	}

@@ -1,7 +1,7 @@
 // Package ingest is the write path of the reproduction: a concurrent
 // pipeline that accepts events continuously and maintains the pair index
-// incrementally. A batch update (§3.1.3) is its one-shot case: append the
-// batch, flush, close.
+// incrementally. A batch update (§3.1.3) is an Append followed by a flush
+// of the cycle that holds it.
 //
 // Architecture (see DESIGN.md "Ingestion pipeline"):
 //
@@ -9,12 +9,16 @@
 //     A trace always lands on the same shard, so per-trace arrival order —
 //     the only order the index semantics need — survives sharding. One
 //     Append never straddles two flush cycles.
-//   - Each shard keeps resident sessions: the events of every live trace,
-//     loaded from its Seq row once per pipeline. A flush extends each
-//     touched trace by the same per-trace rule the batch Builder applies
-//     (pairs.Rule), so both write the same rows; a session pairs an activity
-//     new to its trace without extraction and re-extracts only the suffix
-//     window its other new events can complete pairs in.
+//   - Each shard keeps resident sessions: the events of a live trace,
+//     loaded from its Seq row when the trace first reaches the pipeline. A
+//     flush extends each touched trace by the same per-trace rule the batch
+//     Builder applies (pairs.Rule), so both write the same rows; a session
+//     pairs an activity new to its trace without extraction and re-extracts
+//     only the suffix window its other new events can complete pairs in.
+//     Past residentEvents stored events the least recently fed sessions are
+//     evicted, and a trace that comes back is loaded again.
+//   - The pipeline lives as long as its engine. An Append returns a Ticket,
+//     the cycle holding its events, and FlushTo waits for that cycle alone.
 //   - The coordinator goroutine swaps the shard inboxes when a flush
 //     trigger fires (size or age), extracts deltas on all shards in
 //     parallel, and partitions them per independent STORE of the backend
@@ -47,6 +51,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -86,7 +91,7 @@ type Options struct {
 	// checkOrder) and the pipeline carries on.
 	PartialOrder bool
 
-	// Period is the index partition new entries are appended to.
+	// Period is the index partition new entries go to (see SetPeriod).
 	Period string
 
 	// Workers is the shard / extraction-parallelism count.
@@ -127,8 +132,8 @@ type Options struct {
 	// write path keeps up — the "extraction stalled behind fsync" signal),
 	// and per-store seqlog_ingest_shard_commit_seconds /
 	// seqlog_ingest_shard_flushes_total series. The counters of Stats are
-	// exposed by the embedding engine instead, so they stay monotone across
-	// pipeline restarts.
+	// exposed by the embedding engine instead, so they stay monotone when
+	// it replaces a failed pipeline.
 	Metrics *metrics.Registry
 }
 
@@ -145,7 +150,20 @@ type Stats struct {
 	// cycles: each window's stored events plus the new events it covers. An
 	// activity new to its trace is paired without extraction.
 	Reextracted int64 `json:"reextracted"`
+	// Loaded counts the stored Seq events read into sessions.
+	Loaded int64 `json:"loaded"`
 }
+
+// Ticket names the flush cycle that holds an Append's events.
+type Ticket uint64
+
+// residentBudget is how many stored events one pipeline's sessions hold
+// before the least recently fed are evicted: about 16-21 MiB at the 64-83
+// bytes per event measured on bpi_2017 and max_5000 (DESIGN §7).
+const residentBudget = 1 << 18
+
+// residentEvents is the budget New reads; tests shrink it.
+var residentEvents = residentBudget
 
 // storeWriter is the commit seam of one independent store of the backend:
 // its crash-atomic group writer and its per-shard flush telemetry. Rows are
@@ -161,11 +179,13 @@ type storeWriter struct {
 // flushJob is one extracted cycle moving through the commit stages.
 type flushJob struct {
 	parts     []*shardDelta // per store, aligned with Pipeline.stores
+	period    string        // the partition the cycle's entries go to
 	total     int           // events in the cycle
 	sessions  int64         // resident sessions after extraction
 	extracted int64         // events handed to pair extraction
+	loaded    int64         // stored events read into sessions
 	start     time.Time     // cycle start (inbox swap)
-	cycle     uint64        // extraction cycle number
+	cycle     Ticket        // extraction cycle number
 	waits     []kvstore.Durability
 	syncs     int64
 	err       error
@@ -189,27 +209,33 @@ type Pipeline struct {
 	route  storage.ShardedCommits
 
 	shards []ingestShard
+	budget int // resident stored events per shard
 	// inboxMu makes each Append atomic with respect to the inbox swap:
 	// enqueue holds it shared while it distributes a batch, extractCycle
 	// exclusively while it swaps, so a batch never straddles two cycles.
+	// The swap advances cycles and reads period under it too.
 	inboxMu sync.RWMutex
+	cycles  Ticket        // extraction cycles so far
+	tail    atomic.Uint64 // the latest ticket handed out
+	period  string
 
 	// last holds, under partial order only, each trace's latest appended
-	// or stored timestamp (checkOrder).
+	// timestamp and its ticket (checkOrder), evicted with the session.
 	orderMu sync.Mutex
-	last    map[model.TraceID]model.Timestamp
+	last    map[model.TraceID]lastAppend
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	free      int   // admission credits left (negative while an oversize batch drains)
-	reserving int   // oversize admissions waiting to reserve the whole pool
-	queued    int64 // events admitted, not yet acknowledged durable
-	buffered  int64 // events admitted, not yet extracted (subset of queued)
+	free      int    // admission credits left: QueueEvents less the events not yet durable
+	reserving int    // oversize admissions waiting to reserve the whole pool
+	buffered  int64  // events admitted, not yet extracted
+	acked     Ticket // last cycle acknowledged durable
 	closed    bool
 	failed    error // first commit error; poisons the pipeline
 	stats     Stats
 
-	kick    chan struct{}
+	kick    chan struct{}  // flush what is buffered now
+	arm     chan struct{}  // the first buffered event: start the age timer
 	jobs    chan *flushJob // coordinator -> committer, unbuffered
 	acks    chan *flushJob // committer -> acker, cap inflight-1
 	ackDone chan struct{}
@@ -223,24 +249,32 @@ type Pipeline struct {
 	// the channel: the coordinator woke again immediately and flushed a
 	// premature, often empty, tiny cycle.)
 	spuriousWakes atomic.Int64
+	wakeups       atomic.Int64 // coordinator wakes: an idle pipeline has none
 
 	cycleMu sync.Mutex    // serializes extraction cycles with Forget
-	cycles  uint64        // extraction cycles so far; guarded by cycleMu
 	written atomic.Uint64 // last cycle whose rows the committer has written
 }
 
+type lastAppend struct {
+	ts     model.Timestamp
+	ticket Ticket
+}
+
 // session is the resident state of one live trace: its events so far — the
-// stored Seq prefix, read once when the trace first reaches this pipeline,
-// plus everything extracted since. Every flush that touches the trace
+// stored Seq prefix, read when the trace reaches the pipeline (again after an
+// eviction), plus everything extracted since. Every flush that touches the trace
 // extends them by pairs.Rule, exactly as one Builder.Update over the same
 // prefix would; the tally (each activity's count and first occurrence) lets
 // the rule pair an activity new to the trace without extraction and
 // re-extract only the suffix window the other new events can complete pairs
 // in.
 type session struct {
+	id     model.TraceID
 	events []model.TraceEvent
 	tally  *pairs.Tally // of events; built when first needed
-	cycle  uint64       // extraction cycle that last fed the session
+	cycle  Ticket       // extraction cycle that last fed the session
+	prev   *session     // the shard's sessions, least recently fed first
+	next   *session
 }
 
 // ingestShard owns the inbox and the resident sessions of the traces
@@ -251,6 +285,35 @@ type ingestShard struct {
 	mu       sync.Mutex
 	inbox    []model.Event
 	sessions map[model.TraceID]*session
+	lru      session // sentinel: lru.next is the least recently fed session
+	resident int     // stored events the sessions hold
+}
+
+// fed moves s to the most recently fed end of the shard's list.
+func (sh *ingestShard) fed(s *session) {
+	if s.next != nil {
+		s.prev.next, s.next.prev = s.next, s.prev
+	}
+	s.prev, s.next = sh.lru.prev, &sh.lru
+	s.prev.next, sh.lru.prev = s, s
+}
+
+func (sh *ingestShard) drop(s *session) {
+	s.prev.next, s.next.prev = s.next, s.prev
+	delete(sh.sessions, s.id)
+	sh.resident -= len(s.events)
+}
+
+// evict drops the least recently fed sessions while the shard holds more
+// than budget stored events, and returns their ids. It stops at a session
+// whose last cycle is not written: reloaded from the Seq row, it would miss
+// that cycle's events.
+func (sh *ingestShard) evict(budget int, written Ticket) (ids []model.TraceID) {
+	for s := sh.lru.next; sh.resident > budget && s != &sh.lru && s.cycle <= written; s = sh.lru.next {
+		sh.drop(s)
+		ids = append(ids, s.id)
+	}
+	return ids
 }
 
 // New returns a running pipeline writing through tables.
@@ -279,8 +342,11 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 		opts:    opts,
 		rule:    rule,
 		shards:  make([]ingestShard, opts.Workers),
+		budget:  residentEvents / opts.Workers,
+		period:  opts.Period,
 		free:    opts.QueueEvents,
 		kick:    make(chan struct{}, 1),
+		arm:     make(chan struct{}, 1),
 		jobs:    make(chan *flushJob),
 		acks:    make(chan *flushJob, inflight-1),
 		ackDone: make(chan struct{}),
@@ -288,7 +354,7 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	if opts.PartialOrder {
-		p.last = make(map[model.TraceID]model.Timestamp)
+		p.last = make(map[model.TraceID]lastAppend)
 	}
 	p.flushH = opts.Metrics.Histogram("seqlog_ingest_flush_seconds")
 	p.commitWaitH = opts.Metrics.Histogram("seqlog_ingest_commit_wait_seconds")
@@ -310,7 +376,9 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 		p.stores[i].flushes = opts.Metrics.Counter("seqlog_ingest_shard_flushes_total", l)
 	}
 	for i := range p.shards {
-		p.shards[i].sessions = make(map[model.TraceID]*session)
+		sh := &p.shards[i]
+		sh.sessions = make(map[model.TraceID]*session)
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 	}
 	go p.committer()
 	go p.acker()
@@ -330,7 +398,8 @@ func (p *Pipeline) shardFor(id model.TraceID) int {
 // contract to hold; out-of-order events are still accepted and normalized
 // forward, exactly as the serial Builder would.
 func (p *Pipeline) Append(events []model.Event) error {
-	return p.AppendCtx(context.Background(), events, true)
+	_, err := p.AppendCtx(context.Background(), events, true)
+	return err
 }
 
 // AppendCtx is Append with a cancellable admission wait and a choice of
@@ -342,28 +411,33 @@ func (p *Pipeline) Append(events []model.Event) error {
 // overdraws it, so even oversize batches are admitted in one piece. Under
 // partial order a batch reaching back into one of its traces is refused
 // whole with an error wrapping pairs.ErrReachesBack.
-func (p *Pipeline) AppendCtx(ctx context.Context, events []model.Event, block bool) error {
+func (p *Pipeline) AppendCtx(ctx context.Context, events []model.Event, block bool) (Ticket, error) {
 	if len(events) == 0 {
-		return nil
+		return 0, nil
 	}
 	if err := p.admit(ctx, len(events), block); err != nil {
-		return err
+		return 0, err
 	}
-	if p.last != nil {
-		p.orderMu.Lock()
-		defer p.orderMu.Unlock()
-		if err := p.checkOrder(ctx, events); err != nil {
-			n := int64(len(events)) // hand the credits back: nothing was admitted
-			p.mu.Lock()
-			p.free += len(events)
-			p.queued, p.buffered, p.stats.Accepted = p.queued-n, p.buffered-n, p.stats.Accepted-n
-			p.cond.Broadcast()
-			p.mu.Unlock()
-			return err
-		}
+	if p.last == nil {
+		return p.enqueue(events), nil
 	}
-	p.enqueue(events)
-	return nil
+	p.orderMu.Lock()
+	defer p.orderMu.Unlock()
+	next, err := p.checkOrder(ctx, events)
+	if err != nil {
+		n := int64(len(events)) // hand the credits back: nothing was admitted
+		p.mu.Lock()
+		p.free += len(events)
+		p.buffered, p.stats.Accepted = p.buffered-n, p.stats.Accepted-n
+		p.cond.Broadcast()
+		p.mu.Unlock()
+		return 0, err
+	}
+	t := p.enqueue(events)
+	for id, ts := range next {
+		p.last[id] = lastAppend{ts: ts, ticket: t}
+	}
+	return t, nil
 }
 
 // checkOrder holds a partial-order Append to what one Builder.Update
@@ -372,33 +446,36 @@ func (p *Pipeline) AppendCtx(ctx context.Context, events []model.Event, block bo
 // flushes would hide its completions behind the Seq boundary. Checked at
 // admission, a reaching-back Append fails alone, whatever flush cycle it
 // would have joined. The caller holds orderMu until the events are enqueued,
-// so admission order is extraction order.
-func (p *Pipeline) checkOrder(ctx context.Context, events []model.Event) error {
-	next := make(map[model.TraceID]model.Timestamp) // each trace's last ts once admitted
+// so admission order is extraction order, and records the returned latest
+// timestamps once it has the batch's ticket.
+func (p *Pipeline) checkOrder(ctx context.Context, events []model.Event) (map[model.TraceID]model.Timestamp, error) {
+	held := make(map[model.TraceID]model.Timestamp) // each trace's latest ts before the batch
+	next := make(map[model.TraceID]model.Timestamp) // and once it is admitted
 	for _, ev := range events {
-		last, ok := p.last[ev.Trace]
+		last, ok := held[ev.Trace]
 		if !ok {
-			seq, _, err := p.tables.GetSeq(ctx, ev.Trace)
-			if err != nil {
-				return err
+			if la, ok := p.last[ev.Trace]; ok {
+				last = la.ts
+			} else {
+				seq, _, err := p.tables.GetSeq(ctx, ev.Trace)
+				if err != nil {
+					return nil, err
+				}
+				last = -1 << 62
+				if len(seq) > 0 {
+					last = seq[len(seq)-1].TS
+				}
 			}
-			last = -1 << 62
-			if len(seq) > 0 {
-				last = seq[len(seq)-1].TS
-			}
-			p.last[ev.Trace] = last
+			held[ev.Trace] = last
 		}
 		if ev.TS <= last {
-			return fmt.Errorf("ingest: trace %d: %w to ts %d (holds up to %d)", ev.Trace, pairs.ErrReachesBack, ev.TS, last)
+			return nil, fmt.Errorf("ingest: trace %d: %w to ts %d (holds up to %d)", ev.Trace, pairs.ErrReachesBack, ev.TS, last)
 		}
 		if cur, ok := next[ev.Trace]; !ok || ev.TS > cur {
 			next[ev.Trace] = ev.TS
 		}
 	}
-	for id, ts := range next {
-		p.last[id] = ts
-	}
-	return nil
+	return next, nil
 }
 
 // admit reserves n credits in one piece. A batch larger than the whole pool
@@ -441,8 +518,10 @@ func (p *Pipeline) admit(ctx context.Context, n int, block bool) error {
 			ok = false
 		}
 		if ok {
+			if p.buffered == 0 {
+				p.armTimer()
+			}
 			p.free -= n
-			p.queued += int64(n)
 			p.buffered += int64(n)
 			p.stats.Accepted += int64(n)
 			if stalled {
@@ -472,9 +551,10 @@ func (p *Pipeline) admit(ctx context.Context, n int, block bool) error {
 	}
 }
 
-// enqueue distributes admitted events onto their affinity shards and kicks
-// the coordinator when the size trigger is reached.
-func (p *Pipeline) enqueue(events []model.Event) {
+// enqueue distributes admitted events onto their affinity shards, kicks the
+// coordinator when the size trigger is reached, and returns the ticket of
+// the cycle that will extract them.
+func (p *Pipeline) enqueue(events []model.Event) Ticket {
 	// Group by shard first so each shard lock is taken once per call.
 	byShard := make(map[int][]model.Event)
 	for _, ev := range events {
@@ -482,6 +562,8 @@ func (p *Pipeline) enqueue(events []model.Event) {
 		byShard[si] = append(byShard[si], ev)
 	}
 	p.inboxMu.RLock()
+	t := p.cycles + 1
+	p.tail.Store(uint64(t)) // every holder of the shared lock stores the same t
 	for si, evs := range byShard {
 		sh := &p.shards[si]
 		sh.mu.Lock()
@@ -494,6 +576,7 @@ func (p *Pipeline) enqueue(events []model.Event) {
 		p.kickFlusher()
 	}
 	p.mu.Unlock()
+	return t
 }
 
 // kickFlusher nudges the coordinator without blocking. Callers hold p.mu or
@@ -505,18 +588,26 @@ func (p *Pipeline) kickFlusher() {
 	}
 }
 
-// Flush commits everything admitted before the call and blocks until it is
-// durable (or until the pipeline fails). With concurrent appenders it waits
-// for a moment when the queue is empty, so it is a barrier primarily for
-// single-producer use — the HTTP handler's end-of-request ack.
-func (p *Pipeline) Flush() error {
-	return p.FlushCtx(context.Background())
+// armTimer tells the coordinator to start its age timer. Callers hold p.mu.
+func (p *Pipeline) armTimer() {
+	select {
+	case p.arm <- struct{}{}:
+	default:
+	}
 }
 
-// FlushCtx is Flush with a cancellable wait: when ctx is done the caller
-// unblocks with ctx.Err(). The flush itself is unaffected — other producers
-// may be relying on the commit — only this caller stops waiting for it.
-func (p *Pipeline) FlushCtx(ctx context.Context) error {
+// Flush commits everything enqueued before the call and blocks until it is
+// durable (or until the pipeline fails): a barrier over every writer.
+func (p *Pipeline) Flush() error {
+	return p.FlushTo(context.Background(), Ticket(p.tail.Load()))
+}
+
+// FlushTo blocks until cycle t is durable, and with it every earlier cycle:
+// the events of the Appends that returned t or less, and nothing admitted
+// after them. It fails with the pipeline's error when a failure came first.
+// When ctx is done the caller unblocks with ctx.Err(); the flush itself is
+// unaffected — other producers may be relying on the commit.
+func (p *Pipeline) FlushTo(ctx context.Context, t Ticket) error {
 	done := ctx.Done()
 	if done != nil {
 		stop := context.AfterFunc(ctx, func() {
@@ -528,9 +619,7 @@ func (p *Pipeline) FlushCtx(ctx context.Context) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// queued covers the full span admit → durable ack, so this also waits
-	// out cycles that are past extraction but still inside commit or fsync.
-	for p.queued > 0 && p.failed == nil {
+	for p.acked < t && p.failed == nil {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -539,26 +628,30 @@ func (p *Pipeline) FlushCtx(ctx context.Context) error {
 		p.kickFlusher()
 		p.cond.Wait()
 	}
+	if p.acked >= t {
+		return nil
+	}
 	return p.failed
+}
+
+// SetPeriod directs the entries of every cycle extracted after the call into
+// period, events already buffered included; a caller that wants those in the
+// earlier partition flushes first.
+func (p *Pipeline) SetPeriod(period string) {
+	p.inboxMu.Lock()
+	p.period = period
+	p.inboxMu.Unlock()
 }
 
 // Close drains the queue with a final commit and stops the pipeline. It is
 // idempotent; the first error the pipeline hit (if any) is returned.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		err := p.failed
-		p.mu.Unlock()
-		<-p.done
-		return err
-	}
 	p.closed = true
 	p.mu.Unlock()
 	p.kickFlusher()
 	<-p.done
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.failed
+	return p.Err()
 }
 
 // fail records the first pipeline error and wakes every waiter.
@@ -583,32 +676,41 @@ func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.stats
-	st.Queued = p.queued
+	st.Queued = int64(p.opts.QueueEvents - p.free)
 	return st
 }
 
 // Forget drops the resident sessions (and partial-order boundaries) of
-// pruned traces so their memory is reclaimed. The caller must have flushed (or not care about) pending
-// events of those traces. A session fed by a cycle the committer has not
-// written yet is kept: reloading it from the Seq table now would miss that
-// cycle's events and extract their pairs twice.
+// pruned traces so their memory is reclaimed. The caller must have flushed
+// (or not care about) pending events of those traces. A session fed by a
+// cycle the committer has not written yet is kept: reloading it from the Seq
+// table now would miss that cycle's events and extract their pairs twice.
 func (p *Pipeline) Forget(ids []model.TraceID) {
 	p.cycleMu.Lock()
 	defer p.cycleMu.Unlock()
-	written := p.written.Load()
+	written := Ticket(p.written.Load())
 	for _, id := range ids {
-		sessions := p.shards[p.shardFor(id)].sessions
-		if s := sessions[id]; s != nil && s.cycle <= written {
-			delete(sessions, id)
+		sh := &p.shards[p.shardFor(id)]
+		if s := sh.sessions[id]; s != nil && s.cycle <= written {
+			sh.drop(s)
 		}
 	}
-	if p.last != nil {
-		p.orderMu.Lock()
-		for _, id := range ids {
+	p.dropBoundaries(ids, math.MaxUint64)
+}
+
+// dropBoundaries forgets the partial-order boundaries of ids whose last
+// Append is in cycle upTo or earlier; checkOrder then reads the Seq row.
+func (p *Pipeline) dropBoundaries(ids []model.TraceID, upTo Ticket) {
+	if p.last == nil {
+		return
+	}
+	p.orderMu.Lock()
+	for _, id := range ids {
+		if la, ok := p.last[id]; ok && la.ticket <= upTo {
 			delete(p.last, id)
 		}
-		p.orderMu.Unlock()
 	}
+	p.orderMu.Unlock()
 }
 
 // run is the coordinator: woken by size kicks and the age timer, it swaps
@@ -616,19 +718,29 @@ func (p *Pipeline) Forget(ids []model.TraceID) {
 // Extraction is decoupled from durability — while a job's groups are inside
 // fsync, the next cycle is already being extracted (double buffering); the
 // handoff blocks only once inflight cycles are past extraction, and that
-// blocked time is what seqlog_ingest_commit_wait_seconds measures.
+// blocked time is what seqlog_ingest_commit_wait_seconds measures. The age
+// timer runs only while events are buffered, so an idle pipeline sleeps.
 func (p *Pipeline) run() {
 	defer close(p.done)
-	// armed is taken before the timer is armed: taken after, a deschedule
-	// between the two statements would make a correctly timed tick look
-	// early and count it as spurious.
-	armed := time.Now()
-	timer := time.NewTimer(p.opts.FlushInterval)
-	defer func() { timer.Stop() }()
+	var (
+		timer *time.Timer
+		tick  <-chan time.Time
+		armed time.Time
+	)
+	stopTimer := func() {
+		if timer != nil {
+			timer.Stop()
+			timer, tick = nil, nil
+		}
+	}
+	defer stopTimer()
 	for {
+		flush := true
 		select {
 		case <-p.kick:
-		case <-timer.C:
+		case <-p.arm:
+			flush = false
+		case <-tick:
 			if time.Since(armed) < p.opts.FlushInterval {
 				// A fresh timer can only deliver a tick a full interval after
 				// it was armed; an early one is a stale expiry of an earlier
@@ -636,8 +748,9 @@ func (p *Pipeline) run() {
 				p.spuriousWakes.Add(1)
 			}
 		}
+		p.wakeups.Add(1)
 
-		for {
+		for flush {
 			p.mu.Lock()
 			runnable := p.buffered > 0 && p.failed == nil
 			p.mu.Unlock()
@@ -660,24 +773,28 @@ func (p *Pipeline) run() {
 			p.commitWaitH.Observe(time.Since(wait))
 		}
 
-		// Re-arm the age timer with a fresh one. After a kick-driven wake
-		// the old timer may have expired concurrently, and under the
-		// module's pre-1.23 timer semantics Stop can report "already fired"
-		// while that send is still in flight, so no drain catches it: Reset
-		// would let the stale expiry wake the next iteration at once and
-		// flush a premature tiny cycle. A new timer has a new channel.
-		timer.Stop()
-		armed = time.Now()
-		timer = time.NewTimer(p.opts.FlushInterval)
-
 		p.mu.Lock()
+		pending := p.buffered > 0 && p.failed == nil
 		closed := p.closed
-		draining := p.closed && p.buffered > 0 && p.failed == nil
 		p.mu.Unlock()
+		// A flush re-arms the age timer with a fresh one while events are
+		// buffered. After a kick-driven wake the old timer may have expired
+		// concurrently, and under the module's pre-1.23 timer semantics Stop
+		// can report "already fired" while that send is still in flight, so
+		// no drain catches it: Reset would let the stale expiry wake the
+		// next iteration at once and flush a premature tiny cycle.
+		if flush || !pending {
+			stopTimer()
+		}
+		if pending && timer == nil {
+			armed = time.Now()
+			timer = time.NewTimer(p.opts.FlushInterval)
+			tick = timer.C
+		}
 		if !closed {
 			continue
 		}
-		if draining {
+		if pending {
 			// Admitted events still racing onto the inboxes; spin until the
 			// final extraction sweeps them.
 			p.kickFlusher()
@@ -712,37 +829,42 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 		sh.mu.Unlock()
 		total += len(pend[i])
 	}
+	if total > 0 {
+		p.cycles++
+	}
+	period := p.period
 	p.inboxMu.Unlock()
 	if total == 0 {
 		return nil, nil
 	}
 	start := time.Now()
-	p.cycles++
 
+	written := Ticket(p.written.Load())
 	deltas := make([]*shardDelta, len(p.shards))
-	extracted := make([]int, len(p.shards))
 	err := parallel.ForEach(len(p.shards), p.opts.Workers, func(i int) error {
-		if len(pend[i]) == 0 {
-			return nil
+		sh := &p.shards[i]
+		if len(pend[i]) > 0 {
+			var err error
+			if deltas[i], err = p.extractShard(sh, pend[i]); err != nil {
+				return err
+			}
 		}
-		var err error
-		deltas[i], extracted[i], err = p.extractShard(&p.shards[i], pend[i])
-		return err
+		p.dropBoundaries(sh.evict(p.budget, written), written)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	job := &flushJob{
-		parts: p.partitionDeltas(deltas),
-		total: total,
-		start: start,
-		cycle: p.cycles,
-	}
-	for i := range p.shards {
+	job := &flushJob{period: period, total: total, start: start, cycle: p.cycles}
+	for i, d := range deltas {
 		job.sessions += int64(len(p.shards[i].sessions))
-		job.extracted += int64(extracted[i])
+		if d != nil {
+			job.extracted += int64(d.extracted)
+			job.loaded += int64(d.loaded)
+		}
 	}
+	job.parts = p.partitionDeltas(deltas)
 	p.mu.Lock()
 	p.buffered -= int64(total)
 	p.mu.Unlock()
@@ -763,7 +885,7 @@ func (p *Pipeline) committer() {
 		} else {
 			job.err = p.commitJob(job)
 		}
-		p.written.Store(job.cycle)
+		p.written.Store(uint64(job.cycle))
 		p.acks <- job
 	}
 }
@@ -821,13 +943,14 @@ func (p *Pipeline) finishJob(job *flushJob) {
 			p.failed = job.err
 		}
 	} else {
-		p.queued -= int64(job.total)
+		p.acked = job.cycle
 		p.free += job.total
 		p.stats.Flushed += int64(job.total)
 		p.stats.Batches++
 		p.stats.Syncs += job.syncs
 		p.stats.Sessions = job.sessions
 		p.stats.Reextracted += job.extracted
+		p.stats.Loaded += job.loaded
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()

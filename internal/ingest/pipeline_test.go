@@ -301,7 +301,8 @@ func TestConcurrentProducers(t *testing.T) {
 
 // tryAppend is a non-blocking Append: a full queue answers ErrOverloaded.
 func tryAppend(p *Pipeline, evs []model.Event) error {
-	return p.AppendCtx(context.Background(), evs, false)
+	_, err := p.AppendCtx(context.Background(), evs, false)
+	return err
 }
 
 // lockedLocker hands the test a way to stall commits: while held, the
@@ -498,6 +499,177 @@ func TestForgetDropsSessions(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEvictionReloadEqualsSerialBuilder is the eviction oracle: with a
+// resident budget of a few events, every cycle evicts the sessions whose
+// rows are written and a trace that comes back is reloaded from its Seq row,
+// yet the tables stay those of one serial Builder.Update under SC, STNM and
+// partial order; and under partial order no trace keeps an ordering
+// boundary once its session is gone.
+func TestEvictionReloadEqualsSerialBuilder(t *testing.T) {
+	defer func(b int) { residentEvents = b }(residentEvents)
+	residentEvents = 4
+	rng := rand.New(rand.NewSource(73))
+	for _, mode := range orderModes {
+		for _, workers := range []int{1, 2} {
+			for iter := 0; iter < 3; iter++ {
+				events := randomLog(rng, 8+rng.Intn(8), 200, 6)
+				want := serialBuild(t, events, index.Options{Policy: mode.policy, PartialOrder: mode.partial})
+				tb := storage.NewTables(kvstore.NewMemStore())
+				p, err := New(tb, Options{
+					Policy:        mode.policy,
+					PartialOrder:  mode.partial,
+					Workers:       workers,
+					FlushEvents:   8,
+					FlushInterval: time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lo := 0; lo < len(events); {
+					hi := chunkEnd(events, lo+1+rng.Intn(6), mode.partial)
+					if err := p.Append(events[lo:hi]); err != nil {
+						t.Fatal(err)
+					}
+					// Flushing most chunks on their own keeps each cycle to
+					// a few traces, so the others' sessions are written and
+					// can go.
+					if rng.Intn(4) > 0 {
+						if err := p.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					lo = hi
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := dumpTables(t, tb, ""); got != want {
+					t.Fatalf("policy=%v partial=%v workers=%d iter=%d: tables diverge from serial build under eviction\ngot:\n%s\nwant:\n%s",
+						mode.policy, mode.partial, workers, iter, got, want)
+				}
+				st := p.Stats()
+				if st.Loaded == 0 {
+					t.Fatalf("policy=%v partial=%v workers=%d iter=%d: no session was evicted and reloaded: %+v", mode.policy, mode.partial, workers, iter, st)
+				}
+				if len(p.last) > int(st.Sessions) {
+					t.Fatalf("%d partial-order boundaries outlive their %d sessions", len(p.last), st.Sessions)
+				}
+			}
+		}
+	}
+}
+
+// blockedSeq holds the second read of trace id's Seq row — the first is
+// the partial-order admission check, the second the extraction that loads
+// its session — until release is closed, and reports when it got there.
+type blockedSeq struct {
+	storage.Backend
+	id               model.TraceID
+	reads            int
+	entered, release chan struct{}
+}
+
+func (b *blockedSeq) GetSeq(ctx context.Context, id model.TraceID) ([]model.TraceEvent, bool, error) {
+	if id == b.id {
+		if b.reads++; b.reads == 2 {
+			close(b.entered)
+			<-b.release
+		}
+	}
+	return b.Backend.GetSeq(ctx, id)
+}
+
+// nthLockGate is a CommitLock whose nth Lock waits until release is closed.
+type nthLockGate struct {
+	n, calls int
+	release  chan struct{}
+}
+
+func (g *nthLockGate) Lock() {
+	if g.calls++; g.calls == g.n {
+		<-g.release
+	}
+}
+func (g *nthLockGate) Unlock() {}
+
+// TestPartialOrderBoundaryKeptUntilWritten: under partial order a trace's
+// ordering boundary is evicted with its session only once the cycle of its
+// last Append is written. Here trace 1's session is evicted while its next
+// Append waits in the inbox, and that cycle's commit is held back; had the
+// boundary gone, a reaching-back Append would be checked against the Seq
+// row alone and admitted.
+func TestPartialOrderBoundaryKeptUntilWritten(t *testing.T) {
+	defer func(b int) { residentEvents = b }(residentEvents)
+	residentEvents = 0
+	seq := &blockedSeq{Backend: storage.NewTables(kvstore.NewMemStore()), id: 2, entered: make(chan struct{}), release: make(chan struct{})}
+	gate := &nthLockGate{n: 3, release: make(chan struct{})}
+	p, err := New(seq, Options{Policy: model.STNM, PartialOrder: true, Workers: 1, FlushEvents: 1, FlushInterval: time.Hour, CommitLock: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := func(trace, act, ts int) model.Event {
+		return model.Event{Trace: model.TraceID(trace), Activity: model.ActivityID(act), TS: model.Timestamp(ts)}
+	}
+	if err := p.Append([]model.Event{ev(1, 0, 1), ev(1, 1, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil { // cycle 1 is written
+		t.Fatal(err)
+	}
+	if err := p.Append([]model.Event{ev(2, 0, 1)}); err != nil { // cycle 2 loads trace 2
+		t.Fatal(err)
+	}
+	<-seq.entered
+	if err := p.Append([]model.Event{ev(1, 2, 10)}); err != nil { // waits for cycle 3
+		t.Fatal(err)
+	}
+	close(seq.release) // cycle 2 evicts trace 1's session; cycle 3's commit waits
+	for extracted := false; !extracted; {
+		p.mu.Lock()
+		extracted = p.buffered == 0
+		p.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.Append([]model.Event{ev(1, 0, 7)}); !errors.Is(err, pairs.ErrReachesBack) {
+		t.Errorf("append reaching back behind an unwritten cycle: %v, want ErrReachesBack", err)
+	}
+	close(gate.release)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Loaded == 0 {
+		t.Fatalf("trace 1's session was never evicted and reloaded: %+v", st)
+	}
+}
+
+// TestIdlePipelineNoWakeups: the coordinator arms its age timer only while
+// events are buffered, so a pipeline that holds none sleeps — before its
+// first Append and again after its last flush.
+func TestIdlePipelineNoWakeups(t *testing.T) {
+	const interval = 2 * time.Millisecond
+	p, err := New(storage.NewTables(kvstore.NewMemStore()), Options{Policy: model.STNM, Workers: 1, FlushInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	time.Sleep(10 * interval)
+	if n := p.wakeups.Load(); n != 0 {
+		t.Fatalf("idle pipeline woke %d times over 10 flush intervals", n)
+	}
+	if err := p.Append([]model.Event{{Trace: 1, Activity: 0, TS: 1}, {Trace: 1, Activity: 1, TS: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * interval) // the flush's last kick may still be on its way
+	n := p.wakeups.Load()
+	time.Sleep(10 * interval)
+	if m := p.wakeups.Load(); m != n {
+		t.Fatalf("pipeline woke %d times over 10 flush intervals after its last flush", m-n)
 	}
 }
 

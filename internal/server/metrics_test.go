@@ -51,9 +51,10 @@ func scrape(t *testing.T, url string) string {
 
 // TestMetricsEndpoint drives every query family plus batch ingest and
 // asserts one scrape covers them all — query histograms, HTTP series,
-// storage cache, row accounting, WAL fsync and ingest counters. A batch is
-// the one-shot case of the ingestion pipeline, so /ingest and
-// /ingest/stream feed the same monotone counters.
+// storage cache, row accounting, WAL fsync and ingest counters. /ingest and
+// /ingest/stream feed the engine's one ingestion pipeline, so they share its
+// counters, and a stream extending the batch's traces finds their sessions
+// resident: it loads no stored event.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newMetricsServer(t)
 	ingestSample(t, srv.URL)
@@ -88,7 +89,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Streaming ingest adds its 6 events to the same counters.
+	// Streaming ingest adds its 6 events to the same counters; its traces'
+	// sessions outlived the /ingest request.
 	c := &httpclient.Client{}
 	var out StreamResponse
 	if err := c.Post(srv.URL+"/ingest/stream", "application/x-ndjson",
@@ -99,6 +101,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"seqlog_ingest_accepted_total 11",
 		"seqlog_ingest_flushed_total 11",
+		"seqlog_ingest_loaded_events_total 0",
 		"seqlog_ingest_flush_seconds_count",
 	} {
 		if !strings.Contains(text, want) {

@@ -41,8 +41,8 @@ type StreamResponse struct {
 // Every reply that reports accepted > 0 — success or error — is preceded by
 // a Flush: clients resume from the accepted count, so the events behind it
 // must be durable before it is reported. When the client disconnects
-// mid-stream no reply is reachable; admitted events are still flushed so the
-// work (and the shared pipeline) is left in a clean state.
+// mid-stream no reply is reachable; the appender's Close still flushes what
+// the request admitted.
 func (h *Handler) ingestStream(w http.ResponseWriter, r *http.Request) {
 	app, err := h.engine.OpenStream(seqlog.StreamOptions{})
 	if err != nil {
@@ -142,11 +142,9 @@ func (h *Handler) ingestStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// A read error with a dead request context means the client hung up
-		// mid-stream: no reply is deliverable, so skip it — but commit what
-		// was admitted (best effort) so the shared pipeline is not left with
-		// this request's events pending and the deferred Close drains clean.
+		// mid-stream: no reply is deliverable, so skip it; the deferred Close
+		// commits what was admitted.
 		if r.Context().Err() != nil || errors.Is(err, io.ErrUnexpectedEOF) {
-			app.Flush()
 			return
 		}
 		fail(http.StatusBadRequest, err)

@@ -206,6 +206,11 @@ func (r *BlockRun) All() ([]IndexEntry, error) {
 // each run on its own and sorts matches at the end. It is the Index table's
 // only point read.
 func (t *Tables) GetPostings(_ context.Context, pair model.PairKey) (Postings, error) {
+	return t.postings(pair, true)
+}
+
+// postings collects the pair's runs, its memtable rows sorted or not.
+func (t *Tables) postings(pair model.PairKey, sorted bool) (Postings, error) {
 	periods, err := t.periodsShared()
 	if err != nil {
 		return Postings{}, err
@@ -213,11 +218,11 @@ func (t *Tables) GetPostings(_ context.Context, pair model.PairKey) (Postings, e
 	t.segMu.RLock()
 	defer t.segMu.RUnlock()
 	var po Postings
-	if err := t.appendRunsLocked(&po, "", pair); err != nil {
+	if err := t.appendRunsLocked(&po, "", pair, sorted); err != nil {
 		return Postings{}, err
 	}
 	for _, p := range periods {
-		if err := t.appendRunsLocked(&po, p, pair); err != nil {
+		if err := t.appendRunsLocked(&po, p, pair, sorted); err != nil {
 			return Postings{}, err
 		}
 	}
@@ -225,13 +230,13 @@ func (t *Tables) GetPostings(_ context.Context, pair model.PairKey) (Postings, e
 }
 
 // appendRunsLocked collects the runs of (period, pair); segMu must be held.
-func (t *Tables) appendRunsLocked(po *Postings, period string, pair model.PairKey) error {
+func (t *Tables) appendRunsLocked(po *Postings, period string, pair model.PairKey, sorted bool) error {
 	if t.seg != nil && !t.segTomb[period] {
 		if i, ok := t.seg.byKey[segKey{period: period, pair: pair}]; ok {
 			po.Runs = append(po.Runs, PostingsRun{Blocks: newBlockRun(t, t.seg, i)})
 		}
 	}
-	tail, err := t.getTailSortedLocked(period, pair)
+	tail, err := t.getTailSortedLocked(period, pair, sorted)
 	if err != nil {
 		return err
 	}

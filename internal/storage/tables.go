@@ -328,33 +328,31 @@ func sortIndexEntries(entries []IndexEntry) {
 	sort.Slice(entries, func(i, j int) bool { return lessIndexEntry(entries[i], entries[j]) })
 }
 
-// getTailSortedLocked returns the sorted memtable-tier row of pair, served
-// from the postings cache until AppendIndex or DropPeriod touches it. The
-// returned slice is shared with the cache — callers must not modify it.
-// segMu must be held at least shared.
-func (t *Tables) getTailSortedLocked(period string, pair model.PairKey) ([]IndexEntry, error) {
-	if t.cache == nil {
-		entries, err := t.getTailLocked(period, pair)
-		if err != nil {
-			return nil, err
-		}
-		sortIndexEntries(entries)
-		t.rows.Add(int64(len(entries)))
-		return entries, nil
-	}
+// getTailSortedLocked returns the memtable-tier row of pair, cached until
+// AppendIndex or DropPeriod touches it. Without a cache, a row is sorted
+// only when sorted is set: a maximum needs no order. The slice may be the
+// cache's, so callers must not modify it. segMu is held shared.
+func (t *Tables) getTailSortedLocked(period string, pair model.PairKey, sorted bool) ([]IndexEntry, error) {
 	k := cacheKey{period: period, pair: pair, block: wholeRowBlock}
-	if entries, ok := t.cache.get(k); ok {
-		t.rows.Add(int64(len(entries)))
-		return entries, nil
+	var gen, epoch uint64
+	if t.cache != nil {
+		if entries, ok := t.cache.get(k); ok {
+			t.rows.Add(int64(len(entries)))
+			return entries, nil
+		}
+		gen, epoch = t.cache.begin(k)
 	}
-	gen, epoch := t.cache.begin(k)
 	entries, err := t.getTailLocked(period, pair)
 	if err != nil {
 		return nil, err
 	}
-	sortIndexEntries(entries)
-	t.cache.put(k, gen, epoch, entries)
 	t.rows.Add(int64(len(entries)))
+	if sorted || t.cache != nil {
+		sortIndexEntries(entries)
+	}
+	if t.cache != nil {
+		t.cache.put(k, gen, epoch, entries)
+	}
 	return entries, nil
 }
 
@@ -731,8 +729,8 @@ func decodeLastCompletion(raw []byte) (model.Timestamp, error) {
 
 // GetLastCompletion returns the pair's latest completion timestamp over all
 // traces and periods, dropped ones included; 0 when it never completed.
-func (t *Tables) GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error) {
-	po, err := t.GetPostings(ctx, pair)
+func (t *Tables) GetLastCompletion(_ context.Context, pair model.PairKey) (model.Timestamp, error) {
+	po, err := t.postings(pair, false)
 	if err != nil {
 		return 0, err
 	}

@@ -152,14 +152,20 @@ fi
 # 40-activity alphabets), the
 # group-commit crash sweeps (streamed and one-shot batches, and the sharded
 # one: an acked flush is durable on EVERY store it touched, even crashing
-# mid-fsync-coalesce), and the parallel-flusher regression gates
+# mid-fsync-coalesce), the parallel-flusher regression gates
 # (timer hygiene, all-or-nothing admission, producer/Flush/Forget hammer),
-# run explicitly for the same reason as above.
+# and the engine-lifetime pipeline gates (session eviction and reload stay
+# serial-equivalent, an idle pipeline never wakes, Ingest returns beside an
+# appender that keeps the queue full, rotate and prune with a stream open,
+# counters live after every Appender.Close), run explicitly for the same
+# reason as above.
 if want ingest; then
 	go test -race -run 'Extend' ./internal/pairs/
 	go test -race -short ./internal/ingest/...
 	go test -race -short -run 'StreamEqualsSerialBuilder|StreamShardedEqualsSerial|StreamCrash|ShardedStreamCrash' ./internal/ingest/
 	go test -race -short -run 'TimerHygiene|Admission|ParallelFlushersRaceHammer' ./internal/ingest/
+	go test -race -short -run 'EvictionReloadEqualsSerialBuilder|PartialOrderBoundaryKeptUntilWritten|IdlePipelineNoWakeups' ./internal/ingest/
+	go test -race -run 'IngestReturnsBesideBusyAppender|RotateAndPruneWithStreamOpen|StreamInfoAndSharedPipeline' .
 	go test -race -run 'SealBatch|PipelinedBatch' ./internal/kvstore/
 fi
 

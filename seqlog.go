@@ -326,17 +326,14 @@ type Engine struct {
 	alphabet *model.Alphabet
 	cfg      Config
 
-	// Ingestion (stream.go). pipeMu guards the pipeline handle, its
-	// refcount, the pipeline being drained (drained signals the end of a
-	// drain) and cfg.Period; persistedActs (under mu) tracks how much of
-	// the alphabet is durable, so flushes persist it only on growth.
+	// Ingestion (stream.go). pipeMu guards the pipeline — started by the
+	// first write, stopped by Close, replaced when a commit fails it — the
+	// counters of the pipelines it replaced, and cfg.Period; persistedActs
+	// (under mu) tracks how much of the alphabet is durable, so flushes
+	// persist it only on growth.
 	pipeMu        sync.Mutex
 	pipeline      *ingest.Pipeline
-	streams       int
-	draining      *ingest.Pipeline
-	drained       *sync.Cond
-	lastIngest    ingest.Stats // snapshot of the last drained stream
-	ingestTotal   ingest.Stats // counters accumulated over drained pipelines
+	ingestTotal   IngestStats
 	persistedActs int
 
 	// follower is non-nil once StartFollower wired this engine to a
@@ -430,7 +427,6 @@ func Open(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		metrics:  reg,
 	}
-	e.drained = sync.NewCond(&e.pipeMu)
 	if err := e.restoreMeta(); err != nil {
 		for _, s := range stores {
 			s.Close()
@@ -646,19 +642,25 @@ func (e *Engine) initMetrics() {
 		salv = 1
 	}
 	e.metrics.Gauge("seqlog_recovery_salvaged").Set(salv)
-	// Streaming-ingest counters stay monotone across pipeline restarts:
-	// ingestCumulative folds drained pipelines into the live one.
-	cum := func(pick func(ingest.Stats) int64) func() int64 {
-		return func() int64 { return pick(e.ingestCumulative()) }
+	// Ingest counters stay monotone when a failed pipeline is replaced:
+	// IngestInfo folds the replaced ones into the live one.
+	cum := func(pick func(IngestStats) int64) func() int64 {
+		return func() int64 {
+			if st := e.IngestInfo(); st != nil {
+				return pick(*st)
+			}
+			return 0
+		}
 	}
-	e.metrics.CounterFunc("seqlog_ingest_accepted_total", cum(func(s ingest.Stats) int64 { return s.Accepted }))
-	e.metrics.CounterFunc("seqlog_ingest_flushed_total", cum(func(s ingest.Stats) int64 { return s.Flushed }))
-	e.metrics.CounterFunc("seqlog_ingest_batches_total", cum(func(s ingest.Stats) int64 { return s.Batches }))
-	e.metrics.CounterFunc("seqlog_ingest_syncs_total", cum(func(s ingest.Stats) int64 { return s.Syncs }))
-	e.metrics.CounterFunc("seqlog_ingest_stalls_total", cum(func(s ingest.Stats) int64 { return s.Stalls }))
-	e.metrics.CounterFunc("seqlog_ingest_reextracted_events_total", cum(func(s ingest.Stats) int64 { return s.Reextracted }))
-	e.metrics.GaugeFunc("seqlog_ingest_queued", func() int64 { return e.liveIngest().Queued })
-	e.metrics.GaugeFunc("seqlog_ingest_sessions", func() int64 { return e.liveIngest().Sessions })
+	e.metrics.CounterFunc("seqlog_ingest_accepted_total", cum(func(s IngestStats) int64 { return s.Accepted }))
+	e.metrics.CounterFunc("seqlog_ingest_flushed_total", cum(func(s IngestStats) int64 { return s.Flushed }))
+	e.metrics.CounterFunc("seqlog_ingest_batches_total", cum(func(s IngestStats) int64 { return s.Batches }))
+	e.metrics.CounterFunc("seqlog_ingest_syncs_total", cum(func(s IngestStats) int64 { return s.Syncs }))
+	e.metrics.CounterFunc("seqlog_ingest_stalls_total", cum(func(s IngestStats) int64 { return s.Stalls }))
+	e.metrics.CounterFunc("seqlog_ingest_reextracted_events_total", cum(func(s IngestStats) int64 { return s.Reextracted }))
+	e.metrics.CounterFunc("seqlog_ingest_loaded_events_total", cum(func(s IngestStats) int64 { return s.Loaded }))
+	e.metrics.GaugeFunc("seqlog_ingest_queued", cum(func(s IngestStats) int64 { return s.Queued }))
+	e.metrics.GaugeFunc("seqlog_ingest_sessions", cum(func(s IngestStats) int64 { return s.Sessions }))
 }
 
 // track begins one query observation; defer the returned func with the
@@ -804,11 +806,11 @@ func (e *Engine) persistAlphabet() error {
 // Events may extend traces seen in earlier batches; the index never
 // duplicates pairs across batches.
 //
-// A batch is the one-shot case of a stream: it joins the engine's ingestion
-// pipeline (starting it when no stream is open), is flushed, and is
-// acknowledged once durable. Each store commits it as one crash-atomic WAL
-// group, and a batch the rule rejects (a partial-order batch reaching back
-// into a trace, ErrReachesBack) writes nothing and fails alone.
+// A batch is appended to the engine's ingestion pipeline, which streams
+// share, and is acknowledged once the cycle holding it is durable; the
+// batch lands in one flush cycle, which each store commits as one
+// crash-atomic WAL group. A batch the rule rejects (a partial-order batch
+// reaching back into a trace, ErrReachesBack) writes nothing and fails alone.
 func (e *Engine) Ingest(events []Event) (UpdateStats, error) {
 	return e.IngestCtx(context.Background(), events)
 }
@@ -818,16 +820,13 @@ func (e *Engine) Ingest(events []Event) (UpdateStats, error) {
 // waited for until it is durable, so an error never hides a committed batch
 // that a retry would index twice.
 func (e *Engine) IngestCtx(ctx context.Context, events []Event) (UpdateStats, error) {
-	a, err := e.OpenStream(StreamOptions{Block: true})
+	p, err := e.writer()
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	err = a.AppendCtx(ctx, events)
+	t, err := p.AppendCtx(ctx, e.intern(events), true)
 	if err == nil {
-		err = a.Flush()
-	}
-	if cerr := a.Close(); err == nil {
-		err = cerr
+		err = p.FlushTo(context.Background(), t)
 	}
 	if err != nil {
 		return UpdateStats{}, err
@@ -1158,18 +1157,23 @@ func (e *Engine) PruneTraces(ids []int64) error {
 
 // RotatePeriod directs subsequent batches into a new index partition
 // (§3.1.3 suggests e.g. one per month); queries keep spanning all
-// partitions. It refuses while any ingestion — an open stream or an Ingest
-// in flight — holds the pipeline.
+// partitions. Open streams carry on: every event appended before the call
+// is flushed into the old partition first, and the cycles after it go to
+// the new one.
 func (e *Engine) RotatePeriod(period string) error {
 	if err := e.readOnlyErr(); err != nil {
 		return err
 	}
 	e.pipeMu.Lock()
 	defer e.pipeMu.Unlock()
-	if e.pipeline != nil {
-		return errors.New("seqlog: ingestion in progress; close streams before rotating the period")
-	}
 	e.cfg.Period = period
+	if p := e.pipeline; p != nil {
+		// A flush that fails leaves a failed pipeline, whose successor
+		// takes the period from cfg.
+		if p.Flush() == nil {
+			p.SetPeriod(period)
+		}
+	}
 	return nil
 }
 
@@ -1278,9 +1282,7 @@ type IndexInfo struct {
 	Recovery RecoveryInfo `json:"recovery"`
 	Degraded bool         `json:"degraded"`
 	// Ingest reports the ingestion-pipeline counters, which count Ingest
-	// batches and stream appends alike: live while either holds the
-	// pipeline, the final snapshot after it drained, nil before the first
-	// ingestion.
+	// batches and stream appends alike; nil before the first write.
 	Ingest *IngestStats `json:"ingest,omitempty"`
 	// Role is this engine's replication role: "follower" while tailing a
 	// primary, "primary" otherwise.
@@ -1299,7 +1301,7 @@ func (e *Engine) Info() (IndexInfo, error) {
 		Cache:       e.CacheStats(),
 		Segments:    SegmentStats(e.tables.SegmentStats()),
 		Recovery:    e.Recovery(),
-		Ingest:      e.ingestStats(),
+		Ingest:      e.IngestInfo(),
 		Role:        e.Role(),
 		Replication: e.Replication(),
 	}
@@ -1381,16 +1383,22 @@ func (e *Engine) Freeze() error {
 // shutdown.
 func (e *Engine) Sync() error { return e.syncDisks() }
 
-// Close releases the engine. An open ingestion stream is drained with a
-// final group commit first; durable engines then flush their write-ahead
-// log. Every shard is closed even if one fails; the first error wins.
+// Close releases the engine. Its ingestion pipeline is drained with a final
+// group commit first, after which every Appender refuses; durable engines
+// then flush their write-ahead log. Every shard is closed even if one
+// fails; the first error wins.
 func (e *Engine) Close() error {
 	// Stop pulling from the primary first: the applier must not race the
 	// store shutdown below.
 	if e.follower != nil {
 		e.follower.Stop()
 	}
-	perr := e.closePipeline()
+	var perr error
+	e.pipeMu.Lock()
+	if e.pipeline != nil {
+		perr = e.pipeline.Close()
+	}
+	e.pipeMu.Unlock()
 	var serr error
 	for _, s := range e.stores {
 		if err := s.Close(); err != nil && serr == nil {

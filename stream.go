@@ -3,6 +3,7 @@ package seqlog
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"seqlog/internal/ingest"
 	"seqlog/internal/model"
@@ -29,78 +30,72 @@ type StreamOptions struct {
 	Block bool
 }
 
-// IngestStats mirrors the counters of the ingestion pipeline.
-type IngestStats struct {
-	Queued   int64 `json:"queued"`
-	Accepted int64 `json:"accepted"`
-	Flushed  int64 `json:"flushed"`
-	Batches  int64 `json:"batches"`
-	Syncs    int64 `json:"syncs"`
-	Stalls   int64 `json:"stalls"`
-	Sessions int64 `json:"sessions,omitempty"`
-	// Reextracted counts the events handed to pair extraction.
-	Reextracted int64 `json:"reextracted"`
-}
+// IngestStats are the counters of the ingestion pipeline.
+type IngestStats = ingest.Stats
 
-// Appender is one handle onto the engine's shared ingestion pipeline. All
-// appenders — and every Ingest call — feed the same pipeline; the last
-// Close drains it with a final group commit. An Appender is safe for
-// concurrent use, but events of one trace must be appended in timestamp
-// order (across all its appenders) for the serial-equivalence guarantee.
+// Appender is one handle onto the engine's ingestion pipeline, which every
+// Appender and every Ingest call share and which lives until Engine.Close.
+// It remembers the last flush cycle holding its events, so its Flush and
+// Close wait for those alone, never for another writer's. An Appender is
+// safe for concurrent use, but events of one trace must be appended in
+// timestamp order (across all its appenders) for the serial-equivalence
+// guarantee.
 type Appender struct {
 	e      *Engine
 	p      *ingest.Pipeline
 	block  bool
+	ticket atomic.Uint64 // the latest cycle holding this handle's events
 	closed bool
 }
 
-// OpenStream opens (or joins) the engine's ingestion pipeline. The first
-// holder starts it; later calls return additional appenders onto it. An
-// acknowledged Flush is durable on disk-backed engines: each flush commits
-// as one atomic WAL group per store.
+// OpenStream returns a handle onto the engine's ingestion pipeline, starting
+// the pipeline on the engine's first write. An acknowledged Flush is durable
+// on disk-backed engines: each flush commits as one atomic WAL group per
+// store.
 func (e *Engine) OpenStream(opts StreamOptions) (*Appender, error) {
+	p, err := e.writer()
+	if err != nil {
+		return nil, err
+	}
+	return &Appender{e: e, p: p, block: opts.Block}, nil
+}
+
+// writer returns the engine's pipeline, starting it on the first write. A
+// pipeline a commit error failed refuses every append and is replaced here:
+// its holders keep their handles and see the error, its counters are folded
+// into the engine totals, and it is closed before its successor starts, whose
+// sessions would otherwise load Seq rows that miss its last commit.
+func (e *Engine) writer() (*ingest.Pipeline, error) {
 	if err := e.readOnlyErr(); err != nil {
 		return nil, err
 	}
 	e.pipeMu.Lock()
 	defer e.pipeMu.Unlock()
-	for {
-		for e.draining != nil {
-			e.drained.Wait()
+	if p := e.pipeline; p != nil {
+		if p.Err() == nil {
+			return p, nil
 		}
-		failed := e.pipeline
-		if failed == nil || failed.Err() == nil {
-			break
-		}
-		// A failed pipeline refuses every append; detach it so this caller
-		// starts afresh. Its holders keep their handles and see the error,
-		// so the drain's error is theirs, not this caller's.
-		e.pipeline, e.streams, e.draining = nil, 0, failed
-		e.pipeMu.Unlock()
-		e.drain(failed)
-		e.pipeMu.Lock()
+		p.Close()
+		addIngest(&e.ingestTotal, p.Stats())
 	}
-	if e.pipeline == nil {
-		rule := e.rule()
-		p, err := ingest.New(e.tables, ingest.Options{
-			Policy:        rule.Policy,
-			PartialOrder:  rule.PartialOrder,
-			Period:        e.cfg.Period,
-			Workers:       e.cfg.Workers,
-			FlushEvents:   e.cfg.FlushEvents,
-			FlushInterval: e.cfg.FlushInterval,
-			QueueEvents:   e.cfg.IngestQueue,
-			CommitLock:    &e.mu,
-			BeforeCommit:  e.persistAlphabetIfGrown,
-			Metrics:       e.metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.pipeline = p
+	rule := e.rule()
+	p, err := ingest.New(e.tables, ingest.Options{
+		Policy:        rule.Policy,
+		PartialOrder:  rule.PartialOrder,
+		Period:        e.cfg.Period,
+		Workers:       e.cfg.Workers,
+		FlushEvents:   e.cfg.FlushEvents,
+		FlushInterval: e.cfg.FlushInterval,
+		QueueEvents:   e.cfg.IngestQueue,
+		CommitLock:    &e.mu,
+		BeforeCommit:  e.persistAlphabetIfGrown,
+		Metrics:       e.metrics,
+	})
+	if err != nil {
+		return nil, err
 	}
-	e.streams++
-	return &Appender{e: e, p: e.pipeline, block: opts.Block}, nil
+	e.pipeline = p
+	return p, nil
 }
 
 // PartialOrder reports whether the engine keeps same-timestamp events
@@ -152,7 +147,17 @@ func (a *Appender) AppendCtx(ctx context.Context, events []Event) error {
 	if a.closed {
 		return ingest.ErrClosed
 	}
-	return a.p.AppendCtx(ctx, a.e.intern(events), a.block)
+	t, err := a.p.AppendCtx(ctx, a.e.intern(events), a.block)
+	if err != nil {
+		return err
+	}
+	// Concurrent Appends may return out of order; keep the latest ticket.
+	for cur := a.ticket.Load(); uint64(t) > cur; cur = a.ticket.Load() {
+		if a.ticket.CompareAndSwap(cur, uint64(t)) {
+			break
+		}
+	}
+	return nil
 }
 
 // Flush commits everything this appender admitted and blocks until the
@@ -168,137 +173,52 @@ func (a *Appender) FlushCtx(ctx context.Context) error {
 	if a.closed {
 		return ingest.ErrClosed
 	}
-	return a.p.FlushCtx(ctx)
+	return a.p.FlushTo(ctx, ingest.Ticket(a.ticket.Load()))
 }
 
 // Stats snapshots the shared pipeline counters.
 func (a *Appender) Stats() IngestStats {
-	return IngestStats(a.p.Stats())
+	return a.p.Stats()
 }
 
-// Close detaches this appender. The last Close drains the pipeline with a
-// final group commit and stops it; a later OpenStream starts a fresh one.
+// Close flushes what this appender admitted and retires the handle; the
+// pipeline keeps running for the engine's other writers.
 func (a *Appender) Close() error {
 	if a.closed {
 		return nil
 	}
+	err := a.Flush()
 	a.closed = true
-	e := a.e
-	e.pipeMu.Lock()
-	last := false
-	if e.pipeline == a.p { // else it failed or Engine.Close drained it
-		e.streams--
-		if last = e.streams == 0; last {
-			e.pipeline, e.draining = nil, a.p
-		}
-	}
-	e.pipeMu.Unlock()
-	if !last {
-		return nil
-	}
-	if err := e.drain(a.p); err != nil {
-		return fmt.Errorf("seqlog: draining ingestion stream: %w", err)
+	if err != nil {
+		return fmt.Errorf("seqlog: flushing ingestion stream: %w", err)
 	}
 	return nil
 }
 
-// drain closes p, detached from the engine as e.draining, and folds its
-// counters into the engine totals. OpenStream waits for it before starting
-// a successor, whose sessions would otherwise load Seq rows that miss p's
-// last commit; readers do not wait.
-func (e *Engine) drain(p *ingest.Pipeline) error {
-	err := p.Close()
-	st := p.Stats()
-	e.pipeMu.Lock()
-	defer e.pipeMu.Unlock()
-	e.lastIngest = st
-	addIngest(&e.ingestTotal, st)
-	e.draining = nil
-	e.drained.Broadcast()
-	return err
-}
-
-// ingestCumulative sums the counters of all drained pipelines with the live
-// (or draining) one, keeping the exported ingest counters monotone across
-// restarts.
-func (e *Engine) ingestCumulative() ingest.Stats {
-	e.pipeMu.Lock()
-	st := e.ingestTotal
-	p := e.activeLocked()
-	e.pipeMu.Unlock()
-	if p != nil {
-		live := p.Stats()
-		addIngest(&st, live)
-		st.Queued, st.Sessions = live.Queued, live.Sessions
-	}
-	return st
-}
-
 // addIngest adds the monotone counters of src to dst; Queued and Sessions
 // are instantaneous and belong to the live pipeline.
-func addIngest(dst *ingest.Stats, src ingest.Stats) {
+func addIngest(dst *IngestStats, src IngestStats) {
 	dst.Accepted += src.Accepted
 	dst.Flushed += src.Flushed
 	dst.Batches += src.Batches
 	dst.Syncs += src.Syncs
 	dst.Stalls += src.Stalls
 	dst.Reextracted += src.Reextracted
+	dst.Loaded += src.Loaded
 }
 
-// activeLocked is the pipeline whose counters are live: the open one, else
-// the one draining (pipeMu held).
-func (e *Engine) activeLocked() *ingest.Pipeline {
-	if e.pipeline != nil {
-		return e.pipeline
-	}
-	return e.draining
-}
-
-// liveIngest snapshots the active pipeline's counters, or zeros when no
-// ingestion holds one.
-func (e *Engine) liveIngest() ingest.Stats {
+// IngestInfo returns the ingestion-pipeline counters, nil before the
+// engine's first write: the pipeline's own plus those of the failed ones it
+// replaced, so they never fall. Unlike Info it touches no tables.
+func (e *Engine) IngestInfo() *IngestStats {
 	e.pipeMu.Lock()
-	p := e.activeLocked()
-	e.pipeMu.Unlock()
-	if p == nil {
-		return ingest.Stats{}
-	}
-	return p.Stats()
-}
-
-// closePipeline force-drains the pipeline on engine Close, regardless of
-// open appenders, after any drain already under way.
-func (e *Engine) closePipeline() error {
-	e.pipeMu.Lock()
-	for e.draining != nil {
-		e.drained.Wait()
-	}
-	p := e.pipeline
-	e.pipeline, e.streams, e.draining = nil, 0, p
+	p, st := e.pipeline, e.ingestTotal
 	e.pipeMu.Unlock()
 	if p == nil {
 		return nil
 	}
-	return e.drain(p)
-}
-
-// IngestInfo returns the ingestion-pipeline counters: live while ingestion
-// holds the pipeline, the final snapshot after it last drained, nil before
-// the first ingestion. Unlike Info it touches no tables.
-func (e *Engine) IngestInfo() *IngestStats { return e.ingestStats() }
-
-// ingestStats returns the live pipeline counters, or the snapshot of the
-// last drained pipeline, or nil before the first ingestion.
-func (e *Engine) ingestStats() *IngestStats {
-	e.pipeMu.Lock()
-	defer e.pipeMu.Unlock()
-	if p := e.activeLocked(); p != nil {
-		st := IngestStats(p.Stats())
-		return &st
-	}
-	if e.lastIngest != (ingest.Stats{}) {
-		st := IngestStats(e.lastIngest)
-		return &st
-	}
-	return nil
+	live := p.Stats()
+	addIngest(&st, live)
+	st.Queued, st.Sessions = live.Queued, live.Sessions
+	return &st
 }

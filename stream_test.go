@@ -202,8 +202,10 @@ func TestIngestWhenStreamClosesUnderIt(t *testing.T) {
 	}
 }
 
-// TestStreamInfoAndSharedPipeline: Info surfaces pipeline counters, second
-// OpenStream joins the same pipeline, and the snapshot survives the drain.
+// TestStreamInfoAndSharedPipeline: Info surfaces the counters of the one
+// pipeline every appender shares. Closing an appender flushes its events
+// and leaves the pipeline running, so after every Close the counters are
+// still live and never fall.
 func TestStreamInfoAndSharedPipeline(t *testing.T) {
 	e := openMem(t, Config{FlushEvents: 4})
 	if info, _ := e.Info(); info.Ingest != nil {
@@ -223,26 +225,147 @@ func TestStreamInfoAndSharedPipeline(t *testing.T) {
 	go func() { defer wg.Done(); _ = a1.Append(evs[:6]) }()
 	go func() { defer wg.Done(); _ = a2.Append(evs[6:]) }()
 	wg.Wait()
+
+	var last IngestStats
+	check := func(step string, flushed int) {
+		t.Helper()
+		info, err := e.Info()
+		if err != nil || info.Ingest == nil {
+			t.Fatalf("%s: info lacks live ingest stats: %+v %v", step, info.Ingest, err)
+		}
+		st := *info.Ingest
+		if st.Flushed < int64(flushed) || st.Accepted < last.Accepted || st.Flushed < last.Flushed || st.Batches < last.Batches {
+			t.Fatalf("%s: ingest stats %+v, want at least %d flushed and no counter below %+v", step, st, flushed, last)
+		}
+		last = st
+	}
 	if err := a1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Pipeline still running: a2 keeps it alive.
-	if err := a2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := e.Info()
-	if err != nil || info.Ingest == nil {
-		t.Fatalf("info lacks live ingest stats: %+v %v", info.Ingest, err)
-	}
-	if info.Ingest.Flushed != int64(len(evs)) {
-		t.Fatalf("flushed = %d, want %d", info.Ingest.Flushed, len(evs))
-	}
+	check("first close", 6)
 	if err := a2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err = e.Info()
-	if err != nil || info.Ingest == nil || info.Ingest.Flushed != int64(len(evs)) {
-		t.Fatalf("post-drain snapshot missing: %+v %v", info.Ingest, err)
+	check("second close", len(evs))
+	if _, err := e.Ingest([]Event{{Trace: 9, Activity: "search", Time: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	check("ingest after every close", len(evs)+1)
+	if st := e.IngestInfo(); st == nil || *st != last {
+		t.Fatalf("IngestInfo %+v, Info().Ingest %+v", st, last)
+	}
+}
+
+// slowTables makes every Seq append take a millisecond, so a steady
+// appender keeps the queue full.
+type slowTables struct{ storage.Backend }
+
+func (s slowTables) AppendSeq(id model.TraceID, evs []model.TraceEvent) error {
+	time.Sleep(time.Millisecond)
+	return s.Backend.AppendSeq(id, evs)
+}
+
+// TestIngestReturnsBesideBusyAppender: Engine.Ingest waits for the flush
+// cycle holding its own batch, not for the queue to empty, so it returns
+// while another appender keeps the queue full and never flushes.
+func TestIngestReturnsBesideBusyAppender(t *testing.T) {
+	e := openMem(t, Config{FlushEvents: 8, IngestQueue: 32})
+	e.tables = slowTables{e.tables}
+	a, err := e.OpenStream(StreamOptions{Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	busy := make(chan error, 1)
+	go func() {
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				busy <- nil
+				return
+			default:
+			}
+			evs := []Event{{Trace: 1000 + i, Activity: "x", Time: 1}, {Trace: 1000 + i, Activity: "y", Time: 2}}
+			if err := a.Append(evs); err != nil {
+				busy <- err
+				return
+			}
+		}
+	}()
+	for st := e.IngestInfo(); st == nil || st.Batches < 2; st = e.IngestInfo() {
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Ingest(streamEvents())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Ingest did not return while another appender kept the queue full")
+	}
+	close(stop)
+	if err := <-busy; err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := detectTraces(e, []string{"search", "view", "cart"}); err != nil || !reflect.DeepEqual(ids, []int64{1, 3}) {
+		t.Fatalf("search,view,cart traces = %v (%v), want [1 3]", ids, err)
+	}
+}
+
+// TestRotateAndPruneWithStreamOpen: RotatePeriod and PruneTraces succeed
+// while a stream is open. What the stream appended before the rotation
+// lands in the old partition, what it appends after in the new one, and a
+// pruned trace the stream extends afterwards starts afresh.
+func TestRotateAndPruneWithStreamOpen(t *testing.T) {
+	e := openMem(t, Config{FlushEvents: 1 << 10, FlushInterval: time.Hour})
+	a, err := e.OpenStream(StreamOptions{Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Append([]Event{{Trace: 1, Activity: "a", Time: 1}, {Trace: 1, Activity: "b", Time: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RotatePeriod("p2"); err != nil {
+		t.Fatalf("rotate with a stream open: %v", err)
+	}
+	if err := a.Append([]Event{{Trace: 2, Activity: "c", Time: 3}, {Trace: 2, Activity: "d", Time: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PruneTraces([]int64{1}); err != nil {
+		t.Fatalf("prune with a stream open: %v", err)
+	}
+	if err := a.Append([]Event{{Trace: 1, Activity: "e", Time: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := e.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"": 1, "p2": 1}; !reflect.DeepEqual(info.Partitions, want) {
+		t.Fatalf("partitions = %v, want the (a,b) pair in the old one and (c,d) in p2", info.Partitions)
+	}
+	for _, pat := range [][]string{{"a", "b"}, {"c", "d"}} {
+		if ids, err := detectTraces(e, pat); err != nil || len(ids) != 1 {
+			t.Fatalf("%v traces = %v (%v)", pat, ids, err)
+		}
+	}
+	if ids, err := detectTraces(e, []string{"b", "e"}); err != nil || len(ids) != 0 {
+		t.Fatalf("pruned trace 1 paired across the prune: %v (%v)", ids, err)
+	}
+	if evs, _, err := e.TraceEvents(1); err != nil || len(evs) != 1 {
+		t.Fatalf("trace 1 after prune = %v (%v), want only e", evs, err)
 	}
 }
 
@@ -403,15 +526,17 @@ func TestFailedPipelineIsDetached(t *testing.T) {
 	}
 }
 
-// TestRotatePeriodBlockedWhileStreaming, and appender misuse.
+// TestStreamGuards: appender misuse — a closed appender refuses appends
+// and flushes, a second Close is a no-op, and an Engine.Close refuses every
+// appender still open.
 func TestStreamGuards(t *testing.T) {
-	e := openMem(t, Config{})
-	a, err := e.OpenStream(StreamOptions{})
+	e, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RotatePeriod("p2"); err == nil {
-		t.Fatal("rotate with open stream accepted")
+	a, err := e.OpenStream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -419,8 +544,21 @@ func TestStreamGuards(t *testing.T) {
 	if err := a.Append(streamEvents()); err == nil {
 		t.Fatal("append on closed appender accepted")
 	}
-	if err := e.RotatePeriod("p2"); err != nil {
-		t.Fatalf("rotate after close: %v", err)
+	if err := a.Flush(); err == nil {
+		t.Fatal("flush on closed appender accepted")
+	}
+	if err := a.Close(); err != nil {
+		t.Fatalf("second close: %v", err)
+	}
+	open, err := e.OpenStream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := open.Append(streamEvents()); err == nil {
+		t.Fatal("append after Engine.Close accepted")
 	}
 }
 
