@@ -360,7 +360,7 @@ func BenchmarkStores(b *testing.B) {
 // time order, one Ingest call per 250-event batch, into a fresh durable
 // engine per iteration. Besides the time per log it reports, per ingested
 // event, the stored events loaded back into resident sessions, the events
-// handed to pair extraction and the allocations.
+// the pair rule read and the allocations.
 func BenchmarkEngineIngest(b *testing.B) {
 	spec, err := loggen.Lookup("max_5000")
 	if err != nil {
@@ -376,7 +376,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
 
-	var loaded, reextracted, allocs uint64
+	var loaded, scanned, allocs uint64
 	var ms runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -398,7 +398,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 		allocs += ms.Mallocs - before
 		st := e.IngestInfo()
 		loaded += uint64(st.Loaded)
-		reextracted += uint64(st.Reextracted)
+		scanned += uint64(st.Scanned)
 		if err := e.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -406,6 +406,6 @@ func BenchmarkEngineIngest(b *testing.B) {
 	}
 	n := float64(b.N) * float64(len(events))
 	b.ReportMetric(float64(loaded)/n, "loaded/event")
-	b.ReportMetric(float64(reextracted)/n, "reextracted/event")
+	b.ReportMetric(float64(scanned)/n, "scanned/event")
 	b.ReportMetric(float64(allocs)/n, "allocs/event")
 }

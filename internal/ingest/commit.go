@@ -21,9 +21,9 @@ type shardDelta struct {
 	traces  []model.TraceID // first-appearance order, for determinism
 	seqs    map[model.TraceID][]model.TraceEvent
 	entries map[model.PairKey][]storage.IndexEntry
-	// extracted and loaded count the events the shard handed to pair
-	// extraction and read from Seq rows into sessions.
-	extracted, loaded int
+	// scanned and loaded count the events the rule read to pair the new
+	// ones and the events read from Seq rows into sessions.
+	scanned, loaded int
 }
 
 func newShardDelta() *shardDelta {
@@ -77,17 +77,13 @@ func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDel
 				return nil, err
 			}
 			sess = &session{id: id, events: old}
+			sess.tally.Add(old)
 			sh.sessions[id] = sess
 			sh.resident += len(old)
 			d.loaded += len(old)
 		}
 		stored := len(sess.events)
-		if sess.tally == nil && stored > 0 {
-			// Built once the trace holds events, so a one-shot batch of new
-			// traces never pays for it.
-			sess.tally = pairs.NewTally(sess.events)
-		}
-		full, res, n, err := p.rule.Extend(sess.events, byTrace[id], sess.tally)
+		full, res, n, err := p.rule.Extend(sess.events, byTrace[id], &sess.tally)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: trace %d: %w", id, err)
 		}
@@ -95,7 +91,7 @@ func (p *Pipeline) extractShard(sh *ingestShard, inbox []model.Event) (*shardDel
 		sh.resident += len(full) - stored
 		sh.fed(sess)
 		d.add(id, full[stored:], res)
-		d.extracted += n
+		d.scanned += n
 	}
 	return d, nil
 }

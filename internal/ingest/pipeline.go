@@ -13,8 +13,8 @@
 //     loaded from its Seq row when the trace first reaches the pipeline. A
 //     flush extends each touched trace by the same per-trace rule the batch
 //     Builder applies (pairs.Rule), so both write the same rows; a session
-//     pairs an activity new to its trace without extraction and re-extracts
-//     only the suffix window its other new events can complete pairs in.
+//     pairs each new event by reading back to its activity's previous
+//     occurrence, or, for an activity new to the trace, its tally.
 //     Past residentEvents stored events the least recently fed sessions are
 //     evicted, and a trace that comes back is loaded again.
 //   - The pipeline lives as long as its engine. An Append returns a Ticket,
@@ -146,10 +146,10 @@ type Stats struct {
 	Syncs    int64 `json:"syncs"`              // cycles sealed by a group commit (an fsync on durable stores)
 	Stalls   int64 `json:"stalls"`             // Appends that blocked or were refused
 	Sessions int64 `json:"sessions,omitempty"` // resident trace sessions
-	// Reextracted counts the events handed to pair extraction, summed over
-	// cycles: each window's stored events plus the new events it covers. An
-	// activity new to its trace is paired without extraction.
-	Reextracted int64 `json:"reextracted"`
+	// Scanned counts the events the pair rule read, summed over cycles:
+	// each new event's gap back to its activity's previous occurrence, or
+	// the first occurrences an activity new to its trace pairs with.
+	Scanned int64 `json:"scanned"`
 	// Loaded counts the stored Seq events read into sessions.
 	Loaded int64 `json:"loaded"`
 }
@@ -158,7 +158,7 @@ type Stats struct {
 type Ticket uint64
 
 // residentBudget is how many stored events one pipeline's sessions hold
-// before the least recently fed are evicted: about 16-21 MiB at the 64-83
+// before the least recently fed are evicted: about 9-11 MiB at the 33-42
 // bytes per event measured on bpi_2017 and max_5000 (DESIGN §7).
 const residentBudget = 1 << 18
 
@@ -178,17 +178,17 @@ type storeWriter struct {
 
 // flushJob is one extracted cycle moving through the commit stages.
 type flushJob struct {
-	parts     []*shardDelta // per store, aligned with Pipeline.stores
-	period    string        // the partition the cycle's entries go to
-	total     int           // events in the cycle
-	sessions  int64         // resident sessions after extraction
-	extracted int64         // events handed to pair extraction
-	loaded    int64         // stored events read into sessions
-	start     time.Time     // cycle start (inbox swap)
-	cycle     Ticket        // extraction cycle number
-	waits     []kvstore.Durability
-	syncs     int64
-	err       error
+	parts    []*shardDelta // per store, aligned with Pipeline.stores
+	period   string        // the partition the cycle's entries go to
+	total    int           // events in the cycle
+	sessions int64         // resident sessions after extraction
+	scanned  int64         // events the pair rule read
+	loaded   int64         // stored events read into sessions
+	start    time.Time     // cycle start (inbox swap)
+	cycle    Ticket        // extraction cycle number
+	waits    []kvstore.Durability
+	syncs    int64
+	err      error
 }
 
 // Pipeline is the ingestion subsystem. Append may be called from
@@ -264,16 +264,14 @@ type lastAppend struct {
 // stored Seq prefix, read when the trace reaches the pipeline (again after an
 // eviction), plus everything extracted since. Every flush that touches the trace
 // extends them by pairs.Rule, exactly as one Builder.Update over the same
-// prefix would; the tally (each activity's count and first occurrence) lets
-// the rule pair an activity new to the trace without extraction and
-// re-extract only the suffix window the other new events can complete pairs
-// in.
+// prefix would; the tally (each activity's first occurrence and parity) lets
+// the rule pair an activity new to the trace without reading the trace.
 type session struct {
 	id     model.TraceID
 	events []model.TraceEvent
-	tally  *pairs.Tally // of events; built when first needed
-	cycle  Ticket       // extraction cycle that last fed the session
-	prev   *session     // the shard's sessions, least recently fed first
+	tally  pairs.Tally // of events
+	cycle  Ticket      // extraction cycle that last fed the session
+	prev   *session    // the shard's sessions, least recently fed first
 	next   *session
 }
 
@@ -318,7 +316,7 @@ func (sh *ingestShard) evict(budget int, written Ticket) (ids []model.TraceID) {
 
 // New returns a running pipeline writing through tables.
 func New(tables storage.Backend, opts Options) (*Pipeline, error) {
-	rule := pairs.Rule{Policy: opts.Policy, Method: pairs.Indexing, PartialOrder: opts.PartialOrder}
+	rule := pairs.Rule{Policy: opts.Policy, PartialOrder: opts.PartialOrder}
 	if err := rule.Validate(); err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
@@ -860,7 +858,7 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 	for i, d := range deltas {
 		job.sessions += int64(len(p.shards[i].sessions))
 		if d != nil {
-			job.extracted += int64(d.extracted)
+			job.scanned += int64(d.scanned)
 			job.loaded += int64(d.loaded)
 		}
 	}
@@ -949,7 +947,7 @@ func (p *Pipeline) finishJob(job *flushJob) {
 		p.stats.Batches++
 		p.stats.Syncs += job.syncs
 		p.stats.Sessions = job.sessions
-		p.stats.Reextracted += job.extracted
+		p.stats.Scanned += job.scanned
 		p.stats.Loaded += job.loaded
 	}
 	p.cond.Broadcast()

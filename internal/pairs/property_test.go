@@ -91,79 +91,95 @@ func TestExtractionIsPrefixStable(t *testing.T) {
 
 // TestExtendLargeAlphabetsMatchReference: over alphabets of 30–60
 // activities, where most events are new to their trace, a trace fed to
-// Extend one event at a time or in random chunks — with ties and
-// regressions, which the rule bumps forward — reports across its calls
-// exactly the occurrences ExtractReference finds in the normalised whole
-// trace. The tally is built once the trace holds events, as a pipeline
-// session builds it.
+// Extend one event at a time or in random chunks — with ties and, under a
+// total order, regressions, which the rule bumps forward — reports across
+// its calls exactly the occurrences the reference finds in the normalised
+// whole trace: ExtractReference, or ExtractReferencePartial under partial
+// order, whose chunks never split a tie group. The tally is built once the
+// trace holds events, as a pipeline session builds it.
 func TestExtendLargeAlphabetsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	events, fresh := 0, 0
-	for iter := 0; iter < 150; iter++ {
-		alphabet := 30 + rng.Intn(31)
-		evs := make([]model.TraceEvent, 1+rng.Intn(alphabet*3/2))
-		ts := model.Timestamp(100)
-		seen := make(map[model.ActivityID]bool)
-		for i := range evs {
-			switch rng.Intn(5) {
-			case 0: // tie
-			case 1:
-				ts -= model.Timestamp(1 + rng.Intn(5)) // regression
-			default:
-				ts += model.Timestamp(1 + rng.Intn(5))
-			}
-			a := model.ActivityID(rng.Intn(alphabet))
-			if !seen[a] {
-				seen[a] = true
-				fresh++
-			}
-			evs[i] = model.TraceEvent{Activity: a, TS: ts}
-		}
-		events += len(evs)
-		perEvent := make([]int, len(evs))
-		var chunks []int
-		for i := range evs {
-			perEvent[i] = i + 1
-			if i+1 == len(evs) || rng.Intn(4) == 0 {
-				chunks = append(chunks, i+1)
-			}
-		}
-		for _, cuts := range [][]int{perEvent, chunks} {
-			var wantSeq []model.TraceEvent
-			var want Result
+	for _, partial := range []bool{false, true} {
+		rules := []Rule{{Policy: model.STNM, PartialOrder: true}}
+		reference := ExtractReferencePartial
+		if !partial {
+			rules = rules[:0]
 			for _, m := range stnmMethods {
-				r := Rule{Policy: model.STNM, Method: m}
-				var (
-					seq   []model.TraceEvent
-					res   Result
-					tally *Tally
-					err   error
-				)
-				got := make(Result)
-				lo := 0
-				for _, hi := range cuts {
-					if tally == nil && len(seq) > 0 {
-						tally = NewTally(seq)
+				rules = append(rules, Rule{Policy: model.STNM, Method: m})
+			}
+			reference = ExtractReference
+		}
+		events, fresh := 0, 0
+		for iter := 0; iter < 150; iter++ {
+			alphabet := 30 + rng.Intn(31)
+			evs := make([]model.TraceEvent, 1+rng.Intn(alphabet*3/2))
+			ts := model.Timestamp(100)
+			seen := make(map[model.ActivityID]bool)
+			for i := range evs {
+				switch rng.Intn(5) {
+				case 0: // tie
+				case 1:
+					if !partial {
+						ts -= model.Timestamp(1 + rng.Intn(5)) // regression
 					}
-					if seq, res, _, err = r.Extend(seq, slices.Clone(evs[lo:hi]), tally); err != nil {
-						t.Fatal(err)
-					}
-					for k, occ := range res {
-						got[k] = append(got[k], occ...)
-					}
-					lo = hi
+				default:
+					ts += model.Timestamp(1 + rng.Intn(5))
 				}
-				if want == nil {
-					wantSeq, want = seq, ExtractReference(seq)
+				a := model.ActivityID(rng.Intn(alphabet))
+				if !seen[a] {
+					seen[a] = true
+					fresh++
 				}
-				if !slices.Equal(seq, wantSeq) || !Equal(got, want) {
-					t.Fatalf("iter %d %v cuts %v: chunked Extend diverges from the reference\ntrace: %v\ngot:  %v %v\nwant: %v %v",
-						iter, m, cuts, evs, seq, got, wantSeq, want)
+				evs[i] = model.TraceEvent{Activity: a, TS: ts}
+			}
+			events += len(evs)
+			var perEvent, chunks []int
+			for i := range evs {
+				if partial && i+1 < len(evs) && evs[i+1].TS == evs[i].TS {
+					continue
+				}
+				perEvent = append(perEvent, i+1)
+				if i+1 == len(evs) || rng.Intn(4) == 0 {
+					chunks = append(chunks, i+1)
+				}
+			}
+			for _, cuts := range [][]int{perEvent, chunks} {
+				var wantSeq []model.TraceEvent
+				var want Result
+				for _, r := range rules {
+					var (
+						seq   []model.TraceEvent
+						res   Result
+						tally *Tally
+						err   error
+					)
+					got := make(Result)
+					lo := 0
+					for _, hi := range cuts {
+						if tally == nil && len(seq) > 0 {
+							tally = new(Tally)
+							tally.Add(seq)
+						}
+						if seq, res, _, err = r.Extend(seq, slices.Clone(evs[lo:hi]), tally); err != nil {
+							t.Fatal(err)
+						}
+						for k, occ := range res {
+							got[k] = append(got[k], occ...)
+						}
+						lo = hi
+					}
+					if want == nil {
+						wantSeq, want = seq, reference(seq)
+					}
+					if !slices.Equal(seq, wantSeq) || !Equal(got, want) {
+						t.Fatalf("iter %d %+v cuts %v: chunked Extend diverges from the reference\ntrace: %v\ngot:  %v %v\nwant: %v %v",
+							iter, r, cuts, evs, seq, got, wantSeq, want)
+					}
 				}
 			}
 		}
-	}
-	if 2*fresh <= events {
-		t.Fatalf("only %d of %d events were new to their trace", fresh, events)
+		if 2*fresh <= events {
+			t.Fatalf("partial=%v: only %d of %d events were new to their trace", partial, fresh, events)
+		}
 	}
 }

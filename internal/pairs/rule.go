@@ -1,8 +1,11 @@
 package pairs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"seqlog/internal/model"
@@ -14,14 +17,13 @@ var ErrReachesBack = errors.New("partial-order batch reaches back")
 
 // Rule is the per-trace step of the incremental index update (§3.1.3,
 // Algorithm 1), shared by the batch Builder and the streaming pipeline:
-// normalise a trace's new events against its indexed prefix, re-extract the
-// pairs the new events can complete, and keep only the occurrences the
-// prefix had not completed.
+// normalise a trace's new events against its indexed prefix and report the
+// occurrences the new events complete.
 type Rule struct {
 	// Policy is SC or STNM; STAM is not indexable with non-overlapping pairs.
 	Policy model.Policy
-	// Method is the STNM extraction flavor (§4.2); ignored for SC and under
-	// partial order.
+	// Method is the STNM extraction flavor (§4.2) of the whole-trace path
+	// (a nil Tally); ignored for SC, under partial order and by sessions.
 	Method Method
 	// PartialOrder treats same-timestamp events as concurrent (§7): ties are
 	// kept, and new events must be strictly later than the stored ones.
@@ -39,55 +41,57 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// Tally is what a pipeline session keeps of its trace between Extend calls:
-// how often each activity occurs in the events so far, and the first
-// occurrence of each, in order of appearance.
-type Tally struct {
-	counts map[model.ActivityID]int
-	firsts []model.TraceEvent
+// Tally is what a pipeline session keeps of its trace between Extend calls,
+// empty when zero: each activity's first occurrence, sorted by activity, and
+// whether the activity occurs in an odd number of timestamp groups.
+type Tally []first
+
+type first struct {
+	ts  model.Timestamp
+	act model.ActivityID
+	odd bool
 }
 
-// NewTally tallies a trace's stored events.
-func NewTally(events []model.TraceEvent) *Tally {
-	t := &Tally{counts: make(map[model.ActivityID]int)}
-	for _, ev := range events {
-		t.add(ev)
-	}
-	return t
+func (t *Tally) find(a model.ActivityID) (int, bool) {
+	return slices.BinarySearchFunc(*t, a, func(f first, a model.ActivityID) int { return cmp.Compare(f.act, a) })
 }
 
-func (t *Tally) add(ev model.TraceEvent) {
-	n := t.counts[ev.Activity]
-	if n == 0 {
-		t.firsts = append(t.firsts, ev)
+// Add tallies events, which hold whole timestamp groups.
+func (t *Tally) Add(events []model.TraceEvent) {
+	for i, ev := range events {
+		if lo, _ := group(events, i); holds(events[lo:i], ev.Activity) {
+			continue // tallied with its group
+		}
+		if k, ok := t.find(ev.Activity); ok {
+			(*t)[k].odd = !(*t)[k].odd
+		} else {
+			*t = slices.Insert(*t, k, first{ts: ev.TS, act: ev.Activity, odd: true})
+		}
 	}
-	t.counts[ev.Activity] = n + 1
 }
 
 // Extend applies the rule to one trace. stored is the trace's indexed prefix
 // (its Seq row) and batch its new events in arrival order. Like append, it
-// returns stored with the batch appended — stable-sorted by timestamp and
-// normalised — reusing stored's spare capacity; the new events are the tail
-// past len(stored). The Result holds the occurrences completing after the
-// prefix: extraction is prefix-stable, so every other one was indexed with
-// the prefix. extracted is how many events Extend handed to extraction.
+// returns stored with the batch appended, stable-sorted by timestamp and
+// normalised, reusing stored's spare capacity; res holds the occurrences
+// completing at a new event and scanned the events read to find them.
 //
-// tally, when non-nil, tallies stored; Extend then adds the batch to it and
-// extracts only what the batch can complete. Under a total-order STNM it
-// walks the batch in order: an activity y new to the trace completes exactly
-// one (x, y) per activity x the trace already holds, at (first x, y) — the
-// retroactive open of the State method (§4.2, StateExtractor.Add) — so it
-// needs no extraction; each run of known activities re-extracts its suffix
-// window (see window) over the events before it. SC and partial order
-// re-extract their window of the whole batch. With a nil tally Extend
-// re-extracts the whole trace.
-//
-// Under a total order, ties and regressions are bumped to the previous
-// timestamp + 1 (the paper's positions-as-timestamps fallback), so the whole
-// sequence is strictly increasing. Under partial order a batch reaching back
-// to the prefix's last timestamp is rejected: splitting a tie group would
-// hide its new completions behind the boundary filter.
-func (r Rule) Extend(stored, batch []model.TraceEvent, tally *Tally) (full []model.TraceEvent, res Result, extracted int, err error) {
+// With a nil tally Extend extracts the whole trace with r.Method and keeps
+// the completions past the prefix (Algorithm 1 as written). Otherwise tally
+// tallies stored, and Extend pairs each timestamp group of new events (an
+// event under a total order) with the groups before it, reading back only
+// to each activity's previous group (DESIGN §7 gives the proof). Under SC
+// an event pairs with its predecessor. Under STNM an activity y new to the
+// trace completes (x, y) at (first x, y) for every x the tally holds, the
+// State method's retroactive open (§4.2); a known y completes (x, y), x ≠ y,
+// at the first x after y's previous group h (under partial order an x tied
+// with h too, unless h completed (x, y)), and (y, y) at (h, y) iff y occurs
+// in an odd number of earlier groups. Under a total order ties and
+// regressions are bumped to the previous timestamp + 1 (the paper's
+// positions-as-timestamps fallback); under partial order a batch reaching
+// back to the prefix is rejected, since splitting a tie group would hide its
+// completions.
+func (r Rule) Extend(stored, batch []model.TraceEvent, tally *Tally) (full []model.TraceEvent, res Result, scanned int, err error) {
 	boundary := model.Timestamp(-1 << 62)
 	if len(stored) > 0 {
 		boundary = stored[len(stored)-1].TS
@@ -110,113 +114,109 @@ func (r Rule) Extend(stored, batch []model.TraceEvent, tally *Tally) (full []mod
 	if len(stored) > 0 {
 		full = append(stored, batch...)
 	}
-	if tally == nil || r.PartialOrder || r.Policy == model.SC {
-		from := 0
-		if tally != nil {
-			from = r.window(stored, batch, tally)
-			for _, ev := range batch {
-				tally.add(ev)
-			}
-		}
-		res = r.extract(full[from:])
-		if len(stored) > 0 {
-			res = appendFresh(make(Result), res, boundary)
-		}
-		return full, res, len(full) - from, nil
-	}
-
-	res = make(Result)
-	for i := 0; i < len(batch); {
-		y := batch[i]
-		if tally.counts[y.Activity] == 0 {
-			occ := make([]Occurrence, len(tally.firsts))
-			for j, x := range tally.firsts {
-				occ[j] = Occurrence{TsA: x.TS, TsB: y.TS}
-				res[model.NewPairKey(x.Activity, y.Activity)] = occ[j : j+1 : j+1]
-			}
-			tally.add(y)
-			i++
-			continue
-		}
-		end := i + 1
-		for end < len(batch) && tally.counts[batch[end].Activity] > 0 {
-			end++
-		}
-		prefix := full[:len(stored)+i]
-		from := r.window(prefix, batch[i:end], tally)
-		res = appendFresh(res, r.extract(full[from:len(stored)+end]), prefix[len(prefix)-1].TS)
-		extracted += len(stored) + end - from
-		for _, ev := range batch[i:end] {
-			tally.add(ev)
-		}
-		i = end
-	}
-	return full, res, extracted, nil
-}
-
-func (r Rule) extract(events []model.TraceEvent) Result {
-	if r.PartialOrder {
-		return ExtractSTNMPartial(events)
-	}
-	return Extract(events, r.Policy, r.Method)
-}
-
-// appendFresh appends to dst the occurrences of res completing after
-// boundary. Per pair they come last in res, in completion order.
-func appendFresh(dst, res Result, boundary model.Timestamp) Result {
-	for k, occ := range res {
-		lo := len(occ)
-		for lo > 0 && occ[lo-1].TsB > boundary {
-			lo--
-		}
-		if lo == len(occ) {
-			continue
-		}
-		if cur := dst[k]; cur != nil {
-			dst[k] = append(cur, occ[lo:]...)
+	if tally == nil {
+		if r.PartialOrder {
+			res = ExtractSTNMPartial(full)
 		} else {
-			dst[k] = occ[lo:]
+			res = Extract(full, r.Policy, r.Method)
 		}
+		for k, occ := range res { // keep the completions past the prefix
+			res[k] = occ[sort.Search(len(occ), func(i int) bool { return occ[i].TsB > boundary }):]
+		}
+		maps.DeleteFunc(res, func(_ model.PairKey, occ []Occurrence) bool { return len(occ) == 0 })
+		return full, res, len(full), nil
 	}
-	return dst
-}
 
-// window returns the first position of stored that re-extraction must start
-// from to report every completion batch adds, given the tally of stored;
-// every batch activity must already occur in stored. SC pairs neighbours, so
-// the last stored event suffices. Under a total-order STNM a completion
-// (x, y) ends at a batch event y, and every (x, y) match restarts after an
-// occurrence of y, so the window starts at or before the position just past
-// y's last stored occurrence; it also starts past an even number of ys, so
-// the (y, y) self pairs keep their alternation. Partial-order matches chain
-// through tie groups, so they re-extract the whole trace. A trace extended in
-// small steps thus costs about the steps' size each, not the trace's length.
-func (r Rule) window(stored, batch []model.TraceEvent, tally *Tally) int {
-	if r.PartialOrder || len(stored) == 0 {
-		return 0
-	}
-	if r.Policy == model.SC {
-		return len(stored) - 1
-	}
-	tail := make(map[model.ActivityID]int) // batch activity -> occurrences in stored[w:]
-	for _, ev := range batch {
-		tail[ev.Activity] = 0
-	}
-	for w := len(stored); w > 0; w-- {
-		prev := stored[w-1].Activity
-		ok := true
-		for y, n := range tail {
-			if (n == 0 && prev != y) || (tally.counts[y]-n)%2 != 0 {
-				ok = false
-				break
+	res, arena := make(Result), make([]Occurrence, 0, len(*tally))
+	for s := len(stored); s < len(full); {
+		_, e := group(full, s)
+		for i := s; i < e; i++ {
+			y := full[i]
+			switch {
+			case r.Policy == model.SC:
+				if i > 0 {
+					put(res, &arena, full[i-1].Activity, y.Activity, full[i-1].TS, y.TS)
+					scanned++
+				}
+				continue
+			case holds(full[s:i], y.Activity):
+				continue // paired with its group
+			}
+			k, known := tally.find(y.Activity)
+			if !known {
+				for _, x := range *tally {
+					put(res, &arena, x.act, y.Activity, x.ts, y.TS)
+				}
+				scanned += len(*tally)
+				continue
+			}
+			h, _ := lastGroup(full, y.Activity, s)
+			scanned += s - h
+			for _, x := range full[h:s] {
+				if x.Activity != y.Activity && (x.TS > full[h].TS || !completedAt(full, x.Activity, y.Activity, h)) {
+					put(res, &arena, x.Activity, y.Activity, x.TS, y.TS)
+				}
+			}
+			if (*tally)[k].odd {
+				put(res, &arena, y.Activity, y.Activity, full[h].TS, y.TS)
 			}
 		}
-		if ok {
-			return w
+		tally.Add(full[s:e])
+		s = e
+	}
+	return full, res, scanned, nil
+}
+
+// completedAt reports whether the tie group at events[lo], holding x and y,
+// completed (x, y): iff an x lies after y's previous group, or that group
+// holds an x and did not complete (x, y) itself, the same test one group back.
+func completedAt(events []model.TraceEvent, x, y model.ActivityID, lo int) bool {
+	for done := true; ; done = !done {
+		gl, gh := lastGroup(events, y, lo)
+		if holds(events[gh:lo], x) {
+			return done
 		}
-		if _, in := tail[prev]; in {
-			tail[prev]++
+		if !holds(events[gl:gh], x) {
+			return !done
+		}
+		lo = gl
+	}
+}
+
+// lastGroup bounds a's last timestamp group before events[lo]; 0, 0 if none.
+func lastGroup(events []model.TraceEvent, a model.ActivityID, lo int) (int, int) {
+	for j := lo - 1; j >= 0; j-- {
+		if events[j].Activity == a {
+			return group(events, j)
 		}
 	}
-	return 0
+	return 0, 0
+}
+
+// group returns the bounds of the timestamp group holding events[i].
+func group(events []model.TraceEvent, i int) (lo, hi int) {
+	lo, hi = i, i+1
+	for lo > 0 && events[lo-1].TS == events[i].TS {
+		lo--
+	}
+	for hi < len(events) && events[hi].TS == events[i].TS {
+		hi++
+	}
+	return lo, hi
+}
+
+func holds(events []model.TraceEvent, a model.ActivityID) bool {
+	return slices.ContainsFunc(events, func(ev model.TraceEvent) bool { return ev.Activity == a })
+}
+
+// put adds (tsA, tsB) to (x, y) once per group, cutting new pairs from arena.
+func put(res Result, arena *[]Occurrence, x, y model.ActivityID, tsA, tsB model.Timestamp) {
+	k, o := model.NewPairKey(x, y), Occurrence{TsA: tsA, TsB: tsB}
+	switch occ := res[k]; {
+	case len(occ) == 0:
+		*arena = append(*arena, o)
+		res[k] = slices.Clip((*arena)[len(*arena)-1:])
+	case occ[len(occ)-1].TsB != tsB:
+		res[k] = append(occ, o)
+	}
 }

@@ -52,7 +52,7 @@ func TestExtendChunksEqualBatch(t *testing.T) {
 					tally *Tally
 				)
 				if windowed {
-					tally = NewTally(nil)
+					tally = new(Tally)
 				}
 				got := make(Result)
 				for lo := 0; lo < len(evs); {
@@ -78,34 +78,37 @@ func TestExtendChunksEqualBatch(t *testing.T) {
 	}
 }
 
-// TestExtendWindowStaysNearTheEnd: a long trace extended a few events at a
-// time hands extraction about the steps' size, not the stored prefix — the
-// bound that keeps a long-lived stream linear in its length. SC needs one
-// stored event; STNM reaches back past each batch activity's last
-// occurrence. The 40-activity leg meets a new activity every 50 steps, long
-// after its prefix is long: a new activity is paired without extraction, so
-// no call re-extracts the whole stored prefix. Its windows are wider, since
-// one window must start past an even number of occurrences of each of up to
-// four rarer batch activities at once.
-func TestExtendWindowStaysNearTheEnd(t *testing.T) {
+// TestExtendReadsPerCall: a long trace extended a few events at a time
+// reads about the steps' size per call, not the stored prefix — the bound
+// that keeps a long-lived stream linear in its length. SC reads one stored
+// event per new one; STNM reads each new event's gap back to its activity's
+// previous occurrence, and partial order the same over tie groups. The
+// 40-activity leg meets a new activity every 50 steps, long after its prefix
+// is long: a new activity reads the tally, not the trace, and a known one a
+// gap about as wide as the alphabet.
+func TestExtendReadsPerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, leg := range []struct {
 		r        Rule
 		alphabet func(step int) int
 		widest   int
 	}{
-		{Rule{Policy: model.SC}, func(int) int { return 4 }, 60},
-		{Rule{Policy: model.STNM, Method: Indexing}, func(int) int { return 4 }, 60},
-		{Rule{Policy: model.STNM, Method: Indexing}, func(step int) int { return min(40, 1+step/50) }, 1000},
+		{Rule{Policy: model.SC}, func(int) int { return 4 }, 4},
+		{Rule{Policy: model.STNM}, func(int) int { return 4 }, 40},
+		{Rule{Policy: model.STNM}, func(step int) int { return min(40, 1+step/50) }, 411},
+		{Rule{Policy: model.STNM, PartialOrder: true}, func(int) int { return 4 }, 46},
 	} {
 		var seq []model.TraceEvent
-		tally := NewTally(nil)
+		tally := new(Tally)
 		ts := model.Timestamp(0)
 		widest := 0
 		for step := 0; step < 2000; step++ {
 			batch := make([]model.TraceEvent, 1+rng.Intn(4))
+			ts++
 			for i := range batch {
-				ts++
+				if i > 0 && (!leg.r.PartialOrder || rng.Intn(2) == 0) {
+					ts++
+				}
 				batch[i] = model.TraceEvent{Activity: model.ActivityID(rng.Intn(leg.alphabet(step))), TS: ts}
 			}
 			stored := len(seq)
@@ -119,12 +122,50 @@ func TestExtendWindowStaysNearTheEnd(t *testing.T) {
 			if step >= 100 {
 				widest = max(widest, n)
 				if n >= stored {
-					t.Fatalf("%+v step %d: extracted %d events over a %d-event prefix", leg.r, step, n, stored)
+					t.Fatalf("%+v step %d: read %d events over a %d-event prefix", leg.r, step, n, stored)
 				}
 			}
 		}
 		if widest > leg.widest {
-			t.Fatalf("%+v: widest extraction %d events of a %d-event trace", leg.r, widest, len(seq))
+			t.Fatalf("%+v: widest call read %d events of a %d-event trace", leg.r, widest, len(seq))
+		}
+	}
+}
+
+// TestExtendPartialTiesWithPreviousGroup: under partial order an x tied
+// with y's previous group pairs with a later y only if that group did not
+// complete (x, y) itself. In a@1 b@2 a@2 b@3 the group at 2 completed
+// (a, b) = [1 2], so b@3 completes nothing; in b@1 a@2 b@2 b@3 it did not,
+// so b@3 completes (a, b) = [2 3]. Each trace is fed one tie group per call.
+func TestExtendPartialTiesWithPreviousGroup(t *testing.T) {
+	r := Rule{Policy: model.STNM, PartialOrder: true}
+	ev := func(a rune, ts model.Timestamp) model.TraceEvent {
+		return model.TraceEvent{Activity: model.ActivityID(a), TS: ts}
+	}
+	for _, tc := range []struct {
+		groups [][]model.TraceEvent
+		want   []Occurrence
+	}{
+		{[][]model.TraceEvent{{ev('a', 1)}, {ev('b', 2), ev('a', 2)}, {ev('b', 3)}}, occs(1, 2)},
+		{[][]model.TraceEvent{{ev('b', 1)}, {ev('a', 2), ev('b', 2)}, {ev('b', 3)}}, occs(2, 3)},
+	} {
+		var seq []model.TraceEvent
+		tally := new(Tally)
+		got := make(Result)
+		for _, g := range tc.groups {
+			var (
+				res Result
+				err error
+			)
+			if seq, res, _, err = r.Extend(seq, g, tally); err != nil {
+				t.Fatal(err)
+			}
+			for k, occ := range res {
+				got[k] = append(got[k], occ...)
+			}
+		}
+		if !slices.Equal(got[key('a', 'b')], tc.want) || !Equal(got, ExtractReferencePartial(seq)) {
+			t.Fatalf("%v: (a, b) = %v, want %v; all %v", seq, got[key('a', 'b')], tc.want, got)
 		}
 	}
 }

@@ -143,9 +143,11 @@ if want crash; then
 fi
 
 # Ingest tier: the per-trace rule's properties (chunked Extend equals the
-# one-shot and reference extraction, over 30-60 activity alphabets where
-# most events are new to their trace, and its window stays near the end),
-# the ingestion pipeline under the race detector, plus the
+# one-shot and reference extraction under both orders, over 30-60 activity
+# alphabets where most events are new to their trace, and each call reads
+# about its new events' gaps, not the stored trace), the ingestion pipeline
+# under the race detector, one run of each BenchmarkIngestFlush leg (total
+# and partial order) so neither rots, plus the
 # serial-equivalence oracles (streamed micro-batches at 1, 2 and 4 ingest
 # workers — and 1 vs N sharded stores — must produce exactly the tables of
 # one serial Builder.Update, under SC, STNM and partial order, over 4- and
@@ -162,6 +164,7 @@ fi
 if want ingest; then
 	go test -race -run 'Extend' ./internal/pairs/
 	go test -race -short ./internal/ingest/...
+	go test -run XXX -bench IngestFlush -benchtime 1x ./internal/ingest/
 	go test -race -short -run 'StreamEqualsSerialBuilder|StreamShardedEqualsSerial|StreamCrash|ShardedStreamCrash' ./internal/ingest/
 	go test -race -short -run 'TimerHygiene|Admission|ParallelFlushersRaceHammer' ./internal/ingest/
 	go test -race -short -run 'EvictionReloadEqualsSerialBuilder|PartialOrderBoundaryKeptUntilWritten|IdlePipelineNoWakeups' ./internal/ingest/

@@ -657,7 +657,7 @@ func (e *Engine) initMetrics() {
 	e.metrics.CounterFunc("seqlog_ingest_batches_total", cum(func(s IngestStats) int64 { return s.Batches }))
 	e.metrics.CounterFunc("seqlog_ingest_syncs_total", cum(func(s IngestStats) int64 { return s.Syncs }))
 	e.metrics.CounterFunc("seqlog_ingest_stalls_total", cum(func(s IngestStats) int64 { return s.Stalls }))
-	e.metrics.CounterFunc("seqlog_ingest_reextracted_events_total", cum(func(s IngestStats) int64 { return s.Reextracted }))
+	e.metrics.CounterFunc("seqlog_ingest_scanned_events_total", cum(func(s IngestStats) int64 { return s.Scanned }))
 	e.metrics.CounterFunc("seqlog_ingest_loaded_events_total", cum(func(s IngestStats) int64 { return s.Loaded }))
 	e.metrics.GaugeFunc("seqlog_ingest_queued", cum(func(s IngestStats) int64 { return s.Queued }))
 	e.metrics.GaugeFunc("seqlog_ingest_sessions", cum(func(s IngestStats) int64 { return s.Sessions }))

@@ -203,7 +203,7 @@ func addIngest(dst *IngestStats, src IngestStats) {
 	dst.Batches += src.Batches
 	dst.Syncs += src.Syncs
 	dst.Stalls += src.Stalls
-	dst.Reextracted += src.Reextracted
+	dst.Scanned += src.Scanned
 	dst.Loaded += src.Loaded
 }
 
