@@ -17,10 +17,12 @@ import (
 // byte-size budget, invalidated precisely when AppendIndex or DropPeriod
 // touches them:
 //
-//   - AppendIndex bumps a per-key generation counter, so both the resident
-//     row and any decode already in flight for the old bytes are discarded.
-//   - DropPeriod bumps a global epoch (it cannot enumerate the pairs it
-//     retires) and sweeps the period's resident rows.
+//   - AppendIndex drops the resident row and bumps a per-key generation
+//     counter, only for keys a reader has begun, so a decode already in
+//     flight for the old bytes is discarded.
+//   - DropPeriod and FreezePostings bump a global epoch (they cannot
+//     enumerate the pairs they retire), sweep resident rows and forget
+//     every generation.
 //
 // A reader that misses snapshots (generation, epoch) before touching the
 // store and hands the decoded row back with that snapshot; the insert is
@@ -72,8 +74,9 @@ type cacheShard struct {
 	mu    sync.Mutex
 	lru   *list.List // front = most recently used
 	items map[cacheKey]*list.Element
-	// gens survives evictions: an in-flight decode must observe bumps for
-	// keys that are not resident.
+	// gens holds the keys begun since the last sweep and survives
+	// evictions: an in-flight decode must observe bumps for keys that are
+	// not resident.
 	gens  map[cacheKey]uint64
 	bytes int64
 }
@@ -129,13 +132,15 @@ func (c *postingsCache) get(k cacheKey) ([]IndexEntry, bool) {
 	return entries, true
 }
 
-// begin snapshots the invalidation state of k. Call it before reading the
-// row from the store; put refuses the decode if the snapshot went stale.
+// begin snapshots the invalidation state of k and registers k, so that
+// invalidate bumps its generation. Call it before reading the row from the
+// store; put refuses the decode if the snapshot went stale.
 func (c *postingsCache) begin(k cacheKey) (gen, epoch uint64) {
-	epoch = c.epoch.Load()
 	s := c.shard(k)
 	s.mu.Lock()
+	epoch = c.epoch.Load()
 	gen = s.gens[k]
+	s.gens[k] = gen // registers k
 	s.mu.Unlock()
 	return gen, epoch
 }
@@ -162,62 +167,53 @@ func (c *postingsCache) put(k cacheKey, gen, epoch uint64, entries []IndexEntry)
 		if back == nil {
 			break
 		}
-		be := back.Value.(*cacheEntry)
-		s.lru.Remove(back)
-		delete(s.items, be.key)
-		s.bytes -= be.size
+		s.drop(back)
 		c.evictions.Add(1)
 	}
 }
 
-// invalidate drops k and bumps its generation, killing in-flight decodes of
-// the old row. Invalidations are not counted as evictions.
+// invalidate drops k and, if a reader began it, bumps its generation, killing
+// in-flight decodes of the old row. Invalidations are not evictions.
 func (c *postingsCache) invalidate(k cacheKey) {
 	s := c.shard(k)
 	s.mu.Lock()
-	s.gens[k]++
+	if _, ok := s.gens[k]; ok {
+		s.gens[k]++
+	}
 	if el, ok := s.items[k]; ok {
-		s.bytes -= el.Value.(*cacheEntry).size
-		s.lru.Remove(el)
-		delete(s.items, k)
+		s.drop(el)
 	}
 	s.mu.Unlock()
 }
 
-// invalidateAll drops every resident entry and bumps the global epoch, so
-// in-flight decodes of any key are not cached. FreezePostings calls it when
-// the segment reference switches: every block index and merged row may now
-// name different bytes.
-func (c *postingsCache) invalidateAll() {
-	c.epoch.Add(1)
+// sweep drops the resident entries match selects (all of them when a freeze
+// switches the segment reference, a dropped period's rows) and forgets every
+// generation: the epoch moves inside each shard's critical section, where
+// begin snapshots it, so every fill begun before the sweep reached its shard
+// is refused anyway. A nil cache has nothing to sweep.
+func (c *postingsCache) sweep(match func(cacheKey) bool) {
+	if c == nil {
+		return
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.lru.Init()
-		s.items = make(map[cacheKey]*list.Element)
-		s.bytes = 0
+		c.epoch.Add(1)
+		for k, el := range s.items {
+			if match(k) {
+				s.drop(el)
+			}
+		}
+		clear(s.gens)
 		s.mu.Unlock()
 	}
 }
 
-// invalidatePeriod sweeps every resident row of the period and bumps the
-// global epoch so in-flight decodes of any of its (unenumerable) pairs are
-// not cached.
-func (c *postingsCache) invalidatePeriod(period string) {
-	c.epoch.Add(1)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, el := range s.items {
-			if k.period != period {
-				continue
-			}
-			s.bytes -= el.Value.(*cacheEntry).size
-			s.lru.Remove(el)
-			delete(s.items, k)
-		}
-		s.mu.Unlock()
-	}
+// drop removes a resident entry; s.mu is held.
+func (s *cacheShard) drop(el *list.Element) {
+	e := s.lru.Remove(el).(*cacheEntry)
+	delete(s.items, e.key)
+	s.bytes -= e.size
 }
 
 func (c *postingsCache) stats() CacheStats {

@@ -288,3 +288,95 @@ func TestCacheConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 }
+
+// gensLen counts the generations the cache holds across its shards.
+func gensLen(c *postingsCache) int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += len(s.gens)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// staleFill begins a fill of pair's whole row and reads the row, as a
+// reader that misses does before it decodes.
+func staleFill(tb *Tables, pair model.PairKey) (k cacheKey, gen, epoch uint64, row []IndexEntry) {
+	k = cacheKey{pair: pair, block: wholeRowBlock}
+	gen, epoch = tb.cache.begin(k)
+	tb.segMu.RLock()
+	defer tb.segMu.RUnlock()
+	row, _ = tb.getTailLocked("", pair)
+	return k, gen, epoch, row
+}
+
+// TestInvalidateRecordsOnlyReadKeys: an append records a generation only for
+// a pair some reader has begun, so writes to unread pairs leave the cache's
+// generation maps empty, and a sweep forgets every generation without
+// letting a fill begun before it in.
+func TestInvalidateRecordsOnlyReadKeys(t *testing.T) {
+	tb := openSegTables(t, t.TempDir())
+	defer tb.Close()
+	for i := 0; i < 10000; i++ {
+		pair := model.NewPairKey(model.ActivityID(i%100), model.ActivityID(i/100))
+		if err := tb.AppendIndex("", pair, []IndexEntry{{Trace: model.TraceID(i), TsA: 1, TsB: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := gensLen(tb.cache); n != 0 {
+		t.Fatalf("10000 appends of unread pairs left %d generations", n)
+	}
+
+	pair := model.NewPairKey(1, 2)
+	appendOne := func(trace model.TraceID) {
+		t.Helper()
+		if err := tb.AppendIndex("", pair, []IndexEntry{{Trace: trace, TsA: 3, TsB: 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k, gen, epoch, row := staleFill(tb, pair)
+	appendOne(20000)
+	tb.cache.put(k, gen, epoch, row)
+	if _, ok := tb.cache.get(k); ok {
+		t.Fatal("a fill begun before an append of its key was cached")
+	}
+	if _, err := postingsMerged(tb, pair); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tb.cache.get(k); !ok || gensLen(tb.cache) != 1 {
+		t.Fatalf("a read left resident=%v, %d generations; want its row and 1", ok, gensLen(tb.cache))
+	}
+
+	// The freeze forgets the generation, so the append after it bumps none:
+	// the epoch alone must refuse the fill begun before the freeze. The pair
+	// was never read, so the fill's generation is the 0 an unregistered key
+	// also reads as.
+	pair = model.NewPairKey(3, 4)
+	k, gen, epoch, row = staleFill(tb, pair)
+	if err := tb.FreezePostings(); err != nil {
+		t.Fatal(err)
+	}
+	if n := gensLen(tb.cache); n != 0 {
+		t.Fatalf("FreezePostings left %d generations", n)
+	}
+	appendOne(20001)
+	tb.cache.put(k, gen, epoch, row)
+	if _, ok := tb.cache.get(k); ok {
+		t.Fatal("a fill begun before a freeze was cached")
+	}
+
+	if err := tb.AppendIndex("p1", pair, []IndexEntry{{Trace: 1, TsA: 1, TsB: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := postingsMerged(tb, pair); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.DropPeriod("p1"); err != nil {
+		t.Fatal(err)
+	}
+	if n := gensLen(tb.cache); n != 0 {
+		t.Fatalf("DropPeriod left %d generations", n)
+	}
+}

@@ -63,7 +63,7 @@ func FuzzIndexEntriesCodec(f *testing.F) {
 
 func FuzzCountsCodec(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeCounts(nil, []CountEntry{
+	f.Add(EncodeCountRow(nil, []CountEntry{
 		{Other: 2, SumDuration: 123, Completions: 4},
 		{Other: 1 << 30, SumDuration: -9, Completions: 0},
 	}))
@@ -72,7 +72,7 @@ func FuzzCountsCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeCounts(encodeCounts(nil, entries))
+		again, err := decodeCounts(EncodeCountRow(nil, entries))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

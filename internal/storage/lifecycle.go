@@ -232,9 +232,7 @@ func (t *Tables) FreezePostings() error {
 	}
 	t.seg = newSeg
 	t.segTomb = nil
-	if t.cache != nil {
-		t.cache.invalidateAll()
-	}
+	t.cache.sweep(func(cacheKey) bool { return true })
 	t.freezes.Add(1)
 	t.segMu.Unlock()
 

@@ -124,33 +124,23 @@ func (r *BlockRun) Block(i int) ([]IndexEntry, error) {
 	if r.t != nil {
 		c = r.t.cache
 	}
+	k := cacheKey{period: r.period, pair: r.pair, seq: r.seq, block: int32(i)}
 	if c != nil {
-		k := cacheKey{period: r.period, pair: r.pair, seq: r.seq, block: int32(i)}
 		if entries, ok := c.get(k); ok {
 			r.t.rows.Add(int64(len(entries)))
 			return entries, nil
 		}
-		gen, _ := c.begin(k)
-		entries, err := decodePostingsBlock(r.blob, r.metas[i], make([]IndexEntry, 0, r.metas[i].Count))
-		if err != nil {
-			return nil, fmt.Errorf("%w: block %d of pair %d: %w", ErrCorruptSegment, i, r.pair, err)
-		}
+	}
+	entries, err := r.AppendBlock(make([]IndexEntry, 0, r.metas[i].Count), i)
+	if err == nil && c != nil {
 		// The key carries the run's segment seq, so a hit can only be this
-		// segment's bytes. The epoch snapshot is the one taken when the run
-		// was handed out: if a freeze switched segments since, the insert is
+		// segment's bytes, which no write changes: the block needs no
+		// generation. The epoch snapshot is the one taken when the run was
+		// handed out: if a freeze switched segments since, the insert is
 		// refused so retired-segment blocks don't re-enter the cache.
-		c.put(k, gen, r.epoch, entries)
-		r.t.rows.Add(int64(len(entries)))
-		return entries, nil
+		c.put(k, 0, r.epoch, entries)
 	}
-	entries, err := decodePostingsBlock(r.blob, r.metas[i], make([]IndexEntry, 0, r.metas[i].Count))
-	if err != nil {
-		return nil, fmt.Errorf("%w: block %d of pair %d: %w", ErrCorruptSegment, i, r.pair, err)
-	}
-	if r.t != nil {
-		r.t.rows.Add(int64(len(entries)))
-	}
-	return entries, nil
+	return entries, err
 }
 
 // AppendBlock decodes block i into dst and returns the extended slice,

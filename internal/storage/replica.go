@@ -160,9 +160,7 @@ func (t *Tables) ApplyReplicated(recs []kvstore.Record, cursor []byte) error {
 		t.periods, t.periodsLoaded = nil, false
 		t.pmu.Unlock()
 	}
-	if t.cache != nil {
-		t.cache.invalidateAll()
-	}
+	t.cache.sweep(func(cacheKey) bool { return true })
 	return nil
 }
 

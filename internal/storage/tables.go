@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -168,10 +170,8 @@ func (t *Tables) GetSeq(_ context.Context, id model.TraceID) ([]model.TraceEvent
 	return events, true, nil
 }
 
-// countVarints returns the number of varints in a well-formed varint stream:
-// each varint ends with exactly one byte below 0x80. One pass over the raw
-// bytes buys exact pre-sizing for the decode loops below, which previously
-// grew their slices through reallocation on every hot read path.
+// countVarints returns the number of varints in a well-formed varint stream
+// (each ends with one byte below 0x80), to size the decode loops below.
 func countVarints(raw []byte) int {
 	n := 0
 	for _, b := range raw {
@@ -437,9 +437,7 @@ func (t *Tables) DropPeriod(period string) error {
 		}
 		t.pmu.Unlock()
 	}
-	if t.cache != nil {
-		t.cache.invalidatePeriod(period)
-	}
+	t.cache.sweep(func(k cacheKey) bool { return k.period == period })
 	return nil
 }
 
@@ -603,72 +601,89 @@ func (t *Tables) scanTails(period string, fn func(model.PairKey, []IndexEntry) e
 
 // ---- Count table ------------------------------------------------------------
 
-func encodeCounts(buf []byte, entries []CountEntry) []byte {
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(uint32(e.Other)))
-		buf = binary.AppendVarint(buf, e.SumDuration)
-		buf = binary.AppendVarint(buf, e.Completions)
+const maxCountLen = 5 + 2*binary.MaxVarintLen64 // a uint32 and two int64s
+
+func appendCount(buf []byte, e CountEntry) []byte {
+	buf = binary.AppendUvarint(buf, uint64(uint32(e.Other)))
+	buf = binary.AppendVarint(buf, e.SumDuration)
+	return binary.AppendVarint(buf, e.Completions)
+}
+
+func (r *reader) count() (e CountEntry, err error) {
+	o, err := r.uvarint()
+	if e.Other = model.ActivityID(uint32(o)); err == nil {
+		e.SumDuration, err = r.varint()
 	}
-	return buf
+	if err == nil {
+		e.Completions, err = r.varint()
+	}
+	return e, err
 }
 
 func decodeCounts(raw []byte) ([]CountEntry, error) {
 	r := &reader{buf: raw}
 	var entries []CountEntry
 	for !r.done() {
-		o, err := r.uvarint()
+		e, err := r.count()
 		if err != nil {
 			return nil, err
 		}
-		sum, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, CountEntry{Other: model.ActivityID(uint32(o)), SumDuration: sum, Completions: n})
+		entries = append(entries, e)
 	}
 	return entries, nil
 }
 
-func mergeCounts(existing, delta []CountEntry) []CountEntry {
-	idx := make(map[model.ActivityID]int, len(existing))
-	for i, e := range existing {
-		idx[e.Other] = i
-	}
-	for _, d := range delta {
-		if i, ok := idx[d.Other]; ok {
-			existing[i].SumDuration += d.SumDuration
-			existing[i].Completions += d.Completions
-		} else {
-			idx[d.Other] = len(existing)
-			existing = append(existing, d)
-		}
-	}
-	return existing
-}
+func cmpOther(a, b CountEntry) int { return cmp.Compare(a.Other, b.Other) }
 
 // MergeCounts folds a batch delta into the Count row of first (pairs where
-// first is the leading event).
+// first is the leading event). Rows are sorted by Other, which keeps them
+// byte-identical regardless of batch split, so the delta merges into the
+// row's bytes: only the entries it adds or sums are encoded.
 func (t *Tables) MergeCounts(first model.ActivityID, delta []CountEntry) error {
 	if len(delta) == 0 {
 		return nil
+	}
+	if !slices.IsSortedFunc(delta, cmpOther) {
+		delta = slices.Clone(delta)
+		slices.SortFunc(delta, cmpOther)
 	}
 	k := activityKeyString(first)
 	raw, _, err := t.store.Get(tableCount, k)
 	if err != nil {
 		return err
 	}
-	existing, err := decodeCounts(raw)
-	if err != nil {
-		return err
+	out := make([]byte, 0, len(raw)+maxCountLen*len(delta))
+	r, last, i := &reader{buf: raw}, int64(math.MinInt64), 0
+	for !r.done() {
+		start := r.off
+		e, err := r.count()
+		if err != nil || int64(e.Other) <= last {
+			return ErrCorrupt // undecodable, or Others not strictly ascending
+		}
+		last = int64(e.Other)
+		for i < len(delta) && delta[i].Other < e.Other {
+			out, i = appendSum(out, delta[i], delta, i+1)
+		}
+		if i < len(delta) && delta[i].Other == e.Other {
+			out, i = appendSum(out, e, delta, i)
+		} else {
+			out = append(out, raw[start:r.off]...)
+		}
 	}
-	merged := mergeCounts(existing, delta)
-	// Canonical order keeps rows byte-identical regardless of batch split.
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Other < merged[j].Other })
-	return t.store.Put(tableCount, k, encodeCounts(nil, merged))
+	for i < len(delta) {
+		out, i = appendSum(out, delta[i], delta, i+1)
+	}
+	return t.store.Put(tableCount, k, out)
+}
+
+// appendSum adds to e the run of delta from i on that shares its Other,
+// encodes the sum and returns the index past the run.
+func appendSum(out []byte, e CountEntry, delta []CountEntry, i int) ([]byte, int) {
+	for ; i < len(delta) && delta[i].Other == e.Other; i++ {
+		e.SumDuration += delta[i].SumDuration
+		e.Completions += delta[i].Completions
+	}
+	return appendCount(out, e), i
 }
 
 // GetCounts returns the Count row of first: one entry per successor event.

@@ -445,6 +445,15 @@ func TestCorruptRowsSurfaceErrors(t *testing.T) {
 	if _, err := tb.GetCounts(context.Background(), 1); err == nil {
 		t.Fatal("corrupt count row not detected")
 	}
+	// MergeCounts walks the stored row: a truncated row and one whose
+	// Others descend (2 after 9, golden bytes) are corrupt, not merged.
+	delta := []CountEntry{{Other: 5, SumDuration: 1, Completions: 1}}
+	for _, row := range [][]byte{{0x02, 0x0a}, {0x09, 0x02, 0x01, 0x02, 0x04, 0x02}} {
+		store.Put("count", activityKeyString(2), row)
+		if err := tb.MergeCounts(2, delta); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("MergeCounts over count row %x: err %v, want ErrCorrupt", row, err)
+		}
+	}
 	store.Put("lastchecked", pairKeyString(model.NewPairKey(3, 4)), []byte{0x80})
 	if _, err := tb.GetLastCompletion(context.Background(), model.NewPairKey(3, 4)); err == nil {
 		t.Fatal("corrupt lastchecked row not detected")

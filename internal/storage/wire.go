@@ -31,7 +31,10 @@ func DecodeIndexRow(raw []byte) ([]IndexEntry, error) { return decodeIndexEntrie
 
 // EncodeCountRow appends the Count-table encoding of entries to buf.
 func EncodeCountRow(buf []byte, entries []CountEntry) []byte {
-	return encodeCounts(buf, entries)
+	for _, e := range entries {
+		buf = appendCount(buf, e)
+	}
+	return buf
 }
 
 // DecodeCountRow decodes a Count-table row.

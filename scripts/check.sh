@@ -159,7 +159,11 @@ fi
 # and the engine-lifetime pipeline gates (session eviction and reload stay
 # serial-equivalent, an idle pipeline never wakes, Ingest returns beside an
 # appender that keeps the queue full, rotate and prune with a stream open,
-# counters live after every Appender.Close), run explicitly for the same
+# counters live after every Appender.Close), the flush's two store writes
+# (the postings cache records generations only for keys a reader began and
+# stays coherent under -race; a Count merge matches the decode-map-sort
+# reference byte for byte and allocates at most 3 times, with one run of
+# BenchmarkMergeCounts so it does not rot), run explicitly for the same
 # reason as above.
 if want ingest; then
 	go test -race -run 'Extend' ./internal/pairs/
@@ -170,6 +174,8 @@ if want ingest; then
 	go test -race -short -run 'EvictionReloadEqualsSerialBuilder|PartialOrderBoundaryKeptUntilWritten|IdlePipelineNoWakeups' ./internal/ingest/
 	go test -race -run 'IngestReturnsBesideBusyAppender|RotateAndPruneWithStreamOpen|StreamInfoAndSharedPipeline' .
 	go test -race -run 'SealBatch|PipelinedBatch' ./internal/kvstore/
+	go test -race -run 'Cache|MergeCount|Invalidate' ./internal/storage/
+	go test -run XXX -bench 'MergeCounts$' -benchtime 1x ./internal/storage/
 fi
 
 # Metrics tier: the registry and the whole telemetry path under the race
@@ -184,7 +190,8 @@ fi
 
 # Shards tier: the differential oracle (1 vs 4 vs 7 shards must be
 # byte-identical for every query family), the routing/codec fuzz targets on
-# their seed corpora plus a short live fuzz, and the concurrency gates — the
+# their seed corpora plus a short live fuzz (the Count merge against its
+# reference among them), and the concurrency gates — the
 # ingest+query+compaction hammer and the one-shard crash-isolation sweep —
 # under the race detector.
 if want shards; then
@@ -192,6 +199,7 @@ if want shards; then
 	go test ./internal/shard/ ./internal/storage/ -run Fuzz
 	go test ./internal/shard/ -fuzz FuzzShardRouting -fuzztime 5s
 	go test ./internal/storage/ -fuzz FuzzSeqCodec -fuzztime 5s
+	go test ./internal/storage/ -fuzz FuzzCountMerge -fuzztime 5s
 	go test -race -short -run 'ShardedConcurrentHammer|ShardCrashIsolation' ./internal/shard/
 fi
 
