@@ -8,7 +8,10 @@
 //
 // It is the batch reference: the paper experiments (Tables 5-6) and the
 // serial-equivalence oracles run it, while the engine ingests through
-// internal/ingest. Both apply the same per-trace rule, pairs.Rule.
+// internal/ingest. Both apply the same per-trace rule, pairs.Rule, and both
+// write a batch as one storage.Delta through storage.Backend.Commit, so the
+// oracles compare extraction, and Commit has its own reference test
+// (storage's TestCommitMatchesRowWrites).
 package index
 
 import (
@@ -67,8 +70,8 @@ type Builder struct {
 }
 
 // NewBuilder returns a builder writing through the given tables —
-// single-store or sharded; the Backend routes each write to its owning
-// store either way.
+// single-store or sharded; Commit routes each row to its owning store
+// either way.
 func NewBuilder(tables storage.Backend, opts Options) (*Builder, error) {
 	rule := pairs.Rule{Policy: opts.Policy, Method: opts.Method, PartialOrder: opts.PartialOrder}
 	if err := rule.Validate(); err != nil {
@@ -77,30 +80,12 @@ func NewBuilder(tables storage.Backend, opts Options) (*Builder, error) {
 	return &Builder{tables: tables, opts: opts, rule: rule}, nil
 }
 
-// shardOf maps a pair key onto its accumulator shard with a Fibonacci mix,
-// so adjacent activity ids do not pile into one shard.
-func shardOf(k model.PairKey) int {
-	return int((uint64(k) * 0x9E3779B97F4A7C15) >> 32 % numShards)
-}
-
-// countAccum accumulates Count deltas for one leading activity.
-type countAccum map[model.ActivityID]*storage.CountEntry
-
-// shard groups accumulators under one lock so extraction workers can merge
-// their per-trace results concurrently.
-type shard struct {
-	mu     sync.Mutex
-	pairs  map[model.PairKey][]storage.IndexEntry // new index entries of the batch
-	counts map[model.ActivityID]countAccum        // keyed by first activity
-}
-
-const numShards = 16
-
 // Update implements Algorithm 1: the batch is grouped into traces, each
 // trace is merged with its stored prefix, pairs are re-extracted over the
 // full sequence, and only occurrences completing after the stored watermark
 // are appended to the index — so re-processing a trace across periods never
-// duplicates pairs.
+// duplicates pairs. The batch's rows go to the tables in one Commit, the
+// ingest pipeline's writer, and Update returns once they are durable.
 //
 // Deviation from the paper, documented in DESIGN.md §4: Algorithm 1 filters
 // on a per-(pair, trace) watermark kept in the LastChecked table; because
@@ -126,143 +111,60 @@ func (b *Builder) Update(events []model.Event) (Stats, error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	shards := make([]shard, numShards)
-	for i := range shards {
-		shards[i].pairs = make(map[model.PairKey][]storage.IndexEntry)
-		shards[i].counts = make(map[model.ActivityID]countAccum)
-	}
-
-	stats := Stats{Traces: len(ids), Events: len(events)}
-
-	err := parallel.ForEach(len(ids), b.opts.Workers, func(i int) error {
-		return b.updateTrace(ids[i], byTrace[ids[i]], shards)
-	})
-	if err != nil {
-		return Stats{}, err
-	}
-
-	// Write phase, pairs first: every pair key lives in exactly one
-	// accumulator shard, so the index rows flush concurrently without
-	// write conflicts.
-	var mu sync.Mutex
-	err = parallel.ForEach(numShards, b.opts.Workers, func(i int) error {
-		s := &shards[i]
-		localPairs, localOcc := 0, 0
-		for k, entries := range s.pairs {
-			if err := b.tables.AppendIndex(b.opts.Period, k, entries); err != nil {
+	// Traces extend in parallel, one run of consecutive ids per worker, each
+	// run into its own delta. The runs merge in id order, so each pair's
+	// entries arrive sorted by trace, the order Commit writes them in.
+	runs := min(len(ids), parallel.Workers(b.opts.Workers))
+	parts := make([]*storage.Delta, runs)
+	err := parallel.ForEach(runs, b.opts.Workers, func(r int) error {
+		part := storage.NewDelta()
+		for _, id := range ids[r*len(ids)/runs : (r+1)*len(ids)/runs] {
+			old, _, err := b.tables.GetSeq(context.Background(), id)
+			if err != nil {
 				return err
 			}
-			localPairs++
-			localOcc += len(entries)
+			full, res, _, err := b.rule.Extend(old, byTrace[id], nil)
+			if err != nil {
+				return fmt.Errorf("index: trace %d: %w", id, err)
+			}
+			part.Seqs[id] = full[len(old):]
+			for k, occ := range res {
+				es := part.Entries[k]
+				for _, o := range occ {
+					es = append(es, storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
+				}
+				part.Entries[k] = es
+			}
 		}
-		mu.Lock()
-		stats.Pairs += localPairs
-		stats.Occurrences += localOcc
-		mu.Unlock()
+		parts[r] = part
 		return nil
 	})
 	if err != nil {
 		return Stats{}, err
 	}
-
-	// Count rows are keyed by activity, and one activity's pairs hash into
-	// several accumulator shards, so flushing counts shard-by-shard would
-	// issue concurrent read-modify-writes on the same row — a lost-update
-	// race. Regroup the deltas per activity and flush with one writer per
-	// row: keys are disjoint, so this fan-out is conflict-free.
-	rows := make(map[model.ActivityID][]countAccum)
-	for i := range shards {
-		for a, acc := range shards[i].counts {
-			rows[a] = append(rows[a], acc)
+	d := parts[0]
+	for _, part := range parts[1:] {
+		for id, evs := range part.Seqs {
+			d.Seqs[id] = evs
+		}
+		for k, es := range part.Entries {
+			d.Entries[k] = append(d.Entries[k], es...)
 		}
 	}
-	acts := make([]model.ActivityID, 0, len(rows))
-	for a := range rows {
-		acts = append(acts, a)
+	stats := Stats{Traces: len(ids), Events: len(events), Pairs: len(d.Entries)}
+	for _, es := range d.Entries {
+		stats.Occurrences += len(es)
 	}
-	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
-	err = parallel.ForEach(len(acts), b.opts.Workers, func(i int) error {
-		return b.tables.MergeCounts(acts[i], countDelta(rows[acts[i]]))
-	})
+	waits, err := b.tables.Commit(b.opts.Period, d)
+	for _, w := range waits {
+		if err == nil && w != nil {
+			err = w.Wait()
+		}
+	}
 	if err != nil {
 		return Stats{}, err
 	}
 	return stats, nil
-}
-
-// countDelta flattens one row's accumulators into a delta, summing entries
-// for the same successor and sorting for reproducible rows.
-func countDelta(accs []countAccum) []storage.CountEntry {
-	merged := make(map[model.ActivityID]storage.CountEntry)
-	for _, acc := range accs {
-		for o, e := range acc {
-			m := merged[o]
-			m.Other = o
-			m.SumDuration += e.SumDuration
-			m.Completions += e.Completions
-			merged[o] = m
-		}
-	}
-	out := make([]storage.CountEntry, 0, len(merged))
-	for _, e := range merged {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Other < out[j].Other })
-	return out
-}
-
-// updateTrace processes one trace of the batch: extend the stored prefix by
-// the shared per-trace rule (pairs.Rule) and push the new occurrences into
-// the shared shards.
-func (b *Builder) updateTrace(id model.TraceID, newEvents []model.TraceEvent, shards []shard) error {
-	old, _, err := b.tables.GetSeq(context.Background(), id)
-	if err != nil {
-		return err
-	}
-	full, res, _, err := b.rule.Extend(old, newEvents, nil)
-	if err != nil {
-		return fmt.Errorf("index: trace %d: %w", id, err)
-	}
-
-	// Group this trace's contributions by destination shard to amortise
-	// locking: one lock acquisition per touched shard, not per pair.
-	type contrib struct {
-		key model.PairKey
-		occ []pairs.Occurrence
-	}
-	grouped := make(map[int][]contrib)
-	for k, occ := range res {
-		si := shardOf(k)
-		grouped[si] = append(grouped[si], contrib{key: k, occ: occ})
-	}
-
-	for si, contribs := range grouped {
-		s := &shards[si]
-		s.mu.Lock()
-		for _, c := range contribs {
-			a, bb := c.key.First(), c.key.Second()
-			fw := s.counts[a]
-			if fw == nil {
-				fw = make(countAccum)
-				s.counts[a] = fw
-			}
-			fe := fw[bb]
-			if fe == nil {
-				fe = &storage.CountEntry{Other: bb}
-				fw[bb] = fe
-			}
-			entries := s.pairs[c.key]
-			for _, o := range c.occ {
-				entries = append(entries, storage.IndexEntry{Trace: id, TsA: o.TsA, TsB: o.TsB})
-				fe.SumDuration += int64(o.TsB - o.TsA)
-				fe.Completions++
-			}
-			s.pairs[c.key] = entries
-		}
-		s.mu.Unlock()
-	}
-
-	return b.tables.AppendSeq(id, full[len(old):])
 }
 
 // PruneTraces removes completed traces from the Seq table (§3.1.3), the only

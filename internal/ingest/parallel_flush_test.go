@@ -482,3 +482,86 @@ func testShardedCrashAt(t *testing.T, root string, chunks [][]model.Event, state
 		}
 	}
 }
+
+// TestShardedStreamCrashAlphabetOnEveryShard: a cycle whose new activity
+// writes rows to one shard only still commits the grown alphabet on every
+// shard, durably before the ack, so after a crash right behind the ack each
+// shard's alphabet row equals shard 0's.
+func TestShardedStreamCrashAlphabetOnEveryShard(t *testing.T) {
+	const n = 3
+	ffs := kvstore.NewFaultFS(nil)
+	root := t.TempDir()
+	stores := make([]kvstore.Store, n)
+	for i := range stores {
+		ds, err := kvstore.OpenDiskWith(filepath.Join(root, fmt.Sprintf("s%d", i)), kvstore.DiskOptions{FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		ds.CompactAt = 0
+		stores[i] = ds
+	}
+	st, err := shard.New(stores, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alphabet, sent := []string{"a", "b"}, 0
+	p, err := New(st, Options{
+		Policy:        model.STNM,
+		Workers:       2,
+		FlushEvents:   1 << 20, // only explicit flushes
+		FlushInterval: time.Hour,
+		BeforeCommit: func() map[string][]byte {
+			if sent == len(alphabet) {
+				return nil
+			}
+			sent = len(alphabet)
+			return map[string][]byte{"alphabet": []byte(fmt.Sprint(alphabet))}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ev := func(trace model.TraceID, act, ts int) model.Event {
+		return model.Event{Trace: trace, Activity: model.ActivityID(act), TS: model.Timestamp(ts)}
+	}
+	var cycle []model.Event
+	for id := model.TraceID(1); id <= 6; id++ {
+		cycle = append(cycle, ev(id, 0, 1), ev(id, 1, 2))
+	}
+	if err := p.Append(cycle); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The new activity "c" comes as the only event of a new trace: its one
+	// row, a Seq row, goes to that trace's shard, which is not shard 0.
+	lone := model.TraceID(100)
+	for shard.TraceShard(lone, n) == 0 {
+		lone++
+	}
+	alphabet = append(alphabet, "c")
+	if err := p.Append([]model.Event{ev(lone, 2, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ffs.CrashAfterOps(0)
+	p.Close()
+
+	want := fmt.Sprint(alphabet)
+	for i := 0; i < n; i++ {
+		ds, err := kvstore.OpenDisk(filepath.Join(root, fmt.Sprintf("s%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := storage.NewTables(ds).GetMeta("alphabet")
+		ds.Close()
+		if err != nil || string(got) != want {
+			t.Fatalf("shard %d holds alphabet %q (%v) after the crash, shard 0 was sent %q", i, got, err, want)
+		}
+	}
+}

@@ -21,11 +21,12 @@
 //     the cycle holding its events, and FlushTo waits for that cycle alone.
 //   - The coordinator goroutine swaps the shard inboxes when a flush
 //     trigger fires (size or age), extracts deltas on all shards in
-//     parallel, and partitions them per independent STORE of the backend
-//     (the cross-shard reducer). The committer goroutine writes each store's
-//     partition concurrently — one flusher and one WAL group per store —
-//     and seals the groups without waiting for their fsyncs; the acker
-//     releases credits only once every store reports its group durable.
+//     parallel, and merges them into the cycle's one storage.Delta. The
+//     committer goroutine hands it to the backend's Commit, which writes
+//     each store's part as one WAL group (the stores of a sharded backend
+//     concurrently) and seals the groups without waiting for their fsyncs;
+//     the acker releases credits only once every store reports its group
+//     durable.
 //     Extraction of cycle N+1 therefore proceeds while cycle N is inside
 //     fsync (double buffering), and consecutive groups on one store share
 //     fsyncs (kvstore's leader/follower coalescing). An acknowledged flush
@@ -116,13 +117,13 @@ type Options struct {
 	// embedding engine can serialize flushes against its readers.
 	CommitLock sync.Locker
 
-	// BeforeCommit, when set, runs inside the commit (under CommitLock and
-	// inside every open batch group, before the groups seal). The engine
-	// uses it to persist alphabet growth in the same crash-atomic unit as
-	// the events that introduced the new activities; it reports whether it
-	// wrote, because growth forces store 0's group durable before any other
-	// store's group may seal (the meta-freshness recovery invariant).
-	BeforeCommit func() (bool, error)
+	// BeforeCommit, when set, runs under CommitLock just before a cycle
+	// commits and returns meta rows for the cycle's delta (nil for none).
+	// The engine returns its alphabet when it grew, so new activity names
+	// commit in the same crash-atomic group as the events that introduced
+	// them; a delta with meta makes store 0 durable before any other store
+	// commits (the meta-freshness recovery invariant, see shard.Tables).
+	BeforeCommit func() map[string][]byte
 
 	// Metrics, when set, receives the pipeline telemetry: the
 	// seqlog_ingest_flush_seconds histogram observing each committed flush
@@ -165,28 +166,24 @@ const residentBudget = 1 << 18
 // residentEvents is the budget New reads; tests shrink it.
 var residentEvents = residentBudget
 
-// storeWriter is the commit seam of one independent store of the backend:
-// its crash-atomic group writer and its per-shard flush telemetry. Rows are
-// written through the top-level Backend — the partitioning guarantees every
-// row of partition i routes to store i, so the ordinary write methods land
-// inside store i's open group.
-type storeWriter struct {
-	batch   kvstore.BatchWriter
+// storeMetrics is the flush telemetry of one independent store of the
+// backend.
+type storeMetrics struct {
 	commitH *metrics.Histogram // durability wait per flushed group
 	flushes *metrics.Counter   // groups sealed on this store
 }
 
 // flushJob is one extracted cycle moving through the commit stages.
 type flushJob struct {
-	parts    []*shardDelta // per store, aligned with Pipeline.stores
-	period   string        // the partition the cycle's entries go to
-	total    int           // events in the cycle
-	sessions int64         // resident sessions after extraction
-	scanned  int64         // events the pair rule read
-	loaded   int64         // stored events read into sessions
-	start    time.Time     // cycle start (inbox swap)
-	cycle    Ticket        // extraction cycle number
-	waits    []kvstore.Durability
+	delta    *storage.Delta       // the cycle's rows
+	period   string               // the partition the cycle's entries go to
+	total    int                  // events in the cycle
+	sessions int64                // resident sessions after extraction
+	scanned  int64                // events the pair rule read
+	loaded   int64                // stored events read into sessions
+	start    time.Time            // cycle start (inbox swap)
+	cycle    Ticket               // extraction cycle number
+	waits    []kvstore.Durability // per store, aligned with Pipeline.stores
 	syncs    int64
 	err      error
 }
@@ -202,11 +199,7 @@ type Pipeline struct {
 	flushH      *metrics.Histogram // committed-flush latency; nil-safe
 	commitWaitH *metrics.Histogram // extraction blocked on the commit handoff
 
-	// stores/route are the per-store commit seam: one writer per
-	// independent store, and the backend's routing functions for
-	// partitioning deltas onto them (route is unused with one store).
-	stores []storeWriter
-	route  storage.ShardedCommits
+	stores []storeMetrics // per independent store of the backend
 
 	shards []ingestShard
 	budget int // resident stored events per shard
@@ -356,18 +349,7 @@ func New(tables storage.Backend, opts Options) (*Pipeline, error) {
 	}
 	p.flushH = opts.Metrics.Histogram("seqlog_ingest_flush_seconds")
 	p.commitWaitH = opts.Metrics.Histogram("seqlog_ingest_commit_wait_seconds")
-	if sc, ok := tables.(storage.ShardedCommits); ok {
-		p.route = sc
-		p.stores = make([]storeWriter, tables.NumShards())
-		for i := range p.stores {
-			p.stores[i].batch = sc.ShardBatch(i)
-		}
-	} else {
-		// A backend without the per-store seam commits through its fan-out
-		// Batch() writer as one unit (still pipelined when the writer can
-		// seal).
-		p.stores = []storeWriter{{batch: tables.Batch()}}
-	}
+	p.stores = make([]storeMetrics, tables.NumShards())
 	for i := range p.stores {
 		l := metrics.Label{Key: "shard", Value: fmt.Sprintf("%d", i)}
 		p.stores[i].commitH = opts.Metrics.Histogram("seqlog_ingest_shard_commit_seconds", l)
@@ -808,8 +790,8 @@ func (p *Pipeline) run() {
 }
 
 // extractCycle swaps every shard's inbox, extracts the deltas in parallel
-// and partitions them per store, returning the flush job (nil when the
-// inboxes were empty). It holds cycleMu only for the extraction itself, so
+// and merges them, returning the flush job (nil when the inboxes were
+// empty). It holds cycleMu only for the extraction itself, so
 // the previous cycle's commit and fsync overlap the next cycle's
 // extraction. The session recount happens here, outside the producers'
 // admission mutex.
@@ -862,16 +844,15 @@ func (p *Pipeline) extractCycle() (*flushJob, error) {
 			job.loaded += int64(d.loaded)
 		}
 	}
-	job.parts = p.partitionDeltas(deltas)
+	job.delta = mergeDeltas(deltas)
 	p.mu.Lock()
 	p.buffered -= int64(total)
 	p.mu.Unlock()
 	return job, nil
 }
 
-// committer is the middle stage: one job at a time, it writes every store's
-// partition in parallel and seals the groups, then hands the job to the
-// acker without waiting for its fsync.
+// committer is the middle stage: one job at a time, it commits the cycle's
+// delta, then hands the job to the acker without waiting for its fsyncs.
 func (p *Pipeline) committer() {
 	defer close(p.acks)
 	for job := range p.jobs {

@@ -104,6 +104,14 @@ type Durability interface {
 	Wait() error
 }
 
+// Durable is the handle of a group that was durable when its commit
+// returned: Wait returns nil at once.
+var Durable Durability = durable{}
+
+type durable struct{}
+
+func (durable) Wait() error { return nil }
+
 // GroupCommitter extends BatchWriter with pipelined group commits: SealBatch
 // writes the group's commit marker and closes the group WITHOUT waiting for
 // the fsync, so the caller may open and write the next group while the disk

@@ -41,9 +41,9 @@ type Options struct {
 // connection deadline the moment ctx is done, so cancel latency is bounded
 // by a socket wakeup, not a response arrival; the interrupted connection is
 // discarded and the caller sees ctx.Err(). Writes follow the Backend
-// contract (context-free); between BeginBatch and CommitBatch they buffer
-// locally and ship as one commit group, applied inside the server store's
-// own WAL batch — one group commit per remote store, acked after its fsync.
+// contract (context-free): Commit ships a batch as one commit group, applied
+// inside the server store's own WAL batch — one group commit per remote
+// store, acked after its fsync.
 type Client struct {
 	addr string
 	opts Options
@@ -52,9 +52,6 @@ type Client struct {
 	idle   []*cconn
 	closed bool
 	sem    chan struct{}
-
-	batMu sync.Mutex
-	bat   []byte // open commit group's op stream; nil when no batch is open
 
 	rows       atomic.Int64 // rows decoded from responses (ReadRows proxy)
 	reconnects atomic.Int64 // dials after the first
@@ -354,39 +351,71 @@ func (c *Client) call(ctx context.Context, op byte, req []byte) ([]byte, error) 
 	return out, err
 }
 
-// write routes a mutation: buffered into the open commit group when a batch
-// is open (shipped and made durable at CommitBatch), an immediate RPC
-// otherwise.
+// write sends one mutation outside any commit group.
 func (c *Client) write(op byte, body []byte) error {
-	c.batMu.Lock()
-	if c.bat != nil {
-		c.bat = append(c.bat, op)
-		c.bat = appendUvarint(c.bat, uint64(len(body)))
-		c.bat = append(c.bat, body...)
-		c.batMu.Unlock()
-		return nil
-	}
-	c.batMu.Unlock()
 	_, err := c.call(context.Background(), op, body)
 	return err
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	var w wbuf
-	w.b = b
-	w.u64(v)
-	return w.b
+// ---- storage.Backend: Commit ------------------------------------------------
+
+// Commit ships d as one commit group: its rows encoded as append_seq,
+// append_index, merge_counts and put_meta ops in storage.Delta.Apply's
+// order, which the server applies inside one WAL group of its store. The
+// server answers once the group is durable, so the handle is
+// kvstore.Durable.
+func (c *Client) Commit(period string, d *storage.Delta) ([]kvstore.Durability, error) {
+	var ops opStream
+	_ = d.Apply(period, &ops) // opStream's writes never fail
+	if len(ops.b) == 0 {
+		return []kvstore.Durability{nil}, nil
+	}
+	if err := c.commit(ops.b); err != nil {
+		return nil, err
+	}
+	return []kvstore.Durability{kvstore.Durable}, nil
 }
 
-// ---- storage.Backend: Seq table ---------------------------------------------
+// opStream encodes a commit group's op stream, [op][uvarint len][body]...,
+// as storage.RowWriter.
+type opStream struct{ wbuf }
 
-// AppendSeq appends events to the trace's Seq row on the remote store.
-func (c *Client) AppendSeq(id model.TraceID, events []model.TraceEvent) error {
+func (o *opStream) add(op byte, body wbuf) error {
+	o.byte1(op)
+	o.blob(body.b)
+	return nil
+}
+
+func (o *opStream) AppendSeq(id model.TraceID, events []model.TraceEvent) error {
 	var w wbuf
 	w.u64(uint64(id))
 	w.blob(storage.EncodeSeqRow(nil, events))
-	return c.write(opAppendSeq, w.b)
+	return o.add(opAppendSeq, w)
 }
+
+func (o *opStream) AppendIndex(period string, pair model.PairKey, entries []storage.IndexEntry) error {
+	var w wbuf
+	w.str(period)
+	w.u64(uint64(pair))
+	w.blob(storage.EncodeIndexRow(nil, entries))
+	return o.add(opAppendIndex, w)
+}
+
+func (o *opStream) MergeCounts(first model.ActivityID, delta []storage.CountEntry) error {
+	var w wbuf
+	w.i64(int64(first))
+	w.blob(storage.EncodeCountRow(nil, delta))
+	return o.add(opMergeCounts, w)
+}
+
+func (o *opStream) PutMeta(key string, value []byte) error {
+	var w wbuf
+	w.str(key)
+	w.blob(value)
+	return o.add(opPutMeta, w)
+}
+
+// ---- storage.Backend: Seq table ---------------------------------------------
 
 // GetSeq reads the trace's stored sequence.
 func (c *Client) GetSeq(ctx context.Context, id model.TraceID) ([]model.TraceEvent, bool, error) {
@@ -459,15 +488,6 @@ func (c *Client) NumTraces(ctx context.Context) (int, error) {
 }
 
 // ---- storage.Backend: Index table -------------------------------------------
-
-// AppendIndex appends entries to the pair's posting row.
-func (c *Client) AppendIndex(period string, pair model.PairKey, entries []storage.IndexEntry) error {
-	var w wbuf
-	w.str(period)
-	w.u64(uint64(pair))
-	w.blob(storage.EncodeIndexRow(nil, entries))
-	return c.write(opAppendIndex, w.b)
-}
 
 // GetPostings fetches the pair's sorted runs. Segment block runs are
 // materialized server-side; the merge join consumes runs independently and
@@ -586,14 +606,6 @@ func (c *Client) FreezePostings() error {
 
 // ---- storage.Backend: Count table -------------------------------------------
 
-// MergeCounts folds a Count delta into the remote store.
-func (c *Client) MergeCounts(first model.ActivityID, delta []storage.CountEntry) error {
-	var w wbuf
-	w.i64(int64(first))
-	w.blob(storage.EncodeCountRow(nil, delta))
-	return c.write(opMergeCounts, w.b)
-}
-
 // GetCounts reads the activity's (partial) Count row.
 func (c *Client) GetCounts(ctx context.Context, first model.ActivityID) ([]storage.CountEntry, error) {
 	var w wbuf
@@ -691,50 +703,7 @@ func (c *Client) GetMeta(key string) ([]byte, bool, error) {
 	return append([]byte(nil), v...), true, nil
 }
 
-// ---- storage.Backend: batching, observability, lifecycle --------------------
-
-// Batch returns the client's group writer. Mutations between BeginBatch and
-// CommitBatch buffer locally and ship as one commit group; the server
-// applies them inside its store's own BeginBatch/CommitBatch, so the group
-// is crash-atomic and durable (one fsync) before the ack.
-func (c *Client) Batch() kvstore.BatchWriter { return (*clientBatch)(c) }
-
-// clientBatch implements kvstore.BatchWriter over the client's buffered
-// commit group. Callers serialize per the BatchWriter contract.
-type clientBatch Client
-
-func (b *clientBatch) BeginBatch() error {
-	c := (*Client)(b)
-	c.batMu.Lock()
-	defer c.batMu.Unlock()
-	if c.bat != nil {
-		return fmt.Errorf("netshard: batch already open")
-	}
-	c.bat = []byte{}
-	return nil
-}
-
-func (b *clientBatch) CommitBatch() error {
-	c := (*Client)(b)
-	c.batMu.Lock()
-	group := c.bat
-	c.bat = nil
-	c.batMu.Unlock()
-	if group == nil {
-		return fmt.Errorf("netshard: no open batch")
-	}
-	if len(group) == 0 {
-		return nil // nothing to make durable
-	}
-	return c.commit(group)
-}
-
-func (b *clientBatch) AbortBatch(cause error) {
-	c := (*Client)(b)
-	c.batMu.Lock()
-	c.bat = nil
-	c.batMu.Unlock()
-}
+// ---- storage.Backend: observability, lifecycle ------------------------------
 
 // commit ships one op-stream group: oversized groups split into
 // opCommitChunk frames (accumulated server-side), the final opCommit frame

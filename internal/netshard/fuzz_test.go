@@ -266,14 +266,7 @@ func TestCraftedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bc.Close()
-	bw := bc.Batch()
-	if err := bw.BeginBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.PutMeta("blob", make([]byte, 16<<10)); err != nil {
-		t.Fatal(err)
-	}
-	err = bw.CommitBatch()
+	_, err = bc.Commit("", &storage.Delta{Meta: map[string][]byte{"blob": make([]byte, 16<<10)}})
 	if !errors.Is(err, ErrCommitTooLarge) {
 		t.Fatalf("oversized commit err = %v, want ErrCommitTooLarge", err)
 	}

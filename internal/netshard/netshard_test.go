@@ -56,12 +56,7 @@ func TestNetShardRoundTrip(t *testing.T) {
 
 	// Seq table.
 	events := []model.TraceEvent{{Activity: 1, TS: 100}, {Activity: 2, TS: 250}}
-	if err := cl.AppendSeq(7, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AppendSeq(9, events[:1]); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, cl, "", &storage.Delta{Seqs: map[model.TraceID][]model.TraceEvent{7: events, 9: events[:1]}})
 	got, ok, err := cl.GetSeq(ctx, 7)
 	if err != nil || !ok || !reflect.DeepEqual(got, events) {
 		t.Fatalf("GetSeq = %v, %v, %v; want %v", got, ok, err, events)
@@ -92,13 +87,9 @@ func TestNetShardRoundTrip(t *testing.T) {
 
 	// Index table.
 	pair := model.NewPairKey(1, 2)
-	entries := []storage.IndexEntry{{Trace: 7, TsA: 100, TsB: 250}, {Trace: 3, TsA: 50, TsB: 60}}
-	if err := cl.AppendIndex("p1", pair, entries); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AppendIndex("p2", pair, entries[:1]); err != nil {
-		t.Fatal(err)
-	}
+	entries := []storage.IndexEntry{{Trace: 3, TsA: 50, TsB: 60}, {Trace: 7, TsA: 100, TsB: 250}}
+	commitEntries(t, cl, "p1", pair, entries...)
+	commitEntries(t, cl, "p2", pair, entries[:1]...)
 	// Row content: every partition scans identically through the wire.
 	for _, period := range []string{"", "p1", "p2"} {
 		got, want := scanPartition(t, cl, period), scanPartition(t, tab, period)
@@ -136,31 +127,31 @@ func TestNetShardRoundTrip(t *testing.T) {
 		t.Fatalf("Periods after drop = %v", periods)
 	}
 
-	// Count table.
-	if err := cl.MergeCounts(1, []storage.CountEntry{{Other: 2, SumDuration: 150, Completions: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.MergeCounts(1, []storage.CountEntry{{Other: 2, SumDuration: 10, Completions: 1}, {Other: 3, SumDuration: 5, Completions: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	counts, err := cl.GetCounts(ctx, 1)
+	// Count table: a commit sums each pair's entries into its leading
+	// activity's row.
+	commitEntries(t, cl, "", model.NewPairKey(4, 5), storage.IndexEntry{Trace: 1, TsA: 0, TsB: 150})
+	commit(t, cl, "", &storage.Delta{Entries: map[model.PairKey][]storage.IndexEntry{
+		model.NewPairKey(4, 5): {{Trace: 2, TsA: 0, TsB: 10}},
+		model.NewPairKey(4, 6): {{Trace: 1, TsA: 0, TsB: 5}},
+	}})
+	counts, err := cl.GetCounts(ctx, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []storage.CountEntry{{Other: 2, SumDuration: 160, Completions: 2}, {Other: 3, SumDuration: 5, Completions: 1}}
+	want := []storage.CountEntry{{Other: 5, SumDuration: 160, Completions: 2}, {Other: 6, SumDuration: 5, Completions: 1}}
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("GetCounts = %v, want %v", counts, want)
 	}
-	if local, _ := tab.GetCounts(ctx, 1); !reflect.DeepEqual(local, want) {
+	if local, _ := tab.GetCounts(ctx, 4); !reflect.DeepEqual(local, want) {
 		t.Fatalf("server-side GetCounts = %v, want %v", local, want)
 	}
-	e, ok, err := cl.GetPairCount(ctx, 1, 2)
+	e, ok, err := cl.GetPairCount(ctx, 4, 5)
 	if err != nil || !ok || e.SumDuration != 160 || e.Completions != 2 {
 		t.Fatalf("GetPairCount = %v, %v, %v", e, ok, err)
 	}
-	// A predecessor read is a pair read: 1 precedes 3.
-	if e, ok, err := cl.GetPairCount(ctx, 1, 3); err != nil || !ok || e != want[1] {
-		t.Fatalf("GetPairCount(1,3) = %v, %v, %v", e, ok, err)
+	// A predecessor read is a pair read: 4 precedes 6.
+	if e, ok, err := cl.GetPairCount(ctx, 4, 6); err != nil || !ok || e != want[1] {
+		t.Fatalf("GetPairCount(4,6) = %v, %v, %v", e, ok, err)
 	}
 	if _, ok, _ := cl.GetPairCount(ctx, 5, 6); ok {
 		t.Fatal("GetPairCount(5,6) found")
@@ -173,16 +164,12 @@ func TestNetShardRoundTrip(t *testing.T) {
 		t.Fatalf("GetLastCompletion before any append = %d, %v", ts, err)
 	}
 	for _, ts := range []model.Timestamp{250, 60, -3} {
-		if err := cl.AppendIndex("", other, []storage.IndexEntry{{Trace: 1, TsA: ts - 1, TsB: ts}}); err != nil {
-			t.Fatal(err)
-		}
+		commitEntries(t, cl, "", other, storage.IndexEntry{Trace: 1, TsA: ts - 1, TsB: ts})
 	}
 	if ts, err := cl.GetLastCompletion(ctx, other); ts != 250 || err != nil {
 		t.Fatalf("GetLastCompletion = %d, %v; want 250", ts, err)
 	}
-	if err := cl.AppendIndex("p3", pair, []storage.IndexEntry{{Trace: 7, TsA: 300, TsB: 900}}); err != nil {
-		t.Fatal(err)
-	}
+	commitEntries(t, cl, "p3", pair, storage.IndexEntry{Trace: 7, TsA: 300, TsB: 900})
 	if err := cl.DropPeriod("p3"); err != nil {
 		t.Fatal(err)
 	}
@@ -219,24 +206,32 @@ func TestNetShardRoundTrip(t *testing.T) {
 	if cl.NumShards() != 1 {
 		t.Fatal("NumShards != 1")
 	}
-	// A MemStore-backed server groups writes like any other: buffered until
-	// the commit, applied as one group by it.
-	bw := cl.Batch()
-	if err := bw.BeginBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AppendSeq(42, events); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := tab.GetSeq(ctx, 42); ok {
-		t.Fatal("buffered write leaked to the server before the commit")
-	}
-	if err := bw.CommitBatch(); err != nil {
-		t.Fatal(err)
+	// A MemStore-backed server commits groups like any other; its handle
+	// is already durable.
+	ws, err := cl.Commit("", &storage.Delta{Seqs: map[model.TraceID][]model.TraceEvent{42: events}})
+	if err != nil || len(ws) != 1 || ws[0] == nil || ws[0].Wait() != nil {
+		t.Fatalf("Commit = %v, %v", ws, err)
 	}
 	if got, ok, _ := tab.GetSeq(ctx, 42); !ok || !reflect.DeepEqual(got, events) {
 		t.Fatalf("committed group not applied: %v, %v", got, ok)
 	}
+	if ws, err := cl.Commit("", storage.NewDelta()); err != nil || len(ws) != 1 || ws[0] != nil {
+		t.Fatalf("empty Commit = %v, %v; want one nil handle", ws, err)
+	}
+}
+
+// commit ships d through the client's Commit.
+func commit(t *testing.T, cl *Client, period string, d *storage.Delta) {
+	t.Helper()
+	if _, err := cl.Commit(period, d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// commitEntries commits one pair's entries into period.
+func commitEntries(t *testing.T, cl *Client, period string, pair model.PairKey, es ...storage.IndexEntry) {
+	t.Helper()
+	commit(t, cl, period, &storage.Delta{Entries: map[model.PairKey][]storage.IndexEntry{pair: es}})
 }
 
 // scanPartition collects one partition's rows through ScanIndex.
@@ -264,41 +259,14 @@ func TestNetShardBatchDurable(t *testing.T) {
 	tab := storage.NewTables(store)
 	cl, srv := startServer(t, tab, store, ServerOptions{})
 
-	bw := cl.Batch()
-	if err := bw.BeginBatch(); err != nil {
-		t.Fatal(err)
-	}
 	events := []model.TraceEvent{{Activity: 1, TS: 10}}
-	if err := cl.AppendSeq(1, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AppendIndex("p", model.NewPairKey(1, 2), []storage.IndexEntry{{Trace: 1, TsA: 10, TsB: 20}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.PutMeta("alphabet", []byte("a\x00b")); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing visible server-side until the group commits.
-	if n, _ := tab.NumTraces(context.Background()); n != 0 {
-		t.Fatalf("buffered write leaked to the server: %d traces", n)
-	}
-	if err := bw.CommitBatch(); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, cl, "p", &storage.Delta{
+		Seqs:    map[model.TraceID][]model.TraceEvent{1: events},
+		Entries: map[model.PairKey][]storage.IndexEntry{model.NewPairKey(1, 2): {{Trace: 1, TsA: 10, TsB: 20}}},
+		Meta:    map[string][]byte{"alphabet": []byte("a\x00b")},
+	})
 	if n, _ := tab.NumTraces(context.Background()); n != 1 {
 		t.Fatalf("committed group not applied: %d traces", n)
-	}
-
-	// An aborted group leaves no trace.
-	if err := bw.BeginBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AppendSeq(2, events); err != nil {
-		t.Fatal(err)
-	}
-	bw.AbortBatch(errors.New("test abort"))
-	if n, _ := tab.NumTraces(context.Background()); n != 1 {
-		t.Fatalf("aborted group applied: %d traces", n)
 	}
 
 	// Reopen: the acked group must be on disk.
@@ -328,11 +296,11 @@ func TestNetShardBatchDurable(t *testing.T) {
 func TestNetShardScanEarlyStop(t *testing.T) {
 	cl, _ := memBackends(t)
 	ctx := context.Background()
+	d := storage.NewDelta()
 	for i := 0; i < 100; i++ {
-		if err := cl.AppendSeq(model.TraceID(i), []model.TraceEvent{{Activity: 1, TS: 1}}); err != nil {
-			t.Fatal(err)
-		}
+		d.Seqs[model.TraceID(i)] = []model.TraceEvent{{Activity: 1, TS: 1}}
 	}
+	commit(t, cl, "", d)
 	stop := errors.New("stop here")
 	n := 0
 	err := cl.ScanSeq(ctx, func(model.TraceID, []model.TraceEvent) error {

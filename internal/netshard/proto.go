@@ -4,10 +4,10 @@
 // Client implements storage.Backend against it, so the engine, the ingest
 // pipeline and the query layer run unchanged over remote shards. The
 // coordinator side wraps N clients in shard.NewFromBackends — routing,
-// deterministic merges and the per-shard ShardedCommits group commits are
-// exactly the in-process ones, which is what makes a multi-process engine
-// byte-identical to a single-process sharded engine (the differential
-// oracle asserts this).
+// deterministic merges and the Commit split into one commit group per shard
+// are exactly the in-process ones, which is what makes a multi-process
+// engine byte-identical to a single-process sharded engine (the
+// differential oracle asserts this).
 //
 // Wire format (DESIGN.md §13): after an 8-byte hello exchange, each
 // direction carries frames of [uint32 big-endian length][payload]. A request

@@ -40,7 +40,7 @@ import (
 )
 
 // fibMix is the 64-bit Fibonacci-hashing multiplier used across the
-// repository (ingest trace affinity, builder accumulator shards): it
+// repository (ingest trace affinity, shard routing): it
 // scatters sequential ids uniformly without a per-key hash state.
 const fibMix = 0x9E3779B97F4A7C15
 
@@ -135,7 +135,7 @@ func New(stores []kvstore.Store, opts Options) (*Tables, error) {
 // every coordinator, or routing silently diverges; the engine pins the count
 // (not the order) in the meta table, and each per-shard backend must present
 // exactly one store (NumShards() == 1). Routing, deterministic merges and
-// the ShardedCommits partitioning all behave exactly as with local stores —
+// the Commit split all behave exactly as with local stores —
 // which is what makes the remote engine byte-identical to the in-process one.
 func NewFromBackends(backends []storage.Backend, opts Options) (*Tables, error) {
 	if len(backends) == 0 {
@@ -192,12 +192,74 @@ func (t *Tables) each(ctx context.Context, fn func(i int, s storage.Backend) err
 	})
 }
 
-// ---- Seq table (trace-routed) ----------------------------------------------
+// ---- Writes ----------------------------------------------------------------
 
-// AppendSeq appends events to the trace's Seq row on its affinity shard.
-func (t *Tables) AppendSeq(id model.TraceID, events []model.TraceEvent) error {
-	return t.traceTab(id).AppendSeq(id, events)
+// Commit splits d by store — Seq rows by TraceShard, Index entries and the
+// Count increments summed from them by PairShard — and commits each part on
+// its shard, moving the row slices rather than copying them. Each store's
+// part is one crash-atomic group on that store; there is no cross-store
+// transaction, so a crash between two stores' seals leaves stores a flush
+// apart, which Algorithm 1's Seq watermark makes safe to replay.
+//
+// The parts are cut and committed concurrently, each store's on its own
+// goroutine, and a store that fails does not stop the others: every part
+// gets its commit attempt, and the first error is returned. One ordering is
+// kept: when d carries meta rows, every store's part carries them, and
+// store 0's part is committed and waited durable before any other store
+// commits, so recovery never finds rows naming activities that the durable
+// alphabet (read from store 0) lacks.
+func (t *Tables) Commit(period string, d *storage.Delta) ([]kvstore.Durability, error) {
+	n := len(t.shards)
+	if n == 1 {
+		return t.shards[0].Commit(period, d)
+	}
+	waits := make([]kvstore.Durability, n)
+	commit := func(i int) error {
+		part := &storage.Delta{
+			Seqs:    make(map[model.TraceID][]model.TraceEvent, len(d.Seqs)/n),
+			Entries: make(map[model.PairKey][]storage.IndexEntry, len(d.Entries)/n),
+			Meta:    d.Meta,
+		}
+		for id, evs := range d.Seqs {
+			if TraceShard(id, n) == i {
+				part.Seqs[id] = evs
+			}
+		}
+		for k, es := range d.Entries {
+			if PairShard(k, n) == i {
+				part.Entries[k] = es
+			}
+		}
+		ws, err := t.shards[i].Commit(period, part)
+		if err == nil {
+			waits[i] = ws[0]
+		}
+		return err
+	}
+	first := 0
+	if len(d.Meta) > 0 {
+		if err := commit(0); err != nil {
+			return nil, err
+		}
+		if err := waits[0].Wait(); err != nil {
+			return nil, err
+		}
+		first = 1
+	}
+	errs := make([]error, n)
+	parallel.ForEach(n-first, n-first, func(i int) error {
+		errs[first+i] = commit(first + i)
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return waits, nil
 }
+
+// ---- Seq table (trace-routed) ----------------------------------------------
 
 // GetSeq reads the trace's stored sequence from its affinity shard.
 func (t *Tables) GetSeq(ctx context.Context, id model.TraceID) ([]model.TraceEvent, bool, error) {
@@ -238,13 +300,6 @@ func (t *Tables) NumTraces(ctx context.Context) (int, error) {
 }
 
 // ---- Index table (pair-routed) ---------------------------------------------
-
-// AppendIndex appends entries to the pair's posting row on its owning shard
-// (which also registers the period there, so each shard's period list covers
-// exactly the partitions it holds rows for).
-func (t *Tables) AppendIndex(period string, pair model.PairKey, entries []storage.IndexEntry) error {
-	return t.pairTab(pair).AppendIndex(period, pair, entries)
-}
 
 // GetPostings serves the pair's sorted runs from its owning shard — the
 // query hot path stays a single-shard point read, the payoff of pair-key
@@ -355,29 +410,6 @@ func (t *Tables) Periods(ctx context.Context) ([]string, error) {
 
 // ---- Count table (pair-routed writes, gathered row reads) ------------------
 
-// MergeCounts folds a Count delta in, splitting it so each (first, other)
-// increment lands on the shard owning the pair (first, other). The row of
-// `first` becomes partial per shard; GetCounts re-aggregates.
-func (t *Tables) MergeCounts(first model.ActivityID, delta []storage.CountEntry) error {
-	if len(t.shards) == 1 {
-		return t.shards[0].MergeCounts(first, delta)
-	}
-	split := make([][]storage.CountEntry, len(t.shards))
-	for _, e := range delta {
-		si := PairShard(model.NewPairKey(first, e.Other), len(t.shards))
-		split[si] = append(split[si], e)
-	}
-	for si, d := range split {
-		if len(d) == 0 {
-			continue
-		}
-		if err := t.shards[si].MergeCounts(first, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // GetCounts scatter-gathers the partial Count rows of `first` from every
 // shard and merges them — summing per successor, ordered by successor id —
 // into the exact row a single store would hold.
@@ -395,8 +427,8 @@ func (t *Tables) GetCounts(ctx context.Context, first model.ActivityID) ([]stora
 }
 
 // GetPairCount reads the (a, b) Count entry from the pair's owning shard:
-// MergeCounts and the ingest partitioner put every increment of a pair
-// there, and the shard count is pinned in meta.
+// Commit puts every increment of a pair there, and the shard count is
+// pinned in meta.
 func (t *Tables) GetPairCount(ctx context.Context, a, b model.ActivityID) (storage.CountEntry, bool, error) {
 	return t.pairTab(model.NewPairKey(a, b)).GetPairCount(ctx, a, b)
 }
@@ -469,35 +501,6 @@ func (t *Tables) GetMeta(key string) ([]byte, bool, error) {
 }
 
 // ---- Observability / lifecycle ---------------------------------------------
-
-// Batch returns a fan-out group writer opening one crash-atomic batch per
-// shard. Atomicity is per-shard: each shard's portion of a flush survives or
-// rolls back as a unit on that shard; a crash between shard commits can
-// leave some shards a flush ahead of others, which re-ingestion semantics
-// tolerate (the watermark dedup of Algorithm 1 makes replays idempotent).
-func (t *Tables) Batch() kvstore.BatchWriter {
-	ws := make([]kvstore.BatchWriter, len(t.shards))
-	for i, s := range t.shards {
-		ws[i] = s.Batch()
-	}
-	return &groupWriter{ws: ws}
-}
-
-// ShardBatch implements storage.ShardedCommits: shard i's own group writer.
-// The per-shard writers are independent — the ingest pipeline drives them
-// concurrently, one flush group per shard, where Batch()'s groupWriter would
-// seal them one by one.
-func (t *Tables) ShardBatch(i int) kvstore.BatchWriter { return t.shards[i].Batch() }
-
-// ShardForTrace implements storage.ShardedCommits with the same routing the
-// write path uses for Seq rows.
-func (t *Tables) ShardForTrace(id model.TraceID) int { return TraceShard(id, len(t.shards)) }
-
-// ShardForPair implements storage.ShardedCommits with the same routing the
-// write path uses for Index and count-partial rows.
-func (t *Tables) ShardForPair(k model.PairKey) int { return PairShard(k, len(t.shards)) }
-
-var _ storage.ShardedCommits = (*Tables)(nil)
 
 // CacheStats sums the per-shard postings-cache counters.
 func (t *Tables) CacheStats() storage.CacheStats {

@@ -132,10 +132,8 @@ func statsOverFakes(t *testing.T) ([]*statsReads, model.PairKey) {
 		t.Fatal(err)
 	}
 	pair := model.NewPairKey(3, 5)
-	if err := st.MergeCounts(3, []storage.CountEntry{{Other: 5, SumDuration: 4, Completions: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendIndex("", pair, []storage.IndexEntry{{Trace: 1, TsA: 40, TsB: 42}, {Trace: 2, TsA: 30, TsB: 32}}); err != nil {
+	d := &storage.Delta{Entries: map[model.PairKey][]storage.IndexEntry{pair: {{Trace: 1, TsA: 40, TsB: 42}, {Trace: 2, TsA: 30, TsB: 32}}}}
+	if _, err := st.Commit("", d); err != nil {
 		t.Fatal(err)
 	}
 	got, err := query.NewProcessor(st).Stats(context.Background(), model.Pattern{3, 5})
@@ -160,7 +158,7 @@ func TestStatsReadsLastCompletionFromOwningShard(t *testing.T) {
 	}
 }
 
-// TestStatsReadsPairCountFromOwningShard: MergeCounts puts a pair's whole
+// TestStatsReadsPairCountFromOwningShard: Commit puts a pair's whole
 // Count entry on the pair's shard, so a Stats pair read costs one
 // GetPairCount, on the owner.
 func TestStatsReadsPairCountFromOwningShard(t *testing.T) {

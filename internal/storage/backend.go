@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"context"
+	"slices"
+	"sort"
 
 	"seqlog/internal/kvstore"
 	"seqlog/internal/metrics"
@@ -24,15 +27,28 @@ import (
 // partitioning at the storage layer without the query or indexing code
 // knowing how many stores sit underneath.
 //
+// Algorithm 1 updates Seq, Index and Count together, one batch at a time,
+// and so does the write contract: Commit takes a batch's whole Delta and
+// writes each store's part of it as one crash-atomic group. The row writes
+// it is made of (*Tables' AppendSeq, AppendIndex, MergeCounts) are not part
+// of the interface.
+//
 // Every read method takes a context.Context first: the local backends only
 // poll it at coarse boundaries (per scanned trace, per scattered shard), but
-// the seam carries it so a future network shard backend can attach real
-// deadlines to its RPCs. Writes stay context-free — a WAL batch group either
-// commits or rolls back as a unit, and the ingest pipeline polls its own
-// abort flag between table writes instead.
+// the seam carries it so a network shard backend can attach real deadlines
+// to its RPCs. Writes stay context-free: a group either commits or rolls
+// back as a unit.
 type Backend interface {
+	// Commit writes one batch: d's Seq appends, Index entries (into the
+	// period partition, "" the default), the Count increments summed from
+	// those entries, and d's meta rows. Each store's part is one
+	// crash-atomic group, sealed without waiting for its fsync: the result
+	// holds one handle per store, aligned with NumShards, nil for a store
+	// the delta did not touch, and Wait on a handle returns once that
+	// store's part is durable. Commit may sort d's entry slices in place.
+	Commit(period string, d *Delta) ([]kvstore.Durability, error)
+
 	// Seq table: trace_id -> [(activity, ts), ...]
-	AppendSeq(id model.TraceID, events []model.TraceEvent) error
 	GetSeq(ctx context.Context, id model.TraceID) ([]model.TraceEvent, bool, error)
 	DeleteSeq(id model.TraceID) error
 	ScanSeq(ctx context.Context, fn func(model.TraceID, []model.TraceEvent) error) error
@@ -42,7 +58,6 @@ type Backend interface {
 	// partitioned per period. It has exactly two reads: GetPostings (below)
 	// is the point read the join uses, ScanIndex the raw per-partition scan
 	// that audits and the test oracles read rows through.
-	AppendIndex(period string, pair model.PairKey, entries []IndexEntry) error
 	ScanIndex(ctx context.Context, period string, fn func(model.PairKey, []IndexEntry) error) error
 	NumIndexedPairs(ctx context.Context, period string) (int, error)
 	DropPeriod(period string) error
@@ -61,7 +76,6 @@ type Backend interface {
 
 	// Count table: a row per leading activity, one entry per successor.
 	// Predecessors are found by pair reads (GetPairCount) over the alphabet.
-	MergeCounts(first model.ActivityID, delta []CountEntry) error
 	GetCounts(ctx context.Context, first model.ActivityID) ([]CountEntry, error)
 	GetPairCount(ctx context.Context, a, b model.ActivityID) (CountEntry, bool, error)
 
@@ -70,16 +84,10 @@ type Backend interface {
 	// is the Seq boundary, DESIGN §4).
 	GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error)
 
-	// Meta table.
+	// Meta table. PutMeta writes outside any batch (the engine pins its
+	// configuration at open); a flush carries its meta rows in the Delta.
 	PutMeta(key string, value []byte) error
 	GetMeta(key string) ([]byte, bool, error)
-
-	// Batch returns a writer grouping mutations into crash-atomic units;
-	// it is never nil (a memory-backed store's groups are no-ops). For a
-	// sharded backend the writer fans out to one group per shard: each
-	// shard's portion of a flush commits (and fsyncs) atomically on that
-	// shard.
-	Batch() kvstore.BatchWriter
 
 	// NumShards reports how many independent stores back this view (1 for
 	// *Tables). The query processor uses it to decide whether scatter
@@ -94,41 +102,119 @@ type Backend interface {
 	Recovery() kvstore.RecoveryStats
 }
 
-// Batch returns the store's crash-atomic group writer.
-func (t *Tables) Batch() kvstore.BatchWriter { return t.store }
-
 // NumShards reports the single store backing this view.
 func (t *Tables) NumShards() int { return 1 }
 
-// ShardedCommits is the per-shard commit seam of the parallel flush path. A
-// backend that can expose its independent stores lets the ingest pipeline
-// partition one flush into per-store deltas and drive one WAL group per
-// store concurrently, instead of funneling every shard's group through a
-// single sequential commit. The routing functions must agree with where the
-// backend's write methods put each row — the pipeline partitions its deltas
-// with them and then writes each partition through the ordinary Backend
-// methods, relying on every row of partition i landing inside store i's
-// open group.
-type ShardedCommits interface {
-	// ShardBatch returns store i's crash-atomic group writer, never nil.
-	// Unlike Batch, the groups of different shards are begun, written and
-	// sealed independently (and possibly concurrently) by the caller.
-	ShardBatch(i int) kvstore.BatchWriter
-	// ShardForTrace is the shard a trace-keyed row (Seq) routes to.
-	ShardForTrace(id model.TraceID) int
-	// ShardForPair is the shard a pair-keyed row (Index, and the count
-	// partial registered under that pair's activity) routes to.
-	ShardForPair(k model.PairKey) int
+// Delta is one batch of Algorithm 1: the events each trace appends to its
+// Seq row, the new Index entries of each pair, and meta rows written in the
+// same group (the engine's alphabet when it grew). It carries no Count
+// rows: a pair's increment is the completions and summed durations of its
+// entries.
+type Delta struct {
+	Seqs    map[model.TraceID][]model.TraceEvent
+	Entries map[model.PairKey][]IndexEntry
+	Meta    map[string][]byte
 }
 
-// ShardBatch on the single-store backend is Batch: there is one store, and
-// every row routes to it.
-func (t *Tables) ShardBatch(i int) kvstore.BatchWriter { return t.Batch() }
+// NewDelta returns an empty delta ready for writes.
+func NewDelta() *Delta {
+	return &Delta{
+		Seqs:    make(map[model.TraceID][]model.TraceEvent),
+		Entries: make(map[model.PairKey][]IndexEntry),
+	}
+}
 
-// ShardForTrace implements ShardedCommits (single store: everything is 0).
-func (t *Tables) ShardForTrace(id model.TraceID) int { return 0 }
+func (d *Delta) empty() bool {
+	return len(d.Seqs) == 0 && len(d.Entries) == 0 && len(d.Meta) == 0
+}
 
-// ShardForPair implements ShardedCommits (single store: everything is 0).
-func (t *Tables) ShardForPair(k model.PairKey) int { return 0 }
+// RowWriter takes a Delta's rows one at a time: *Tables applies them, and
+// the netshard client encodes them as the ops of one commit group.
+type RowWriter interface {
+	AppendSeq(id model.TraceID, events []model.TraceEvent) error
+	AppendIndex(period string, pair model.PairKey, entries []IndexEntry) error
+	MergeCounts(first model.ActivityID, delta []CountEntry) error
+	PutMeta(key string, value []byte) error
+}
 
-var _ ShardedCommits = (*Tables)(nil)
+// Apply writes d through w in commit order: Seq rows by trace id, Index rows
+// by pair key, each with its entries sorted by (trace, TsB), and the Count
+// increments of one leading activity merged after its last pair (pairs in
+// key order keep one activity's pairs together), then meta rows by key.
+func (d *Delta) Apply(period string, w RowWriter) error {
+	for _, id := range sortedKeys(d.Seqs) {
+		if err := w.AppendSeq(id, d.Seqs[id]); err != nil {
+			return err
+		}
+	}
+	keys := sortedKeys(d.Entries)
+	var counts []CountEntry
+	for i, k := range keys {
+		es := d.Entries[k]
+		// A pair's entries come from many traces; keep a canonical order
+		// inside the appended chunk.
+		less := func(i, j int) bool {
+			if es[i].Trace != es[j].Trace {
+				return es[i].Trace < es[j].Trace
+			}
+			return es[i].TsB < es[j].TsB
+		}
+		if !sort.SliceIsSorted(es, less) {
+			sort.Slice(es, less)
+		}
+		if err := w.AppendIndex(period, k, es); err != nil {
+			return err
+		}
+		c := CountEntry{Other: k.Second(), Completions: int64(len(es))}
+		for _, e := range es {
+			c.SumDuration += int64(e.TsB - e.TsA)
+		}
+		counts = append(counts, c)
+		if i+1 == len(keys) || keys[i+1].First() != k.First() {
+			if err := w.MergeCounts(k.First(), counts); err != nil {
+				return err
+			}
+			counts = counts[:0]
+		}
+	}
+	for _, key := range sortedKeys(d.Meta) {
+		if err := w.PutMeta(key, d.Meta[key]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// Commit writes d as one crash-atomic group on the store and seals it
+// without waiting for the fsync; a store that cannot seal commits the group
+// durably and returns kvstore.Durable. A failed write aborts the group.
+func (t *Tables) Commit(period string, d *Delta) ([]kvstore.Durability, error) {
+	if d.empty() {
+		return []kvstore.Durability{nil}, nil
+	}
+	if err := t.store.BeginBatch(); err != nil {
+		return nil, err
+	}
+	if err := d.Apply(period, t); err != nil {
+		t.store.AbortBatch(err)
+		return nil, err
+	}
+	gc, ok := t.store.(kvstore.GroupCommitter)
+	if !ok {
+		return []kvstore.Durability{kvstore.Durable}, t.store.CommitBatch()
+	}
+	w, err := gc.SealBatch()
+	if err != nil {
+		return nil, err
+	}
+	return []kvstore.Durability{w}, nil
+}

@@ -15,7 +15,8 @@ import (
 
 // referenceMergeCounts is the Count merge as the store first wrote it:
 // decode the whole row, fold the delta in through a map, sort by Other and
-// re-encode. MergeCounts must produce the same bytes for every valid row.
+// re-encode. MergeCounts must produce the same bytes for every valid row
+// and every delta sorted by Other.
 func referenceMergeCounts(raw []byte, delta []CountEntry) ([]byte, error) {
 	existing, err := decodeCounts(raw)
 	if err != nil {
@@ -98,6 +99,13 @@ func TestMergeCountRowMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := mergeStoredRow(raw, delta)
+		if !slices.IsSortedFunc(delta, cmpOther) {
+			// A delta out of order is refused.
+			if !errors.Is(err, errDeltaOrder) {
+				t.Fatalf("iter %d: unsorted delta merged: err %v", iter, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -124,7 +132,8 @@ func mustDecodeCounts(t *testing.T, raw []byte) []CountEntry {
 // byte for byte when the row is canonical (its Others strictly ascend and
 // re-encoding it gives the same bytes), entry for entry when only its
 // varints are over-long — and refuses a row out of order with ErrCorrupt,
-// as it refuses every row the reference cannot decode.
+// as it refuses every row the reference cannot decode, and a delta out of
+// order with errDeltaOrder.
 func FuzzCountMerge(f *testing.F) {
 	row := EncodeCountRow(nil, []CountEntry{{Other: 2, SumDuration: 5, Completions: 1}, {Other: 9, SumDuration: -3, Completions: 2}})
 	delta := EncodeCountRow(nil, []CountEntry{{Other: 9, SumDuration: 1, Completions: 1}, {Other: 4, SumDuration: 7, Completions: 1}})
@@ -138,6 +147,12 @@ func FuzzCountMerge(f *testing.F) {
 			return
 		}
 		got, err := mergeStoredRow(raw, delta)
+		if !slices.IsSortedFunc(delta, cmpOther) {
+			if !errors.Is(err, errDeltaOrder) {
+				t.Fatalf("unsorted delta %v merged: err %v", delta, err)
+			}
+			return
+		}
 		entries, refErr := decodeCounts(raw)
 		ascending := refErr == nil
 		for i := 1; ascending && i < len(entries); i++ {

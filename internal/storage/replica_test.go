@@ -82,7 +82,7 @@ func openPrimary(t *testing.T, dir string) (*Tables, *kvstore.DiskStore) {
 // ingestBatch writes one flush-like batch group on the primary.
 func ingestBatch(t *testing.T, tb *Tables, period string, base int) {
 	t.Helper()
-	bw := tb.Batch()
+	bw := tb.Store()
 	if err := bw.BeginBatch(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"slices"
 	"sort"
@@ -329,9 +330,10 @@ func sortIndexEntries(entries []IndexEntry) {
 }
 
 // getTailSortedLocked returns the memtable-tier row of pair, cached until
-// AppendIndex or DropPeriod touches it. Without a cache, a row is sorted
-// only when sorted is set: a maximum needs no order. The slice may be the
-// cache's, so callers must not modify it. segMu is held shared.
+// AppendIndex or DropPeriod touches it. Without a cache and without sorted,
+// the caller needs only the largest TsB: the row shrinks to the entry that
+// holds it, read from the varints without decoding the row. The slice may
+// be the cache's, so callers must not modify it. segMu is held shared.
 func (t *Tables) getTailSortedLocked(period string, pair model.PairKey, sorted bool) ([]IndexEntry, error) {
 	k := cacheKey{period: period, pair: pair, block: wholeRowBlock}
 	var gen, epoch uint64
@@ -341,19 +343,52 @@ func (t *Tables) getTailSortedLocked(period string, pair model.PairKey, sorted b
 			return entries, nil
 		}
 		gen, epoch = t.cache.begin(k)
+	} else if !sorted {
+		return t.getTailLastLocked(period, pair)
 	}
 	entries, err := t.getTailLocked(period, pair)
 	if err != nil {
 		return nil, err
 	}
 	t.rows.Add(int64(len(entries)))
-	if sorted || t.cache != nil {
-		sortIndexEntries(entries)
-	}
+	sortIndexEntries(entries)
 	if t.cache != nil {
 		t.cache.put(k, gen, epoch, entries)
 	}
 	return entries, nil
+}
+
+// getTailLastLocked returns the entry of the largest TsB in the
+// memtable-tier row of pair, none for an absent row; segMu is held shared.
+func (t *Tables) getTailLastLocked(period string, pair model.PairKey) ([]IndexEntry, error) {
+	raw, ok, err := t.store.Get(indexTable(period), pairKeyString(pair))
+	if err != nil || !ok {
+		return nil, err
+	}
+	r, n := &reader{buf: raw}, 0
+	var last IndexEntry
+	for ; !r.done(); n++ {
+		tr, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		tsA, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		d, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if tsB := model.Timestamp(tsA + int64(d)); n == 0 || tsB > last.TsB {
+			last = IndexEntry{Trace: model.TraceID(tr), TsA: model.Timestamp(tsA), TsB: tsB}
+		}
+	}
+	t.rows.Add(int64(n))
+	if n == 0 {
+		return nil, nil
+	}
+	return []IndexEntry{last}, nil
 }
 
 // mergeSortedEntries k-way merges sorted rows (the freeze folds a segment
@@ -635,17 +670,20 @@ func decodeCounts(raw []byte) ([]CountEntry, error) {
 
 func cmpOther(a, b CountEntry) int { return cmp.Compare(a.Other, b.Other) }
 
-// MergeCounts folds a batch delta into the Count row of first (pairs where
-// first is the leading event). Rows are sorted by Other, which keeps them
-// byte-identical regardless of batch split, so the delta merges into the
-// row's bytes: only the entries it adds or sums are encoded.
+// errDeltaOrder refuses a Count delta whose Others descend somewhere.
+var errDeltaOrder = errors.New("storage: count delta not sorted by successor")
+
+// MergeCounts folds a batch delta, sorted by Other (repeats sum), into the
+// Count row of first (pairs where first is the leading event). Rows are
+// sorted by Other, which keeps them byte-identical regardless of batch
+// split, so the delta merges into the row's bytes: only the entries it adds
+// or sums are encoded.
 func (t *Tables) MergeCounts(first model.ActivityID, delta []CountEntry) error {
 	if len(delta) == 0 {
 		return nil
 	}
 	if !slices.IsSortedFunc(delta, cmpOther) {
-		delta = slices.Clone(delta)
-		slices.SortFunc(delta, cmpOther)
+		return errDeltaOrder
 	}
 	k := activityKeyString(first)
 	raw, _, err := t.store.Get(tableCount, k)

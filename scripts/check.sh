@@ -131,15 +131,34 @@ if want vet; then
 		echo "check: the lastchecked table is written outside storage.Tables.DropPeriod" >&2
 		exit 1
 	fi
+	# One writer per flush: a batch reaches the tables only through
+	# storage.Backend.Commit. The per-store commit seam and the fan-out
+	# group writer stay deleted, and the row writes Commit is made of are
+	# called only inside internal/storage and by the netshard server, which
+	# applies a remote commit group op by op.
+	if grep -rnwE 'ShardedCommits|ShardBatch|groupWriter' --include='*.go' .; then
+		echo "check: ShardedCommits, ShardBatch or groupWriter is back; write a batch through Backend.Commit" >&2
+		exit 1
+	fi
+	if grep -rnE '\.(AppendSeq|AppendIndex|MergeCounts)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . |
+		grep -vE '^\./internal/storage/[^/]+\.go:|^\./internal/netshard/server\.go:' |
+		grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+		echo "check: non-test code outside internal/storage calls a row write; commit a storage.Delta instead" >&2
+		exit 1
+	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...
 fi
 
 # Crash-torture tier: replay every write-path crash point and every
 # single-byte corruption through recovery (see DESIGN.md "Durability &
 # failure model"). Redundant with the vet tier but kept as an explicit
-# gate so a -run filter during debugging can't silently skip it.
+# gate so a -run filter during debugging can't silently skip it. The
+# Builder sweep crashes one Update at every filesystem operation and at a
+# stride of bytes, on one store and on three shards: each store recovers
+# all of its part of the batch or none.
 if want crash; then
 	go test -race -run 'Crash|Corrupt' ./internal/kvstore/
+	go test -race -short -run 'BuilderCrash' ./internal/index/
 fi
 
 # Ingest tier: the per-trace rule's properties (chunked Extend equals the
@@ -163,7 +182,9 @@ fi
 # (the postings cache records generations only for keys a reader began and
 # stays coherent under -race; a Count merge matches the decode-map-sort
 # reference byte for byte and allocates at most 3 times, with one run of
-# BenchmarkMergeCounts so it does not rot), run explicitly for the same
+# BenchmarkMergeCounts so it does not rot), the one writer both paths share
+# (Commit writes the WAL bytes and rows of the row writes it replaced, on
+# one store and on each of three shards), run explicitly for the same
 # reason as above.
 if want ingest; then
 	go test -race -run 'Extend' ./internal/pairs/
@@ -176,6 +197,7 @@ if want ingest; then
 	go test -race -run 'SealBatch|PipelinedBatch' ./internal/kvstore/
 	go test -race -run 'Cache|MergeCount|Invalidate' ./internal/storage/
 	go test -run XXX -bench 'MergeCounts$' -benchtime 1x ./internal/storage/
+	go test -race -run 'Commit' ./internal/storage/ ./internal/shard/
 fi
 
 # Metrics tier: the registry and the whole telemetry path under the race

@@ -798,8 +798,8 @@ func (e *Engine) storedRule() (rule pairs.Rule, policy, order string, err error)
 // rule is how the store was built: its pair policy and order.
 func (e *Engine) rule() pairs.Rule { return *e.built.Load() }
 
-func (e *Engine) persistAlphabet() error {
-	return e.tables.PutMeta(metaAlphabet, []byte(strings.Join(e.alphabet.Names(), "\x00")))
+func (e *Engine) alphabetRow() []byte {
+	return []byte(strings.Join(e.alphabet.Names(), "\x00"))
 }
 
 // Ingest indexes a batch of new events (the periodic update of §3.1.3).

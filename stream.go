@@ -77,6 +77,10 @@ func (e *Engine) writer() (*ingest.Pipeline, error) {
 		}
 		p.Close()
 		addIngest(&e.ingestTotal, p.Stats())
+		// The failed commit may have carried the alphabet: send it again.
+		e.mu.Lock()
+		e.persistedActs = -1
+		e.mu.Unlock()
 	}
 	rule := e.rule()
 	p, err := ingest.New(e.tables, ingest.Options{
@@ -88,7 +92,7 @@ func (e *Engine) writer() (*ingest.Pipeline, error) {
 		FlushInterval: e.cfg.FlushInterval,
 		QueueEvents:   e.cfg.IngestQueue,
 		CommitLock:    &e.mu,
-		BeforeCommit:  e.persistAlphabetIfGrown,
+		BeforeCommit:  e.alphabetIfGrown,
 		Metrics:       e.metrics,
 	})
 	if err != nil {
@@ -102,22 +106,19 @@ func (e *Engine) writer() (*ingest.Pipeline, error) {
 // concurrent, so a streaming client must keep each tie group in one Append.
 func (e *Engine) PartialOrder() bool { return e.rule().PartialOrder }
 
-// persistAlphabetIfGrown persists the interned alphabet when it grew since
-// the last persist, reporting whether it wrote. It runs under e.mu — as the
-// pipeline's BeforeCommit hook it executes inside the flush's atomic batch
-// group, so new activity names become durable in the same fsync as the
-// events that introduced them; on a sharded backend the pipeline uses the
-// grew report to force the meta store's group durable before the other
-// shards' groups seal.
-func (e *Engine) persistAlphabetIfGrown() (bool, error) {
-	if n := e.alphabet.Len(); n != e.persistedActs {
-		if err := e.persistAlphabet(); err != nil {
-			return false, err
-		}
-		e.persistedActs = n
-		return true, nil
+// alphabetIfGrown returns the interned alphabet as a meta row when it grew
+// since the last one handed over, and nil otherwise. It runs under e.mu, as
+// the pipeline's BeforeCommit hook: the row commits in the flush's own
+// crash-atomic group, so new activity names become durable in the same
+// fsync as the events that introduced them, and a sharded backend makes
+// store 0 durable before any other store commits.
+func (e *Engine) alphabetIfGrown() map[string][]byte {
+	n := e.alphabet.Len()
+	if n == e.persistedActs {
+		return nil
 	}
-	return false, nil
+	e.persistedActs = n
+	return map[string][]byte{metaAlphabet: e.alphabetRow()}
 }
 
 // intern converts public events to model events. Alphabet interning is

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"seqlog/internal/index"
-	"seqlog/internal/model"
+	"seqlog/internal/kvstore"
 	"seqlog/internal/storage"
 )
 
@@ -256,13 +256,13 @@ func TestStreamInfoAndSharedPipeline(t *testing.T) {
 	}
 }
 
-// slowTables makes every Seq append take a millisecond, so a steady
-// appender keeps the queue full.
+// slowTables makes every commit take a millisecond per trace it appends
+// to, so a steady appender keeps the queue full.
 type slowTables struct{ storage.Backend }
 
-func (s slowTables) AppendSeq(id model.TraceID, evs []model.TraceEvent) error {
-	time.Sleep(time.Millisecond)
-	return s.Backend.AppendSeq(id, evs)
+func (s slowTables) Commit(period string, d *storage.Delta) ([]kvstore.Durability, error) {
+	time.Sleep(time.Duration(len(d.Seqs)) * time.Millisecond)
+	return s.Backend.Commit(period, d)
 }
 
 // TestIngestReturnsBesideBusyAppender: Engine.Ingest waits for the flush
@@ -481,17 +481,17 @@ func TestReachBackIngestBesideOpenStream(t *testing.T) {
 	}
 }
 
-// failingTables fails every Seq append while fail is set.
+// failingTables fails every commit while fail is set.
 type failingTables struct {
 	storage.Backend
 	fail atomic.Bool
 }
 
-func (f *failingTables) AppendSeq(id model.TraceID, evs []model.TraceEvent) error {
+func (f *failingTables) Commit(period string, d *storage.Delta) ([]kvstore.Durability, error) {
 	if f.fail.Load() {
-		return errors.New("injected seq write failure")
+		return nil, errors.New("injected commit failure")
 	}
-	return f.Backend.AppendSeq(id, evs)
+	return f.Backend.Commit(period, d)
 }
 
 // TestFailedPipelineIsDetached: once a commit fails the shared pipeline,
@@ -523,6 +523,43 @@ func TestFailedPipelineIsDetached(t *testing.T) {
 	ids, err := detectTraces(e, []string{"search", "view"})
 	if err != nil || !reflect.DeepEqual(ids, []int64{2, 3}) {
 		t.Fatalf("search,view traces = %v (%v), want the fresh pipeline's [2 3]", ids, err)
+	}
+}
+
+// TestAlphabetResentAfterFailedCommit: a commit that fails after the
+// alphabet grew may not have stored the new names, so the pipeline that
+// replaces the failed one sends the alphabet again, and a reopen still
+// resolves what it ingested.
+func TestAlphabetResentAfterFailedCommit(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := &failingTables{Backend: e.tables}
+	e.tables = ft
+	if _, err := e.Ingest([]Event{{Trace: 1, Activity: "a", Time: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ft.fail.Store(true)
+	if _, err := e.Ingest([]Event{{Trace: 2, Activity: "b", Time: 1}}); err == nil {
+		t.Fatal("ingest through failing tables succeeded")
+	}
+	ft.fail.Store(false)
+	if _, err := e.Ingest([]Event{{Trace: 3, Activity: "b", Time: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	evs, ok, err := e.TraceEvents(3)
+	if err != nil || !ok || len(evs) != 1 || evs[0].Activity != "b" {
+		t.Fatalf("trace 3 after reopen = %v, %v, %v; want one event of activity b", evs, ok, err)
 	}
 }
 
