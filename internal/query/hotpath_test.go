@@ -518,3 +518,19 @@ func subsequence(sub, ms []Match) bool {
 	}
 	return true
 }
+
+// TestDetectMatchesDoNotShareTail: the join builds every match's timestamps
+// in one flat buffer, so an append to one match must reallocate rather than
+// write into the next match's window.
+func TestDetectMatchesDoNotShareTail(t *testing.T) {
+	q, _ := buildLog(t, model.STNM, "ABC", "ABC", "AABC")
+	ms, err := q.Detect(context.Background(), pattern("ABC"))
+	if err != nil || len(ms) < 2 {
+		t.Fatalf("detect ABC = %v (%v), want several matches", ms, err)
+	}
+	next := append([]model.Timestamp(nil), ms[1].Timestamps...)
+	_ = append(ms[0].Timestamps, -1, -2, -3)
+	if !reflect.DeepEqual(ms[1].Timestamps, next) {
+		t.Fatalf("appending to match 0 changed match 1: %v, was %v", ms[1].Timestamps, next)
+	}
+}

@@ -73,10 +73,13 @@ func joinPostings(qs *qstate, pos []storage.Postings, within int64) ([]Match, er
 	if err != nil || len(chains) == 0 {
 		return nil, err
 	}
+	// Every match's timestamps live in one flat buffer; each Match holds a
+	// cap-limited window of it, so an append to one never reaches the next.
 	depth := len(pos) + 1
 	out := make([]Match, len(chains))
+	flat := make([]model.Timestamp, len(chains)*depth)
 	for i, c := range chains {
-		ts := make([]model.Timestamp, depth)
+		ts := flat[i*depth : (i+1)*depth : (i+1)*depth]
 		for k, n := depth-1, c.node; n != nil; k, n = k-1, n.parent {
 			ts[k] = n.ts
 		}

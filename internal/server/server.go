@@ -13,6 +13,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"seqlog"
@@ -274,10 +275,44 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// respBuf is a pooled response body. Responses are encoded whole before the
+// header goes out, so each carries a Content-Length and leaves in one Write
+// instead of being chunked through net/http's 4 KiB writer.
+type respBuf struct{ b []byte }
+
+func (r *respBuf) Write(p []byte) (int, error) {
+	r.b = append(r.b, p...)
+	return len(p), nil
+}
+
+// maxKeptResp caps the buffers the pool keeps, so one huge answer does not
+// pin its memory for the process lifetime.
+const maxKeptResp = 1 << 20
+
+var respPool = sync.Pool{New: func() any { return new(respBuf) }}
+
+// writeJSON is the one response writer: encode into a pooled buffer, then
+// set Content-Length and write the body at once. A DetectResponse encodes
+// itself; anything else goes through encoding/json, and a value it cannot
+// encode answers 500 instead of an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := respPool.Get().(*respBuf)
+	if d, ok := v.(DetectResponse); ok {
+		buf.b = d.appendJSON(buf.b)
+	} else if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.b = buf.b[:0]
+		json.NewEncoder(buf).Encode(errorBody{Error: "encoding response: " + err.Error()})
+		status = http.StatusInternalServerError
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf.b)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.b)
+	if cap(buf.b) <= maxKeptResp {
+		buf.b = buf.b[:0]
+		respPool.Put(buf)
+	}
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -414,6 +449,57 @@ type DetectResponse struct {
 	Matches   []seqlog.Match `json:"matches,omitempty"`
 	Traces    []int64        `json:"traces,omitempty"`
 	Truncated bool           `json:"truncated,omitempty"`
+}
+
+// appendJSON appends resp as encoding/json encodes it (the tags above, nil
+// Times as null, the Encoder's trailing newline) without reflection: an
+// answer is a flat run of integers. encoding/json stays the test oracle.
+func (resp DetectResponse) appendJSON(b []byte) []byte {
+	b = append(b, '{')
+	if len(resp.Matches) > 0 {
+		b = append(b, `"matches":[`...)
+		for i, m := range resp.Matches {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"Trace":`...)
+			b = strconv.AppendInt(b, m.Trace, 10)
+			b = append(b, `,"Times":`...)
+			if m.Times == nil {
+				b = append(b, "null"...)
+			} else {
+				b = appendInts(b, m.Times)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if len(resp.Traces) > 0 {
+		if len(resp.Matches) > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `"traces":`...)
+		b = appendInts(b, resp.Traces)
+	}
+	if resp.Truncated {
+		if len(resp.Matches) > 0 || len(resp.Traces) > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `"truncated":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendInts appends a JSON array of vs.
+func appendInts(b []byte, vs []int64) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return append(b, ']')
 }
 
 func (h *Handler) detect(w http.ResponseWriter, r *http.Request) {

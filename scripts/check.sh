@@ -178,7 +178,8 @@ fi
 # and the engine-lifetime pipeline gates (session eviction and reload stay
 # serial-equivalent, an idle pipeline never wakes, Ingest returns beside an
 # appender that keeps the queue full, rotate and prune with a stream open,
-# counters live after every Appender.Close), the flush's two store writes
+# counters live after every Appender.Close, a failed pipeline is replaced
+# unless its failure poisoned the store), the flush's two store writes
 # (the postings cache records generations only for keys a reader began and
 # stays coherent under -race; a Count merge matches the decode-map-sort
 # reference byte for byte and allocates at most 3 times, with one run of
@@ -193,7 +194,7 @@ if want ingest; then
 	go test -race -short -run 'StreamEqualsSerialBuilder|StreamShardedEqualsSerial|StreamCrash|ShardedStreamCrash' ./internal/ingest/
 	go test -race -short -run 'TimerHygiene|Admission|ParallelFlushersRaceHammer' ./internal/ingest/
 	go test -race -short -run 'EvictionReloadEqualsSerialBuilder|PartialOrderBoundaryKeptUntilWritten|IdlePipelineNoWakeups' ./internal/ingest/
-	go test -race -run 'IngestReturnsBesideBusyAppender|RotateAndPruneWithStreamOpen|StreamInfoAndSharedPipeline' .
+	go test -race -run 'IngestReturnsBesideBusyAppender|RotateAndPruneWithStreamOpen|StreamInfoAndSharedPipeline|FailedPipelineIsDetached|PoisonedStoreStopsReplacement' .
 	go test -race -run 'SealBatch|PipelinedBatch' ./internal/kvstore/
 	go test -race -run 'Cache|MergeCount|Invalidate' ./internal/storage/
 	go test -run XXX -bench 'MergeCounts$' -benchtime 1x ./internal/storage/
@@ -203,17 +204,24 @@ fi
 # Metrics tier: the registry and the whole telemetry path under the race
 # detector (parallel queries + live ingest stream + concurrent /metrics
 # scrapes), then a real-binary scrape assertion (seqserver -pprof
-# -slow-query-ms, curl-style GET /metrics, seqquery metrics verb).
+# -slow-query-ms, curl-style GET /metrics, seqquery metrics verb), then the
+# response path: the /detect encoder writes encoding/json's bytes with a
+# matching Content-Length for every answer shape, and an answer of ~1,000
+# matches allocates about as often as one of ~10, in the engine and in the
+# handler (allocation counts are taken without -race, which adds its own).
 if want metrics; then
 	go test -race ./internal/metrics/
 	go test -race -run 'Metrics|Disconnect' ./internal/server/
 	go test -run 'Metrics' ./internal/clitest/
+	go test -run 'DetectResponseJSON|DetectHandlerAllocsFlat' ./internal/server/
+	go test -run 'DetectAnswerIsFlat' .
 fi
 
 # Shards tier: the differential oracle (1 vs 4 vs 7 shards must be
 # byte-identical for every query family), the routing/codec fuzz targets on
 # their seed corpora plus a short live fuzz (the Count merge against its
-# reference among them), and the concurrency gates — the
+# reference among them, and the /detect encoder against encoding/json),
+# and the concurrency gates — the
 # ingest+query+compaction hammer and the one-shard crash-isolation sweep —
 # under the race detector.
 if want shards; then
@@ -222,6 +230,7 @@ if want shards; then
 	go test ./internal/shard/ -fuzz FuzzShardRouting -fuzztime 5s
 	go test ./internal/storage/ -fuzz FuzzSeqCodec -fuzztime 5s
 	go test ./internal/storage/ -fuzz FuzzCountMerge -fuzztime 5s
+	go test ./internal/server/ -fuzz FuzzDetectResponseJSON -fuzztime 10s
 	go test -race -short -run 'ShardedConcurrentHammer|ShardCrashIsolation' ./internal/shard/
 fi
 

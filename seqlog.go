@@ -982,10 +982,19 @@ func Traces(ms []Match) []int64 {
 	return slices.Compact(ids)
 }
 
+// convertMatches copies ms into one flat buffer of times; each Match holds a
+// cap-limited window of it, so an answer costs two allocations, not two per
+// match, and an append to one Match's Times never reaches the next.
 func convertMatches(ms []query.Match) []Match {
+	n := 0
+	for _, m := range ms {
+		n += len(m.Timestamps)
+	}
 	out := make([]Match, len(ms))
+	flat := make([]int64, n)
 	for i, m := range ms {
-		times := make([]int64, len(m.Timestamps))
+		times := flat[:len(m.Timestamps):len(m.Timestamps)]
+		flat = flat[len(m.Timestamps):]
 		for j, ts := range m.Timestamps {
 			times[j] = int64(ts)
 		}

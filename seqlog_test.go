@@ -865,3 +865,41 @@ func TestSalvageRecoveryFacade(t *testing.T) {
 		t.Fatal("salvage left a degraded on-disk state")
 	}
 }
+
+// TestDetectAnswerIsFlat: Engine.Detect builds an answer's times in one
+// buffer, so ~1,000 matches allocate about as often as ~10, and an append
+// to one match's Times leaves the next match alone.
+func TestDetectAnswerIsFlat(t *testing.T) {
+	e := openMem(t, Config{})
+	var events []Event
+	for tr := int64(1); tr <= 1000; tr++ {
+		events = append(events, Event{Trace: tr, Activity: "a", Time: 1},
+			Event{Trace: tr, Activity: "b", Time: 2}, Event{Trace: tr, Activity: "c", Time: 3})
+		if tr <= 10 {
+			events = append(events, Event{Trace: tr, Activity: "x", Time: 4},
+				Event{Trace: tr, Activity: "y", Time: 5}, Event{Trace: tr, Activity: "z", Time: 6})
+		}
+	}
+	if _, err := e.Ingest(events); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := func(p []string, want int) float64 {
+		ms, err := e.Detect(ctx, p, DetectOptions{})
+		if err != nil || len(ms) != want {
+			t.Fatalf("detect %v: %d matches (%v), want %d", p, len(ms), err, want)
+		}
+		next := slices.Clone(ms[1].Times)
+		_ = append(ms[0].Times, -1, -2, -3)
+		if !slices.Equal(ms[1].Times, next) {
+			t.Fatalf("appending to match 0 changed match 1: %v, was %v", ms[1].Times, next)
+		}
+		return testing.AllocsPerRun(50, func() { e.Detect(ctx, p, DetectOptions{}) })
+	}
+	small := allocs([]string{"x", "y", "z"}, 10)
+	large := allocs([]string{"a", "b", "c"}, 1000)
+	t.Logf("allocs per Detect: %.0f for 10 matches, %.0f for 1000", small, large)
+	if large-small > 40 {
+		t.Fatalf("allocs per Detect: %.0f for 10 matches, %.0f for 1000; want a difference of at most 40, not a cost per match", small, large)
+	}
+}

@@ -2,10 +2,12 @@ package seqlog
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"seqlog/internal/ingest"
+	"seqlog/internal/kvstore"
 	"seqlog/internal/model"
 	"seqlog/internal/pairs"
 )
@@ -64,7 +66,9 @@ func (e *Engine) OpenStream(opts StreamOptions) (*Appender, error) {
 // pipeline a commit error failed refuses every append and is replaced here:
 // its holders keep their handles and see the error, its counters are folded
 // into the engine totals, and it is closed before its successor starts, whose
-// sessions would otherwise load Seq rows that miss its last commit.
+// sessions would otherwise load Seq rows that miss its last commit. A failure
+// that poisoned a durable store is not replaced: every later commit would
+// fail the same way until a reopen, so each write returns it at once.
 func (e *Engine) writer() (*ingest.Pipeline, error) {
 	if err := e.readOnlyErr(); err != nil {
 		return nil, err
@@ -72,8 +76,12 @@ func (e *Engine) writer() (*ingest.Pipeline, error) {
 	e.pipeMu.Lock()
 	defer e.pipeMu.Unlock()
 	if p := e.pipeline; p != nil {
-		if p.Err() == nil {
+		err := p.Err()
+		if err == nil {
 			return p, nil
+		}
+		if errors.Is(err, kvstore.ErrPoisoned) {
+			return nil, err
 		}
 		p.Close()
 		addIngest(&e.ingestTotal, p.Stats())

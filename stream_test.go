@@ -3,6 +3,7 @@ package seqlog
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -481,17 +482,52 @@ func TestReachBackIngestBesideOpenStream(t *testing.T) {
 	}
 }
 
-// failingTables fails every commit while fail is set.
+// failingTables fails every commit while fail is set, with err when it is
+// set, and counts the commits it sees.
 type failingTables struct {
 	storage.Backend
-	fail atomic.Bool
+	fail    atomic.Bool
+	err     error
+	commits atomic.Int64
 }
 
 func (f *failingTables) Commit(period string, d *storage.Delta) ([]kvstore.Durability, error) {
+	f.commits.Add(1)
 	if f.fail.Load() {
+		if f.err != nil {
+			return nil, f.err
+		}
 		return nil, errors.New("injected commit failure")
 	}
 	return f.Backend.Commit(period, d)
+}
+
+// TestPoisonedStoreStopsReplacement: a commit failure that poisoned the
+// store fails every later write at once, without a replacement pipeline
+// that would extract its batch only to fail it at commit.
+func TestPoisonedStoreStopsReplacement(t *testing.T) {
+	e := openMem(t, Config{})
+	ft := &failingTables{Backend: e.tables, err: fmt.Errorf("%w: injected", kvstore.ErrPoisoned)}
+	e.tables = ft
+	if _, err := e.Ingest(streamEvents()[:4]); err != nil {
+		t.Fatal(err)
+	}
+	ft.fail.Store(true)
+	if _, err := e.Ingest(streamEvents()[4:]); !errors.Is(err, kvstore.ErrPoisoned) {
+		t.Fatalf("Ingest through a poisoned store: %v, want ErrPoisoned", err)
+	}
+	commits := ft.commits.Load()
+	for i := range 2 {
+		if _, err := e.Ingest(streamEvents()[4:]); !errors.Is(err, kvstore.ErrPoisoned) {
+			t.Fatalf("Ingest %d after the poisoning: %v, want ErrPoisoned", i+1, err)
+		}
+	}
+	if _, err := e.OpenStream(StreamOptions{}); !errors.Is(err, kvstore.ErrPoisoned) {
+		t.Fatalf("OpenStream after the poisoning: %v, want ErrPoisoned", err)
+	}
+	if n := ft.commits.Load(); n != commits {
+		t.Fatalf("%d commits after the poisoning, want none", n-commits)
+	}
 }
 
 // TestFailedPipelineIsDetached: once a commit fails the shared pipeline,
