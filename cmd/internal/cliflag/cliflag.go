@@ -52,7 +52,7 @@ func (f *Flags) Store(names ...string) {
 		case "salvage":
 			f.fs.BoolVar(&c.Salvage, name, false, "recover a corrupt store by quarantining unreadable regions instead of failing")
 		case "cache-mb":
-			f.fs.Var((*MiB)(&c.CacheBytes), name, "decoded-postings cache budget in `MiB` (0 = default 64, negative disables)")
+			f.fs.Var((*MiB)(&c.CacheBytes), name, "decoded-postings cache budget in `MiB` of the stores this process opens; a shard server's is set only by its own seqshard -cache-mb (0 = default 64, negative disables)")
 		default:
 			panic("cliflag: no store flag " + name)
 		}

@@ -41,9 +41,9 @@ type Options struct {
 // connection deadline the moment ctx is done, so cancel latency is bounded
 // by a socket wakeup, not a response arrival; the interrupted connection is
 // discarded and the caller sees ctx.Err(). Writes follow the Backend
-// contract (context-free): Commit ships a batch as one commit group, applied
-// inside the server store's own WAL batch — one group commit per remote
-// store, acked after its fsync.
+// contract (context-free): Commit ships a batch as one commit group, which
+// the server writes through its store's own Tables.Commit — one group commit
+// per remote store, acked after its fsync.
 type Client struct {
 	addr string
 	opts Options
@@ -359,60 +359,17 @@ func (c *Client) write(op byte, body []byte) error {
 
 // ---- storage.Backend: Commit ------------------------------------------------
 
-// Commit ships d as one commit group: its rows encoded as append_seq,
-// append_index, merge_counts and put_meta ops in storage.Delta.Apply's
-// order, which the server applies inside one WAL group of its store. The
-// server answers once the group is durable, so the handle is
-// kvstore.Durable.
+// Commit ships d as one commit group, encoded by appendDelta. The server
+// writes it through its own storage.Tables.Commit and answers once the
+// group is durable, so the handle is kvstore.Durable.
 func (c *Client) Commit(period string, d *storage.Delta) ([]kvstore.Durability, error) {
-	var ops opStream
-	_ = d.Apply(period, &ops) // opStream's writes never fail
-	if len(ops.b) == 0 {
+	if d.Empty() {
 		return []kvstore.Durability{nil}, nil
 	}
-	if err := c.commit(ops.b); err != nil {
+	if err := c.commit(appendDelta(nil, period, d)); err != nil {
 		return nil, err
 	}
 	return []kvstore.Durability{kvstore.Durable}, nil
-}
-
-// opStream encodes a commit group's op stream, [op][uvarint len][body]...,
-// as storage.RowWriter.
-type opStream struct{ wbuf }
-
-func (o *opStream) add(op byte, body wbuf) error {
-	o.byte1(op)
-	o.blob(body.b)
-	return nil
-}
-
-func (o *opStream) AppendSeq(id model.TraceID, events []model.TraceEvent) error {
-	var w wbuf
-	w.u64(uint64(id))
-	w.blob(storage.EncodeSeqRow(nil, events))
-	return o.add(opAppendSeq, w)
-}
-
-func (o *opStream) AppendIndex(period string, pair model.PairKey, entries []storage.IndexEntry) error {
-	var w wbuf
-	w.str(period)
-	w.u64(uint64(pair))
-	w.blob(storage.EncodeIndexRow(nil, entries))
-	return o.add(opAppendIndex, w)
-}
-
-func (o *opStream) MergeCounts(first model.ActivityID, delta []storage.CountEntry) error {
-	var w wbuf
-	w.i64(int64(first))
-	w.blob(storage.EncodeCountRow(nil, delta))
-	return o.add(opMergeCounts, w)
-}
-
-func (o *opStream) PutMeta(key string, value []byte) error {
-	var w wbuf
-	w.str(key)
-	w.blob(value)
-	return o.add(opPutMeta, w)
 }
 
 // ---- storage.Backend: Seq table ---------------------------------------------
@@ -500,15 +457,15 @@ func (c *Client) GetPostings(ctx context.Context, pair model.PairKey) (storage.P
 		return storage.Postings{}, err
 	}
 	r := &rbuf{b: resp}
-	n := r.u64()
-	if r.err != nil || n > uint64(len(r.b)) { // >= 1 byte per run
+	n := r.count(1)
+	if r.err != nil {
 		return storage.Postings{}, &OpError{Addr: c.addr, Op: opName(opGetPostings), Err: ErrBadFrame}
 	}
 	var p storage.Postings
 	if n > 0 {
 		p.Runs = make([]storage.PostingsRun, 0, n)
 	}
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		row := r.blob()
 		if r.err != nil {
 			return storage.Postings{}, &OpError{Addr: c.addr, Op: opName(opGetPostings), Err: ErrBadFrame}
@@ -584,12 +541,12 @@ func (c *Client) Periods(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	r := &rbuf{b: resp}
-	n := r.u64()
-	if r.err != nil || n > uint64(len(r.b)) { // >= 1 byte per period
+	n := r.count(1)
+	if r.err != nil {
 		return nil, &OpError{Addr: c.addr, Op: opName(opPeriods), Err: ErrBadFrame}
 	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		out = append(out, r.str())
 	}
 	if err := r.done(); err != nil {
@@ -674,14 +631,6 @@ func (c *Client) GetLastCompletion(ctx context.Context, pair model.PairKey) (mod
 
 // ---- storage.Backend: Meta table --------------------------------------------
 
-// PutMeta replicates one metadata row to the remote store.
-func (c *Client) PutMeta(key string, value []byte) error {
-	var w wbuf
-	w.str(key)
-	w.blob(value)
-	return c.write(opPutMeta, w.b)
-}
-
 // GetMeta reads one metadata row. Unlike the table reads, Backend declares
 // it context-free, so it uses a background context internally.
 func (c *Client) GetMeta(key string) ([]byte, bool, error) {
@@ -705,7 +654,7 @@ func (c *Client) GetMeta(key string) ([]byte, bool, error) {
 
 // ---- storage.Backend: observability, lifecycle ------------------------------
 
-// commit ships one op-stream group: oversized groups split into
+// commit ships one encoded group: oversized groups split into
 // opCommitChunk frames (accumulated server-side), the final opCommit frame
 // applies the whole group and answers once it is durable.
 func (c *Client) commit(group []byte) error {
@@ -776,13 +725,10 @@ func (c *Client) commit(group []byte) error {
 // NumShards reports the single remote store behind this client.
 func (c *Client) NumShards() int { return 1 }
 
-// SetCacheBudget resizes the remote postings cache (fire-and-forget
-// semantics are not acceptable here: errors surface).
-func (c *Client) SetCacheBudget(bytes int64) {
-	var w wbuf
-	w.i64(bytes)
-	c.call(context.Background(), opSetCacheBudget, w.b)
-}
+// SetCacheBudget does nothing: a shard server's postings cache is sized
+// only by its own -cache-mb, never by a client, so no front end resizes the
+// cache other front ends read through.
+func (c *Client) SetCacheBudget(int64) {}
 
 // Sync flushes and fsyncs the remote store's WAL (no-op for memory-backed
 // servers). The engine calls it through the sharded backend from

@@ -55,8 +55,8 @@ func FuzzNetFrame(f *testing.F) {
 
 // FuzzNetRequest: arbitrary request bodies against a live server dispatch
 // must produce a response or a typed error — never a panic, never an
-// unbounded allocation. Both the unary surface and the commit-group
-// op-stream parser are exercised.
+// unbounded allocation. Both the unary surface and the commit-body decoder
+// are exercised.
 func FuzzNetRequest(f *testing.F) {
 	// Seed every opcode with an empty body plus a few well-formed requests.
 	for op := byte(1); op < opMax; op++ {
@@ -79,10 +79,23 @@ func FuzzNetRequest(f *testing.F) {
 	w.i64(4)
 	f.Add(opGetPairCount, append([]byte{}, w.b...))
 	w = wbuf{}
-	w.i64(3)
-	w.blob(storage.EncodeCountRow(nil, []storage.CountEntry{{Other: 4, SumDuration: 9, Completions: 2}}))
-	f.Add(opMergeCounts, append([]byte{}, w.b...))
-	f.Add(opCommit, []byte{opAppendSeq, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	w.u64(7)
+	f.Add(opDeleteSeq, append([]byte{}, w.b...))
+	w = wbuf{}
+	w.str("2026-01")
+	f.Add(opDropPeriod, append([]byte{}, w.b...))
+	// Commit bodies: a well-formed one, then truncated, with a count no
+	// body could hold, with a repeated key, and with trailing bytes.
+	good := appendDelta(nil, "2026-01", &storage.Delta{
+		Seqs:    map[model.TraceID][]model.TraceEvent{7: {{Activity: 1, TS: 10}, {Activity: 2, TS: 20}}},
+		Entries: map[model.PairKey][]storage.IndexEntry{model.NewPairKey(1, 2): {{Trace: 7, TsA: 10, TsB: 20}}},
+		Meta:    map[string][]byte{"alphabet": []byte("a\x00b")},
+	})
+	f.Add(opCommit, good)
+	f.Add(opCommit, good[:len(good)/2])
+	f.Add(opCommit, []byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add(opCommit, repeatedTraceBody())
+	f.Add(opCommit, append(append([]byte{}, good...), 0))
 
 	store := kvstore.NewMemStore()
 	tab := storage.NewTables(store)
@@ -200,17 +213,16 @@ func TestCraftedFrames(t *testing.T) {
 		t.Fatalf("ping after unknown opcodes = %x, %v", payload, err)
 	}
 
-	// Body-level: a complete merge_counts body followed by more bytes is
+	// Body-level: a complete commit body followed by more bytes is
 	// malformed, not a request with ignorable padding.
-	var body wbuf
-	body.i64(9)
-	body.blob(storage.EncodeCountRow(nil, []storage.CountEntry{{Other: 4, SumDuration: 250, Completions: 1}}))
-	body.byte1(0)
-	if _, err := srv.unary(opMergeCounts, body.b); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("merge_counts with trailing bytes: %v, want ErrBadFrame", err)
+	body := appendDelta(nil, "", &storage.Delta{Entries: map[model.PairKey][]storage.IndexEntry{
+		model.NewPairKey(9, 4): {{Trace: 1, TsA: 0, TsB: 250}},
+	}})
+	if err := srv.applyCommit(append(body, 0)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("commit with trailing bytes: %v, want ErrBadFrame", err)
 	}
 	if row, _ := tab.GetCounts(context.Background(), 9); len(row) != 0 {
-		t.Fatalf("malformed merge applied: Count row = %v", row)
+		t.Fatalf("malformed commit applied: Count row = %v", row)
 	}
 
 	// Client-level: a response with an oversized declared length fails as a

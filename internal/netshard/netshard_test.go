@@ -178,9 +178,7 @@ func TestNetShardRoundTrip(t *testing.T) {
 	}
 
 	// Meta table.
-	if err := cl.PutMeta("policy", []byte("STNM")); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, cl, "", &storage.Delta{Meta: map[string][]byte{"policy": []byte("STNM")}})
 	v, ok, err := cl.GetMeta("policy")
 	if err != nil || !ok || string(v) != "STNM" {
 		t.Fatalf("GetMeta = %q, %v, %v", v, ok, err)
@@ -420,7 +418,7 @@ func TestNetShardCancelAfterSuccessKeepsPoolClean(t *testing.T) {
 	}
 }
 
-// TestNetShardV1HelloRefused: a peer of an older protocol version (v1–v4)
+// TestNetShardV1HelloRefused: a peer of an older protocol version (v1–v5)
 // must fail the hello with ErrVersion on both sides — never reach dispatch,
 // where its opcodes would name different operations.
 func TestNetShardV1HelloRefused(t *testing.T) {
@@ -463,17 +461,16 @@ func helloRefused(t *testing.T, version byte) {
 	}
 }
 
-// TestOpcodeTable pins the protocol-v5 numbering: the opcodes are the wire
+// TestOpcodeTable pins the protocol-v6 numbering: the opcodes are the wire
 // format, so a renumbering must come with a protoVersion bump.
 func TestOpcodeTable(t *testing.T) {
 	want := []string{
-		1: "ping", "status", "get_meta", "put_meta", "get_seq", "append_seq",
-		"delete_seq", "scan_seq", "num_traces", "append_index", "scan_index",
-		"num_indexed_pairs", "drop_period", "periods", "get_postings", "freeze",
-		"get_counts", "merge_counts", "get_pair_count", "get_last_completion",
-		"set_cache_budget", "sync", "commit_chunk", "commit",
+		1: "ping", "status", "get_meta", "get_seq", "delete_seq", "scan_seq",
+		"num_traces", "scan_index", "num_indexed_pairs", "drop_period",
+		"periods", "get_postings", "freeze", "get_counts", "get_pair_count",
+		"get_last_completion", "sync", "commit_chunk", "commit",
 	}
-	if protoVersion != 5 || opMax != 25 || !reflect.DeepEqual(opNames[:], want) {
-		t.Fatalf("protocol v%d opcode table = %q, want v5 %q", protoVersion, opNames, want)
+	if protoVersion != 6 || opMax != 20 || !reflect.DeepEqual(opNames[:], want) {
+		t.Fatalf("protocol v%d opcode table = %q, want v6 %q", protoVersion, opNames, want)
 	}
 }

@@ -20,12 +20,16 @@
 // bounds its allocations by the received length: a crafted length fails
 // with a typed error instead of panicking or OOMing the receiver.
 //
-// Failure semantics: one WAL group per remote store — a commit group ships
-// as opCommitChunk*+opCommit and is applied inside the server store's own
-// BeginBatch/CommitBatch, acked only after the group's fsync. There is no
-// cross-shard transaction (no 2PC): a coordinator crash between shard
-// commits can leave shards a flush apart, which the watermark-idempotent
-// replay of Algorithm 1 tolerates, exactly as for local sharded stores.
+// Commit path: a commit group ships as one encoded storage.Delta —
+// [period], then its Seq, Index and meta rows, each list [count]([key][row])*
+// in the row codecs above — split into opCommitChunk* + opCommit frames. The
+// server decodes it and writes it through its own storage.Tables.Commit,
+// the one writer local stores use, so the Count increments are summed on
+// the store that holds them; it acks once the group's handle is durable.
+// There is no cross-shard transaction (no 2PC): a coordinator crash between
+// shard commits can leave shards a flush apart, which the
+// watermark-idempotent replay of Algorithm 1 tolerates, exactly as for local
+// sharded stores.
 package netshard
 
 import (
@@ -35,6 +39,7 @@ import (
 	"io"
 
 	"seqlog/internal/kvstore"
+	"seqlog/internal/model"
 	"seqlog/internal/storage"
 )
 
@@ -46,8 +51,12 @@ import (
 // op and renumbered the opcodes after it. Version 4 dropped the two Reverse
 // Count ops and renumbered the opcodes after them. Version 5 dropped
 // merge_last_completion — a pair's last completion is derived from its
-// postings on the server — and renumbered the opcodes after it.
-const protoVersion = 5
+// postings on the server — and renumbered the opcodes after it. Version 6
+// ships a commit group as one encoded Delta, dropping the row-write ops
+// put_meta, append_seq, append_index and merge_counts, and drops
+// set_cache_budget — a shard server's cache is sized by its own flag — and
+// renumbers the opcodes.
+const protoVersion = 6
 
 var protoMagic = [4]byte{'S', 'Q', 'S', 'H'}
 
@@ -92,13 +101,10 @@ const (
 	opPing byte = iota + 1
 	opStatus
 	opGetMeta
-	opPutMeta
 	opGetSeq
-	opAppendSeq
 	opDeleteSeq
 	opScanSeq
 	opNumTraces
-	opAppendIndex
 	opScanIndex
 	opNumIndexedPairs
 	opDropPeriod
@@ -106,10 +112,8 @@ const (
 	opGetPostings
 	opFreeze
 	opGetCounts
-	opMergeCounts
 	opGetPairCount
 	opGetLastCompletion
-	opSetCacheBudget
 	opSync
 	opCommitChunk
 	opCommit
@@ -118,16 +122,13 @@ const (
 
 // opNames label the per-op RPC metrics and OpError messages.
 var opNames = [opMax]string{
-	opPing: "ping", opStatus: "status",
-	opGetMeta: "get_meta", opPutMeta: "put_meta",
-	opGetSeq: "get_seq", opAppendSeq: "append_seq", opDeleteSeq: "delete_seq",
-	opScanSeq: "scan_seq", opNumTraces: "num_traces",
-	opAppendIndex: "append_index", opScanIndex: "scan_index",
+	opPing: "ping", opStatus: "status", opGetMeta: "get_meta",
+	opGetSeq: "get_seq", opDeleteSeq: "delete_seq",
+	opScanSeq: "scan_seq", opNumTraces: "num_traces", opScanIndex: "scan_index",
 	opNumIndexedPairs: "num_indexed_pairs", opDropPeriod: "drop_period",
 	opPeriods: "periods", opGetPostings: "get_postings", opFreeze: "freeze",
-	opGetCounts: "get_counts", opMergeCounts: "merge_counts",
-	opGetPairCount: "get_pair_count", opGetLastCompletion: "get_last_completion",
-	opSetCacheBudget: "set_cache_budget", opSync: "sync",
+	opGetCounts: "get_counts", opGetPairCount: "get_pair_count",
+	opGetLastCompletion: "get_last_completion", opSync: "sync",
 	opCommitChunk: "commit_chunk", opCommit: "commit",
 }
 
@@ -303,7 +304,6 @@ type wbuf struct{ b []byte }
 
 func (w *wbuf) u64(v uint64)  { w.b = binary.AppendUvarint(w.b, v) }
 func (w *wbuf) i64(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) byte1(v byte)  { w.b = append(w.b, v) }
 func (w *wbuf) blob(p []byte) { w.u64(uint64(len(p))); w.b = append(w.b, p...) }
 func (w *wbuf) str(s string)  { w.u64(uint64(len(s))); w.b = append(w.b, s...) }
 func (w *wbuf) bool1(v bool) {
@@ -356,19 +356,6 @@ func (r *rbuf) i64() int64 {
 	return v
 }
 
-func (r *rbuf) byte1() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
 func (r *rbuf) bool1() bool { return r.u64() != 0 }
 
 // blob returns the next length-prefixed byte slice, aliasing the input.
@@ -388,6 +375,20 @@ func (r *rbuf) blob() []byte {
 
 func (r *rbuf) str() string { return string(r.blob()) }
 
+// count reads the length of a list whose elements take at least size bytes
+// each, failing when the bytes left cannot hold that many: a crafted count
+// never sizes an allocation.
+func (r *rbuf) count(size int) int {
+	n := r.u64()
+	if r.err == nil && n > uint64(len(r.b)/size) {
+		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 func (r *rbuf) empty() bool { return r.err != nil || len(r.b) == 0 }
 
 // done reports the latched error, or ErrBadFrame if input remains.
@@ -399,4 +400,79 @@ func (r *rbuf) done() error {
 		return ErrBadFrame
 	}
 	return nil
+}
+
+// ---- Commit body ------------------------------------------------------------
+
+// appendDelta encodes a commit group's body: [period], then d's Seq, Index
+// and meta rows, each list [count]([key][row])* — a trace id and its
+// storage.EncodeSeqRow row, a pair key and its storage.EncodeIndexRow row, a
+// meta key and its value.
+func appendDelta(b []byte, period string, d *storage.Delta) []byte {
+	w := wbuf{b: b}
+	var row []byte
+	w.str(period)
+	w.u64(uint64(len(d.Seqs)))
+	for id, events := range d.Seqs {
+		w.u64(uint64(id))
+		row = storage.EncodeSeqRow(row[:0], events)
+		w.blob(row)
+	}
+	w.u64(uint64(len(d.Entries)))
+	for pair, entries := range d.Entries {
+		w.u64(uint64(pair))
+		row = storage.EncodeIndexRow(row[:0], entries)
+		w.blob(row)
+	}
+	w.u64(uint64(len(d.Meta)))
+	for key, value := range d.Meta {
+		w.str(key)
+		w.blob(value)
+	}
+	return w.b
+}
+
+// decodeDelta decodes a commit body. Every count is bounded by the bytes
+// left (a key and a row length take two at least), and a repeated key, a
+// malformed row or trailing bytes fail ErrBadFrame. Nothing aliases body:
+// rows decode into fresh slices and meta values are copied, so the
+// connection may reuse its read buffer.
+func decodeDelta(body []byte) (string, *storage.Delta, error) {
+	r := &rbuf{b: body}
+	period := r.str()
+	n := r.count(2)
+	d := &storage.Delta{Seqs: make(map[model.TraceID][]model.TraceEvent, n)}
+	for range n {
+		id := model.TraceID(r.u64())
+		events, err := storage.DecodeSeqRow(r.blob())
+		if _, dup := d.Seqs[id]; dup || r.err != nil || err != nil {
+			return "", nil, ErrBadFrame
+		}
+		d.Seqs[id] = events
+	}
+	n = r.count(2)
+	d.Entries = make(map[model.PairKey][]storage.IndexEntry, n)
+	for range n {
+		pair := model.PairKey(r.u64())
+		entries, err := storage.DecodeIndexRow(r.blob())
+		if _, dup := d.Entries[pair]; dup || r.err != nil || err != nil {
+			return "", nil, ErrBadFrame
+		}
+		d.Entries[pair] = entries
+	}
+	if n = r.count(2); n > 0 {
+		d.Meta = make(map[string][]byte, n)
+	}
+	for range n {
+		key := r.str()
+		value := r.blob()
+		if _, dup := d.Meta[key]; dup || r.err != nil {
+			return "", nil, ErrBadFrame
+		}
+		d.Meta[key] = append([]byte(nil), value...)
+	}
+	if err := r.done(); err != nil {
+		return "", nil, err
+	}
+	return period, d, nil
 }

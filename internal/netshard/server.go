@@ -382,41 +382,36 @@ func (s *Server) unary(op byte, body []byte) ([]byte, error) {
 		out.i64(int64(ts))
 
 	case opFreeze:
-		s.wmu.Lock()
-		err := s.tab.FreezePostings()
-		s.wmu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+		return nil, s.locked(s.tab.FreezePostings)
 
 	case opSync:
-		s.wmu.Lock()
-		err := s.syncStore()
-		s.wmu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+		return nil, s.locked(s.syncStore)
 
-	case opSetCacheBudget:
-		budget := r.i64()
+	case opDeleteSeq:
+		id := model.TraceID(r.u64())
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		s.tab.SetCacheBudget(budget)
+		return nil, s.locked(func() error { return s.tab.DeleteSeq(id) })
 
-	case opPutMeta, opAppendSeq, opDeleteSeq, opAppendIndex, opDropPeriod,
-		opMergeCounts:
-		s.wmu.Lock()
-		err := s.applyWrite(op, body)
-		s.wmu.Unlock()
-		if err != nil {
+	case opDropPeriod:
+		period := r.str()
+		if err := r.done(); err != nil {
 			return nil, err
 		}
+		return nil, s.locked(func() error { return s.tab.DropPeriod(period) })
 
 	default:
 		return nil, fmt.Errorf("%w: unknown opcode %d", ErrBadFrame, op)
 	}
 	return out.b, nil
+}
+
+// locked runs one mutation outside a commit group under wmu.
+func (s *Server) locked(write func() error) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return write()
 }
 
 func (s *Server) syncStore() error {
@@ -426,95 +421,22 @@ func (s *Server) syncStore() error {
 	return nil
 }
 
-// applyCommit applies one shipped commit group inside the store's own
-// crash-atomic batch (one WAL group, one fsync) and returns only once the
-// group is durable — the client's CommitBatch ack.
+// applyCommit decodes one shipped commit group and writes it through the
+// store's own Tables.Commit — one crash-atomic WAL group — returning only
+// once the group is durable: the client's ack. wmu spans the commit and the
+// wait, so groups are durable in the order they were written.
 func (s *Server) applyCommit(group []byte) error {
+	period, d, err := decodeDelta(group)
+	if err != nil {
+		return err
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return kvstore.Atomically(s.store, func() error { return s.applyOps(group) })
-}
-
-// applyOps replays a commit group's op stream: [op][uvarint len][body]...
-func (s *Server) applyOps(group []byte) error {
-	r := &rbuf{b: group}
-	for !r.empty() {
-		op := r.byte1()
-		body := r.blob()
-		if r.err != nil {
-			return r.err
-		}
-		if err := s.applyWrite(op, body); err != nil {
-			return err
-		}
+	ws, err := s.tab.Commit(period, d)
+	if err != nil || ws[0] == nil {
+		return err
 	}
-	return r.done()
-}
-
-// applyWrite executes one mutation. Callers hold wmu.
-func (s *Server) applyWrite(op byte, body []byte) error {
-	r := &rbuf{b: body}
-	switch op {
-	case opPutMeta:
-		key := r.str()
-		value := r.blob()
-		if err := r.done(); err != nil {
-			return err
-		}
-		return s.tab.PutMeta(key, append([]byte(nil), value...))
-
-	case opAppendSeq:
-		id := model.TraceID(r.u64())
-		row := r.blob()
-		if err := r.done(); err != nil {
-			return err
-		}
-		events, err := storage.DecodeSeqRow(row)
-		if err != nil {
-			return err
-		}
-		return s.tab.AppendSeq(id, events)
-
-	case opDeleteSeq:
-		id := model.TraceID(r.u64())
-		if err := r.done(); err != nil {
-			return err
-		}
-		return s.tab.DeleteSeq(id)
-
-	case opAppendIndex:
-		period := r.str()
-		pair := model.PairKey(r.u64())
-		row := r.blob()
-		if err := r.done(); err != nil {
-			return err
-		}
-		entries, err := storage.DecodeIndexRow(row)
-		if err != nil {
-			return err
-		}
-		return s.tab.AppendIndex(period, pair, entries)
-
-	case opDropPeriod:
-		period := r.str()
-		if err := r.done(); err != nil {
-			return err
-		}
-		return s.tab.DropPeriod(period)
-
-	case opMergeCounts:
-		act := model.ActivityID(r.i64())
-		row := r.blob()
-		if err := r.done(); err != nil {
-			return err
-		}
-		delta, err := storage.DecodeCountRow(row)
-		if err != nil {
-			return err
-		}
-		return s.tab.MergeCounts(act, delta)
-	}
-	return fmt.Errorf("%w: opcode %d is not a mutation", ErrBadFrame, op)
+	return ws[0].Wait()
 }
 
 // scanSeq streams every Seq row in batched stMore frames, then a final stOK.

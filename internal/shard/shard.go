@@ -482,20 +482,10 @@ func (t *Tables) GetLastCompletion(ctx context.Context, pair model.PairKey) (mod
 
 // ---- Meta table ------------------------------------------------------------
 
-// PutMeta replicates engine metadata to every shard, so each shard directory
-// is self-describing (policy, alphabet, shard count) and a shard opened in
-// isolation can still be inspected.
-func (t *Tables) PutMeta(key string, value []byte) error {
-	for _, s := range t.shards {
-		if err := s.PutMeta(key, value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GetMeta reads engine metadata from shard 0 (the replicas are written in
-// shard order, so shard 0 is always at least as new as the rest).
+// GetMeta reads engine metadata from shard 0. Commit puts meta rows on
+// every shard, so each shard directory is self-describing (policy,
+// alphabet, shard count), and makes shard 0's copy durable first, so shard
+// 0 is always at least as new as the rest.
 func (t *Tables) GetMeta(key string) ([]byte, bool, error) {
 	return t.shards[0].GetMeta(key)
 }

@@ -30,8 +30,9 @@ import (
 // Algorithm 1 updates Seq, Index and Count together, one batch at a time,
 // and so does the write contract: Commit takes a batch's whole Delta and
 // writes each store's part of it as one crash-atomic group. The row writes
-// it is made of (*Tables' AppendSeq, AppendIndex, MergeCounts) are not part
-// of the interface.
+// it is made of (*Tables' AppendSeq, AppendIndex, MergeCounts, PutMeta) are
+// not part of the interface, and meta rows too reach a store only in a
+// Delta.
 //
 // Every read method takes a context.Context first: the local backends only
 // poll it at coarse boundaries (per scanned trace, per scattered shard), but
@@ -84,9 +85,8 @@ type Backend interface {
 	// is the Seq boundary, DESIGN §4).
 	GetLastCompletion(ctx context.Context, pair model.PairKey) (model.Timestamp, error)
 
-	// Meta table. PutMeta writes outside any batch (the engine pins its
-	// configuration at open); a flush carries its meta rows in the Delta.
-	PutMeta(key string, value []byte) error
+	// Meta table: rows are written through Commit's Delta.Meta (the
+	// engine's pins at open, a flush's alphabet).
 	GetMeta(key string) ([]byte, bool, error)
 
 	// NumShards reports how many independent stores back this view (1 for
@@ -124,26 +124,18 @@ func NewDelta() *Delta {
 	}
 }
 
-func (d *Delta) empty() bool {
+// Empty reports whether d writes nothing.
+func (d *Delta) Empty() bool {
 	return len(d.Seqs) == 0 && len(d.Entries) == 0 && len(d.Meta) == 0
 }
 
-// RowWriter takes a Delta's rows one at a time: *Tables applies them, and
-// the netshard client encodes them as the ops of one commit group.
-type RowWriter interface {
-	AppendSeq(id model.TraceID, events []model.TraceEvent) error
-	AppendIndex(period string, pair model.PairKey, entries []IndexEntry) error
-	MergeCounts(first model.ActivityID, delta []CountEntry) error
-	PutMeta(key string, value []byte) error
-}
-
-// Apply writes d through w in commit order: Seq rows by trace id, Index rows
-// by pair key, each with its entries sorted by (trace, TsB), and the Count
+// apply writes d's rows in commit order: Seq rows by trace id, Index rows by
+// pair key, each with its entries sorted by (trace, TsB), and the Count
 // increments of one leading activity merged after its last pair (pairs in
 // key order keep one activity's pairs together), then meta rows by key.
-func (d *Delta) Apply(period string, w RowWriter) error {
+func (t *Tables) apply(period string, d *Delta) error {
 	for _, id := range sortedKeys(d.Seqs) {
-		if err := w.AppendSeq(id, d.Seqs[id]); err != nil {
+		if err := t.AppendSeq(id, d.Seqs[id]); err != nil {
 			return err
 		}
 	}
@@ -162,7 +154,7 @@ func (d *Delta) Apply(period string, w RowWriter) error {
 		if !sort.SliceIsSorted(es, less) {
 			sort.Slice(es, less)
 		}
-		if err := w.AppendIndex(period, k, es); err != nil {
+		if err := t.AppendIndex(period, k, es); err != nil {
 			return err
 		}
 		c := CountEntry{Other: k.Second(), Completions: int64(len(es))}
@@ -171,14 +163,14 @@ func (d *Delta) Apply(period string, w RowWriter) error {
 		}
 		counts = append(counts, c)
 		if i+1 == len(keys) || keys[i+1].First() != k.First() {
-			if err := w.MergeCounts(k.First(), counts); err != nil {
+			if err := t.MergeCounts(k.First(), counts); err != nil {
 				return err
 			}
 			counts = counts[:0]
 		}
 	}
 	for _, key := range sortedKeys(d.Meta) {
-		if err := w.PutMeta(key, d.Meta[key]); err != nil {
+		if err := t.PutMeta(key, d.Meta[key]); err != nil {
 			return err
 		}
 	}
@@ -198,13 +190,13 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // without waiting for the fsync; a store that cannot seal commits the group
 // durably and returns kvstore.Durable. A failed write aborts the group.
 func (t *Tables) Commit(period string, d *Delta) ([]kvstore.Durability, error) {
-	if d.empty() {
+	if d.Empty() {
 		return []kvstore.Durability{nil}, nil
 	}
 	if err := t.store.BeginBatch(); err != nil {
 		return nil, err
 	}
-	if err := d.Apply(period, t); err != nil {
+	if err := t.apply(period, d); err != nil {
 		t.store.AbortBatch(err)
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,7 @@ import (
 
 	"seqlog/internal/kvstore"
 	"seqlog/internal/model"
+	"seqlog/internal/netshard"
 	"seqlog/internal/shard"
 	"seqlog/internal/storage"
 )
@@ -185,7 +187,9 @@ func sameStore(t *testing.T, label string, got, want *kvstore.DiskStore, gotDir,
 // TestCommitMatchesRowWrites: Commit writes a delta exactly as the row
 // writes it replaced did — the same WAL bytes and the same rows — over a run
 // of random deltas into the default and a named period, with and without
-// meta, on one store and on each store of three shards.
+// meta: on one store and on each store of three shards, in process and over
+// the wire, where a netshard server writes each shipped group through its
+// own Tables.Commit.
 func TestCommitMatchesRowWrites(t *testing.T) {
 	const rounds = 12
 	for _, seed := range []int64{1, 2, 3} {
@@ -195,77 +199,107 @@ func TestCommitMatchesRowWrites(t *testing.T) {
 			for i := range deltas {
 				deltas[i] = randomDelta(rng)
 			}
-			period := func(i int) string {
-				if i%2 == 1 {
-					return "2026-01"
-				}
-				return ""
+			for _, leg := range []struct {
+				name   string
+				n      int
+				remote bool
+			}{
+				{"one store", 1, false},
+				{"three shards", 3, false},
+				{"one server", 1, true},
+				{"three servers", 3, true},
+			} {
+				commitMatchesReference(t, leg.name, deltas, leg.n, leg.remote)
 			}
+		})
+	}
+}
 
-			gotDir, wantDir := t.TempDir(), t.TempDir()
-			gs, gt := openDisk(t, gotDir)
-			ws, wt := openDisk(t, wantDir)
-			for i, d := range deltas {
-				handles, err := gt.Commit(period(i), cloneDelta(d))
-				if err != nil || len(handles) != 1 {
-					t.Fatalf("round %d: Commit = %v, %v", i, handles, err)
-				}
-				if h := handles[0]; h != nil {
-					if err := h.Wait(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				referenceCommit(t, wt, period(i), cloneDelta(d))
-			}
-			sameStore(t, "one store", gs, ws, gotDir, wantDir)
-
-			const n = 3
-			stores := make([]kvstore.Store, n)
-			refs := make([]*storage.Tables, n)
-			dirs, refDirs := make([]string, n), make([]string, n)
-			disks, refDisks := make([]*kvstore.DiskStore, n), make([]*kvstore.DiskStore, n)
-			for i := range stores {
-				dirs[i], refDirs[i] = t.TempDir(), t.TempDir()
-				disks[i], _ = openDisk(t, dirs[i])
-				stores[i] = disks[i]
-				refDisks[i], refs[i] = openDisk(t, refDirs[i])
-			}
-			sharded, err := shard.New(stores, shard.Options{})
+// commitMatchesReference commits deltas through a backend over n disk
+// stores — *Tables or shard.New in process, a netshard.Client or
+// shard.NewFromBackends over servers when remote — and each store's part of
+// them through referenceCommit into n more, then asserts the two sides'
+// stores byte-identical.
+func commitMatchesReference(t *testing.T, label string, deltas []*storage.Delta, n int, remote bool) {
+	t.Helper()
+	period := func(i int) string {
+		if i%2 == 1 {
+			return "2026-01"
+		}
+		return ""
+	}
+	dirs, refDirs := make([]string, n), make([]string, n)
+	disks, refDisks := make([]*kvstore.DiskStore, n), make([]*kvstore.DiskStore, n)
+	stores, backends := make([]kvstore.Store, n), make([]storage.Backend, n)
+	refs := make([]*storage.Tables, n)
+	var servers []*netshard.Server
+	for i := range disks {
+		dirs[i], refDirs[i] = t.TempDir(), t.TempDir()
+		disks[i], backends[i] = openDisk(t, dirs[i])
+		stores[i] = disks[i]
+		refDisks[i], refs[i] = openDisk(t, refDirs[i])
+		if remote {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r, d := range deltas {
-				handles, err := sharded.Commit(period(r), cloneDelta(d))
-				if err != nil || len(handles) != n {
-					t.Fatalf("round %d: sharded Commit = %v, %v", r, handles, err)
-				}
-				for _, h := range handles {
-					if h != nil {
-						if err := h.Wait(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				parts := make([]*storage.Delta, n)
-				for i := range parts {
-					parts[i] = storage.NewDelta()
-				}
-				for id, evs := range d.Seqs {
-					parts[shard.TraceShard(id, n)].Seqs[id] = slices.Clone(evs)
-				}
-				for k, es := range d.Entries {
-					parts[shard.PairShard(k, n)].Entries[k] = slices.Clone(es)
-				}
-				for i, part := range parts {
-					if len(d.Meta) > 0 {
-						part.Meta = d.Meta
-					}
-					referenceCommit(t, refs[i], period(r), part)
+			srv := netshard.NewServer(backends[i].(*storage.Tables), disks[i], netshard.ServerOptions{})
+			go srv.Serve(ln)
+			servers = append(servers, srv)
+			cl, err := netshard.Dial(ln.Addr().String(), netshard.Options{Shard: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			backends[i] = cl
+		}
+	}
+	b := backends[0]
+	if n > 1 {
+		var err error
+		if remote {
+			b, err = shard.NewFromBackends(backends, shard.Options{})
+		} else {
+			b, err = shard.New(stores, shard.Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for r, d := range deltas {
+		handles, err := b.Commit(period(r), cloneDelta(d))
+		if err != nil || len(handles) != n {
+			t.Fatalf("%s round %d: Commit = %v, %v", label, r, handles, err)
+		}
+		for _, h := range handles {
+			if h != nil {
+				if err := h.Wait(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			for i := range stores {
-				sameStore(t, fmt.Sprintf("shard %d", i), disks[i], refDisks[i], dirs[i], refDirs[i])
-			}
-		})
+		}
+		parts := make([]*storage.Delta, n)
+		for i := range parts {
+			parts[i] = storage.NewDelta()
+		}
+		for id, evs := range d.Seqs {
+			parts[shard.TraceShard(id, n)].Seqs[id] = slices.Clone(evs)
+		}
+		for k, es := range d.Entries {
+			parts[shard.PairShard(k, n)].Entries[k] = slices.Clone(es)
+		}
+		for i, part := range parts {
+			part.Meta = d.Meta
+			referenceCommit(t, refs[i], period(r), part)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range servers {
+		srv.Close()
+	}
+	for i := range disks {
+		sameStore(t, fmt.Sprintf("%s: store %d", label, i), disks[i], refDisks[i], dirs[i], refDirs[i])
 	}
 }

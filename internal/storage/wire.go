@@ -5,9 +5,11 @@ import "seqlog/internal/model"
 // Wire-format row codecs. The netshard protocol ships table rows between a
 // coordinator and its shard servers in exactly the encodings this package
 // already stores them under — one codec per table, defined once — so a
-// remote row can never drift from a local one byte-for-byte. These are thin
-// exported wrappers; the unexported encoders below them stay authoritative
-// (and fuzz-pinned by the storage codec fuzz targets).
+// remote row can never drift from a local one byte-for-byte: a commit
+// group's Seq and Index rows on their way to the server's Tables.Commit,
+// and every row a read returns. These are thin exported wrappers; the
+// unexported encoders below them stay authoritative (and fuzz-pinned by the
+// storage codec fuzz targets).
 //
 // Every decoder is strict: trailing garbage, truncated varints and
 // impossible counts return ErrCorrupt, and allocation is bounded by the

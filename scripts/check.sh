@@ -134,16 +134,22 @@ if want vet; then
 	# One writer per flush: a batch reaches the tables only through
 	# storage.Backend.Commit. The per-store commit seam and the fan-out
 	# group writer stay deleted, and the row writes Commit is made of are
-	# called only inside internal/storage and by the netshard server, which
-	# applies a remote commit group op by op.
+	# called only inside internal/storage: a netshard server writes a
+	# shipped group through its own Tables.Commit, and meta rows travel in
+	# the Delta, so RowWriter and PutMeta outside the package stay deleted.
 	if grep -rnwE 'ShardedCommits|ShardBatch|groupWriter' --include='*.go' .; then
 		echo "check: ShardedCommits, ShardBatch or groupWriter is back; write a batch through Backend.Commit" >&2
 		exit 1
 	fi
 	if grep -rnE '\.(AppendSeq|AppendIndex|MergeCounts)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . |
-		grep -vE '^\./internal/storage/[^/]+\.go:|^\./internal/netshard/server\.go:' |
+		grep -vE '^\./internal/storage/[^/]+\.go:' |
 		grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
 		echo "check: non-test code outside internal/storage calls a row write; commit a storage.Delta instead" >&2
+		exit 1
+	fi
+	if grep -rnw 'RowWriter' --include='*.go' . ||
+		grep -rn 'PutMeta(' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/storage/[^/]*\.go:'; then
+		echo "check: RowWriter or a PutMeta outside internal/storage is back; put meta rows in a storage.Delta and Commit it" >&2
 		exit 1
 	fi
 	go test -race ./internal/query/... ./internal/storage/... ./internal/kvstore/...

@@ -751,16 +751,20 @@ func (e *Engine) restoreMeta() error {
 		mode = "partial"
 	}
 	if !e.cfg.ReadOnly {
+		pins := make(map[string][]byte)
 		for _, pin := range []struct{ key, stored, value string }{
 			{metaPolicy, policy, rule.Policy.String()},
 			{metaPartial, order, mode},
 			{metaShards, string(raw), shards},
 		} {
 			if pin.stored == "" {
-				if err := e.tables.PutMeta(pin.key, []byte(pin.value)); err != nil {
-					return err
-				}
+				pins[pin.key] = []byte(pin.value)
 			}
+		}
+		// Not waited on: WAL order puts the pins before every later group,
+		// so the first acked write's fsync covers them.
+		if _, err := e.tables.Commit("", &storage.Delta{Meta: pins}); err != nil {
+			return err
 		}
 	}
 	e.built.Store(&rule)
